@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.stats import kendalltau
 
 from .copula import (
     ROTATABLE,
@@ -63,22 +64,6 @@ class SelectionReport:
         return self.candidates[self.winner_index[criterion]]
 
 
-def _merge_count(values: np.ndarray) -> int:
-    """Number of inversions (pairs i < j with values[i] > values[j])."""
-    n = values.size
-    if n < 2:
-        return 0
-    mid = n // 2
-    left, right = values[:mid], values[mid:]
-    count = _merge_count(left) + _merge_count(right)
-    # halves are now sorted in place; cross pairs (l, r) with l > r remain,
-    # equal values deliberately not counted
-    count += left.size * right.size - int(
-        np.searchsorted(left, right, side="right").sum())
-    values[:] = np.sort(values, kind="stable")
-    return count
-
-
 def _tie_pairs(values: np.ndarray) -> int:
     _, counts = np.unique(values, return_counts=True)
     return int(np.sum(counts * (counts - 1) // 2))
@@ -87,22 +72,22 @@ def _tie_pairs(values: np.ndarray) -> int:
 def empirical_kendall_tau(obs: PseudoObservations) -> float:
     """Kendall tau-a with ties counted as neither concordant nor discordant.
 
-    O(n log n): sort by (u, v), then count inversions of the v sequence by
-    merge sort.
+    scipy's tau-b is (C - D) / sqrt((n0 - nx)(n0 - ny)) with n0 = n(n-1)/2
+    pairs and nx, ny the pairs tied in u and in v; multiplying back and
+    rounding recovers the integer C - D exactly, and (C - D) / n0 is tau-a.
+    A constant column has no untied pairs and gives 0.
     """
     n = obs.n
     if n < 2:
         raise ValueError("kendall tau needs at least 2 pairs")
-    order = np.lexsort((obs.v, obs.u))
-    v_ord = obs.v[order].copy()
-    discordant = _merge_count(v_ord)
     n0 = n * (n - 1) // 2
     nx = _tie_pairs(obs.u)
     ny = _tie_pairs(obs.v)
-    both = np.unique(np.column_stack([obs.u, obs.v]), axis=0, return_counts=True)[1]
-    nxy = int(np.sum(both * (both - 1) // 2))
-    concordant = n0 - nx - ny + nxy - discordant
-    return (concordant - discordant) / n0
+    if nx == n0 or ny == n0:
+        return 0.0
+    tau_b = float(kendalltau(obs.u, obs.v).statistic)
+    con_minus_dis = round(tau_b * math.sqrt(n0 - nx) * math.sqrt(n0 - ny))
+    return con_minus_dis / n0
 
 
 def _fit_bracket(family: str, tau_sign: float) -> tuple[float, float]:

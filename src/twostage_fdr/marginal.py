@@ -177,8 +177,9 @@ class HypothesisTable:
             raise ValueError("all columns must share the table length")
         if len(set(ids)) != m:
             raise ValueError("hypothesis ids must be unique")
-        if np.any(p1 < 0.0) or np.any(p1 > 1.0) or np.any(p2 < 0.0) or np.any(p2 > 1.0):
-            raise ValueError("p-values must lie in [0, 1]")
+        for name, p in (("p1", p1), ("p2", p2)):
+            if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
+                raise ValueError(f"{name} values must be finite and lie in [0, 1]")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "y", y)

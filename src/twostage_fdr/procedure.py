@@ -54,8 +54,8 @@ class AggregatedPValues:
         if self.kind not in ("hard", "soft", "raw"):
             raise ValueError(f"unknown aggregation kind {self.kind!r}")
         vals = np.asarray(self.values, dtype=float)
-        if np.any(vals < 0.0) or np.any(vals > 1.0):
-            raise ValueError("aggregated p-values must lie in [0, 1]")
+        if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails too
+            raise ValueError("aggregated p-values must be finite and lie in [0, 1]")
         if (self.kind == "hard") != (self.gamma1 is not None):
             raise ValueError("gamma1 is required for hard aggregation only")
         object.__setattr__(self, "values", vals)
@@ -93,11 +93,18 @@ def default_gamma1_grid() -> np.ndarray:
 
 def aggregate_hard(table: HypothesisTable, model: CopulaModel,
                    gamma1: float) -> AggregatedPValues:
-    """p_i = C(gamma1, p2_i) if p1_i <= gamma1 else p1_i."""
+    """p_i = C(gamma1, p2_i) if p1_i <= gamma1 else p1_i.
+
+    The copula CDF is evaluated on the screened-in rows only; it works
+    element by element, so each value equals the one an evaluation over
+    all rows would give.
+    """
     if not 0.0 < gamma1 < 1.0:
         raise ValueError(f"gamma1 must lie strictly inside (0, 1), got {gamma1}")
-    joint = copula_cdf(model, gamma1, table.p2)
-    values = np.where(table.p1 <= gamma1, joint, table.p1)
+    # integer indices gather and scatter faster than a boolean mask
+    screened_in = np.flatnonzero(table.p1 <= gamma1)
+    values = table.p1.copy()
+    values[screened_in] = copula_cdf(model, gamma1, table.p2[screened_in])
     return AggregatedPValues("hard", values, gamma1=float(gamma1))
 
 
@@ -156,19 +163,24 @@ def select_gamma(pvalues: AggregatedPValues, alpha: float,
     Candidates are the observed p-values (plus 0); the rejection count is
     a step function of gamma, so scanning the observed values is exact.
     Returns (gamma_hat, pi0_hat, rejected_count).
+
+    The value at sorted index i takes the rank i + 1 in place of its count
+    R.  Rank and count agree at the last index of every run of tied values;
+    earlier in a run the rank is smaller, so the estimate there is no smaller
+    than at the run's last index.  The largest index passing the test is
+    therefore the last of its run, where the rank is the exact count.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     pi0 = estimate_pi0(pvalues, lambda_)
     m = pvalues.m
     vals = np.sort(pvalues.values)
-    counts = np.searchsorted(vals, vals, side="right")  # R(gamma) at each candidate
-    fdr = pi0 * vals * m / np.maximum(counts, 1)
+    fdr = pi0 * vals * m / np.arange(1, m + 1)
     ok = np.nonzero(fdr <= alpha)[0]
     if ok.size == 0:
         return 0.0, pi0, 0
     best = ok[-1]
-    return float(vals[best]), pi0, int(counts[best])
+    return float(vals[best]), pi0, int(best) + 1
 
 
 def _rejected_ids(table: HypothesisTable, values: np.ndarray, gamma_hat: float) -> frozenset:

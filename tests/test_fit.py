@@ -15,6 +15,39 @@ def _obs(u, v):
     return cp.PseudoObservations(np.asarray(u, float), np.asarray(v, float))
 
 
+def _merge_count(values: np.ndarray) -> int:
+    """Number of inversions (pairs i < j with values[i] > values[j])."""
+    n = values.size
+    if n < 2:
+        return 0
+    mid = n // 2
+    left, right = values[:mid], values[mid:]
+    count = _merge_count(left) + _merge_count(right)
+    # halves are now sorted in place; cross pairs (l, r) with l > r remain,
+    # equal values deliberately not counted
+    count += left.size * right.size - int(
+        np.searchsorted(left, right, side="right").sum())
+    values[:] = np.sort(values, kind="stable")
+    return count
+
+
+def _tie_pairs(values):
+    _, counts = np.unique(values, return_counts=True)
+    return int(np.sum(counts * (counts - 1) // 2))
+
+
+def merge_sort_kendall_tau(obs):
+    """Original tau-a: sort by (u, v), count inversions of v by merge sort."""
+    n = obs.n
+    order = np.lexsort((obs.v, obs.u))
+    discordant = _merge_count(obs.v[order].copy())
+    n0 = n * (n - 1) // 2
+    both = np.unique(np.column_stack([obs.u, obs.v]), axis=0, return_counts=True)[1]
+    nxy = int(np.sum(both * (both - 1) // 2))
+    concordant = n0 - _tie_pairs(obs.u) - _tie_pairs(obs.v) + nxy - discordant
+    return (concordant - discordant) / n0
+
+
 class TestKendallTau:
     def test_perfect_concordance(self):
         assert ft.empirical_kendall_tau(_obs([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])) == 1.0
@@ -48,6 +81,25 @@ class TestKendallTau:
                     num -= 1
         expected = num / (n * (n - 1) / 2)
         assert ft.empirical_kendall_tau(_obs(u, v)) == pytest.approx(expected, abs=1e-12)
+
+    def test_equals_merge_sort_oracle(self):
+        rng = np.random.default_rng(505)
+        cases = [([0.3, 0.6], [0.2, 0.9]), ([0.3, 0.6], [0.9, 0.2]),
+                 ([0.3, 0.6], [0.5, 0.5]),
+                 ([0.4] * 30, rng.uniform(0.01, 0.99, 30)),
+                 (rng.uniform(0.01, 0.99, 30), [0.7] * 30)]
+        for _ in range(20):
+            n = int(rng.integers(2, 400))
+            cases.append((rng.uniform(0.01, 0.99, n), rng.uniform(0.01, 0.99, n)))
+            cases.append((rng.integers(1, 6, n) / 10.0, rng.integers(1, 6, n) / 10.0))
+            u = np.clip(rng.uniform(-0.3, 1.3, n), 1e-10, 1.0 - 1e-10)
+            v = np.clip(rng.uniform(-0.3, 1.3, n), 1e-10, 1.0 - 1e-10)
+            cases.append((u, v))
+        obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 8000, 6)
+        cases.append((obs.u, obs.v))
+        for u, v in cases:
+            obs = _obs(u, v)
+            assert ft.empirical_kendall_tau(obs) == merge_sort_kendall_tau(obs)
 
     def test_independence_null(self):
         obs = cp.sample(cp.CopulaModel("independence"), 100_000, 4)

@@ -134,6 +134,19 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             mg.build_table(["a", "a"], [0.0, 1.0], [1.0, 2.0], mg.STANDARD_NORMAL)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["p1", "p2"])
+    def test_non_finite_p_values_rejected(self, column, bad):
+        cols = {"p1": np.array([0.2, 0.5, 0.8]), "p2": np.array([0.1, 0.4, 0.9])}
+        cols[column][1] = bad
+        with pytest.raises(ValueError, match=column):
+            mg.HypothesisTable(("a", "b", "c"), np.zeros(3), np.zeros(3),
+                               cols["p1"], cols["p2"])
+
+    def test_nan_beta_hat_rejected(self):
+        with pytest.raises(ValueError, match="p2"):
+            mg.build_table(["a", "b"], [0.3, np.nan], [1.0, 2.0], mg.STANDARD_NORMAL)
+
     def test_tsv_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
         t = mg.build_table([f"g{i}" for i in range(50)], rng.normal(size=50),

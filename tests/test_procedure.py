@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage_fdr import copula as cp
 from twostage_fdr import procedure as proc
+from twostage_fdr import simulate as sim
 from twostage_fdr.marginal import HypothesisTable
 
 INDEP = cp.CopulaModel("independence")
@@ -30,6 +33,13 @@ def ks_uniform(values):
     n = v.size
     i = np.arange(1, n + 1)
     return max(np.max(i / n - v), np.max(v - (i - 1) / n))
+
+
+class TestAggregatedPValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+    def test_rejects_non_finite_and_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            proc.AggregatedPValues("raw", np.array([0.2, bad, 0.7]))
 
 
 class TestAggregateHard:
@@ -224,7 +234,6 @@ class TestTwoStageHard:
 
     def test_rejection_curve_rises_then_falls(self):
         # on dependent data with signal the count peaks at an interior screen level
-        from twostage_fdr import simulate as sim
         cfg = sim.SimulationConfig(m=4000, mu=3.0, tau=-0.4, p0=0.95,
                                    k_reps=1, seed=424)
         table, _ = sim.generate_dataset(cfg, 0)
@@ -235,6 +244,105 @@ class TestTwoStageHard:
         assert 0 < peak < counts.size - 1
         assert counts[0] < counts[peak]
         assert counts[-1] < counts[peak]
+
+
+def seed_select_gamma(values, alpha, lambda_):
+    """Threshold scan of the original code: R(gamma) by searchsorted."""
+    m = values.size
+    pi0 = min(np.count_nonzero(values > lambda_) / ((1.0 - lambda_) * m), 1.0)
+    vals = np.sort(values)
+    counts = np.searchsorted(vals, vals, side="right")
+    fdr = pi0 * vals * m / np.maximum(counts, 1)
+    ok = np.nonzero(fdr <= alpha)[0]
+    if ok.size == 0:
+        return 0.0, pi0, 0
+    return float(vals[ok[-1]]), pi0, int(counts[ok[-1]])
+
+
+def seed_hard_scan(table, model, alpha, lambda_=0.5, grid=None):
+    """Hard procedure of the original code: every level aggregates all M
+    rows with np.where and thresholds with seed_select_gamma."""
+    grid = proc.default_gamma1_grid() if grid is None else np.asarray(grid, float)
+
+    def aggregate(g1):
+        return np.where(table.p1 <= g1, cp.cdf(model, g1, table.p2), table.p1)
+
+    counts = [seed_select_gamma(aggregate(g1), alpha, lambda_)[2] for g1 in grid]
+    gamma1_hat = float(grid[np.argmax(counts)])
+    values = aggregate(gamma1_hat)
+    gamma_hat, pi0, _ = seed_select_gamma(values, alpha, lambda_)
+    rejected = frozenset(np.asarray(table.ids, dtype=object)[values <= gamma_hat].tolist())
+    curve = tuple((float(g), int(c)) for g, c in zip(grid, counts))
+    return gamma1_hat, gamma_hat, pi0, rejected, curve, values
+
+
+def assert_matches_seed_scan(table, model, alpha, grid=None):
+    got = proc.run_two_stage_hard(table, model, alpha, 0.5, gamma1_grid=grid)
+    gamma1_hat, gamma_hat, pi0, rejected, curve, values = seed_hard_scan(
+        table, model, alpha, 0.5, grid)
+    assert got.gamma1_hat == gamma1_hat
+    assert got.gamma_hat == gamma_hat
+    assert got.pi0_hat == pi0
+    assert got.rejected == rejected
+    assert got.rejections_by_gamma1 == curve
+    np.testing.assert_array_equal(got.aggregated.values, values)
+
+
+ORACLE_MODELS = (
+    [cp.CopulaModel("independence"), cp.tau_to_theta("gaussian", -0.4),
+     cp.tau_to_theta("frank", -0.4)]
+    + [cp.CopulaModel(fam, cp.tau_to_theta(fam, 0.4).theta, rot)
+       for fam in cp.ROTATABLE for rot in cp.ROTATIONS]
+)
+
+
+class TestHardMatchesSeedScan:
+    """The screened-in-only aggregation and the rank-based threshold scan
+    reproduce the original full-table scan exactly."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.10])
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m.describe())
+    def test_simulated_tables(self, model, alpha):
+        tau = 0.0 if model.family == "independence" else -0.4
+        cfg = sim.SimulationConfig(m=2000, mu=3.0, tau=tau, p0=0.9,
+                                   dep_family=model.family, k_reps=1, seed=2718)
+        table, _ = sim.generate_dataset(cfg, 0)
+        assert_matches_seed_scan(table, model, alpha)
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m.describe())
+    def test_edge_tables(self, model):
+        rng = np.random.default_rng(31)
+        m = 400
+        p1 = rng.uniform(0.01, 0.99, m)
+        p1[:40] = 0.25      # exactly on a grid level
+        p1[40:60] = 0.5
+        p2 = rng.uniform(size=m)
+        p2[60:80] = 0.0
+        p2[80:100] = 1.0
+        p2[100:140] = 1e-10  # the boundary clamp
+        p2[140:170] = rng.uniform(0, 1e-4, 30)
+        table = make_table(p1, p2)
+        # 0.005 screens in no row, 0.995 screens in every row
+        grid = [0.005, 0.25, 0.5, 0.75, 0.995]
+        for alpha in (0.05, 0.10):
+            assert_matches_seed_scan(table, model, alpha, grid)
+
+
+tie_values = st.lists(
+    st.one_of(st.just(0.0), st.just(1.0),
+              st.floats(0.0, 1.0).map(lambda x: round(x, 2))),
+    min_size=1, max_size=300,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=tie_values,
+       alpha=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+       lambda_=st.floats(0.01, 0.99))
+def test_select_gamma_matches_searchsorted_under_ties(values, alpha, lambda_):
+    vals = np.array(values)
+    got = proc.select_gamma(proc.AggregatedPValues("raw", vals), alpha, lambda_)
+    assert got == seed_select_gamma(vals, alpha, lambda_)
 
 
 class TestTwoStageSoft:
