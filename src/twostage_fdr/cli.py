@@ -62,9 +62,12 @@ def _read_hypothesis_input(path, null: mg.GaussianMixture, tail: str) -> mg.Hypo
         parts = line.split("\t")
         if len(parts) != len(header):
             raise ValueError(f"{path}: line {lineno}: expected {len(header)} columns")
+        try:
+            beta.append(float(parts[cols["beta_hat"]]))
+            y.append(float(parts[cols[aux_col]]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
         ids.append(parts[cols[id_col]])
-        beta.append(float(parts[cols["beta_hat"]]))
-        y.append(float(parts[cols[aux_col]]))
     if not ids:
         raise ValueError(f"{path}: no data rows")
     return mg.build_table(ids, beta, y, null, tail)

@@ -1,16 +1,30 @@
 """Replicate count ingestion, log-fold changes and the exhaustive
 bootstrap of their standard deviation.
 
-With r replicates per condition the bootstrap enumerates all r^r
+With r replicates per condition the bootstrap takes all r^r
 with-replacement resamples of each condition (729 = 27 x 27 resample
 pairs for triplicates) instead of drawing randomly, so the auxiliary
 statistic is deterministic.
+
+The SD needs no enumeration of the pairs.  A pair's log-fold change is
+log2 a_i - log2 b_j, where a_i runs over the KO resample means and b_j
+over the WT ones, and the pairs form the full product: every (i, j)
+appears exactly once.  The population variance of a difference over a
+full product is the sum of the two population variances, so the sample
+variance over the n = (r^r)^2 pairs is exactly
+
+    n / (n - 1) * (Var(log2 a) + Var(log2 b)),
+
+two r^r-point variances per gene, computed here for all genes at once.
+``bootstrap_logfolds`` keeps the explicit enumeration as the reference.
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +44,9 @@ __all__ = [
 ]
 
 MAX_BOOTSTRAP_COMBINATIONS = 1_000_000
+# Genes per block of the vectorised bootstrap SD: bounds the (block, r^r, r)
+# gather of resample values to a few MB whatever the gene count.
+BOOTSTRAP_BLOCK_GENES = 2048
 
 
 @dataclass(frozen=True)
@@ -79,8 +96,10 @@ class FoldChangeSummary:
         sd = np.asarray(self.sd_boot, dtype=float)
         if beta.shape != (len(ids),) or sd.shape != (len(ids),):
             raise ValueError("beta_hat and sd_boot must match ids in length")
-        if np.any(sd < 0.0):
-            raise ValueError("bootstrap standard deviations must be nonnegative")
+        if not np.all(np.isfinite(beta)):
+            raise ValueError("beta_hat values must be finite")
+        if not np.all((sd >= 0.0) & (sd < np.inf)):  # NaN fails too
+            raise ValueError("sd_boot values must be finite and nonnegative")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "sd_boot", sd)
@@ -95,30 +114,77 @@ def logfold(ko, wt) -> float:
     return float(np.log2(ko_mean / wt_mean))
 
 
-def _resample_means(values: np.ndarray) -> np.ndarray:
-    """Means of all r^r with-replacement resamples, in odometer order."""
-    r = values.size
-    idx = np.array(list(itertools.product(range(r), repeat=r)), dtype=int)
-    return values[idx].mean(axis=1)
+def _resample_index(r: int) -> np.ndarray:
+    """Index tuples of all r^r with-replacement resamples, in odometer order."""
+    return np.array(list(itertools.product(range(r), repeat=r)), dtype=int).reshape(-1, r)
 
 
-def bootstrap_logfolds(ko, wt) -> np.ndarray:
-    """All r^r x r^r bootstrap log-fold changes (KO resamples outer)."""
-    ko = np.asarray(ko, dtype=float)
-    wt = np.asarray(wt, dtype=float)
-    if ko.size != wt.size:
-        raise ValueError("conditions must have the same replicate count")
-    r = ko.size
+def _combination_count(r: int) -> int:
+    """(r^r)^2 bootstrap pairs; raises when enumeration is infeasible."""
+    if r < 1:
+        raise ValueError("need at least one replicate per condition")
     n_comb = (r ** r) ** 2
     if n_comb > MAX_BOOTSTRAP_COMBINATIONS:
         raise ValueError(
             f"{r} replicates need {n_comb} bootstrap combinations "
             f"(cap {MAX_BOOTSTRAP_COMBINATIONS}); exhaustive enumeration not feasible")
+    return n_comb
+
+
+def _one_gene(ko, wt) -> tuple[np.ndarray, np.ndarray, int]:
+    """Checked 1-d replicate arrays of one gene and its combination count."""
+    ko = np.asarray(ko, dtype=float)
+    wt = np.asarray(wt, dtype=float)
+    if ko.size != wt.size:
+        raise ValueError("conditions must have the same replicate count")
+    n_comb = _combination_count(ko.size)
     if np.any(ko <= 0.0) or np.any(wt <= 0.0):
         raise ValueError("counts must be positive")
-    ko_means = _resample_means(ko)
-    wt_means = _resample_means(wt)
+    return ko, wt, n_comb
+
+
+def bootstrap_logfolds(ko, wt) -> np.ndarray:
+    """All r^r x r^r bootstrap log-fold changes (KO resamples outer)."""
+    ko, wt, _ = _one_gene(ko, wt)
+    idx = _resample_index(ko.size)
+    ko_means = ko[idx].mean(axis=1)
+    wt_means = wt[idx].mean(axis=1)
     return np.log2(ko_means[:, None] / wt_means[None, :]).ravel()
+
+
+def _row_variances(x: np.ndarray) -> np.ndarray:
+    """Population variance of each row, summed column by column.
+
+    numpy's axis reductions change summation order with the array shape (a
+    single row is summed pairwise), so they could give equal rows different
+    last bits in blocks of different sizes; a fixed order cannot.
+    """
+    n = x.shape[1]
+    dev = x - (functools.reduce(np.add, x.T) / n)[:, None]
+    return functools.reduce(np.add, (dev * dev).T) / n
+
+
+def _bootstrap_sds(ko: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """Sample SD of each row's exhaustive bootstrap log-folds, in closed form.
+
+    ko and wt are (n_genes, r) positive arrays.  Rows constant in both
+    conditions get exactly 0.0: their pairs are all equal, but the float
+    variance of equal resample means need not be 0 (and for r = 1 the
+    n / (n - 1) factor is undefined).
+    """
+    n_genes, r = ko.shape
+    n = _combination_count(r)
+    scale = n / (n - 1) if n > 1 else 0.0  # r = 1: every row is constant
+    idx = _resample_index(r)
+    sd = np.empty(n_genes)
+    for start in range(0, n_genes, BOOTSTRAP_BLOCK_GENES):
+        rows = slice(start, start + BOOTSTRAP_BLOCK_GENES)
+        var = (_row_variances(np.log2(ko[rows][:, idx].mean(axis=2)))
+               + _row_variances(np.log2(wt[rows][:, idx].mean(axis=2))))
+        sd[rows] = np.sqrt(scale * var)
+    constant = np.all(ko == ko[:, :1], axis=1) & np.all(wt == wt[:, :1], axis=1)
+    sd[constant] = 0.0
+    return sd
 
 
 def bootstrap_sd(ko, wt) -> tuple[float, int]:
@@ -126,17 +192,14 @@ def bootstrap_sd(ko, wt) -> tuple[float, int]:
 
     Returns (sd, combination_count); the count is 729 for triplicates.
     """
-    folds = bootstrap_logfolds(ko, wt)
-    if np.all(folds == folds[0]):
-        return 0.0, folds.size
-    return float(np.std(folds, ddof=1)), folds.size
+    ko, wt, n_comb = _one_gene(ko, wt)
+    return float(_bootstrap_sds(ko.reshape(1, -1), wt.reshape(1, -1))[0]), n_comb
 
 
 def summarize(data: ReplicateData) -> FoldChangeSummary:
     """Log-fold change and bootstrap SD for every gene, input order kept."""
-    beta = np.array([logfold(data.ko[i], data.wt[i]) for i in range(data.n_genes)])
-    sd = np.array([bootstrap_sd(data.ko[i], data.wt[i])[0] for i in range(data.n_genes)])
-    return FoldChangeSummary(data.ids, beta, sd)
+    beta = np.log2(data.ko.mean(axis=1) / data.wt.mean(axis=1))
+    return FoldChangeSummary(data.ids, beta, _bootstrap_sds(data.ko, data.wt))
 
 
 def open_text(path, mode="rt"):
@@ -175,9 +238,9 @@ def read_counts(path) -> ReplicateData:
             values = [float(x) for x in parts[1:]]
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric count") from None
-        if any(not np.isfinite(x) for x in values):
-            raise ValueError(f"{path}: line {lineno}: non-finite count")
-        if any(x <= 0.0 for x in values):
+        if not all(0.0 < x < math.inf for x in values):  # NaN fails too
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: line {lineno}: non-finite count")
             raise ValueError(f"{path}: line {lineno}: counts must be positive")
         ids.append(parts[0])
         ko_rows.append(values[:r])
@@ -208,9 +271,12 @@ def read_summary(path) -> FoldChangeSummary:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}: line {lineno}: expected 3 columns")
+        try:
+            beta.append(float(parts[1]))
+            sd.append(float(parts[2]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
         ids.append(parts[0])
-        beta.append(float(parts[1]))
-        sd.append(float(parts[2]))
     if not ids:
         raise ValueError(f"{path}: no data rows")
     return FoldChangeSummary(tuple(ids), np.array(beta), np.array(sd))

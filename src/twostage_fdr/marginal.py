@@ -50,6 +50,9 @@ class GaussianMixture:
         sd = np.asarray(self.sds, dtype=float)
         if not (w.ndim == mu.ndim == sd.ndim == 1) or not (w.size == mu.size == sd.size >= 1):
             raise ValueError("weights, means and sds must be equal-length 1-d sequences")
+        for name, v in (("weights", w), ("means", mu), ("sds", sd)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"mixture {name} must be finite")
         if np.any(w <= 0.0):
             raise ValueError("mixture weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:

@@ -152,6 +152,16 @@ class TestTestCommand:
         outcome = json.loads((out / "outcome.json").read_text())
         assert outcome["n_rejected"] == 0
 
+    @pytest.mark.parametrize("method", ["storey", "H"])
+    def test_non_numeric_cell_names_line(self, tmp_path, capsys, null_json, method):
+        table = tmp_path / "table.tsv"
+        table.write_text("gene_id\tbeta_hat\ty\ng1\t0.5\t0.2\ng2\tabc\t0.3\n")
+        assert main(["test", str(table), "--method", method, "--null-mixture", null_json,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{table}: line 3:" in err
+        assert "'abc'" in err
+
     def test_byte_identical_reruns(self, tmp_path, null_json):
         table = tmp_path / "table.tsv"
         write_test_table(table, m=500, seed=13)

@@ -3,6 +3,7 @@
 import gzip
 import itertools
 import math
+import re
 import statistics
 
 import numpy as np
@@ -93,6 +94,68 @@ class TestBootstrap:
         assert sd > 0.0
 
 
+def oracle_summary_sd(ko, wt):
+    """Per-gene SD straight from the enumerated bootstrap log-folds."""
+    return float(np.std(ig.bootstrap_logfolds(ko, wt), ddof=1))
+
+
+def random_genes(rng, n_genes, r):
+    """Random positive genes with some rows constant in one or both conditions."""
+    ko = rng.uniform(0.5, 50.0, (n_genes, r))
+    wt = rng.uniform(0.5, 50.0, (n_genes, r))
+    ko[0] = wt[0] = 7.3  # constant in both, equal levels
+    ko[1], wt[1] = 0.1, 3.0  # constant in both, repeating-decimal level
+    ko[2] = 4.0  # constant KO only
+    wt[3] = 0.3  # constant WT only
+    return ko, wt
+
+
+class TestClosedFormSummary:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_enumeration_oracle(self, r):
+        rng = np.random.default_rng(100 + r)
+        ko, wt = random_genes(rng, 12, r)
+        summary = ig.summarize(ig.ReplicateData([f"g{i}" for i in range(12)], ko, wt))
+        for i in range(12):
+            assert summary.beta_hat[i] == ig.logfold(ko[i], wt[i])
+            if r == 1 or i < 2:
+                assert summary.sd_boot[i] == 0.0
+            else:
+                expected = oracle_summary_sd(ko[i], wt[i])
+                assert expected > 0.0
+                assert summary.sd_boot[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert ig.bootstrap_sd(ko[i], wt[i])[0] == summary.sd_boot[i]
+
+    def test_blocks_give_the_same_values(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        ko, wt = random_genes(rng, 9, 3)  # blocks of 4, 4 and 1 genes
+        data = ig.ReplicateData([f"g{i}" for i in range(9)], ko, wt)
+        whole = ig.summarize(data)
+        monkeypatch.setattr(ig, "BOOTSTRAP_BLOCK_GENES", 4)
+        blocked = ig.summarize(data)
+        np.testing.assert_array_equal(blocked.sd_boot, whole.sd_boot)
+        np.testing.assert_array_equal(blocked.beta_hat, whole.beta_hat)
+
+    def test_five_replicates_hit_the_cap(self):
+        data = ig.ReplicateData(["g1"], np.ones((1, 5)), np.ones((1, 5)))
+        with pytest.raises(ValueError, match="cap"):
+            ig.summarize(data)
+        with pytest.raises(ValueError, match="cap"):
+            ig.bootstrap_sd(np.ones(5), np.ones(5))
+
+
+class TestFoldChangeSummaryChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_rejected(self, bad):
+        with pytest.raises(ValueError, match="beta_hat"):
+            ig.FoldChangeSummary(("g1", "g2"), [0.1, bad], [0.2, 0.3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    def test_bad_sd_rejected(self, bad):
+        with pytest.raises(ValueError, match="sd_boot"):
+            ig.FoldChangeSummary(("g1", "g2"), [0.1, 0.2], [0.2, bad])
+
+
 def write_counts(path, rows, header="gene_id\tko_1\tko_2\tko_3\twt_1\twt_2\twt_3"):
     path.write_text("\n".join([header] + rows) + "\n")
 
@@ -160,6 +223,19 @@ class TestReadCounts:
         with pytest.raises(ValueError, match="empty"):
             ig.read_counts(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_names_row(self, tmp_path, cell):
+        path = tmp_path / "counts.tsv"
+        write_counts(path, ["g1\t1\t2\t3\t4\t5\t6", f"g2\t1\t{cell}\t3\t4\t5\t6"])
+        with pytest.raises(ValueError, match="line 3: non-finite count"):
+            ig.read_counts(path)
+
+    def test_negative_count_names_row(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        write_counts(path, ["g1\t1\t2\t3\t4\t5\t-6"])
+        with pytest.raises(ValueError, match="line 2: counts must be positive"):
+            ig.read_counts(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "counts.tsv"
         path.write_text("gene\tko_1\twt_1\n")
@@ -182,3 +258,9 @@ class TestSummary:
         assert back.ids == summary.ids
         np.testing.assert_array_equal(back.beta_hat, summary.beta_hat)
         np.testing.assert_array_equal(back.sd_boot, summary.sd_boot)
+
+    def test_read_summary_names_non_numeric_line(self, tmp_path):
+        path = tmp_path / "summary.tsv"
+        path.write_text("gene_id\tbeta_hat\tsd_boot\ng1\t0.1\t0.2\ng2\tabc\t0.3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ") + ".*'abc'"):
+            ig.read_summary(path)

@@ -171,3 +171,14 @@ class TestMixtureJson:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             mg.mixture_from_json({"weights": [1.0], "means": [0.0], "sds": [1.0], "shape": 2})
+
+    @pytest.mark.parametrize("key, values", [("weights", "[NaN, 0.5]"),
+                                             ("means", "[Infinity, 0.0]"),
+                                             ("sds", "[1.0, NaN]")])
+    def test_non_finite_rejected(self, tmp_path, key, values):
+        fields = {"weights": "[0.5, 0.5]", "means": "[0.0, 0.0]", "sds": "[1.0, 2.0]"}
+        fields[key] = values
+        path = tmp_path / "null.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            mg.mixture_from_json(str(path))
