@@ -32,7 +32,6 @@ from .marginal import (
     empirical_p1,
     mixture_cdf,
     mixture_quantile,
-    p_two_sided,
 )
 from .procedure import (
     AggregatedPValues,
@@ -47,7 +46,14 @@ from .procedure import (
     run_two_stage_soft,
     select_gamma,
 )
-from .ingest import FoldChangeSummary, ReplicateData, bootstrap_sd, logfold, read_counts
+from .ingest import (
+    FoldChangeSummary,
+    ReplicateData,
+    bootstrap_sd,
+    logfold,
+    read_counts,
+    read_hypotheses,
+)
 from .simulate import MonteCarloResult, SimulationConfig, generate_dataset, run_cell
 
 __version__ = "0.1.0"

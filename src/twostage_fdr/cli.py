@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import copula as cp
 from . import fit as ft
@@ -42,39 +41,11 @@ def parse_copula_spec(spec: str) -> cp.CopulaModel:
     return cp.CopulaModel(family, theta, rotation)
 
 
-def _read_hypothesis_input(path, null: mg.GaussianMixture, tail: str) -> mg.HypothesisTable:
-    """Build a HypothesisTable from a TSV with id, beta_hat and an
-    auxiliary column named y or sd_boot."""
-    with ig.open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    header = lines[0].split("\t")
-    cols = {name: i for i, name in enumerate(header)}
-    id_col = next((c for c in ("gene_id", "id") if c in cols), None)
-    aux_col = next((c for c in ("y", "sd_boot") if c in cols), None)
-    if id_col is None or "beta_hat" not in cols or aux_col is None:
-        raise ValueError(f"{path}: need columns gene_id/id, beta_hat and y/sd_boot")
-    ids, beta, y = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(header):
-            raise ValueError(f"{path}: line {lineno}: expected {len(header)} columns")
-        try:
-            beta.append(float(parts[cols["beta_hat"]]))
-            y.append(float(parts[cols[aux_col]]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        ids.append(parts[cols[id_col]])
-    if not ids:
-        raise ValueError(f"{path}: no data rows")
-    return mg.build_table(ids, beta, y, null, tail)
-
-
-def _load_null(path: str | None) -> mg.GaussianMixture:
-    return mg.REAL_DATA_NULL if path is None else mg.mixture_from_json(path)
+def _read_table(path, null_path: str | None, tail: str) -> tuple[list, mg.HypothesisTable]:
+    """Hypothesis ids and the table built from a hypothesis TSV."""
+    null = mg.REAL_DATA_NULL if null_path is None else mg.mixture_from_json(null_path)
+    ids, beta, aux = ig.read_hypotheses(path)
+    return ids, mg.build_table(beta, aux, null, tail)
 
 
 def cmd_bootstrap(args) -> int:
@@ -86,10 +57,8 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    table = _read_hypothesis_input(args.input, _load_null(args.null_mixture), args.tail)
-    obs = cp.PseudoObservations(np.clip(table.p1, 1e-10, 1 - 1e-10),
-                                np.clip(table.p2, 1e-10, 1 - 1e-10))
-    report = ft.select_copula(obs)
+    _, table = _read_table(args.input, args.null_mixture, args.tail)
+    report = ft.select_copula(cp.PseudoObservations.clamped(table.p1, table.p2))
     print(ft.format_report(report))
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     out = Path(args.out_dir) / "selection.json"
@@ -100,16 +69,14 @@ def cmd_fit(args) -> int:
 
 def cmd_test(args) -> int:
     method = _METHOD_ALIASES[args.method.lower()]
-    table = _read_hypothesis_input(args.input, _load_null(args.null_mixture), args.tail)
+    ids, table = _read_table(args.input, args.null_mixture, args.tail)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     model = None
     if method in ("hard", "soft"):
         if args.copula == "auto":
-            obs = cp.PseudoObservations(np.clip(table.p1, 1e-10, 1 - 1e-10),
-                                        np.clip(table.p2, 1e-10, 1 - 1e-10))
-            report = ft.select_copula(obs)
+            report = ft.select_copula(cp.PseudoObservations.clamped(table.p1, table.p2))
             model = report.winner("bic").model
             print(f"auto-selected copula: {model.describe()}")
         else:
@@ -126,8 +93,8 @@ def cmd_test(args) -> int:
         outcome = proc.run_two_stage_hard(table, model, args.alpha, args.lambda_,
                                           gamma1_grid=grid)
 
-    proc.write_decisions_tsv(table, outcome, out_dir / "decisions.tsv", seed=args.seed)
-    (out_dir / "outcome.json").write_text(proc.outcome_to_json(outcome, seed=args.seed)
+    proc.write_decisions_tsv(ids, table, outcome, out_dir / "decisions.tsv", seed=args.seed)
+    (out_dir / "outcome.json").write_text(proc.outcome_to_json(outcome, ids, seed=args.seed)
                                           + "\n", encoding="utf-8")
     if method == "hard":
         proc.write_gamma1_curve_tsv(outcome, out_dir / "gamma1_curve.tsv", seed=args.seed)
@@ -141,6 +108,8 @@ _CELL_KEYS = {"mode", "m", "mu", "tau", "p0", "dep_family", "analysis_family",
               "analysis_mode", "k_reps", "alpha", "lambda", "seed"}
 _MISSPEC_KEYS = _CELL_KEYS | {"analysis_families", "fit_mode"}
 _SELECTION_KEYS = {"mode", "n", "true_family", "tau", "reps", "seed", "candidates"}
+_INTEGER_KEYS = ("m", "k_reps", "n", "reps", "seed")
+_REAL_KEYS = ("mu", "tau", "p0", "alpha", "lambda")
 
 
 def _cfg_from_payload(payload: dict, seed: int) -> sim.SimulationConfig:
@@ -156,6 +125,9 @@ def _cfg_from_payload(payload: dict, seed: int) -> sim.SimulationConfig:
 def cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{args.config}: config must be a JSON object")
+    _check_numbers(payload)
     mode = payload.get("mode", "cell")
     seed = args.seed if args.seed is not None else payload.get("seed", DEFAULT_SEED)
     out_dir = Path(args.out_dir)
@@ -190,6 +162,19 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"unknown simulate mode {mode!r}")
     print(f"wrote {table_path}")
     return 0
+
+
+def _check_numbers(payload: dict) -> None:
+    """Reject a numeric config value of the wrong type, naming its key."""
+    for key in _INTEGER_KEYS:
+        value = payload.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    for key in _REAL_KEYS:
+        value = payload.get(key, 0.0)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
 
 
 def _reject_unknown(payload: dict, allowed: set) -> None:

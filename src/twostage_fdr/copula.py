@@ -112,6 +112,11 @@ class PseudoObservations:
     def n(self) -> int:
         return self.u.size
 
+    @classmethod
+    def clamped(cls, u, v) -> "PseudoObservations":
+        """Pairs clipped into [_EPS, 1 - _EPS], e.g. p-values that reach 0 or 1."""
+        return cls(np.clip(u, _EPS, 1.0 - _EPS), np.clip(v, _EPS, 1.0 - _EPS))
+
 
 # ---------------------------------------------------------------------------
 # Base (unrotated) family evaluators.  All take (theta, u, v) arrays with
@@ -277,7 +282,6 @@ class _Family:
         self.logpdf = logpdf
         self.h = h
         self.hinv = hinv if hinv is not None else self._hinv_bisect
-        self._h_for_bisect = h
 
     def _hinv_bisect(self, t, x, u):
         # h is a CDF in v for fixed u: monotone, h(0)=0, h(1)=1.  80 halvings
@@ -291,12 +295,12 @@ class _Family:
         ub = np.broadcast_to(u, shape)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            val = self._h_for_bisect(t, np.clip(mid, _EPS, 1.0 - _EPS), ub)
+            val = self.h(t, np.clip(mid, _EPS, 1.0 - _EPS), ub)
             take_hi = val < xb
             lo = np.where(take_hi, mid, lo)
             hi = np.where(take_hi, hi, mid)
         v = 0.5 * (lo + hi)
-        residual = np.abs(self._h_for_bisect(t, np.clip(v, _EPS, 1.0 - _EPS), ub) - xb)
+        residual = np.abs(self.h(t, np.clip(v, _EPS, 1.0 - _EPS), ub) - xb)
         if np.any(residual > 1e-8):
             raise RuntimeError("conditional quantile iteration did not converge "
                                f"(worst residual {float(np.max(residual)):.3e})")

@@ -40,7 +40,7 @@ __all__ = [
     "open_text",
     "read_counts",
     "write_summary",
-    "read_summary",
+    "read_hypotheses",
 ]
 
 MAX_BOOTSTRAP_COMBINATIONS = 1_000_000
@@ -259,24 +259,42 @@ def write_summary(summary: FoldChangeSummary, path) -> None:
             fh.write(f"{gid}\t{float(summary.beta_hat[i])!r}\t{float(summary.sd_boot[i])!r}\n")
 
 
-def read_summary(path) -> FoldChangeSummary:
+def read_hypotheses(path) -> tuple[list, np.ndarray, np.ndarray]:
+    """Read a hypothesis TSV: (ids, beta_hat, aux), one entry per data row.
+
+    The header names an id column (gene_id or id), beta_hat and an
+    auxiliary column (y or sd_boot), so ``write_summary`` output reads
+    back as is.  Gzip input is accepted by extension.  Malformed rows and
+    repeated ids are rejected with the path and line number.
+    """
     with open_text(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0].split("\t") != ["gene_id", "beta_hat", "sd_boot"]:
-        raise ValueError(f"{path}: expected header gene_id, beta_hat, sd_boot")
-    ids, beta, sd = [], [], []
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = lines[0].split("\t")
+    cols = {name: i for i, name in enumerate(header)}
+    id_col = next((cols[c] for c in ("gene_id", "id") if c in cols), None)
+    aux_col = next((cols[c] for c in ("y", "sd_boot") if c in cols), None)
+    if id_col is None or "beta_hat" not in cols or aux_col is None:
+        raise ValueError(f"{path}: need columns gene_id/id, beta_hat and y/sd_boot")
+    beta_col = cols["beta_hat"]
+    ids, beta, aux, seen = [], [], [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected 3 columns")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}: line {lineno}: expected {len(header)} columns")
         try:
-            beta.append(float(parts[1]))
-            sd.append(float(parts[2]))
+            beta.append(float(parts[beta_col]))
+            aux.append(float(parts[aux_col]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        ids.append(parts[0])
+        hid = parts[id_col]
+        if hid in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate id {hid!r}")
+        seen.add(hid)
+        ids.append(hid)
     if not ids:
         raise ValueError(f"{path}: no data rows")
-    return FoldChangeSummary(tuple(ids), np.array(beta), np.array(sd))
+    return ids, np.array(beta), np.array(aux)

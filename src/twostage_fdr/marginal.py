@@ -24,13 +24,10 @@ __all__ = [
     "TAILS",
     "mixture_cdf",
     "mixture_quantile",
-    "p_two_sided",
     "p_value",
     "empirical_p1",
     "build_table",
     "mixture_from_json",
-    "write_table_tsv",
-    "read_table_tsv",
 ]
 
 TAILS = ("two_sided", "left", "right")
@@ -107,12 +104,6 @@ def mixture_quantile(m: GaussianMixture, q):
     return float(out) if np.isscalar(q) else out
 
 
-def p_two_sided(m: GaussianMixture, beta_hat):
-    """Two-sided p-value 2 min(F0(b), 1 - F0(b)) under the mixture null."""
-    f = mixture_cdf(m, beta_hat)
-    return 2.0 * np.minimum(f, 1.0 - f)
-
-
 def p_value(m: GaussianMixture, beta_hat, tail: str = "two_sided"):
     """Marginal p-value of the primary statistic for the chosen tail."""
     if tail not in TAILS:
@@ -158,32 +149,27 @@ def empirical_p1(cdf: EmpiricalCdf, y):
 
 @dataclass(frozen=True)
 class HypothesisTable:
-    """Per-hypothesis record: id, primary statistic, auxiliary statistic
-    and the two marginal p-values."""
+    """Per-hypothesis columns: primary statistic, auxiliary statistic and
+    the two marginal p-values.  Rows are positions; ids stay with the
+    caller."""
 
-    ids: tuple
     beta_hat: np.ndarray
     y: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(str(i) for i in self.ids)
         beta = np.asarray(self.beta_hat, dtype=float)
         y = np.asarray(self.y, dtype=float)
         p1 = np.asarray(self.p1, dtype=float)
         p2 = np.asarray(self.p2, dtype=float)
-        m = len(ids)
-        if m < 1:
+        if not (beta.shape == y.shape == p1.shape == p2.shape == (p1.size,)):
+            raise ValueError("all columns must be 1-d and share the table length")
+        if p1.size < 1:
             raise ValueError("hypothesis table must not be empty")
-        if not (beta.shape == y.shape == p1.shape == p2.shape == (m,)):
-            raise ValueError("all columns must share the table length")
-        if len(set(ids)) != m:
-            raise ValueError("hypothesis ids must be unique")
         for name, p in (("p1", p1), ("p2", p2)):
             if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
                 raise ValueError(f"{name} values must be finite and lie in [0, 1]")
-        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "p1", p1)
@@ -191,22 +177,24 @@ class HypothesisTable:
 
     @property
     def m(self) -> int:
-        return len(self.ids)
+        return self.p1.size
 
 
-def build_table(ids, beta_hats, ys, null: GaussianMixture,
+def build_table(beta_hats, ys, null: GaussianMixture,
                 tail: str = "two_sided") -> HypothesisTable:
     """Assemble a HypothesisTable: p1 from the empirical CDF of the ys,
     p2 from the mixture null of the primary statistic."""
-    ids = list(ids)
     beta = np.asarray(beta_hats, dtype=float)
     y = np.asarray(ys, dtype=float)
-    if not (len(ids) == beta.size == y.size):
-        raise ValueError("ids, beta_hats and ys must have equal length")
+    if beta.size != y.size:
+        raise ValueError("beta_hats and ys must have equal length")
     ecdf = EmpiricalCdf(y)
     p1 = empirical_p1(ecdf, y)
     p2 = p_value(null, beta, tail)
-    return HypothesisTable(tuple(ids), beta, y, np.atleast_1d(p1), np.atleast_1d(p2))
+    return HypothesisTable(beta, y, np.atleast_1d(p1), np.atleast_1d(p2))
+
+
+_MIXTURE_KEYS = ("weights", "means", "sds")
 
 
 def mixture_from_json(source) -> GaussianMixture:
@@ -216,42 +204,16 @@ def mixture_from_json(source) -> GaussianMixture:
             payload = json.load(fh)
     else:
         payload = source
-    extra = set(payload) - {"weights", "means", "sds"}
+    if not isinstance(payload, dict):
+        raise ValueError(f"mixture JSON must be an object with keys {list(_MIXTURE_KEYS)}")
+    extra = set(payload) - set(_MIXTURE_KEYS)
     if extra:
         raise ValueError(f"unknown mixture keys: {sorted(extra)}")
-    return GaussianMixture(tuple(payload["weights"]), tuple(payload["means"]),
-                           tuple(payload["sds"]))
-
-
-_TABLE_COLUMNS = ("id", "beta_hat", "y", "p1", "p2")
-
-
-def write_table_tsv(table: HypothesisTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(_TABLE_COLUMNS) + "\n")
-        for i in range(table.m):
-            cells = (table.ids[i], repr(float(table.beta_hat[i])), repr(float(table.y[i])),
-                     repr(float(table.p1[i])), repr(float(table.p2[i])))
-            fh.write("\t".join(cells) + "\n")
-
-
-def read_table_tsv(path) -> HypothesisTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header = "\t".join(_TABLE_COLUMNS)
-    if not lines or lines[0] != header:
-        raise ValueError(f"expected header {header!r}")
-    ids, beta, y, p1, p2 = [], [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 columns, got {len(parts)}")
-        ids.append(parts[0])
-        beta.append(float(parts[1]))
-        y.append(float(parts[2]))
-        p1.append(float(parts[3]))
-        p2.append(float(parts[4]))
-    return HypothesisTable(tuple(ids), np.array(beta), np.array(y),
-                           np.array(p1), np.array(p2))
+    missing = [k for k in _MIXTURE_KEYS if k not in payload]
+    if missing:
+        raise ValueError(f"mixture JSON is missing keys: {missing}")
+    try:
+        return GaussianMixture(*(payload[k] for k in _MIXTURE_KEYS))
+    except TypeError as exc:  # e.g. an object where a list of numbers belongs
+        raise ValueError("mixture weights, means and sds must be lists of numbers: "
+                         f"{exc}") from None

@@ -44,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AggregatedPValues:
-    """Merged p-values aligned with a HypothesisTable's ids."""
+    """Merged p-values aligned with a HypothesisTable's rows."""
 
     kind: str  # "hard", "soft" or "raw"
     values: np.ndarray
@@ -74,14 +74,18 @@ class ProcedureOutcome:
     lambda_: float
     pi0_hat: float
     gamma_hat: float
-    rejected: frozenset
     aggregated: AggregatedPValues
     gamma1_hat: float | None = None
     rejections_by_gamma1: tuple | None = None
 
     @property
+    def rejected(self) -> np.ndarray:
+        """Boolean mask over the table's rows: p <= gamma_hat."""
+        return self.aggregated.values <= self.gamma_hat
+
+    @property
     def n_rejected(self) -> int:
-        return len(self.rejected)
+        return int(np.count_nonzero(self.rejected))
 
 
 def default_gamma1_grid() -> np.ndarray:
@@ -183,18 +187,12 @@ def select_gamma(pvalues: AggregatedPValues, alpha: float,
     return float(vals[best]), pi0, int(best) + 1
 
 
-def _rejected_ids(table: HypothesisTable, values: np.ndarray, gamma_hat: float) -> frozenset:
-    mask = values <= gamma_hat
-    return frozenset(np.asarray(table.ids, dtype=object)[mask].tolist())
-
-
 def run_one_stage_storey(table: HypothesisTable, alpha: float,
                          lambda_: float = 0.5) -> ProcedureOutcome:
     """Storey's one-stage procedure on the raw primary p-values."""
     agg = AggregatedPValues("raw", table.p2)
     gamma_hat, pi0, _ = select_gamma(agg, alpha, lambda_)
-    return ProcedureOutcome("storey", alpha, lambda_, pi0, gamma_hat,
-                            _rejected_ids(table, agg.values, gamma_hat), agg)
+    return ProcedureOutcome("storey", alpha, lambda_, pi0, gamma_hat, agg)
 
 
 def run_two_stage_soft(table: HypothesisTable, model: CopulaModel, alpha: float,
@@ -202,8 +200,7 @@ def run_two_stage_soft(table: HypothesisTable, model: CopulaModel, alpha: float,
     """Soft-threshold two-stage procedure."""
     agg = aggregate_soft(table, model)
     gamma_hat, pi0, _ = select_gamma(agg, alpha, lambda_)
-    return ProcedureOutcome("soft", alpha, lambda_, pi0, gamma_hat,
-                            _rejected_ids(table, agg.values, gamma_hat), agg)
+    return ProcedureOutcome("soft", alpha, lambda_, pi0, gamma_hat, agg)
 
 
 def run_two_stage_hard(table: HypothesisTable, model: CopulaModel, alpha: float,
@@ -231,14 +228,16 @@ def run_two_stage_hard(table: HypothesisTable, model: CopulaModel, alpha: float,
     agg = aggregate_hard(table, model, gamma1_hat)
     gamma_hat, pi0, _ = select_gamma(agg, alpha, lambda_)
     return ProcedureOutcome(
-        "hard", alpha, lambda_, pi0, gamma_hat,
-        _rejected_ids(table, agg.values, gamma_hat), agg,
+        "hard", alpha, lambda_, pi0, gamma_hat, agg,
         gamma1_hat=gamma1_hat,
         rejections_by_gamma1=tuple((float(g), int(c)) for g, c in zip(grid, counts)),
     )
 
 
-def outcome_to_json(outcome: ProcedureOutcome, seed=None) -> str:
+def outcome_to_json(outcome: ProcedureOutcome, ids, seed=None) -> str:
+    """Outcome summary; ids[i] names row i, and the rejected ids are sorted."""
+    if len(ids) != outcome.aggregated.m:
+        raise ValueError(f"got {len(ids)} ids for {outcome.aggregated.m} hypotheses")
     payload = {
         "method": outcome.method,
         "alpha": outcome.alpha,
@@ -247,24 +246,26 @@ def outcome_to_json(outcome: ProcedureOutcome, seed=None) -> str:
         "gamma_hat": outcome.gamma_hat,
         "gamma1_hat": outcome.gamma1_hat,
         "n_rejected": outcome.n_rejected,
-        "rejected": sorted(outcome.rejected),
+        "rejected": sorted(ids[i] for i in np.flatnonzero(outcome.rejected)),
     }
     if seed is not None:
         payload["seed"] = seed
     return json.dumps(payload, indent=2)
 
 
-def write_decisions_tsv(table: HypothesisTable, outcome: ProcedureOutcome, path,
+def write_decisions_tsv(ids, table: HypothesisTable, outcome: ProcedureOutcome, path,
                         seed=None) -> None:
     """Per-hypothesis decisions: id, p1, p2, aggregated p, rejected flag."""
+    if not len(ids) == table.m == outcome.aggregated.m:
+        raise ValueError("ids, table and outcome must cover the same hypotheses")
+    rows = zip(ids, table.p1.tolist(), table.p2.tolist(),
+               outcome.aggregated.values.tolist(), outcome.rejected.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         if seed is not None:
             fh.write(f"# seed: {seed}\n")
         fh.write("id\tp1\tp2\tp_aggregated\trejected\n")
-        for i, hid in enumerate(table.ids):
-            rej = 1 if hid in outcome.rejected else 0
-            fh.write(f"{hid}\t{float(table.p1[i])!r}\t{float(table.p2[i])!r}"
-                     f"\t{float(outcome.aggregated.values[i])!r}\t{rej}\n")
+        fh.writelines(f"{hid}\t{p1!r}\t{p2!r}\t{p!r}\t{int(rej)}\n"
+                      for hid, p1, p2, p, rej in rows)
 
 
 def write_gamma1_curve_tsv(outcome: ProcedureOutcome, path, seed=None) -> None:

@@ -183,14 +183,8 @@ def generate_dataset(cfg: SimulationConfig, replicate: int):
         beta[is_alt] = sign[is_alt] * _abs_mixture_quantile(alt_mix, 1.0 - v[is_alt])
 
     y = _gamma_dist.ppf(u, a=3.0, scale=0.25)
-    ids = tuple(f"g{i + 1:05d}" for i in range(cfg.m))
-    table = mg.build_table(ids, beta, y, mg.STANDARD_NORMAL)
+    table = mg.build_table(beta, y, mg.STANDARD_NORMAL)
     return table, is_alt
-
-
-def _pseudo_obs(table: mg.HypothesisTable) -> cp.PseudoObservations:
-    return cp.PseudoObservations(np.clip(table.p1, 1e-10, 1.0 - 1e-10),
-                                 np.clip(table.p2, 1e-10, 1.0 - 1e-10))
 
 
 def _tau_model(family: str, tau_hat: float) -> cp.CopulaModel:
@@ -204,7 +198,7 @@ def analysis_model(cfg: SimulationConfig, table: mg.HypothesisTable) -> cp.Copul
     family = cfg.analysis_family or cfg.dep_family
     if cfg.analysis_mode == "true":
         return dependence_model(cfg)
-    obs = _pseudo_obs(table)
+    obs = cp.PseudoObservations.clamped(table.p1, table.p2)
     tau_hat = ft.empirical_kendall_tau(obs)
     if cfg.analysis_mode == "tau":
         return _tau_model(family, tau_hat)
@@ -214,13 +208,12 @@ def analysis_model(cfg: SimulationConfig, table: mg.HypothesisTable) -> cp.Copul
     return ft.fit_mle(family, rotation, obs, tau_hint=tau_hat).model
 
 
-def _counts(outcome: proc.ProcedureOutcome, table: mg.HypothesisTable,
-            is_alt: np.ndarray) -> tuple[int, int, int, int]:
-    rejected = np.fromiter((hid in outcome.rejected for hid in table.ids),
-                           dtype=bool, count=table.m)
-    v = int(np.sum(rejected & ~is_alt))
-    s = int(np.sum(rejected & is_alt))
-    return v, v + s, s, int(np.sum(is_alt))
+def _counts(outcome: proc.ProcedureOutcome, is_alt: np.ndarray) -> tuple[int, int, int, int]:
+    """(V, R, S, M1): false, all and true rejections, and true alternatives."""
+    rejected = outcome.rejected
+    v = int(np.count_nonzero(rejected & ~is_alt))
+    s = int(np.count_nonzero(rejected & is_alt))
+    return v, v + s, s, int(np.count_nonzero(is_alt))
 
 
 def _cell_replicate(args) -> dict:
@@ -232,7 +225,7 @@ def _cell_replicate(args) -> dict:
         "hard": proc.run_two_stage_hard(table, model, cfg.alpha, cfg.lambda_),
         "soft": proc.run_two_stage_soft(table, model, cfg.alpha, cfg.lambda_),
     }
-    return {name: _counts(o, table, is_alt) for name, o in outcomes.items()}
+    return {name: _counts(o, is_alt) for name, o in outcomes.items()}
 
 
 def _map_replicates(worker, arglist, threads: int):
@@ -260,13 +253,13 @@ def run_cell(cfg: SimulationConfig, threads: int = 1) -> dict:
 def _misspec_replicate(args) -> dict:
     cfg, k, families, mode = args
     table, is_alt = generate_dataset(cfg, k)
-    obs = _pseudo_obs(table)
+    obs = cp.PseudoObservations.clamped(table.p1, table.p2)
     tau_hat = ft.empirical_kendall_tau(obs)
     null_u = obs.u[~is_alt]
     null_v = obs.v[~is_alt]
 
     out = {"storey": _counts(proc.run_one_stage_storey(table, cfg.alpha, cfg.lambda_),
-                             table, is_alt)}
+                             is_alt)}
     cache = {}
     for family in families:
         if mode == "fixed":
@@ -287,9 +280,9 @@ def _misspec_replicate(args) -> dict:
         if key not in cache:
             cache[key] = {
                 "hard": _counts(proc.run_two_stage_hard(table, model, cfg.alpha,
-                                                        cfg.lambda_), table, is_alt),
+                                                        cfg.lambda_), is_alt),
                 "soft": _counts(proc.run_two_stage_soft(table, model, cfg.alpha,
-                                                        cfg.lambda_), table, is_alt),
+                                                        cfg.lambda_), is_alt),
             }
         out[family] = cache[key]
     return out

@@ -35,8 +35,7 @@ def ks_uniform(values: np.ndarray) -> float:
 
 def null_table(model, n, seed):
     obs = cp.sample(model, n, seed)
-    ids = tuple(f"h{i}" for i in range(n))
-    return mg.HypothesisTable(ids, np.zeros(n), np.zeros(n), obs.u, obs.v)
+    return mg.HypothesisTable(np.zeros(n), np.zeros(n), obs.u, obs.v)
 
 
 def test_criterion_1_uniformity():
@@ -199,10 +198,8 @@ def test_criterion_8_real_data_reproduction():
         pytest.skip("real dataset not available; criterion replaced by property suite")
     data = ig.read_counts(path)
     summary = ig.summarize(data)
-    table = mg.build_table(summary.ids, summary.beta_hat, summary.sd_boot,
-                           mg.REAL_DATA_NULL)
-    obs = cp.PseudoObservations(np.clip(table.p1, 1e-10, 1 - 1e-10),
-                                np.clip(table.p2, 1e-10, 1 - 1e-10))
+    table = mg.build_table(summary.beta_hat, summary.sd_boot, mg.REAL_DATA_NULL)
+    obs = cp.PseudoObservations.clamped(table.p1, table.p2)
     model = ft.select_copula(obs).winner("bic").model
     hard = proc.run_two_stage_hard(table, model, 0.10)
     soft = proc.run_two_stage_soft(table, model, 0.10)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests."""
 
 import gzip
+import hashlib
 import json
 
 import numpy as np
@@ -60,13 +61,13 @@ class TestBootstrapCommand:
         src.write_text(COUNTS)
         out = tmp_path / "summary.tsv"
         assert main(["bootstrap", str(src), str(out)]) == 0
-        summary = ig.read_summary(out)
-        assert summary.ids == ("g1", "g2")
-        assert summary.beta_hat[0] == pytest.approx(1.0)
-        assert summary.sd_boot[0] == 0.0
+        ids, beta_hat, sd_boot = ig.read_hypotheses(out)
+        assert ids == ["g1", "g2"]
+        assert beta_hat[0] == pytest.approx(1.0)
+        assert sd_boot[0] == 0.0
         # oracle for gene 2
         expected = ig.bootstrap_sd([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])[0]
-        assert summary.sd_boot[1] == pytest.approx(expected, abs=1e-12)
+        assert sd_boot[1] == pytest.approx(expected, abs=1e-12)
 
     def test_gzip_input_same_output(self, tmp_path):
         plain = tmp_path / "counts.tsv"
@@ -162,6 +163,28 @@ class TestTestCommand:
         assert f"{table}: line 3:" in err
         assert "'abc'" in err
 
+    @pytest.mark.parametrize("payload, message", [
+        ('{"weights": [1.0], "means": [0.0]}', "missing keys: ['sds']"),
+        ('[1.0, 0.0, 1.0]', "must be an object"),
+    ])
+    def test_malformed_null_mixture_fails(self, tmp_path, capsys, payload, message):
+        table = tmp_path / "table.tsv"
+        write_test_table(table, m=50, seed=7)
+        null = tmp_path / "null.json"
+        null.write_text(payload)
+        assert main(["test", str(table), "--method", "storey", "--null-mixture", str(null),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
+    def test_duplicate_id_names_line(self, tmp_path, capsys, null_json):
+        table = tmp_path / "table.tsv"
+        table.write_text("gene_id\tbeta_hat\ty\ng1\t0.5\t0.2\ng2\t0.1\t0.3\ng1\t0.2\t0.4\n")
+        assert main(["test", str(table), "--method", "storey", "--null-mixture", null_json,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"{table}: line 4: duplicate id 'g1'" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path, null_json):
         table = tmp_path / "table.tsv"
         write_test_table(table, m=500, seed=13)
@@ -172,6 +195,34 @@ class TestTestCommand:
         assert main(args + ["--out-dir", str(d2)]) == 0
         for name in ("decisions.tsv", "outcome.json", "gamma1_curve.tsv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+# sha256 of every file that `fit` and `test -m H/S/storey` write for the
+# write_test_table(m=500, seed=13) fixture under the standard normal null at
+# alpha 0.10; any change in a written byte changes a digest.
+GOLDEN_SHA256 = {
+    "H/decisions.tsv": "c18ce042cb84b86a2ef3695993aeccac3914098d1bd3d81206d1ec447b867a59",
+    "H/gamma1_curve.tsv": "949c326d7ac12eb96c940a06ec58e300d20701fab672f59253b0ac9cdb5058ff",
+    "H/outcome.json": "9490158dff19324d4d60d8d66ac92213edbeee14b6857d754bbe462096f6fbc9",
+    "S/decisions.tsv": "590d7dedc93e4b7e7dc64b2e40857ef51734821956ee2eb7b1a6b3c9969b0aa2",
+    "S/outcome.json": "fbe0e68df1ce296d1df36c5709ee12e34ddd04d058e259d5a143802455bc1be7",
+    "fit/selection.json": "09d781233955980e0423513675f0a9621df6afa112735ff984c9cb10df088c13",
+    "storey/decisions.tsv": "283ebaa98c4fe4fa15937598e7fd4967f9b0986afa3be131b3c8bf17417dbd24",
+    "storey/outcome.json": "d6f311ca821eb593bd623793116affc6cc08725ef87275bce12367d149de4e59",
+}
+
+
+def test_golden_outputs(tmp_path, null_json):
+    table = tmp_path / "table.tsv"
+    write_test_table(table, m=500, seed=13)
+    assert main(["fit", str(table), "--null-mixture", null_json,
+                 "--out-dir", str(tmp_path / "fit")]) == 0
+    for method in ("H", "S", "storey"):
+        assert main(["test", str(table), "--method", method, "--alpha", "0.10",
+                     "--null-mixture", null_json, "--out-dir", str(tmp_path / method)]) == 0
+    written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*/*") if p.is_file()}
+    assert written == GOLDEN_SHA256
 
 
 class TestSimulateCommand:
@@ -193,6 +244,28 @@ class TestSimulateCommand:
         cfgfile.write_text(json.dumps({"mode": "cell", "m": 100, "bogus": 1}))
         assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"mode": "cell", "m": "abc"}, "'m'"),
+        ({"mode": "cell", "m": 8000.0}, "'m'"),
+        ({"mode": "cell", "mu": "3"}, "'mu'"),
+        ({"mode": "misspecification", "lambda": None}, "'lambda'"),
+        ({"mode": "selection", "reps": "2"}, "'reps'"),
+        ({"mode": "cell", "seed": True}, "'seed'"),
+    ])
+    def test_non_numeric_value_rejected(self, tmp_path, capsys, payload, key):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(payload))
+        assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key ")
+        assert key in err
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text("[1, 2]")
+        assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

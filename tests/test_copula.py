@@ -323,3 +323,12 @@ class TestSampling:
             cp.PseudoObservations(np.array([0.0, 0.5]), np.array([0.3, 0.4]))
         obs = cp.PseudoObservations(np.array([0.2, 0.5]), np.array([0.3, 0.4]))
         assert obs.n == 2
+
+    def test_clamped_pseudo_observations(self):
+        u = np.array([0.0, 1e-12, 1e-10, 0.3, 1.0 - 1e-10, 1.0])
+        v = u[::-1].copy()
+        obs = cp.PseudoObservations.clamped(u, v)
+        # bit-identical to an explicit clip into [1e-10, 1 - 1e-10]
+        np.testing.assert_array_equal(obs.u, np.clip(u, 1e-10, 1 - 1e-10))
+        np.testing.assert_array_equal(obs.v, np.clip(v, 1e-10, 1 - 1e-10))
+        assert obs.u[0] == 1e-10 and obs.u[-1] == 1.0 - 1e-10

@@ -254,13 +254,55 @@ class TestSummary:
         assert summary.sd_boot[1] == 0.0
         path = tmp_path / "summary.tsv"
         ig.write_summary(summary, path)
-        back = ig.read_summary(path)
-        assert back.ids == summary.ids
-        np.testing.assert_array_equal(back.beta_hat, summary.beta_hat)
-        np.testing.assert_array_equal(back.sd_boot, summary.sd_boot)
+        ids, beta_hat, sd_boot = ig.read_hypotheses(path)
+        assert tuple(ids) == summary.ids
+        np.testing.assert_array_equal(beta_hat, summary.beta_hat)
+        np.testing.assert_array_equal(sd_boot, summary.sd_boot)
 
-    def test_read_summary_names_non_numeric_line(self, tmp_path):
+
+class TestReadHypotheses:
+    def test_round_trip_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(3)
+        summary = ig.FoldChangeSummary([f"g{i}" for i in range(50)], rng.normal(size=50),
+                                       rng.gamma(3.0, 0.25, size=50))
+        plain, gz = tmp_path / "summary.tsv", tmp_path / "summary.tsv.gz"
+        ig.write_summary(summary, plain)
+        ig.write_summary(summary, gz)
+        for path in (plain, gz):
+            ids, beta_hat, sd_boot = ig.read_hypotheses(path)
+            assert tuple(ids) == summary.ids
+            np.testing.assert_array_equal(beta_hat, summary.beta_hat)
+            np.testing.assert_array_equal(sd_boot, summary.sd_boot)
+
+    def test_id_and_y_columns_in_any_order(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_text("y\tbeta_hat\tid\n0.2\t0.5\ta\n\n0.3\t-1.5\tb\n")
+        ids, beta_hat, y = ig.read_hypotheses(path)
+        assert ids == ["a", "b"]
+        np.testing.assert_array_equal(beta_hat, [0.5, -1.5])
+        np.testing.assert_array_equal(y, [0.2, 0.3])
+
+    def test_names_non_numeric_line(self, tmp_path):
         path = tmp_path / "summary.tsv"
         path.write_text("gene_id\tbeta_hat\tsd_boot\ng1\t0.1\t0.2\ng2\tabc\t0.3\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ") + ".*'abc'"):
-            ig.read_summary(path)
+            ig.read_hypotheses(path)
+
+    def test_duplicate_id_names_line(self, tmp_path):
+        path = tmp_path / "summary.tsv"
+        path.write_text("gene_id\tbeta_hat\tsd_boot\n"
+                        "g1\t0.1\t0.2\ng2\t0.1\t0.2\n\ng1\t0.3\t0.4\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: duplicate id 'g1'")):
+            ig.read_hypotheses(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("gene_id\tbeta_hat\n", "need columns"),
+        ("gene_id\tbeta_hat\tsd_boot\n", "no data rows"),
+        ("gene_id\tbeta_hat\tsd_boot\ng1\t0.1\n", "line 2: expected 3 columns"),
+    ])
+    def test_malformed_input(self, tmp_path, text, message):
+        path = tmp_path / "summary.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + message):
+            ig.read_hypotheses(path)

@@ -1,4 +1,6 @@
-"""Marginal model tests: mixture null, empirical CDF, p-values, table IO."""
+"""Marginal model tests: mixture null, empirical CDF, p-values, hypothesis table."""
+
+import json
 
 import numpy as np
 import pytest
@@ -58,14 +60,14 @@ class TestMixtureQuantile:
 
 class TestPValues:
     def test_center_gives_one(self):
-        assert mg.p_two_sided(mg.STANDARD_NORMAL, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert mg.p_value(mg.STANDARD_NORMAL, 0.0, "two_sided") == pytest.approx(1.0, abs=1e-15)
 
     def test_quantile_example(self):
-        assert mg.p_two_sided(mg.STANDARD_NORMAL, 1.959964) == pytest.approx(0.05, abs=1e-6)
+        assert mg.p_value(mg.STANDARD_NORMAL, 1.959964, "two_sided") == pytest.approx(0.05, abs=1e-6)
 
     def test_tail_limit(self):
-        assert mg.p_two_sided(mg.REAL_DATA_NULL, 1e9) == pytest.approx(0.0, abs=1e-12)
-        assert mg.p_two_sided(mg.REAL_DATA_NULL, -1e9) == pytest.approx(0.0, abs=1e-12)
+        assert mg.p_value(mg.REAL_DATA_NULL, 1e9, "two_sided") == pytest.approx(0.0, abs=1e-12)
+        assert mg.p_value(mg.REAL_DATA_NULL, -1e9, "two_sided") == pytest.approx(0.0, abs=1e-12)
 
     def test_one_sided_variants(self):
         f = mg.mixture_cdf(mg.STANDARD_NORMAL, 0.7)
@@ -75,13 +77,13 @@ class TestPValues:
             mg.p_value(mg.STANDARD_NORMAL, 0.7, "both")
 
     def test_uniform_under_null_draws(self):
-        # draws from the null mixture push p_two_sided to U(0,1)
+        # draws from the null mixture push the two-sided p-value to U(0,1)
         rng = np.random.default_rng(5)
         n = 100_000
         null = mg.REAL_DATA_NULL
         comp = rng.choice(len(null.weights), size=n, p=null.weights)
         beta = rng.normal(np.asarray(null.means)[comp], np.asarray(null.sds)[comp])
-        p = mg.p_two_sided(null, beta)
+        p = mg.p_value(null, beta, "two_sided")
         p_sorted = np.sort(p)
         i = np.arange(1, n + 1)
         ks = max(np.max(i / n - p_sorted), np.max(p_sorted - (i - 1) / n))
@@ -117,22 +119,26 @@ class TestEmpiricalCdf:
 
 class TestBuildTable:
     def test_single_hypothesis(self):
-        t = mg.build_table(["g1"], [0.0], [1.0], mg.STANDARD_NORMAL)
+        t = mg.build_table([0.0], [1.0], mg.STANDARD_NORMAL)
         assert t.p2[0] == pytest.approx(1.0)
         assert t.m == 1
 
     def test_rank_p1(self):
-        t = mg.build_table(["a", "b", "c"], [0.0, 0.1, 0.2], [1.0, 2.0, 3.0],
-                           mg.STANDARD_NORMAL)
+        t = mg.build_table([0.0, 0.1, 0.2], [1.0, 2.0, 3.0], mg.STANDARD_NORMAL)
         np.testing.assert_allclose(np.sort(t.p1), [1 / 3, 2 / 3, 3 / 4])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            mg.build_table(["a"], [0.0, 1.0], [1.0], mg.STANDARD_NORMAL)
+            mg.build_table([0.0, 1.0], [1.0], mg.STANDARD_NORMAL)
 
-    def test_duplicate_ids(self):
-        with pytest.raises(ValueError):
-            mg.build_table(["a", "a"], [0.0, 1.0], [1.0, 2.0], mg.STANDARD_NORMAL)
+    def test_column_shapes(self):
+        with pytest.raises(ValueError, match="share the table length"):
+            mg.HypothesisTable(np.zeros(2), np.zeros(3), np.full(3, 0.5), np.full(3, 0.5))
+        with pytest.raises(ValueError, match="1-d"):
+            mg.HypothesisTable(np.zeros((2, 2)), np.zeros((2, 2)), np.full((2, 2), 0.5),
+                               np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="empty"):
+            mg.HypothesisTable([], [], [], [])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", ["p1", "p2"])
@@ -140,25 +146,11 @@ class TestBuildTable:
         cols = {"p1": np.array([0.2, 0.5, 0.8]), "p2": np.array([0.1, 0.4, 0.9])}
         cols[column][1] = bad
         with pytest.raises(ValueError, match=column):
-            mg.HypothesisTable(("a", "b", "c"), np.zeros(3), np.zeros(3),
-                               cols["p1"], cols["p2"])
+            mg.HypothesisTable(np.zeros(3), np.zeros(3), cols["p1"], cols["p2"])
 
     def test_nan_beta_hat_rejected(self):
         with pytest.raises(ValueError, match="p2"):
-            mg.build_table(["a", "b"], [0.3, np.nan], [1.0, 2.0], mg.STANDARD_NORMAL)
-
-    def test_tsv_round_trip_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(3)
-        t = mg.build_table([f"g{i}" for i in range(50)], rng.normal(size=50),
-                           rng.gamma(3.0, 0.25, size=50), mg.REAL_DATA_NULL)
-        path = tmp_path / "table.tsv"
-        mg.write_table_tsv(t, path)
-        back = mg.read_table_tsv(path)
-        assert back.ids == t.ids
-        np.testing.assert_array_equal(back.beta_hat, t.beta_hat)
-        np.testing.assert_array_equal(back.y, t.y)
-        np.testing.assert_array_equal(back.p1, t.p1)
-        np.testing.assert_array_equal(back.p2, t.p2)
+            mg.build_table([0.3, np.nan], [1.0, 2.0], mg.STANDARD_NORMAL)
 
 
 class TestMixtureJson:
@@ -171,6 +163,25 @@ class TestMixtureJson:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             mg.mixture_from_json({"weights": [1.0], "means": [0.0], "sds": [1.0], "shape": 2})
+
+    def test_missing_keys_rejected(self):
+        with pytest.raises(ValueError, match=r"missing keys: \['means', 'sds'\]"):
+            mg.mixture_from_json({"weights": [1.0]})
+
+    @pytest.mark.parametrize("payload", [[1.0, 0.0, 1.0], "weights", 3.0, None])
+    def test_non_object_rejected(self, tmp_path, payload):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="must be an object"):
+            mg.mixture_from_json(str(path))
+
+    def test_scalar_values_rejected(self):
+        with pytest.raises(ValueError, match="1-d"):
+            mg.mixture_from_json({"weights": 1.0, "means": 0.0, "sds": 1.0})
+
+    def test_object_values_rejected(self):
+        with pytest.raises(ValueError, match="lists of numbers"):
+            mg.mixture_from_json({"weights": {}, "means": [0.0], "sds": [1.0]})
 
     @pytest.mark.parametrize("key, values", [("weights", "[NaN, 0.5]"),
                                              ("means", "[Infinity, 0.0]"),

@@ -19,8 +19,7 @@ CLAYTON2 = cp.CopulaModel("clayton", 2.0)
 def make_table(p1, p2):
     p1 = np.asarray(p1, float)
     p2 = np.asarray(p2, float)
-    ids = tuple(f"h{i:05d}" for i in range(p1.size))
-    return HypothesisTable(ids, np.zeros(p1.size), np.zeros(p1.size), p1, p2)
+    return HypothesisTable(np.zeros(p1.size), np.zeros(p1.size), p1, p2)
 
 
 def table_from_copula(model, n, seed):
@@ -271,7 +270,7 @@ def seed_hard_scan(table, model, alpha, lambda_=0.5, grid=None):
     gamma1_hat = float(grid[np.argmax(counts)])
     values = aggregate(gamma1_hat)
     gamma_hat, pi0, _ = seed_select_gamma(values, alpha, lambda_)
-    rejected = frozenset(np.asarray(table.ids, dtype=object)[values <= gamma_hat].tolist())
+    rejected = values <= gamma_hat
     curve = tuple((float(g), int(c)) for g, c in zip(grid, counts))
     return gamma1_hat, gamma_hat, pi0, rejected, curve, values
 
@@ -283,7 +282,7 @@ def assert_matches_seed_scan(table, model, alpha, grid=None):
     assert got.gamma1_hat == gamma1_hat
     assert got.gamma_hat == gamma_hat
     assert got.pi0_hat == pi0
-    assert got.rejected == rejected
+    np.testing.assert_array_equal(got.rejected, rejected)
     assert got.rejections_by_gamma1 == curve
     np.testing.assert_array_equal(got.aggregated.values, values)
 
@@ -345,6 +344,41 @@ def test_select_gamma_matches_searchsorted_under_ties(values, alpha, lambda_):
     assert got == seed_select_gamma(vals, alpha, lambda_)
 
 
+# Ties from two-decimal rounding plus both ends of the 1e-10 clamp.  p1 stays
+# inside (0, 1), as build_table's empirical-CDF p-values do; p2 may reach 0 and 1.
+clamp_ends = st.sampled_from([1e-10, 1.0 - 1e-10])
+p1_values = st.one_of(clamp_ends, st.floats(0.01, 0.99).map(lambda x: round(x, 2)))
+p2_values = st.one_of(clamp_ends, st.floats(0.0, 1.0).map(lambda x: round(x, 2)))
+PERMUTATION_MODELS = (INDEP, cp.tau_to_theta("clayton", -0.4))
+
+
+def run_every_procedure(table, alpha):
+    out = {"storey": proc.run_one_stage_storey(table, alpha)}
+    for model in PERMUTATION_MODELS:
+        out[f"soft {model.describe()}"] = proc.run_two_stage_soft(table, model, alpha)
+        out[f"hard {model.describe()}"] = proc.run_two_stage_hard(
+            table, model, alpha, gamma1_grid=[0.1, 0.5, 0.9])
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+def test_row_permutation_permutes_the_rejected_mask_only(data, alpha):
+    n = data.draw(st.integers(1, 60), label="n")
+    p1 = np.array(data.draw(st.lists(p1_values, min_size=n, max_size=n), label="p1"))
+    p2 = np.array(data.draw(st.lists(p2_values, min_size=n, max_size=n), label="p2"))
+    perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+    base = run_every_procedure(make_table(p1, p2), alpha)
+    moved = run_every_procedure(make_table(p1[perm], p2[perm]), alpha)
+    for name, outcome in base.items():
+        other = moved[name]
+        np.testing.assert_array_equal(other.rejected, outcome.rejected[perm], err_msg=name)
+        assert ((other.gamma_hat, other.pi0_hat, other.gamma1_hat, other.rejections_by_gamma1)
+                == (outcome.gamma_hat, outcome.pi0_hat, outcome.gamma1_hat,
+                    outcome.rejections_by_gamma1)), name
+        assert outcome.n_rejected == proc.select_gamma(outcome.aggregated, alpha, 0.5)[2], name
+
+
 class TestTwoStageSoft:
     def test_independence_equals_storey(self):
         rng = np.random.default_rng(17)
@@ -353,7 +387,7 @@ class TestTwoStageSoft:
         t = make_table(rng.uniform(0.001, 0.999, m), p2)
         soft = proc.run_two_stage_soft(t, INDEP, 0.1)
         storey = proc.run_one_stage_storey(t, 0.1)
-        assert soft.rejected == storey.rejected
+        np.testing.assert_array_equal(soft.rejected, storey.rejected)
         assert soft.gamma_hat == pytest.approx(storey.gamma_hat)
 
     def test_all_p2_one(self):
@@ -415,20 +449,33 @@ class TestSerialization:
     def test_outcome_json(self):
         t = make_table([0.5, 0.6], [0.001, 0.9])
         outcome = proc.run_one_stage_storey(t, 0.1)
-        payload = json.loads(proc.outcome_to_json(outcome, seed=42))
+        payload = json.loads(proc.outcome_to_json(outcome, ["b", "a"], seed=42))
         assert payload["method"] == "storey"
         assert payload["seed"] == 42
         assert payload["n_rejected"] == len(payload["rejected"])
+        with pytest.raises(ValueError, match="ids"):
+            proc.outcome_to_json(outcome, ["a"])
+
+    def test_outcome_json_sorts_rejected_ids(self):
+        t = make_table([0.5, 0.6, 0.7, 0.8], [0.001, 0.9, 0.0005, 0.95])
+        outcome = proc.run_one_stage_storey(t, 0.1)
+        np.testing.assert_array_equal(outcome.rejected, [True, False, True, False])
+        payload = json.loads(proc.outcome_to_json(outcome, ["z", "y", "x", "w"]))
+        assert payload["rejected"] == ["x", "z"]
 
     def test_decision_tsv(self, tmp_path):
         t = make_table([0.5, 0.6, 0.7], [0.001, 0.9, 0.5])
         outcome = proc.run_one_stage_storey(t, 0.1)
         path = tmp_path / "decisions.tsv"
-        proc.write_decisions_tsv(t, outcome, path, seed=1)
+        proc.write_decisions_tsv(["a", "b", "c"], t, outcome, path, seed=1)
         lines = path.read_text().splitlines()
         assert lines[0] == "# seed: 1"
         assert lines[1] == "id\tp1\tp2\tp_aggregated\trejected"
         assert len(lines) == 5
+        assert lines[2] == "a\t0.5\t0.001\t0.001\t1"
+        assert lines[3] == "b\t0.6\t0.9\t0.9\t0"
+        with pytest.raises(ValueError, match="ids"):
+            proc.write_decisions_tsv(["a", "b"], t, outcome, path)
 
     def test_gamma1_curve_tsv(self, tmp_path):
         t = table_from_copula(cp.tau_to_theta("clayton", -0.4), 500, 3)
