@@ -31,7 +31,6 @@ from .marginal import (
     build_table,
     empirical_p1,
     mixture_cdf,
-    mixture_quantile,
 )
 from .procedure import (
     AggregatedPValues,

@@ -110,6 +110,7 @@ _MISSPEC_KEYS = _CELL_KEYS | {"analysis_families", "fit_mode"}
 _SELECTION_KEYS = {"mode", "n", "true_family", "tau", "reps", "seed", "candidates"}
 _INTEGER_KEYS = ("m", "k_reps", "n", "reps", "seed")
 _REAL_KEYS = ("mu", "tau", "p0", "alpha", "lambda")
+_FAMILY_LIST_KEYS = ("analysis_families", "candidates")
 
 
 def _cfg_from_payload(payload: dict, seed: int) -> sim.SimulationConfig:
@@ -127,7 +128,7 @@ def cmd_simulate(args) -> int:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
-    _check_numbers(payload)
+    _check_types(payload)
     mode = payload.get("mode", "cell")
     seed = args.seed if args.seed is not None else payload.get("seed", DEFAULT_SEED)
     out_dir = Path(args.out_dir)
@@ -164,8 +165,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _check_numbers(payload: dict) -> None:
-    """Reject a numeric config value of the wrong type, naming its key."""
+def _check_types(payload: dict) -> None:
+    """Reject a numeric or family-list config value of the wrong type, naming its key."""
     for key in _INTEGER_KEYS:
         value = payload.get(key, 0)
         if isinstance(value, bool) or not isinstance(value, int):
@@ -175,6 +176,10 @@ def _check_numbers(payload: dict) -> None:
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not math.isfinite(value)):
             raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
+    for key in _FAMILY_LIST_KEYS:
+        value = payload.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(f, str) for f in value):
+            raise ValueError(f"config key {key!r} must be a list of family names, got {value!r}")
 
 
 def _reject_unknown(payload: dict, allowed: set) -> None:

@@ -276,6 +276,23 @@ def _joe_h(t, v, u):
     return np.exp((1.0 - 1.0 / t) * lx + np.log(ey) + (1.0 / t - 1.0) * ln_t)
 
 
+def bisect_increasing(f, target, lo, hi, iterations: int):
+    """Solve f(x) = target on [lo, hi] by a fixed number of halvings.
+
+    f must be nondecreasing in x and is evaluated elementwise, so target,
+    lo and hi may be arrays or scalars.  Each halving keeps the half whose
+    lower end has f below target, so the result is the midpoint of a
+    bracket of width (hi - lo) / 2**iterations around the smallest x with
+    f(x) >= target (lo or hi when the target lies outside f's range).
+    """
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        take_hi = f(mid) < target
+        lo = np.where(take_hi, mid, lo)
+        hi = np.where(take_hi, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 class _Family:
     def __init__(self, cdf, logpdf, h, hinv=None):
         self.cdf = cdf
@@ -285,26 +302,21 @@ class _Family:
 
     def _hinv_bisect(self, t, x, u):
         # h is a CDF in v for fixed u: monotone, h(0)=0, h(1)=1.  80 halvings
-        # pin v to ~1e-24, far below the 1e-10 tolerance on h(v)-x.
+        # narrow the v-bracket to 2^-80, below the spacing of doubles near 1,
+        # where a residual h(v) - x measures how steep h is, not convergence.
+        # Only a NaN h raises: it compares False and would pass silently.
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         shape = np.broadcast_shapes(x.shape, u.shape)
-        lo = np.zeros(shape)
-        hi = np.ones(shape)
-        xb = np.broadcast_to(x, shape)
         ub = np.broadcast_to(u, shape)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            val = self.h(t, np.clip(mid, _EPS, 1.0 - _EPS), ub)
-            take_hi = val < xb
-            lo = np.where(take_hi, mid, lo)
-            hi = np.where(take_hi, hi, mid)
-        v = 0.5 * (lo + hi)
-        residual = np.abs(self.h(t, np.clip(v, _EPS, 1.0 - _EPS), ub) - xb)
-        if np.any(residual > 1e-8):
-            raise RuntimeError("conditional quantile iteration did not converge "
-                               f"(worst residual {float(np.max(residual)):.3e})")
-        return np.where(xb <= 0.0, 0.0, np.where(xb >= 1.0, 1.0, v))
+
+        def h(v):
+            return self.h(t, np.clip(v, _EPS, 1.0 - _EPS), ub)
+
+        v = bisect_increasing(h, np.broadcast_to(x, shape), np.zeros(shape), np.ones(shape), 80)
+        if np.any(np.isnan(h(v))):
+            raise RuntimeError("conditional quantile undefined: h(v | u) is NaN")
+        return v
 
 
 _BASE = {
@@ -383,48 +395,39 @@ def density(model: CopulaModel, u, v):
     return _maybe_scalar(out, u, v)
 
 
-def hfunc(model: CopulaModel, v, given_u):
-    """Conditional CDF C(v | u) = dC(u, v)/du of the second coordinate."""
-    vv = _as_unit("v", v)
+def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u):
+    """Apply a base-family h or h-inverse under the model's rotation.
+
+    value (v for h, x for its inverse) may lie in the closed [0, 1], with
+    0 and 1 mapped to themselves; given_u must lie strictly inside (0, 1).
+    """
+    aa = _as_unit(name, value)
     uu = _as_unit("given_u", given_u, lo_open=True, hi_open=True)
-    vv, uu = np.broadcast_arrays(vv, uu)
-    fam = _BASE[model.family]
+    aa, uu = np.broadcast_arrays(aa, uu)
     t = model.theta
-    vi = np.clip(vv, _EPS, 1.0 - _EPS)
+    ai = np.clip(aa, _EPS, 1.0 - _EPS)
     r = model.rotation
     if r == 0:
-        inner = fam.h(t, vi, uu)
+        inner = base_fn(t, ai, uu)
     elif r == 90:
-        inner = fam.h(t, vi, 1.0 - uu)
+        inner = base_fn(t, ai, 1.0 - uu)
     elif r == 180:
-        inner = 1.0 - fam.h(t, 1.0 - vi, 1.0 - uu)
+        inner = 1.0 - base_fn(t, 1.0 - ai, 1.0 - uu)
     else:
-        inner = 1.0 - fam.h(t, 1.0 - vi, uu)
-    out = np.where(vv <= 0.0, 0.0, np.where(vv >= 1.0, 1.0, inner))
+        inner = 1.0 - base_fn(t, 1.0 - ai, uu)
+    out = np.where(aa <= 0.0, 0.0, np.where(aa >= 1.0, 1.0, inner))
     out = np.clip(out, 0.0, 1.0)
-    return _maybe_scalar(out, v, given_u)
+    return _maybe_scalar(out, value, given_u)
+
+
+def hfunc(model: CopulaModel, v, given_u):
+    """Conditional CDF C(v | u) = dC(u, v)/du of the second coordinate."""
+    return _rotated_conditional(model, _BASE[model.family].h, "v", v, given_u)
 
 
 def hfunc_inverse(model: CopulaModel, x, given_u):
     """Solve hfunc(v | u) = x for v."""
-    xx = _as_unit("x", x)
-    uu = _as_unit("given_u", given_u, lo_open=True, hi_open=True)
-    xx, uu = np.broadcast_arrays(xx, uu)
-    fam = _BASE[model.family]
-    t = model.theta
-    xi = np.clip(xx, _EPS, 1.0 - _EPS)
-    r = model.rotation
-    if r == 0:
-        inner = fam.hinv(t, xi, uu)
-    elif r == 90:
-        inner = fam.hinv(t, xi, 1.0 - uu)
-    elif r == 180:
-        inner = 1.0 - fam.hinv(t, 1.0 - xi, 1.0 - uu)
-    else:
-        inner = 1.0 - fam.hinv(t, 1.0 - xi, uu)
-    out = np.where(xx <= 0.0, 0.0, np.where(xx >= 1.0, 1.0, inner))
-    out = np.clip(out, 0.0, 1.0)
-    return _maybe_scalar(out, x, given_u)
+    return _rotated_conditional(model, _BASE[model.family].hinv, "x", x, given_u)
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +490,14 @@ def theta_bracket(family: str) -> tuple[float, float]:
 
 
 def _invert_tau(tau_fn, target: float, lo: float, hi: float) -> float:
-    f_lo = tau_fn(lo) - target
-    f_hi = tau_fn(hi) - target
-    if f_lo > 0.0 or f_hi < 0.0:
+    """theta in [lo, hi] with tau_fn(theta) = target, tau_fn increasing.
+
+    60 fixed halvings narrow the theta-bracket (width at most 50) to about
+    4e-17, below the spacing of doubles at theta >= 1.
+    """
+    if tau_fn(lo) > target or tau_fn(hi) < target:
         raise ValueError(f"kendall tau {target} outside invertible range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = tau_fn(mid) - target
-        if abs(f_mid) <= 1e-9:
-            return mid
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(bisect_increasing(tau_fn, target, lo, hi, 60))
 
 
 def tau_to_theta(family: str, tau: float, rotation: int | None = None) -> CopulaModel:
@@ -508,7 +505,8 @@ def tau_to_theta(family: str, tau: float, rotation: int | None = None) -> Copula
 
     For Clayton/Gumbel/Joe a negative tau selects the 90-degree rotation
     (270 also accepted); a rotation argument that contradicts the sign of
-    tau raises.
+    tau raises.  Gaussian, Clayton and Gumbel invert in closed form; Frank
+    and Joe invert their tau map by 60 fixed halvings of theta_bracket.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown copula family {family!r}")

@@ -264,8 +264,9 @@ def read_hypotheses(path) -> tuple[list, np.ndarray, np.ndarray]:
 
     The header names an id column (gene_id or id), beta_hat and an
     auxiliary column (y or sd_boot), so ``write_summary`` output reads
-    back as is.  Gzip input is accepted by extension.  Malformed rows and
-    repeated ids are rejected with the path and line number.
+    back as is.  Gzip input is accepted by extension.  Malformed rows,
+    non-finite values and repeated ids are rejected with the path and line
+    number.
     """
     with open_text(path) as fh:
         lines = fh.read().splitlines()
@@ -286,10 +287,14 @@ def read_hypotheses(path) -> tuple[list, np.ndarray, np.ndarray]:
         if len(parts) != len(header):
             raise ValueError(f"{path}: line {lineno}: expected {len(header)} columns")
         try:
-            beta.append(float(parts[beta_col]))
-            aux.append(float(parts[aux_col]))
+            b, a = float(parts[beta_col]), float(parts[aux_col])
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if not (math.isfinite(b) and math.isfinite(a)):
+            raise ValueError(f"{path}: line {lineno}: non-finite {header[beta_col]} "
+                             f"or {header[aux_col]}")
+        beta.append(b)
+        aux.append(a)
         hid = parts[id_col]
         if hid in seen:
             raise ValueError(f"{path}: line {lineno}: duplicate id {hid!r}")

@@ -23,7 +23,6 @@ __all__ = [
     "REAL_DATA_NULL",
     "TAILS",
     "mixture_cdf",
-    "mixture_quantile",
     "p_value",
     "empirical_p1",
     "build_table",
@@ -35,7 +34,7 @@ TAILS = ("two_sided", "left", "right")
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """K-component normal mixture with density, CDF and quantiles."""
+    """K-component normal mixture: weights, means and standard deviations."""
 
     weights: tuple
     means: tuple
@@ -75,33 +74,6 @@ def mixture_cdf(m: GaussianMixture, beta):
     for w, mu, sd in zip(m.weights, m.means, m.sds):
         out = out + w * ndtr((b - mu) / sd)
     return float(out) if np.isscalar(beta) else out
-
-
-def mixture_quantile(m: GaussianMixture, q):
-    """Inverse of mixture_cdf by bracketed bisection, |F(x) - q| <= 1e-10."""
-    qq = np.asarray(q, dtype=float)
-    if np.any(qq <= 0.0) or np.any(qq >= 1.0):
-        raise ValueError("quantile level must lie strictly inside (0, 1)")
-    mu = np.asarray(m.means)
-    sd = np.asarray(m.sds)
-    lo = float(np.min(mu - 10.0 * sd))
-    hi = float(np.max(mu + 10.0 * sd))
-    # widen until the bracket covers the requested tail levels
-    while mixture_cdf(m, lo) > np.min(qq):
-        lo -= 2.0 * (hi - lo)
-    while mixture_cdf(m, hi) < np.max(qq):
-        hi += 2.0 * (hi - lo)
-    lo_arr = np.full(qq.shape, lo)
-    hi_arr = np.full(qq.shape, hi)
-    for _ in range(200):
-        mid = 0.5 * (lo_arr + hi_arr)
-        take_hi = mixture_cdf(m, mid) < qq
-        lo_arr = np.where(take_hi, mid, lo_arr)
-        hi_arr = np.where(take_hi, hi_arr, mid)
-        if np.max(hi_arr - lo_arr) < 1e-13 * max(1.0, abs(lo), abs(hi)):
-            break
-    out = 0.5 * (lo_arr + hi_arr)
-    return float(out) if np.isscalar(q) else out
 
 
 def p_value(m: GaussianMixture, beta_hat, tail: str = "two_sided"):

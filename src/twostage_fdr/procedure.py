@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import CopulaModel, cdf as copula_cdf, hfunc
+from .copula import _EPS, CopulaModel, bisect_increasing, cdf as copula_cdf, hfunc
 from .marginal import HypothesisTable
 
 __all__ = [
@@ -113,33 +113,26 @@ def aggregate_hard(table: HypothesisTable, model: CopulaModel,
 
 
 def aggregate_soft(table: HypothesisTable, model: CopulaModel) -> AggregatedPValues:
-    """p_i = C(p2_i | p1_i), the conditional CDF under the fitted copula."""
-    return AggregatedPValues("soft", hfunc(model, table.p2, table.p1))
+    """p_i = C(p2_i | p1_i), the conditional CDF under the fitted copula.
+
+    p1 is clipped into the copula's [1e-10, 1 - 1e-10] interior, as
+    ``PseudoObservations.clamped`` does, so a p1 of 0 or 1 is accepted.
+    """
+    return AggregatedPValues("soft", hfunc(model, table.p2, np.clip(table.p1, _EPS, 1.0 - _EPS)))
 
 
 def gamma2_from(model: CopulaModel, gamma1: float, gamma: float) -> float:
-    """Solve C(gamma1, gamma2) = gamma for gamma2 by bisection.
+    """Solve C(gamma1, gamma2) = gamma for gamma2 by 60 fixed halvings of [0, 1].
 
     Requires gamma <= gamma1 (= C(gamma1, 1)); C is increasing in its
-    second argument, so the solution is unique up to flat stretches.
+    second argument, so the result is within 2**-60 of the smallest
+    gamma2 with C(gamma1, gamma2) >= gamma.
     """
     if not 0.0 < gamma1 < 1.0:
         raise ValueError(f"gamma1 must lie strictly inside (0, 1), got {gamma1}")
     if gamma < 0.0 or gamma > gamma1:
         raise ValueError(f"gamma must lie in [0, gamma1={gamma1}], got {gamma}")
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = copula_cdf(model, gamma1, mid)
-        if abs(val - gamma) <= 1e-12:
-            return mid
-        if val < gamma:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    return float(bisect_increasing(lambda g2: copula_cdf(model, gamma1, g2), gamma, 0.0, 1.0, 60))
 
 
 def estimate_pi0(pvalues: AggregatedPValues, lambda_: float) -> float:

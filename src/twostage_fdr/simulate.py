@@ -151,15 +151,11 @@ def _abs_mixture_quantile(mix: mg.GaussianMixture, q: np.ndarray) -> np.ndarray:
     """Quantile of |X| for X from a symmetric-about-zero mixture."""
     q = np.asarray(q, dtype=float)
     hi_cap = float(np.max(np.abs(np.asarray(mix.means)) + 12.0 * np.asarray(mix.sds)))
-    lo = np.zeros_like(q)
-    hi = np.full_like(q, hi_cap)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        cdf_abs = mg.mixture_cdf(mix, mid) - mg.mixture_cdf(mix, -mid)
-        take_hi = cdf_abs < q
-        lo = np.where(take_hi, mid, lo)
-        hi = np.where(take_hi, hi, mid)
-    return 0.5 * (lo + hi)
+
+    def cdf_abs(b):
+        return mg.mixture_cdf(mix, b) - mg.mixture_cdf(mix, -b)
+
+    return cp.bisect_increasing(cdf_abs, q, np.zeros_like(q), np.full_like(q, hi_cap), 90)
 
 
 def generate_dataset(cfg: SimulationConfig, replicate: int):

@@ -163,6 +163,14 @@ class TestTestCommand:
         assert f"{table}: line 3:" in err
         assert "'abc'" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_line(self, tmp_path, capsys, null_json, cell):
+        table = tmp_path / "table.tsv"
+        table.write_text(f"gene_id\tbeta_hat\ty\ng1\t0.5\t0.2\ng2\t{cell}\t0.3\n")
+        assert main(["test", str(table), "--method", "storey", "--null-mixture", null_json,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"error: {table}: line 3: non-finite beta_hat or y" in capsys.readouterr().err
+
     @pytest.mark.parametrize("payload, message", [
         ('{"weights": [1.0], "means": [0.0]}', "missing keys: ['sds']"),
         ('[1.0, 0.0, 1.0]', "must be an object"),
@@ -252,6 +260,10 @@ class TestSimulateCommand:
         ({"mode": "misspecification", "lambda": None}, "'lambda'"),
         ({"mode": "selection", "reps": "2"}, "'reps'"),
         ({"mode": "cell", "seed": True}, "'seed'"),
+        ({"mode": "misspecification", "analysis_families": 5}, "'analysis_families'"),
+        ({"mode": "misspecification", "analysis_families": "gumbel"}, "'analysis_families'"),
+        ({"mode": "selection", "candidates": 3}, "'candidates'"),
+        ({"mode": "selection", "candidates": ["clayton", 1]}, "'candidates'"),
     ])
     def test_non_numeric_value_rejected(self, tmp_path, capsys, payload, key):
         cfgfile = tmp_path / "cfg.json"

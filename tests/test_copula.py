@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kendalltau as scipy_kendalltau
 
 from twostage_fdr import copula as cp
@@ -239,6 +241,12 @@ class TestTauMaps:
         with pytest.raises(ValueError):
             cp.tau_to_theta("gaussian", -1.0)
 
+    def test_frank_joe_inverse_to_1e11(self):
+        for family in ("frank", "joe"):
+            for tau in (-0.9, -0.4, -0.05, 1e-4, 0.05, 0.4, 0.9):
+                m = cp.tau_to_theta(family, tau)
+                assert abs(cp.kendall_tau(m) - tau) <= 1e-11, (family, tau)
+
     def test_rotation_flips_tau_sign(self):
         base = cp.CopulaModel("clayton", 2.0)
         assert cp.kendall_tau(base) == pytest.approx(0.5)
@@ -332,3 +340,117 @@ class TestSampling:
         np.testing.assert_array_equal(obs.u, np.clip(u, 1e-10, 1 - 1e-10))
         np.testing.assert_array_equal(obs.v, np.clip(v, 1e-10, 1 - 1e-10))
         assert obs.u[0] == 1e-10 and obs.u[-1] == 1.0 - 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The shared bisection helper and the bisected h-inverse (Gumbel, Joe).
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.floats(-10.0, 10.0), max_size=20),
+       ends=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).filter(
+           lambda e: e[0] < e[1]),
+       iterations=st.integers(0, 70))
+def test_bisect_increasing_brackets_step_crossing(steps, ends, iterations):
+    s = np.sort(np.array(steps, dtype=float))
+    lo, hi = ends
+    # f(x) = #{steps <= x} is a nondecreasing step function and f(x) >= k
+    # exactly when x >= s[k-1]; targets 0 and s.size + 1 lie outside its range.
+    targets = np.arange(s.size + 2, dtype=float)
+    r = cp.bisect_increasing(lambda x: np.searchsorted(s, x, side="right"),
+                             targets, lo, hi, iterations)
+    crossing = np.clip(np.concatenate([[-np.inf], s, [np.inf]]), lo, hi)
+    assert np.all((lo <= r) & (r <= hi))
+    tol = (hi - lo) * 2.0 ** -iterations + 2.0 * np.spacing(max(abs(lo), abs(hi)))
+    assert np.all(np.abs(r - crossing) <= tol)
+
+
+def seed_hinv_bisect(h, t, x, u):
+    """Reference 80-halving h-inverse loop, the oracle for bisect_increasing."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    shape = np.broadcast_shapes(x.shape, u.shape)
+    lo = np.zeros(shape)
+    hi = np.ones(shape)
+    xb = np.broadcast_to(x, shape)
+    ub = np.broadcast_to(u, shape)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        val = h(t, np.clip(mid, 1e-10, 1.0 - 1e-10), ub)
+        take_hi = val < xb
+        lo = np.where(take_hi, mid, lo)
+        hi = np.where(take_hi, hi, mid)
+    v = 0.5 * (lo + hi)
+    return np.where(xb <= 0.0, 0.0, np.where(xb >= 1.0, 1.0, v))
+
+
+@pytest.mark.parametrize("rotation", cp.ROTATIONS)
+@pytest.mark.parametrize("theta", [1.0 + 1e-6, 2.5, 50.0])
+@pytest.mark.parametrize("family", ["gumbel", "joe"])
+def test_bisected_inverse_matches_seed_loop(family, theta, rotation, monkeypatch):
+    rng = np.random.default_rng(7)
+    x = rng.random(2000)
+    u = rng.uniform(1e-10, 1.0 - 1e-10, 2000)
+    model = cp.CopulaModel(family, theta, rotation)
+    got = cp.hfunc_inverse(model, x, u)
+    base = cp._BASE[family]
+    monkeypatch.setattr(base, "hinv", lambda t, xx, uu: seed_hinv_bisect(base.h, t, xx, uu))
+    np.testing.assert_array_equal(got, cp.hfunc_inverse(model, x, u))
+
+
+def test_steep_conditional_inverts():
+    # h(v | u = 1e-8) rises by more than 1e-8 between adjacent doubles near
+    # v = 1, so no v gives a residual below 1e-8; the inverse still exists.
+    w = np.random.default_rng(0).random(20000)
+    v = cp.hfunc_inverse(cp.tau_to_theta("gumbel", -0.4), w, 1e-8)
+    assert np.all((v >= 0.0) & (v <= 1.0))
+
+
+def test_nan_conditional_raises(monkeypatch):
+    monkeypatch.setattr(cp._BASE["gumbel"], "h",
+                        lambda t, v, u: np.full(np.broadcast_shapes(v.shape, u.shape), np.nan))
+    with pytest.raises(RuntimeError, match="NaN"):
+        cp.hfunc_inverse(cp.CopulaModel("gumbel", 2.0), np.array([0.3, 0.7]), 0.5)
+
+
+def bracket_end_models():
+    """Every family and rotation at both ends of its theta_bracket."""
+    models = [cp.CopulaModel("independence")]
+    for family in ("gaussian", "frank", "clayton", "gumbel", "joe"):
+        lo, hi = cp.theta_bracket(family)
+        thetas = (lo, hi, -lo, -hi) if family == "frank" else (lo, hi)
+        rotations = cp.ROTATIONS if family in cp.ROTATABLE else (0,)
+        models += [cp.CopulaModel(family, t, r) for t in thetas for r in rotations]
+    return models
+
+
+BRACKET_END_MODELS = bracket_end_models()
+CLAMP = 1e-10
+# log-spread over (0, 1): down to the clamp at both ends
+log_unit = st.floats(-10.0, 0.0).flatmap(
+    lambda e: st.sampled_from([10.0 ** e, 1.0 - 10.0 ** e])).map(
+    lambda p: min(max(p, CLAMP), 1.0 - CLAMP))
+
+
+@pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=[m.describe() for m in BRACKET_END_MODELS])
+@settings(max_examples=40, deadline=None)
+@given(pairs=st.lists(st.tuples(log_unit, log_unit), min_size=1, max_size=16))
+def test_hfunc_inverse_brackets_x(model, pairs):
+    u, x = np.array(pairs).T
+    v = cp.hfunc_inverse(model, x, u)
+    lo_x = cp.hfunc(model, CLAMP, u)
+    hi_x = cp.hfunc(model, 1.0 - CLAMP, u)
+    inside = (x >= lo_x) & (x <= hi_x)
+    # |h(v) - x| can exceed 1e-8 here because h jumps by more than that
+    # between adjacent doubles, so check that h just below and just above v
+    # brackets x.
+    delta, tol = 1e-15, 1e-9
+    below = cp.hfunc(model, np.clip(v - delta, 0.0, 1.0), u)
+    above = cp.hfunc(model, np.clip(v + delta, 0.0, 1.0), u)
+    gap = np.maximum(below - x, x - above)
+    assert np.all(gap[inside] <= tol), float(np.max(gap[inside]))
+    # Outside h's range on the clamped interior v sits at the clamp edge; tol
+    # covers the closed forms' rounding near independence, where dh/dv ~ 1.
+    assert np.all(v[x < lo_x] <= CLAMP + tol)
+    assert np.all(v[x > hi_x] >= 1.0 - CLAMP - tol)

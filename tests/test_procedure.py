@@ -344,10 +344,11 @@ def test_select_gamma_matches_searchsorted_under_ties(values, alpha, lambda_):
     assert got == seed_select_gamma(vals, alpha, lambda_)
 
 
-# Ties from two-decimal rounding plus both ends of the 1e-10 clamp.  p1 stays
-# inside (0, 1), as build_table's empirical-CDF p-values do; p2 may reach 0 and 1.
+# Ties from two-decimal rounding plus both ends of the 1e-10 clamp.  p1 and p2
+# may also reach 0 and 1, which HypothesisTable accepts.
 clamp_ends = st.sampled_from([1e-10, 1.0 - 1e-10])
-p1_values = st.one_of(clamp_ends, st.floats(0.01, 0.99).map(lambda x: round(x, 2)))
+p1_values = st.one_of(clamp_ends, st.sampled_from([0.0, 1.0]),
+                      st.floats(0.01, 0.99).map(lambda x: round(x, 2)))
 p2_values = st.one_of(clamp_ends, st.floats(0.0, 1.0).map(lambda x: round(x, 2)))
 PERMUTATION_MODELS = (INDEP, cp.tau_to_theta("clayton", -0.4))
 

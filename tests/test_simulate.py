@@ -75,6 +75,19 @@ class TestGenerateDataset:
         emp = np.searchsorted(np.sort(table.beta_hat), grid, side="right") / table.m
         np.testing.assert_allclose(emp, mg.mixture_cdf(mix, grid), atol=0.01)
 
+    def test_abs_mixture_quantile_matches_seed_loop(self):
+        from twostage_fdr import marginal as mg
+        mix = mg.GaussianMixture((0.5, 0.5), (-3.0, 3.0), (1.0, 1.0))
+        q = np.random.default_rng(4).random(5000)
+        # reference: the hand-written 90-halving loop on [0, max |mean| + 12 sd]
+        lo, hi = np.zeros_like(q), np.full_like(q, 15.0)
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            take_hi = mg.mixture_cdf(mix, mid) - mg.mixture_cdf(mix, -mid) < q
+            lo = np.where(take_hi, mid, lo)
+            hi = np.where(take_hi, hi, mid)
+        np.testing.assert_array_equal(sim._abs_mixture_quantile(mix, q), 0.5 * (lo + hi))
+
     def test_determinism(self):
         cfg = small_cfg()
         t1, a1 = sim.generate_dataset(cfg, 5)
