@@ -14,7 +14,6 @@ from .copula import (
     CopulaModel,
     PseudoObservations,
     cdf,
-    density,
     hfunc,
     hfunc_inverse,
     kendall_tau,
@@ -39,7 +38,6 @@ from .procedure import (
     aggregate_soft,
     estimate_fdr,
     estimate_pi0,
-    gamma2_from,
     run_one_stage_storey,
     run_two_stage_hard,
     run_two_stage_soft,

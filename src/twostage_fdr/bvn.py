@@ -1,4 +1,4 @@
-"""Univariate and bivariate standard normal CDF routines.
+"""Bivariate standard normal CDF.
 
 The bivariate CDF follows Genz's double-precision rewrite of the
 Drezner-Wesolowsky algorithm (Gauss-Legendre quadrature on ``asin(rho)``
@@ -10,9 +10,9 @@ budget every downstream p-value inherits.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
-__all__ = ["norm_cdf", "norm_ppf", "bvn_cdf"]
+__all__ = ["bvn_cdf"]
 
 _TWOPI = 2.0 * np.pi
 
@@ -44,16 +44,6 @@ _GL_WEIGHTS = (
         0.1527533871307259,
     ]),
 )
-
-
-def norm_cdf(x):
-    """Standard normal CDF (vectorized, double precision)."""
-    return ndtr(x)
-
-
-def norm_ppf(q):
-    """Standard normal quantile function (vectorized, double precision)."""
-    return ndtri(q)
 
 
 def bvn_cdf(x, y, rho):

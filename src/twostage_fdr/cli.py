@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--copula", default="auto",
                         help="'auto' or family[:theta[:rotation]]")
     p_test.add_argument("--gamma1-grid", default=None,
-                        help="comma-separated screen levels for the hard method")
+                        help="comma-separated, strictly increasing screen levels in (0, 1) "
+                             "for the hard method")
     p_test.add_argument("--null-mixture", default=None)
     p_test.add_argument("--tail", default="two_sided", choices=mg.TAILS)
     p_test.add_argument("--out-dir", default=".")

@@ -1,7 +1,7 @@
 """Bivariate one-parameter copula families.
 
 Implements the Independence, Gaussian, Frank, Clayton, Gumbel and Joe
-families with CDF, density, conditional CDF (h-function), inverse
+families with CDF, log-density, conditional CDF (h-function), inverse
 h-function, Kendall-tau parameter maps, 90/180/270-degree rotations and
 conditional-inversion sampling.  Clayton, Gumbel and Joe natively model
 positive dependence only; negative dependence is represented by the 90
@@ -28,7 +28,6 @@ __all__ = [
     "FAMILIES",
     "ROTATIONS",
     "cdf",
-    "density",
     "log_density",
     "hfunc",
     "hfunc_inverse",
@@ -160,17 +159,36 @@ def _gaussian_hinv(t, x, u):
     return ndtr(ndtri(x) * math.sqrt(1.0 - t * t) + t * ndtri(u))
 
 
+# Below this |theta| the Frank evaluators use expm1/log1p forms.  Near
+# independence e^{-tu}, e^{-tv} and e^{-t} all lie near 1, and a sum of them
+# that comes to a value of size ~t cancels; for large |t| the expm1 forms
+# cancel instead (1 - 1), so there the sum of exponentials stays.
+_FRANK_SMALL = 1.0
+
+
+def _frank_x(t, u, v):
+    # _frank_d / expm1(-t) - 1, without forming the difference
+    return np.expm1(-t * u) * np.expm1(-t * v) / math.expm1(-t)
+
+
 def _frank_d(t, u, v):
     # e^{-t(u+v)} + e^{-t} - e^{-tu} - e^{-tv}; shares the sign of e^{-t}-1.
+    if abs(t) < _FRANK_SMALL:
+        return np.expm1(-t * u) * np.expm1(-t * v) + math.expm1(-t)
     return np.exp(-t * (u + v)) + math.exp(-t) - np.exp(-t * u) - np.exp(-t * v)
 
 
 def _frank_cdf(t, u, v):
+    if abs(t) < _FRANK_SMALL:
+        return -np.log1p(_frank_x(t, u, v)) / t
     g1 = math.expm1(-t)
     return -np.log(_frank_d(t, u, v) / g1) / t
 
 
 def _frank_logpdf(t, u, v):
+    if abs(t) < _FRANK_SMALL:
+        return (math.log(-t / math.expm1(-t)) - t * (u + v)
+                - 2.0 * np.log1p(_frank_x(t, u, v)))
     g1 = math.expm1(-t)
     return math.log(abs(t * g1)) - t * (u + v) - 2.0 * np.log(np.abs(_frank_d(t, u, v)))
 
@@ -185,6 +203,10 @@ def _frank_hinv(t, x, u):
     # in log space because a and e^-t underflow against x for large |t|.
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
+    if abs(t) < _FRANK_SMALL:
+        # the same v as -(1/t) log1p(x (e^-t - 1) / (1 + (a - 1)(1 - x))),
+        # free of the difference of two O(1) logs below
+        return -np.log1p(x * math.expm1(-t) / (1.0 + np.expm1(-t * u) * (1.0 - x))) / t
     lhs = -t * u + np.log1p(-x)
     ln_num = np.logaddexp(lhs, -t + np.log(x))
     ln_den = np.logaddexp(lhs, np.log(x))
@@ -386,12 +408,6 @@ def log_density(model: CopulaModel, u, v):
     vv = _as_unit("v", v, lo_open=True, hi_open=True)
     ru, rv = _rotated_args(model.rotation, uu, vv)
     out = _BASE[model.family].logpdf(model.theta, ru, rv)
-    return _maybe_scalar(out, u, v)
-
-
-def density(model: CopulaModel, u, v):
-    """Copula density c(u, v) = d2C/dudv on the open unit square."""
-    out = np.exp(log_density(model, u, v))
     return _maybe_scalar(out, u, v)
 
 

@@ -50,10 +50,6 @@ class FitResult:
     n: int
     converged: bool
 
-    @property
-    def k(self) -> int:
-        return 0 if self.model.family == "independence" else 1
-
 
 @dataclass(frozen=True)
 class SelectionReport:

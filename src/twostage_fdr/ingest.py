@@ -226,7 +226,7 @@ def read_counts(path) -> ReplicateData:
     r = len(ko_cols)
     if r < 1 or len(wt_cols) != r or header[1:] != ko_cols + wt_cols:
         raise ValueError(f"{path}: header must be gene_id, ko_1..ko_r, wt_1..wt_r")
-    ids, ko_rows, wt_rows = [], [], []
+    ids, ko_rows, wt_rows, seen = [], [], [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -242,13 +242,14 @@ def read_counts(path) -> ReplicateData:
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}: line {lineno}: non-finite count")
             raise ValueError(f"{path}: line {lineno}: counts must be positive")
+        if parts[0] in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate gene id {parts[0]!r}")
+        seen.add(parts[0])
         ids.append(parts[0])
         ko_rows.append(values[:r])
         wt_rows.append(values[r:])
     if not ids:
         raise ValueError(f"{path}: no data rows")
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{path}: duplicate gene ids")
     return ReplicateData(tuple(ids), np.array(ko_rows), np.array(wt_rows))
 
 

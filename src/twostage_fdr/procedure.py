@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import _EPS, CopulaModel, bisect_increasing, cdf as copula_cdf, hfunc
+from .copula import _EPS, CopulaModel, cdf as copula_cdf, hfunc
 from .marginal import HypothesisTable
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "default_gamma1_grid",
     "aggregate_hard",
     "aggregate_soft",
-    "gamma2_from",
     "estimate_pi0",
     "estimate_fdr",
     "select_gamma",
@@ -48,7 +47,6 @@ class AggregatedPValues:
 
     kind: str  # "hard", "soft" or "raw"
     values: np.ndarray
-    gamma1: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("hard", "soft", "raw"):
@@ -56,8 +54,6 @@ class AggregatedPValues:
         vals = np.asarray(self.values, dtype=float)
         if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails too
             raise ValueError("aggregated p-values must be finite and lie in [0, 1]")
-        if (self.kind == "hard") != (self.gamma1 is not None):
-            raise ValueError("gamma1 is required for hard aggregation only")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -109,7 +105,7 @@ def aggregate_hard(table: HypothesisTable, model: CopulaModel,
     screened_in = np.flatnonzero(table.p1 <= gamma1)
     values = table.p1.copy()
     values[screened_in] = copula_cdf(model, gamma1, table.p2[screened_in])
-    return AggregatedPValues("hard", values, gamma1=float(gamma1))
+    return AggregatedPValues("hard", values)
 
 
 def aggregate_soft(table: HypothesisTable, model: CopulaModel) -> AggregatedPValues:
@@ -119,20 +115,6 @@ def aggregate_soft(table: HypothesisTable, model: CopulaModel) -> AggregatedPVal
     ``PseudoObservations.clamped`` does, so a p1 of 0 or 1 is accepted.
     """
     return AggregatedPValues("soft", hfunc(model, table.p2, np.clip(table.p1, _EPS, 1.0 - _EPS)))
-
-
-def gamma2_from(model: CopulaModel, gamma1: float, gamma: float) -> float:
-    """Solve C(gamma1, gamma2) = gamma for gamma2 by 60 fixed halvings of [0, 1].
-
-    Requires gamma <= gamma1 (= C(gamma1, 1)); C is increasing in its
-    second argument, so the result is within 2**-60 of the smallest
-    gamma2 with C(gamma1, gamma2) >= gamma.
-    """
-    if not 0.0 < gamma1 < 1.0:
-        raise ValueError(f"gamma1 must lie strictly inside (0, 1), got {gamma1}")
-    if gamma < 0.0 or gamma > gamma1:
-        raise ValueError(f"gamma must lie in [0, gamma1={gamma1}], got {gamma}")
-    return float(bisect_increasing(lambda g2: copula_cdf(model, gamma1, g2), gamma, 0.0, 1.0, 60))
 
 
 def estimate_pi0(pvalues: AggregatedPValues, lambda_: float) -> float:
@@ -202,13 +184,16 @@ def run_two_stage_hard(table: HypothesisTable, model: CopulaModel, alpha: float,
 
     Every grid level is evaluated end to end (aggregate, pi0, threshold);
     the level rejecting the most hypotheses wins, ties resolved toward the
-    smallest (most stringent) screen.
+    smallest (most stringent) screen.  The grid must be strictly increasing,
+    so that the first maximum is the smallest level.
     """
     grid = default_gamma1_grid() if gamma1_grid is None else np.asarray(gamma1_grid, float)
     if grid.size < 1:
         raise ValueError("gamma1 grid must be nonempty")
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
+    if not np.all((grid > 0.0) & (grid < 1.0)):  # NaN fails too
         raise ValueError("gamma1 grid must lie strictly inside (0, 1)")
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValueError("gamma1 grid must be strictly increasing")
 
     counts = []
     for g1 in grid:

@@ -12,7 +12,9 @@ two-point mixture marginal and the orientation of the dependence.
 
 The analysis copula is, by default, the data-generating family with its
 parameter re-estimated from each replicate's p-value pairs by Kendall-tau
-inversion ("tau" mode); "mle" and "true" modes are available as switches.
+inversion ("tau", the only analysis mode).  For analysis with the true
+copula, run ``run_misspecification`` with mode="fixed" and the generating
+family.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "MonteCarloResult",
     "SelectionStudyResult",
     "METHODS",
-    "ANALYSIS_MODES",
     "generate_dataset",
     "dependence_model",
     "run_cell",
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 METHODS = ("storey", "hard", "soft")
-ANALYSIS_MODES = ("tau", "mle", "true")
 
 _TAU_INDEPENDENT = 1e-6  # |tau_hat| below this collapses to independence
 
@@ -63,7 +63,7 @@ class SimulationConfig:
     p0: float = 0.95           # true-null proportion
     dep_family: str = "clayton"
     analysis_family: str | None = None   # None: same as dep_family
-    analysis_mode: str = "tau"
+    analysis_mode: str = "tau"  # the only mode; kept so results.json records it
     k_reps: int = 100
     alpha: float = 0.05
     lambda_: float = 0.5
@@ -82,8 +82,8 @@ class SimulationConfig:
             raise ValueError(f"unknown dependence family {self.dep_family!r}")
         if self.analysis_family is not None and self.analysis_family not in cp.FAMILIES:
             raise ValueError(f"unknown analysis family {self.analysis_family!r}")
-        if self.analysis_mode not in ANALYSIS_MODES:
-            raise ValueError(f"analysis_mode must be one of {ANALYSIS_MODES}")
+        if self.analysis_mode != "tau":
+            raise ValueError(f"analysis_mode must be 'tau', got {self.analysis_mode!r}")
         if self.k_reps < 1:
             raise ValueError("k_reps must be positive")
         if not 0.0 < self.alpha < 1.0:
@@ -190,18 +190,10 @@ def _tau_model(family: str, tau_hat: float) -> cp.CopulaModel:
 
 
 def analysis_model(cfg: SimulationConfig, table: mg.HypothesisTable) -> cp.CopulaModel:
-    """Analysis copula for one replicate, per cfg.analysis_mode."""
-    family = cfg.analysis_family or cfg.dep_family
-    if cfg.analysis_mode == "true":
-        return dependence_model(cfg)
+    """Analysis copula for one replicate: the analysis family at the Kendall
+    tau of the replicate's p-value pairs."""
     obs = cp.PseudoObservations.clamped(table.p1, table.p2)
-    tau_hat = ft.empirical_kendall_tau(obs)
-    if cfg.analysis_mode == "tau":
-        return _tau_model(family, tau_hat)
-    if family == "independence":
-        return cp.CopulaModel("independence")
-    rotation = 90 if (family in cp.ROTATABLE and tau_hat < 0.0) else 0
-    return ft.fit_mle(family, rotation, obs, tau_hint=tau_hat).model
+    return _tau_model(cfg.analysis_family or cfg.dep_family, ft.empirical_kendall_tau(obs))
 
 
 def _counts(outcome: proc.ProcedureOutcome, is_alt: np.ndarray) -> tuple[int, int, int, int]:
@@ -231,19 +223,16 @@ def _map_replicates(worker, arglist, threads: int):
     return [worker(a) for a in arglist]
 
 
-def _collect(per_rep: list, names) -> dict:
-    out = {}
-    for name in names:
-        rows = np.array([rep[name] for rep in per_rep], dtype=int)
-        out[name] = MonteCarloResult(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
-    return out
+def _mc_result(rows: list) -> MonteCarloResult:
+    """One MonteCarloResult from per-replicate (V, R, S, M1) tuples."""
+    return MonteCarloResult(*np.array(rows, dtype=int).T)
 
 
 def run_cell(cfg: SimulationConfig, threads: int = 1) -> dict:
     """K replications of all three methods on one parameter cell."""
     per_rep = _map_replicates(_cell_replicate, [(cfg, k) for k in range(cfg.k_reps)],
                               threads)
-    return _collect(per_rep, METHODS)
+    return {name: _mc_result([rep[name] for rep in per_rep]) for name in METHODS}
 
 
 def _misspec_replicate(args) -> dict:
@@ -304,14 +293,10 @@ def run_misspecification(cfg: SimulationConfig, analysis_families=None,
     per_rep = _map_replicates(_misspec_replicate,
                               [(cfg, k, families, mode) for k in range(cfg.k_reps)],
                               threads)
-    out = {"storey": _collect(per_rep, ["storey"])["storey"]}
+    out = {"storey": _mc_result([rep["storey"] for rep in per_rep])}
     for family in families:
-        rows_h = np.array([rep[family]["hard"] for rep in per_rep], dtype=int)
-        rows_s = np.array([rep[family]["soft"] for rep in per_rep], dtype=int)
-        out[family] = {
-            "hard": MonteCarloResult(rows_h[:, 0], rows_h[:, 1], rows_h[:, 2], rows_h[:, 3]),
-            "soft": MonteCarloResult(rows_s[:, 0], rows_s[:, 1], rows_s[:, 2], rows_s[:, 3]),
-        }
+        out[family] = {method: _mc_result([rep[family][method] for rep in per_rep])
+                       for method in ("hard", "soft")}
     return out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, owens_t
 
-from twostage_fdr.bvn import bvn_cdf, norm_cdf, norm_ppf
+from twostage_fdr.bvn import bvn_cdf
 
 
 def phi2_via_owens_t(h, k, rho):
@@ -69,8 +69,3 @@ def test_invalid_rho():
         bvn_cdf(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         bvn_cdf(0.0, 0.0, -1.5)
-
-
-def test_univariate_wrappers():
-    assert norm_ppf(0.975) == pytest.approx(1.959964, abs=1e-6)
-    assert norm_cdf(norm_ppf(0.123456)) == pytest.approx(0.123456, rel=1e-12)

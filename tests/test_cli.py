@@ -144,6 +144,16 @@ class TestTestCommand:
         decisions = (out / "decisions.tsv").read_text().splitlines()
         assert len(decisions) == 502
 
+    def test_decreasing_gamma1_grid_rejected(self, tmp_path, capsys, null_json):
+        table = tmp_path / "table.tsv"
+        write_test_table(table, m=300, seed=7)
+        assert main(["test", str(table), "--method", "H", "--copula", "clayton:1.5:90",
+                     "--null-mixture", null_json, "--out-dir", str(tmp_path / "hard"),
+                     "--gamma1-grid", "0.97,0.95"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "strictly increasing" in err
+
     def test_alpha_zero_rejects_nothing(self, tmp_path, null_json):
         table = tmp_path / "table.tsv"
         write_test_table(table, m=300, seed=9)
@@ -272,6 +282,17 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config key ")
         assert key in err
+
+    @pytest.mark.parametrize("mode", ["mle", "true"])
+    def test_removed_analysis_mode_rejected(self, tmp_path, capsys, mode):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"mode": "cell", "m": 100, "k_reps": 1,
+                                       "analysis_mode": mode}))
+        assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "analysis_mode must be 'tau'" in err
+        assert not (tmp_path / "simtable.tsv").exists()
 
     def test_non_object_config_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

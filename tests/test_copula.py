@@ -1,5 +1,8 @@
 """Copula family tests: closed forms, invariants, rotations, sampling."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,16 +47,16 @@ class TestClosedFormValues:
 
     def test_independence_density(self):
         m = cp.CopulaModel("independence")
-        assert cp.density(m, 0.3, 0.7) == pytest.approx(1.0, abs=0.0)
+        assert np.exp(cp.log_density(m, 0.3, 0.7)) == pytest.approx(1.0, abs=0.0)
 
     def test_clayton_density_closed_form(self):
         m = cp.CopulaModel("clayton", 2.0)
         expected = 3.0 * 0.25 ** -3.0 * 7.0 ** -2.5
-        assert cp.density(m, 0.5, 0.5) == pytest.approx(expected, rel=1e-12)
+        assert np.exp(cp.log_density(m, 0.5, 0.5)) == pytest.approx(expected, rel=1e-12)
 
     def test_gaussian_rho_zero_density(self):
         m = cp.CopulaModel("gaussian", 0.0)
-        assert cp.density(m, 0.2, 0.9) == pytest.approx(1.0, abs=1e-14)
+        assert np.exp(cp.log_density(m, 0.2, 0.9)) == pytest.approx(1.0, abs=1e-14)
 
     def test_independence_hfunc(self):
         m = cp.CopulaModel("independence")
@@ -105,9 +108,9 @@ class TestDomainErrors:
     def test_density_boundary_rejected(self):
         m = cp.CopulaModel("clayton", 2.0)
         with pytest.raises(ValueError):
-            cp.density(m, 0.0, 0.5)
+            cp.log_density(m, 0.0, 0.5)
         with pytest.raises(ValueError):
-            cp.density(m, 0.5, 1.0)
+            cp.log_density(m, 0.5, 1.0)
 
     def test_hfunc_conditioner_must_be_interior(self):
         m = cp.CopulaModel("clayton", 2.0)
@@ -180,7 +183,7 @@ class TestInvariants:
         e = 1e-4
         num = (cp.cdf(model, u + e, v + e) - cp.cdf(model, u - e, v + e)
                - cp.cdf(model, u + e, v - e) + cp.cdf(model, u - e, v - e)) / (4 * e * e)
-        np.testing.assert_allclose(cp.density(model, u, v), num, rtol=5e-4, atol=5e-4)
+        np.testing.assert_allclose(np.exp(cp.log_density(model, u, v)), num, rtol=5e-4, atol=5e-4)
 
 
 # Archimedean corner densities diverge, so the midpoint-rule error grows
@@ -201,7 +204,7 @@ def test_density_integrates_to_one(model):
     n = 200
     mid = (np.arange(n) + 0.5) / n
     u, v = np.meshgrid(mid, mid)
-    total = np.sum(cp.density(model, u.ravel(), v.ravel())) / (n * n)
+    total = np.sum(np.exp(cp.log_density(model, u.ravel(), v.ravel()))) / (n * n)
     assert total == pytest.approx(1.0, abs=1e-3)
 
 
@@ -454,3 +457,68 @@ def test_hfunc_inverse_brackets_x(model, pairs):
     # covers the closed forms' rounding near independence, where dh/dv ~ 1.
     assert np.all(v[x < lo_x] <= CLAMP + tol)
     assert np.all(v[x > hi_x] >= 1.0 - CLAMP - tol)
+
+
+FRANK_THETAS = [s * t for t in (1e-6, 1e-4, 1e-2, 0.3, 0.9, 5.0, 50.0) for s in (1.0, -1.0)]
+
+
+def frank_decimal(t, u, v):
+    """Frank C(u, v), h(v | u), log c(u, v) and h^-1(v | u) to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t, u, v = Decimal(t), Decimal(u), Decimal(v)
+        one = Decimal(1)
+        eu, ev, e1 = (-t * u).exp(), (-t * v).exp(), (-t).exp()
+        d = eu * ev + e1 - eu - ev
+        c = -(d / (e1 - one)).ln() / t
+        h = eu * (ev - one) / d
+        log_c = abs(t * (e1 - one)).ln() - t * (u + v) - 2 * abs(d).ln()
+        hinv = -((eu * (one - v) + v * e1) / (eu * (one - v) + v)).ln() / t
+        return float(c), float(h), float(log_c), float(hinv)
+
+
+@pytest.mark.parametrize("theta", FRANK_THETAS)
+def test_frank_matches_decimal_oracle(theta):
+    # near independence the four exponentials of the CDF's denominator sum
+    # to a value of size ~theta; the expm1/log1p forms keep full precision
+    rng = np.random.default_rng(61)
+    u, v = rng.random(64), rng.random(64)
+    ref = np.array([frank_decimal(theta, a, b) for a, b in zip(u, v)]).T
+    model = cp.CopulaModel("frank", theta)
+    got = (cp.cdf(model, u, v), cp.hfunc(model, v, u), cp.log_density(model, u, v),
+           cp.hfunc_inverse(model, v, u))
+    tol = 1e-15 if abs(theta) < 1.0 else 1e-13
+    for name, g, r in zip(("cdf", "h", "log_density", "h_inverse"), got, ref):
+        assert np.max(np.abs(g - r)) <= tol, (name, float(np.max(np.abs(g - r))))
+
+
+@pytest.mark.parametrize("theta", [1e-6, -1e-6, 1e-4, -1e-4, 0.3, -0.999])
+def test_frank_cdf_monotone_near_independence(theta):
+    # C(gamma1, .) over sorted p2, as the hard aggregation evaluates it,
+    # including runs of adjacent doubles
+    rng = np.random.default_rng(62)
+    p2 = np.sort(np.concatenate([rng.random(20_000),
+                                 0.5 + np.arange(2000) * np.spacing(0.5),
+                                 1e-10 + np.arange(2000) * np.spacing(1e-10)]))
+    for gamma1 in (0.05, 0.5, 0.95):
+        assert np.all(np.diff(cp.cdf(cp.CopulaModel("frank", theta), gamma1, p2)) >= 0.0)
+
+
+def seed_frank(t, u, v):
+    """Frank evaluators of the sum-of-exponentials form, kept for |theta| >= 1."""
+    d = np.exp(-t * (u + v)) + math.exp(-t) - np.exp(-t * u) - np.exp(-t * v)
+    g1 = math.expm1(-t)
+    lhs = -t * u + np.log1p(-v)
+    hinv = -(np.logaddexp(lhs, -t + np.log(v)) - np.logaddexp(lhs, np.log(v))) / t
+    return (-np.log(d / g1) / t, np.exp(-t * u) * np.expm1(-t * v) / d,
+            math.log(abs(t * g1)) - t * (u + v) - 2.0 * np.log(np.abs(d)), hinv)
+
+
+@pytest.mark.parametrize("theta", [1.0, -1.0, 5.0, -5.0, 50.0, -50.0])
+def test_frank_unchanged_away_from_independence(theta):
+    rng = np.random.default_rng(63)
+    u, v = rng.uniform(0.001, 0.999, 1000), rng.uniform(0.001, 0.999, 1000)
+    got = (cp._frank_cdf(theta, u, v), cp._frank_h(theta, v, u),
+           cp._frank_logpdf(theta, u, v), cp._frank_hinv(theta, v, u))
+    for g, ref in zip(got, seed_frank(theta, u, v)):
+        np.testing.assert_array_equal(g, ref)

@@ -202,7 +202,8 @@ class TestReadCounts:
     def test_duplicate_ids(self, tmp_path):
         path = tmp_path / "counts.tsv"
         write_counts(path, ["g1\t1\t2\t3\t4\t5\t6", "g1\t2\t2\t2\t3\t3\t3"])
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: line 3: duplicate gene id 'g1'")):
             ig.read_counts(path)
 
     def test_short_row(self, tmp_path):

@@ -90,23 +90,6 @@ class TestAggregateSoft:
         np.testing.assert_allclose(agg.values, 1.0)
 
 
-class TestGamma2From:
-    def test_independence(self):
-        assert proc.gamma2_from(INDEP, 0.5, 0.05) == pytest.approx(0.1, abs=1e-10)
-
-    def test_margin_identity(self):
-        for model in (INDEP, CLAYTON2, cp.CopulaModel("gaussian", -0.59)):
-            assert proc.gamma2_from(model, 0.5, 0.5) == pytest.approx(1.0, abs=1e-9)
-
-    def test_clayton_round_trip(self):
-        gamma = cp.cdf(CLAYTON2, 0.5, 0.3)
-        assert proc.gamma2_from(CLAYTON2, 0.5, gamma) == pytest.approx(0.3, abs=1e-9)
-
-    def test_no_solution(self):
-        with pytest.raises(ValueError):
-            proc.gamma2_from(INDEP, 0.5, 0.6)
-
-
 class TestPi0AndFdr:
     def test_pi0_cap(self):
         vals = np.concatenate([np.full(4000, 0.9), np.full(4000, 0.1)])
@@ -230,6 +213,25 @@ class TestTwoStageHard:
             proc.run_two_stage_hard(t, INDEP, 0.05, 0.5, gamma1_grid=[])
         with pytest.raises(ValueError):
             proc.run_two_stage_hard(t, INDEP, 0.05, 0.5, gamma1_grid=[0.0, 0.5])
+        with pytest.raises(ValueError, match="inside"):
+            proc.run_two_stage_hard(t, INDEP, 0.05, 0.5, gamma1_grid=[0.5, float("nan")])
+        for grid in ([0.97, 0.95], [0.5, 0.5], [0.2, 0.6, 0.4]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                proc.run_two_stage_hard(t, INDEP, 0.05, 0.5, gamma1_grid=grid)
+
+    def test_tied_levels_resolve_to_the_smallest(self):
+        # levels 0.95 and 0.97 both reject 58 here, with different rejected sets;
+        # in an increasing grid the first maximum is the smallest level
+        cfg = sim.SimulationConfig(m=2000, seed=1)
+        table, _ = sim.generate_dataset(cfg, 0)
+        model = sim.analysis_model(cfg, table)
+        outcome = proc.run_two_stage_hard(table, model, cfg.alpha, cfg.lambda_,
+                                          gamma1_grid=[0.95, 0.97])
+        assert outcome.rejections_by_gamma1 == ((0.95, 58), (0.97, 58))
+        assert outcome.gamma1_hat == 0.95
+        at_97 = proc.run_two_stage_hard(table, model, cfg.alpha, cfg.lambda_,
+                                        gamma1_grid=[0.97])
+        assert not np.array_equal(outcome.rejected, at_97.rejected)
 
     def test_rejection_curve_rises_then_falls(self):
         # on dependent data with signal the count peaks at an interior screen level

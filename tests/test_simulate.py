@@ -8,6 +8,7 @@ import pytest
 
 from twostage_fdr import copula as cp
 from twostage_fdr import fit as ft
+from twostage_fdr import procedure as proc
 from twostage_fdr import simulate as sim
 
 
@@ -25,8 +26,9 @@ class TestConfig:
             sim.SimulationConfig(mu=0.0)
         with pytest.raises(ValueError):
             sim.SimulationConfig(p0=1.5)
-        with pytest.raises(ValueError):
-            sim.SimulationConfig(analysis_mode="magic")
+        for mode in ("magic", "mle", "true"):
+            with pytest.raises(ValueError, match="analysis_mode must be 'tau'"):
+                sim.SimulationConfig(analysis_mode=mode)
 
     def test_tau_zero_gives_independence(self):
         cfg = small_cfg(tau=0.0)
@@ -152,6 +154,30 @@ class TestMisspecification:
             np.testing.assert_array_equal(mis["clayton"][method].v, cell[method].v)
             np.testing.assert_array_equal(mis["clayton"][method].r, cell[method].r)
         np.testing.assert_array_equal(mis["storey"].v, cell["storey"].v)
+
+    @pytest.mark.parametrize("family", ft.DEFAULT_CANDIDATES)
+    def test_fixed_generating_family_analyses_with_the_true_copula(self, family):
+        # fixed mode with the generating family is the analysis under the
+        # data-generating copula itself
+        cfg = small_cfg(m=1000, k_reps=2, dep_family=family)
+        res = sim.run_misspecification(cfg, analysis_families=(family,), mode="fixed")
+        true_model = sim.dependence_model(cfg)
+        expected = {"storey": [], "hard": [], "soft": []}
+        for k in range(cfg.k_reps):
+            table, is_alt = sim.generate_dataset(cfg, k)
+            outcomes = {
+                "storey": proc.run_one_stage_storey(table, cfg.alpha, cfg.lambda_),
+                "hard": proc.run_two_stage_hard(table, true_model, cfg.alpha, cfg.lambda_),
+                "soft": proc.run_two_stage_soft(table, true_model, cfg.alpha, cfg.lambda_),
+            }
+            for method, outcome in outcomes.items():
+                rej = outcome.rejected
+                expected[method].append((np.count_nonzero(rej & ~is_alt), np.count_nonzero(rej),
+                                         np.count_nonzero(rej & is_alt),
+                                         np.count_nonzero(is_alt)))
+        for method, rows in expected.items():
+            got = res["storey"] if method == "storey" else res[family][method]
+            assert list(zip(got.v, got.r, got.s, got.m1)) == rows, method
 
     def test_fixed_mode_runs_each_family(self):
         cfg = small_cfg(k_reps=2, m=1000)
