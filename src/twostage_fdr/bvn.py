@@ -64,11 +64,11 @@ def bvn_cdf(x, y, rho):
     if not -1.0 < rho < 1.0:
         raise ValueError(f"correlation must be in (-1, 1), got {rho}")
     scalar = np.isscalar(x) and np.isscalar(y)
-    h = -np.atleast_1d(np.asarray(x, dtype=float))
-    k = -np.atleast_1d(np.asarray(y, dtype=float))
-    h, k = np.broadcast_arrays(h, k)
-    h = h.copy()
-    k = k.copy()
+    # h and k broadcast inside each expression, so a scalar h is squared
+    # and passed through ndtr once, not once per k.
+    h = -np.asarray(x, dtype=float)
+    k = -np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(h.shape, k.shape)
     hk = h * k
 
     if abs(rho) < 0.925:
@@ -80,10 +80,17 @@ def bvn_cdf(x, y, rho):
             nodes, weights = _GL_NODES[2], _GL_WEIGHTS[2]
         hs = (h * h + k * k) / 2.0
         asr = np.arcsin(rho)
-        bvn = np.zeros_like(h)
+        bvn = np.zeros(shape)
+        term = np.empty(shape)
         for xi, wi in zip(nodes, weights):
             for sn in (np.sin(asr * (xi + 1.0) / 2.0), np.sin(asr * (-xi + 1.0) / 2.0)):
-                bvn += wi * np.exp((sn * hk - hs) / (1.0 - sn * sn))
+                # bvn += wi * exp((sn * hk - hs) / (1 - sn^2)), in one buffer
+                np.multiply(sn, hk, out=term)
+                term -= hs
+                term /= 1.0 - sn * sn
+                np.exp(term, out=term)
+                term *= wi
+                bvn += term
         bvn = bvn * asr / (2.0 * _TWOPI) + ndtr(-h) * ndtr(-k)
     else:
         nodes, weights = _GL_NODES[2], _GL_WEIGHTS[2]
@@ -130,4 +137,4 @@ def bvn_cdf(x, y, rho):
             bvn = -bvn + np.maximum(0.0, ndtr(-h) - ndtr(-k))
 
     out = np.clip(bvn, 0.0, 1.0)
-    return float(out[0]) if scalar else out.reshape(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    return float(out) if scalar else np.reshape(out, shape)

@@ -351,45 +351,59 @@ _BASE = {
 }
 
 
-def _maybe_scalar(out, *inputs):
-    if all(np.isscalar(a) or np.ndim(a) == 0 for a in inputs):
+def _maybe_scalar(out, *arrays):
+    if all(a.ndim == 0 for a in arrays):
         return float(np.asarray(out).reshape(()))
     return out
 
 
-def _as_unit(name, value, lo_open=False, hi_open=False):
+def _as_unit(name, value, open_=False):
+    """value as a float array, checked by its min and max against the closed
+    [0, 1], or the open (0, 1) when open_ (NaN fails either way); with it,
+    whether an entry lies past the clamp interior [_EPS, 1 - _EPS], the only
+    case where clipping into it or a boundary case at 0 or 1 changes a value.
+    """
     arr = np.asarray(value, dtype=float)
-    lo_ok = np.all(arr > 0.0) if lo_open else np.all(arr >= 0.0)
-    hi_ok = np.all(arr < 1.0) if hi_open else np.all(arr <= 1.0)
-    if not (lo_ok and hi_ok):
-        lo_b = "(" if lo_open else "["
-        hi_b = ")" if hi_open else "]"
-        raise ValueError(f"{name} must lie in {lo_b}0, 1{hi_b}")
-    return arr
+    if arr.size == 0:
+        return arr, False
+    lo = arr.min()
+    hi = arr.max()
+    if not ((0.0 < lo and hi < 1.0) if open_ else (0.0 <= lo and hi <= 1.0)):
+        raise ValueError(f"{name} must lie in {'(0, 1)' if open_ else '[0, 1]'}")
+    return arr, bool(lo < _EPS or hi > 1.0 - _EPS)
 
 
 def cdf(model: CopulaModel, u, v):
-    """Copula CDF C(u, v); accepts the closed unit square."""
-    uu = _as_unit("u", u)
-    vv = _as_unit("v", v)
-    uu, vv = np.broadcast_arrays(uu, vv)
+    """Copula CDF C(u, v); accepts the closed unit square.
+
+    u and v broadcast inside the family formula without being expanded, so
+    a scalar u (the hard scan's screen level) is rotated and transformed
+    once per call.  Inside the clamp interior [1e-10, 1 - 1e-10] the result
+    is the formula's value clipped to [0, 1].  Only an input past the
+    interior takes the boundary path: the inputs are clipped into it for
+    the formula, and the margins C(0, v) = C(u, 0) = 0, C(1, v) = v and
+    C(u, 1) = u are imposed.
+    """
+    uu, u_edge = _as_unit("u", u)
+    vv, v_edge = _as_unit("v", v)
     fam = _BASE[model.family]
     t = model.theta
-    ui = np.clip(uu, _EPS, 1.0 - _EPS)
-    vi = np.clip(vv, _EPS, 1.0 - _EPS)
+    ui = np.clip(uu, _EPS, 1.0 - _EPS) if u_edge else uu
+    vi = np.clip(vv, _EPS, 1.0 - _EPS) if v_edge else vv
     r = model.rotation
     if r == 0:
-        inner = fam.cdf(t, ui, vi)
+        out = fam.cdf(t, ui, vi)
     elif r == 90:
-        inner = vv - fam.cdf(t, 1.0 - ui, vi)
+        out = vv - fam.cdf(t, 1.0 - ui, vi)
     elif r == 180:
-        inner = uu + vv - 1.0 + fam.cdf(t, 1.0 - ui, 1.0 - vi)
+        out = uu + vv - 1.0 + fam.cdf(t, 1.0 - ui, 1.0 - vi)
     else:
-        inner = uu - fam.cdf(t, ui, 1.0 - vi)
-    out = np.where(uu <= 0.0, 0.0, np.where(vv <= 0.0, 0.0,
-                   np.where(uu >= 1.0, vv, np.where(vv >= 1.0, uu, inner))))
+        out = uu - fam.cdf(t, ui, 1.0 - vi)
+    if u_edge or v_edge:
+        out = np.where(uu <= 0.0, 0.0, np.where(vv <= 0.0, 0.0,
+                       np.where(uu >= 1.0, vv, np.where(vv >= 1.0, uu, out))))
     out = np.clip(out, 0.0, 1.0)
-    return _maybe_scalar(out, u, v)
+    return _maybe_scalar(out, uu, vv)
 
 
 def _rotated_args(rotation: int, u, v):
@@ -404,11 +418,11 @@ def _rotated_args(rotation: int, u, v):
 
 def log_density(model: CopulaModel, u, v):
     """Log copula density; u and v must lie strictly inside (0, 1)."""
-    uu = _as_unit("u", u, lo_open=True, hi_open=True)
-    vv = _as_unit("v", v, lo_open=True, hi_open=True)
+    uu, _ = _as_unit("u", u, open_=True)
+    vv, _ = _as_unit("v", v, open_=True)
     ru, rv = _rotated_args(model.rotation, uu, vv)
     out = _BASE[model.family].logpdf(model.theta, ru, rv)
-    return _maybe_scalar(out, u, v)
+    return _maybe_scalar(out, uu, vv)
 
 
 def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u):
@@ -416,24 +430,27 @@ def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u)
 
     value (v for h, x for its inverse) may lie in the closed [0, 1], with
     0 and 1 mapped to themselves; given_u must lie strictly inside (0, 1).
+    As in cdf, the inputs are not expanded to a common shape, and the
+    clip and the boundary cases run only for a value past the clamp
+    interior.
     """
-    aa = _as_unit(name, value)
-    uu = _as_unit("given_u", given_u, lo_open=True, hi_open=True)
-    aa, uu = np.broadcast_arrays(aa, uu)
+    aa, a_edge = _as_unit(name, value)
+    uu, _ = _as_unit("given_u", given_u, open_=True)
     t = model.theta
-    ai = np.clip(aa, _EPS, 1.0 - _EPS)
+    ai = np.clip(aa, _EPS, 1.0 - _EPS) if a_edge else aa
     r = model.rotation
     if r == 0:
-        inner = base_fn(t, ai, uu)
+        out = base_fn(t, ai, uu)
     elif r == 90:
-        inner = base_fn(t, ai, 1.0 - uu)
+        out = base_fn(t, ai, 1.0 - uu)
     elif r == 180:
-        inner = 1.0 - base_fn(t, 1.0 - ai, 1.0 - uu)
+        out = 1.0 - base_fn(t, 1.0 - ai, 1.0 - uu)
     else:
-        inner = 1.0 - base_fn(t, 1.0 - ai, uu)
-    out = np.where(aa <= 0.0, 0.0, np.where(aa >= 1.0, 1.0, inner))
+        out = 1.0 - base_fn(t, 1.0 - ai, uu)
+    if a_edge:
+        out = np.where(aa <= 0.0, 0.0, np.where(aa >= 1.0, 1.0, out))
     out = np.clip(out, 0.0, 1.0)
-    return _maybe_scalar(out, value, given_u)
+    return _maybe_scalar(out, aa, uu)
 
 
 def hfunc(model: CopulaModel, v, given_u):

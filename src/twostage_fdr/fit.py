@@ -12,6 +12,7 @@ from scipy.optimize import minimize_scalar
 from scipy.stats import kendalltau
 
 from .copula import (
+    _EPS,
     ROTATABLE,
     CopulaModel,
     PseudoObservations,
@@ -108,8 +109,8 @@ def fit_mle(family: str, rotation: int, obs: PseudoObservations,
     if family == "independence":
         return FitResult(CopulaModel("independence"), 0.0, 0.0, 0.0, n, True)
 
-    u = np.clip(obs.u, 1e-10, 1.0 - 1e-10)
-    v = np.clip(obs.v, 1e-10, 1.0 - 1e-10)
+    u = np.clip(obs.u, _EPS, 1.0 - _EPS)
+    v = np.clip(obs.v, _EPS, 1.0 - _EPS)
 
     if family == "frank" and tau_hint is None:
         tau_hint = empirical_kendall_tau(obs)

@@ -52,6 +52,10 @@ class AggregatedPValues:
         if self.kind not in ("hard", "soft", "raw"):
             raise ValueError(f"unknown aggregation kind {self.kind!r}")
         vals = np.asarray(self.values, dtype=float)
+        if vals.ndim != 1:
+            raise ValueError(f"aggregated p-values must be a 1-d array, got shape {vals.shape}")
+        if vals.size < 1:
+            raise ValueError("aggregated p-values must not be empty")
         if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails too
             raise ValueError("aggregated p-values must be finite and lie in [0, 1]")
         object.__setattr__(self, "values", vals)
@@ -135,6 +139,12 @@ def estimate_fdr(pvalues: AggregatedPValues, gamma: float, pi0: float) -> float:
     return pi0 * gamma * m / max(r, 1)
 
 
+# select_gamma widens its candidate cut alpha / pi0 by this factor.  Rounding
+# puts pi0 * v * M / rank at most a few ulps (about 1e-15 relative) below its
+# exact value, far inside the slack for any alpha above the subnormal range.
+_CUT_SLACK = 1.0 + 1e-12
+
+
 def select_gamma(pvalues: AggregatedPValues, alpha: float,
                  lambda_: float) -> tuple[float, float, int]:
     """Largest candidate threshold whose estimated FDR stays below alpha.
@@ -148,13 +158,21 @@ def select_gamma(pvalues: AggregatedPValues, alpha: float,
     earlier in a run the rank is smaller, so the estimate there is no smaller
     than at the run's last index.  The largest index passing the test is
     therefore the last of its run, where the rank is the exact count.
+
+    Only values that can pass are sorted.  A rank is at most M, so a value v can
+    pass pi0 * v * M / rank <= alpha only if v <= alpha / pi0; every value
+    up to that cut, widened by a relative _CUT_SLACK for rounding in the
+    product, is kept (all of them when pi0 = 0, where alpha / pi0 may be
+    0 / 0).  The kept values are the smallest, so in sorted order they form
+    a prefix of the sorted full set and each keeps its rank.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     pi0 = estimate_pi0(pvalues, lambda_)
     m = pvalues.m
-    vals = np.sort(pvalues.values)
-    fdr = pi0 * vals * m / np.arange(1, m + 1)
+    cut = alpha / pi0 * _CUT_SLACK if pi0 > 0.0 else np.inf
+    vals = np.sort(pvalues.values[pvalues.values <= cut])
+    fdr = pi0 * vals * m / np.arange(1, vals.size + 1)
     ok = np.nonzero(fdr <= alpha)[0]
     if ok.size == 0:
         return 0.0, pi0, 0

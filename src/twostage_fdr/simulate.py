@@ -166,8 +166,9 @@ def generate_dataset(cfg: SimulationConfig, replicate: int):
     """
     dep = dependence_model(cfg)
     rng = np.random.default_rng([cfg.seed, replicate])
-    u = np.clip(rng.random(cfg.m), 1e-10, 1.0 - 1e-10)
+    u = np.clip(rng.random(cfg.m), cp._EPS, 1.0 - cp._EPS)
     w = rng.random(cfg.m)
+    # 1e-12, not _EPS: v sets p2 through ndtri below, and a wider clamp would change the data
     v = np.clip(cp.hfunc_inverse(dep, w, u), 1e-12, 1.0 - 1e-12)
     is_alt = rng.random(cfg.m) < (1.0 - cfg.p0)
     sign = np.where(rng.random(cfg.m) < 0.5, -1.0, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, owens_t
 
-from twostage_fdr.bvn import bvn_cdf
+from twostage_fdr.bvn import _GL_NODES, _GL_WEIGHTS, _TWOPI, bvn_cdf
 
 
 def phi2_via_owens_t(h, k, rho):
@@ -69,3 +69,97 @@ def test_invalid_rho():
         bvn_cdf(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         bvn_cdf(0.0, 0.0, -1.5)
+
+
+def seed_bvn_cdf(x, y, rho):
+    """bvn_cdf as the seed code computed it: h and k expanded to a common
+    shape, one temporary per Gauss-Legendre term."""
+    if not -1.0 < rho < 1.0:
+        raise ValueError(f"correlation must be in (-1, 1), got {rho}")
+    scalar = np.isscalar(x) and np.isscalar(y)
+    h = -np.atleast_1d(np.asarray(x, dtype=float))
+    k = -np.atleast_1d(np.asarray(y, dtype=float))
+    h, k = np.broadcast_arrays(h, k)
+    h = h.copy()
+    k = k.copy()
+    hk = h * k
+
+    if abs(rho) < 0.925:
+        if abs(rho) < 0.3:
+            nodes, weights = _GL_NODES[0], _GL_WEIGHTS[0]
+        elif abs(rho) < 0.75:
+            nodes, weights = _GL_NODES[1], _GL_WEIGHTS[1]
+        else:
+            nodes, weights = _GL_NODES[2], _GL_WEIGHTS[2]
+        hs = (h * h + k * k) / 2.0
+        asr = np.arcsin(rho)
+        bvn = np.zeros_like(h)
+        for xi, wi in zip(nodes, weights):
+            for sn in (np.sin(asr * (xi + 1.0) / 2.0), np.sin(asr * (-xi + 1.0) / 2.0)):
+                bvn += wi * np.exp((sn * hk - hs) / (1.0 - sn * sn))
+        bvn = bvn * asr / (2.0 * _TWOPI) + ndtr(-h) * ndtr(-k)
+    else:
+        nodes, weights = _GL_NODES[2], _GL_WEIGHTS[2]
+        if rho < 0.0:
+            k = -k
+            hk = -hk
+        a2 = (1.0 - rho) * (1.0 + rho)
+        a = np.sqrt(a2)
+        bs = (h - k) ** 2
+        c = (4.0 - hk) / 8.0
+        d = (12.0 - hk) / 16.0
+        asq = -(bs / a2 + hk) / 2.0
+        bvn = np.where(
+            asq > -100.0,
+            a * np.exp(asq) * (1.0 - c * (bs - a2) * (1.0 - d * bs / 5.0) / 3.0
+                               + c * d * a2 * a2 / 5.0),
+            0.0,
+        )
+        mask = hk > -100.0
+        b = np.sqrt(bs)
+        bvn = np.where(
+            mask,
+            bvn - np.exp(-hk / 2.0) * np.sqrt(_TWOPI) * ndtr(-b / a) * b
+            * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
+            bvn,
+        )
+        a = a / 2.0
+        for xi, wi in zip(nodes, weights):
+            for xs in ((a * (xi + 1.0)) ** 2, (a * (-xi + 1.0)) ** 2):
+                rs = np.sqrt(1.0 - xs)
+                asq = -(bs / xs + hk) / 2.0
+                term = np.where(
+                    asq > -100.0,
+                    a * wi * np.exp(asq)
+                    * (np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
+                       - (1.0 + c * xs * (1.0 + d * xs))),
+                    0.0,
+                )
+                bvn += term
+        bvn = -bvn / _TWOPI
+        if rho > 0.0:
+            bvn = bvn + ndtr(-np.maximum(h, k))
+        else:
+            bvn = -bvn + np.maximum(0.0, ndtr(-h) - ndtr(-k))
+
+    out = np.clip(bvn, 0.0, 1.0)
+    return float(out[0]) if scalar else out.reshape(np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+
+# one correlation per node set (|rho| < 0.3, < 0.75, < 0.925) and the tail
+# expansion (|rho| >= 0.925), each with both signs
+ORACLE_RHOS = [s * r for r in (0.1, 0.5, 0.8, 0.925, 0.99) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("rho", ORACLE_RHOS)
+def test_matches_seed_bvn_cdf(rho):
+    rng = np.random.default_rng(12)
+    pts = np.concatenate([rng.normal(0.0, 2.5, 300), [0.0, -8.5, 8.5, -40.0, 40.0]])
+    cases = [(s, pts) for s in (0.0, -1.3, 2.7, -9.0, 9.0)]
+    cases += [(pts, 0.4), (pts, rng.permutation(pts)), (pts[:3].reshape(3, 1), pts[3:7]),
+              (0.4, np.empty(0)), (0.4, -1.1), (np.float64(-2.0), 0.5)]
+    for x, y in cases:
+        got, ref = bvn_cdf(x, y, rho), seed_bvn_cdf(x, y, rho)
+        assert type(got) is type(ref)
+        assert np.shape(got) == np.shape(ref)
+        np.testing.assert_array_equal(got, ref)

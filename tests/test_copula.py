@@ -1,6 +1,7 @@
 """Copula family tests: closed forms, invariants, rotations, sampling."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -429,6 +430,7 @@ def bracket_end_models():
 
 
 BRACKET_END_MODELS = bracket_end_models()
+BRACKET_END_IDS = [m.describe() for m in BRACKET_END_MODELS]
 CLAMP = 1e-10
 # log-spread over (0, 1): down to the clamp at both ends
 log_unit = st.floats(-10.0, 0.0).flatmap(
@@ -436,7 +438,7 @@ log_unit = st.floats(-10.0, 0.0).flatmap(
     lambda p: min(max(p, CLAMP), 1.0 - CLAMP))
 
 
-@pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=[m.describe() for m in BRACKET_END_MODELS])
+@pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=BRACKET_END_IDS)
 @settings(max_examples=40, deadline=None)
 @given(pairs=st.lists(st.tuples(log_unit, log_unit), min_size=1, max_size=16))
 def test_hfunc_inverse_brackets_x(model, pairs):
@@ -522,3 +524,157 @@ def test_frank_unchanged_away_from_independence(theta):
            cp._frank_logpdf(theta, u, v), cp._frank_hinv(theta, v, u))
     for g, ref in zip(got, seed_frank(theta, u, v)):
         np.testing.assert_array_equal(g, ref)
+
+
+# ---------------------------------------------------------------------------
+# cdf, hfunc and hfunc_inverse against the seed evaluators, which expand both
+# inputs to a common shape and clip and test the boundary on every call.
+# ---------------------------------------------------------------------------
+
+
+def seed_as_unit(name, value, lo_open=False, hi_open=False):
+    arr = np.asarray(value, dtype=float)
+    lo_ok = np.all(arr > 0.0) if lo_open else np.all(arr >= 0.0)
+    hi_ok = np.all(arr < 1.0) if hi_open else np.all(arr <= 1.0)
+    if not (lo_ok and hi_ok):
+        lo_b = "(" if lo_open else "["
+        hi_b = ")" if hi_open else "]"
+        raise ValueError(f"{name} must lie in {lo_b}0, 1{hi_b}")
+    return arr
+
+
+def seed_maybe_scalar(out, *inputs):
+    if all(np.isscalar(a) or np.ndim(a) == 0 for a in inputs):
+        return float(np.asarray(out).reshape(()))
+    return out
+
+
+def seed_cdf(model, u, v):
+    """C(u, v) as the seed code computed it."""
+    uu = seed_as_unit("u", u)
+    vv = seed_as_unit("v", v)
+    uu, vv = np.broadcast_arrays(uu, vv)
+    fam = cp._BASE[model.family]
+    t = model.theta
+    ui = np.clip(uu, 1e-10, 1.0 - 1e-10)
+    vi = np.clip(vv, 1e-10, 1.0 - 1e-10)
+    r = model.rotation
+    if r == 0:
+        inner = fam.cdf(t, ui, vi)
+    elif r == 90:
+        inner = vv - fam.cdf(t, 1.0 - ui, vi)
+    elif r == 180:
+        inner = uu + vv - 1.0 + fam.cdf(t, 1.0 - ui, 1.0 - vi)
+    else:
+        inner = uu - fam.cdf(t, ui, 1.0 - vi)
+    out = np.where(uu <= 0.0, 0.0, np.where(vv <= 0.0, 0.0,
+                   np.where(uu >= 1.0, vv, np.where(vv >= 1.0, uu, inner))))
+    out = np.clip(out, 0.0, 1.0)
+    return seed_maybe_scalar(out, u, v)
+
+
+def seed_conditional(model, kind, value, given_u):
+    """hfunc (kind "h") or hfunc_inverse (kind "hinv") as the seed code
+    computed them."""
+    base_fn = getattr(cp._BASE[model.family], kind)
+    aa = seed_as_unit("v" if kind == "h" else "x", value)
+    uu = seed_as_unit("given_u", given_u, lo_open=True, hi_open=True)
+    aa, uu = np.broadcast_arrays(aa, uu)
+    t = model.theta
+    ai = np.clip(aa, 1e-10, 1.0 - 1e-10)
+    r = model.rotation
+    if r == 0:
+        inner = base_fn(t, ai, uu)
+    elif r == 90:
+        inner = base_fn(t, ai, 1.0 - uu)
+    elif r == 180:
+        inner = 1.0 - base_fn(t, 1.0 - ai, 1.0 - uu)
+    else:
+        inner = 1.0 - base_fn(t, 1.0 - ai, uu)
+    out = np.where(aa <= 0.0, 0.0, np.where(aa >= 1.0, 1.0, inner))
+    out = np.clip(out, 0.0, 1.0)
+    return seed_maybe_scalar(out, value, given_u)
+
+
+def assert_same(got, ref):
+    """Same type, shape and bits (NaN equal to NaN, -0.0 unequal to 0.0)."""
+    assert type(got) is type(ref)
+    g, r = np.asarray(got), np.asarray(ref)
+    assert g.shape == r.shape
+    assert np.array_equal(g, r, equal_nan=True)
+    assert np.array_equal(np.signbit(g), np.signbit(r))
+
+
+# both ends of the unit interval, the clamp and points between it and the ends
+EDGE_POINTS = np.array([0.0, 1e-12, 1e-10, 0.3, 0.7, 1.0 - 1e-10, 1.0 - 1e-12, 1.0])
+
+
+def oracle_inputs():
+    """(first, second) argument pairs: scalar with array, array with array,
+    2-d broadcasting, edge values and empty arrays."""
+    rng = np.random.default_rng(64)
+    inner = np.concatenate([rng.random(120), EDGE_POINTS, 10.0 ** -rng.uniform(4, 12, 20)])
+    scalars = [0.005, 0.5, 0.995, *EDGE_POINTS]
+    pairs = [(s, inner) for s in scalars]
+    pairs += [(inner, s) for s in (0.25, 1e-10, 1.0)]
+    pairs.append((rng.permutation(inner), inner))
+    pairs.append((inner[:3].reshape(3, 1), inner[3:7]))
+    pairs.append((np.array([[0.0], [0.4], [1.0]]), EDGE_POINTS[:4]))
+    pairs += [(0.3, np.empty(0)), (np.empty(0), np.empty(0))]
+    pairs += [(a, b) for a in (0.2, 1e-10, 1.0) for b in (0.0, 0.6, 1.0 - 1e-12)]
+    pairs.append((np.float64(0.3), np.array(0.6)))  # scalars in give a float out
+    return pairs
+
+
+def interior(x):
+    """The pair's first argument restricted to (0, 1), for the conditioner."""
+    return np.clip(x, 1e-10, 1.0 - 1e-10) if np.ndim(x) else min(max(x, 1e-10), 1.0 - 1e-10)
+
+
+@pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=BRACKET_END_IDS)
+def test_cdf_matches_seed_cdf(model):
+    with np.errstate(all="ignore"):
+        for u, v in oracle_inputs():
+            assert_same(cp.cdf(model, u, v), seed_cdf(model, u, v))
+            assert_same(cp.cdf(model, v, u), seed_cdf(model, v, u))
+
+
+@pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=BRACKET_END_IDS)
+def test_conditionals_match_seed(model):
+    with np.errstate(all="ignore"):
+        for u, v in oracle_inputs():
+            given_u = interior(u)
+            assert_same(cp.hfunc(model, v, given_u), seed_conditional(model, "h", v, given_u))
+            assert_same(cp.hfunc_inverse(model, v, given_u),
+                        seed_conditional(model, "hinv", v, given_u))
+
+
+BAD_UNIT = [np.nan, -0.1, 1.1, np.inf, [0.2, np.nan], [0.2, 1.5], [[0.3], [-1e-300]]]
+
+
+@pytest.mark.parametrize("bad", BAD_UNIT, ids=repr)
+def test_bad_inputs_raise_the_seed_messages(bad):
+    model = cp.CopulaModel("clayton", 2.0)
+    calls = [
+        (cp.cdf, seed_cdf, (bad, 0.5)),
+        (cp.cdf, seed_cdf, (0.5, bad)),
+        (cp.hfunc, lambda m, v, u: seed_conditional(m, "h", v, u), (bad, 0.5)),
+        (cp.hfunc_inverse, lambda m, x, u: seed_conditional(m, "hinv", x, u), (bad, 0.5)),
+    ]
+    for fn, seed_fn, args in calls:
+        with pytest.raises(ValueError) as seed_err:
+            seed_fn(model, *args)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(seed_err.value))}$"):
+            fn(model, *args)
+
+
+@pytest.mark.parametrize("given_u", [0.0, 1.0, np.nan, [0.5, 1.0], [1e-10, 0.0]], ids=repr)
+def test_conditioner_outside_open_interval_raises_the_seed_message(given_u):
+    model = cp.CopulaModel("gumbel", 2.0, 270)
+    for fn, kind in ((cp.hfunc, "h"), (cp.hfunc_inverse, "hinv")):
+        with pytest.raises(ValueError, match=r"^given_u must lie in \(0, 1\)$"):
+            seed_conditional(model, kind, 0.5, given_u)
+        with pytest.raises(ValueError, match=r"^given_u must lie in \(0, 1\)$"):
+            fn(model, 0.5, given_u)
+    with pytest.raises(ValueError, match=r"^u must lie in \(0, 1\)$"):
+        cp.log_density(model, given_u, 0.5)

@@ -40,6 +40,15 @@ class TestAggregatedPValues:
         with pytest.raises(ValueError, match="finite"):
             proc.AggregatedPValues("raw", np.array([0.2, bad, 0.7]))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            proc.AggregatedPValues("raw", np.array([]))
+
+    @pytest.mark.parametrize("shape", [(), (3, 3), (0, 2)])
+    def test_rejects_non_1d(self, shape):
+        with pytest.raises(ValueError, match="1-d array"):
+            proc.AggregatedPValues("hard", np.full(shape, 0.5))
+
 
 class TestAggregateHard:
     def test_independence_product(self):
@@ -344,6 +353,34 @@ def test_select_gamma_matches_searchsorted_under_ties(values, alpha, lambda_):
     vals = np.array(values)
     got = proc.select_gamma(proc.AggregatedPValues("raw", vals), alpha, lambda_)
     assert got == seed_select_gamma(vals, alpha, lambda_)
+
+
+# Cases at the edges of select_gamma's candidate cut alpha / pi0:
+# (values, alpha, lambda, expected (gamma_hat, R)).
+CUT_EDGE_CASES = {
+    # no value above lambda: pi0 = 0, every value is a candidate and passes
+    "pi0_zero": ([0.3, 0.1, 0.2, 0.1], 0.05, 0.5, (0.3, 4)),
+    "pi0_zero_alpha_zero": ([0.3, 0.1, 0.0], 0.0, 0.5, (0.3, 3)),
+    # alpha = 0: the cut is 0 and only the zeros pass
+    "alpha_zero": ([0.0, 0.9, 0.0, 0.2, 0.7], 0.0, 0.5, (0.0, 2)),
+    # pi0 = 1, and the largest passing value is alpha / pi0 itself
+    "at_the_cut": ([0.9, 0.1], 0.9, 0.5, (0.9, 2)),
+    # pi0 = 1 / 1.08 and alpha / pi0 = 0.5832; the next double above it
+    # still passes once the estimate is rounded
+    "one_ulp_past_the_cut": ([0.2, np.nextafter(0.54 / (1.0 / 1.08), 1.0)], 0.54, 0.46,
+                             (np.nextafter(0.5832, 1.0), 2)),
+    # pi0 = 1 and no value at or below the cut 0.05
+    "nothing_below_the_cut": ([0.6, 0.7, 0.8], 0.05, 0.5, (0.0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(CUT_EDGE_CASES.values()), ids=list(CUT_EDGE_CASES))
+def test_select_gamma_cut_edges(case):
+    values, alpha, lambda_, (gamma_hat, count) = case
+    vals = np.array(values)
+    got = proc.select_gamma(proc.AggregatedPValues("raw", vals), alpha, lambda_)
+    assert got == seed_select_gamma(vals, alpha, lambda_)
+    assert got[0] == gamma_hat and got[2] == count
 
 
 # Ties from two-decimal rounding plus both ends of the 1e-10 clamp.  p1 and p2
