@@ -136,10 +136,6 @@ def _indep_h(t, v, u):
     return np.broadcast_arrays(v, u)[0].astype(float, copy=True)
 
 
-def _indep_hinv(t, x, u):
-    return np.broadcast_arrays(x, u)[0].astype(float, copy=True)
-
-
 def _gaussian_cdf(t, u, v):
     return bvn_cdf(ndtri(u), ndtri(v), t)
 
@@ -315,12 +311,46 @@ def bisect_increasing(f, target, lo, hi, iterations: int):
     return 0.5 * (lo + hi)
 
 
+def _frank_tau_positive(theta: float) -> float:
+    # tau = 1 - 4/theta + 4*D1(theta)/theta with D1 the order-1 Debye function.
+    debye, _ = quad(lambda s: s / math.expm1(s) if s != 0.0 else 1.0, 0.0, theta)
+    return 1.0 - 4.0 / theta + 4.0 * debye / (theta * theta)
+
+
+def _joe_tau(theta: float) -> float:
+    if theta == 1.0:
+        return 0.0
+
+    def f(t):
+        return 1.0 + 2.0 * (digamma(2.0) - digamma(1.0 + 2.0 / t)) / (2.0 - t)
+
+    # 0/0 at theta = 2; bridge the hole by local linear interpolation.
+    h = 1e-4
+    if abs(theta - 2.0) < h:
+        lo, hi = f(2.0 - h), f(2.0 + h)
+        return lo + (theta - (2.0 - h)) * (hi - lo) / (2.0 * h)
+    return f(theta)
+
+
 class _Family:
-    def __init__(self, cdf, logpdf, h, hinv=None):
+    """One base (unrotated) family: everything the module knows about it.
+
+    cdf, logpdf and h are its evaluators at (theta, u, v) and (theta, v, u);
+    hinv inverts h, by bisection when not given.  tau maps theta to the
+    population Kendall tau.  theta_of is the closed-form inverse of tau, or
+    None to bisect tau on bracket.  bracket is the admissible theta interval
+    of inversion and fitting (Frank's positive branch, mirrored for negative
+    tau), or None for independence, which has no parameter.
+    """
+
+    def __init__(self, cdf, logpdf, h, hinv=None, *, tau, theta_of=None, bracket=None):
         self.cdf = cdf
         self.logpdf = logpdf
         self.h = h
         self.hinv = hinv if hinv is not None else self._hinv_bisect
+        self.tau = tau
+        self.theta_of = theta_of
+        self.bracket = bracket
 
     def _hinv_bisect(self, t, x, u):
         # h is a CDF in v for fixed u: monotone, h(0)=0, h(1)=1.  80 halvings
@@ -342,12 +372,24 @@ class _Family:
 
 
 _BASE = {
-    "independence": _Family(_indep_cdf, _indep_logpdf, _indep_h, _indep_hinv),
-    "gaussian": _Family(_gaussian_cdf, _gaussian_logpdf, _gaussian_h, _gaussian_hinv),
-    "frank": _Family(_frank_cdf, _frank_logpdf, _frank_h, _frank_hinv),
-    "clayton": _Family(_clayton_cdf, _clayton_logpdf, _clayton_h, _clayton_hinv),
-    "gumbel": _Family(_gumbel_cdf, _gumbel_logpdf, _gumbel_h),
-    "joe": _Family(_joe_cdf, _joe_logpdf, _joe_h),
+    "independence": _Family(_indep_cdf, _indep_logpdf, _indep_h, _indep_h,
+                            tau=lambda t: 0.0),
+    "gaussian": _Family(_gaussian_cdf, _gaussian_logpdf, _gaussian_h, _gaussian_hinv,
+                        tau=lambda t: 2.0 / math.pi * math.asin(t),
+                        theta_of=lambda tau: math.sin(math.pi * tau / 2.0),
+                        bracket=(-0.9999, 0.9999)),
+    "frank": _Family(_frank_cdf, _frank_logpdf, _frank_h, _frank_hinv,
+                     tau=lambda t: math.copysign(_frank_tau_positive(abs(t)), t),
+                     bracket=(1e-6, 50.0)),
+    "clayton": _Family(_clayton_cdf, _clayton_logpdf, _clayton_h, _clayton_hinv,
+                       tau=lambda t: t / (t + 2.0),
+                       theta_of=lambda tau: 2.0 * tau / (1.0 - tau),
+                       bracket=(1e-4, 50.0)),
+    "gumbel": _Family(_gumbel_cdf, _gumbel_logpdf, _gumbel_h,
+                      tau=lambda t: 1.0 - 1.0 / t,
+                      theta_of=lambda tau: 1.0 / (1.0 - tau),
+                      bracket=(1.0 + 1e-6, 50.0)),
+    "joe": _Family(_joe_cdf, _joe_logpdf, _joe_h, tau=_joe_tau, bracket=(1.0 + 1e-6, 50.0)),
 }
 
 
@@ -436,17 +478,11 @@ def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u)
     """
     aa, a_edge = _as_unit(name, value)
     uu, _ = _as_unit("given_u", given_u, open_=True)
-    t = model.theta
     ai = np.clip(aa, _EPS, 1.0 - _EPS) if a_edge else aa
-    r = model.rotation
-    if r == 0:
-        out = base_fn(t, ai, uu)
-    elif r == 90:
-        out = base_fn(t, ai, 1.0 - uu)
-    elif r == 180:
-        out = 1.0 - base_fn(t, 1.0 - ai, 1.0 - uu)
-    else:
-        out = 1.0 - base_fn(t, 1.0 - ai, uu)
+    ru, ra = _rotated_args(model.rotation, uu, ai)
+    out = base_fn(model.theta, ra, ru)
+    if model.rotation in (180, 270):  # the rotations that reflect v
+        out = 1.0 - out
     if a_edge:
         out = np.where(aa <= 0.0, 0.0, np.where(aa >= 1.0, 1.0, out))
     out = np.clip(out, 0.0, 1.0)
@@ -464,48 +500,19 @@ def hfunc_inverse(model: CopulaModel, x, given_u):
 
 
 # ---------------------------------------------------------------------------
-# Kendall tau maps.
+# Kendall tau maps, read from each family's _BASE row.
 # ---------------------------------------------------------------------------
 
 
-def _frank_tau_positive(theta: float) -> float:
-    # tau = 1 - 4/theta + 4*D1(theta)/theta with D1 the order-1 Debye function.
-    debye, _ = quad(lambda s: s / math.expm1(s) if s != 0.0 else 1.0, 0.0, theta)
-    return 1.0 - 4.0 / theta + 4.0 * debye / (theta * theta)
-
-
-def _joe_tau(theta: float) -> float:
-    if theta == 1.0:
-        return 0.0
-
-    def f(t):
-        return 1.0 + 2.0 * (digamma(2.0) - digamma(1.0 + 2.0 / t)) / (2.0 - t)
-
-    # 0/0 at theta = 2; bridge the hole by local linear interpolation.
-    h = 1e-4
-    if abs(theta - 2.0) < h:
-        lo, hi = f(2.0 - h), f(2.0 + h)
-        return lo + (theta - (2.0 - h)) * (hi - lo) / (2.0 * h)
-    return f(theta)
-
-
-def _base_tau(family: str, theta) -> float:
-    if family == "independence":
-        return 0.0
-    if family == "gaussian":
-        return 2.0 / math.pi * math.asin(theta)
-    if family == "clayton":
-        return theta / (theta + 2.0)
-    if family == "gumbel":
-        return 1.0 - 1.0 / theta
-    if family == "frank":
-        return math.copysign(_frank_tau_positive(abs(theta)), theta)
-    return _joe_tau(theta)
+def _row(family: str) -> _Family:
+    if family not in _BASE:
+        raise ValueError(f"unknown copula family {family!r}")
+    return _BASE[family]
 
 
 def kendall_tau(model: CopulaModel) -> float:
     """Population Kendall tau of the model, rotation sign included."""
-    tau = _base_tau(model.family, model.theta)
+    tau = _BASE[model.family].tau(model.theta)
     if model.rotation in (90, 270):
         tau = -tau
     return tau
@@ -513,13 +520,10 @@ def kendall_tau(model: CopulaModel) -> float:
 
 def theta_bracket(family: str) -> tuple[float, float]:
     """Admissible parameter search interval used by inversion and fitting."""
-    return {
-        "gaussian": (-0.9999, 0.9999),
-        "frank": (1e-6, 50.0),  # positive branch; mirror for negative tau
-        "clayton": (1e-4, 50.0),
-        "gumbel": (1.0 + 1e-6, 50.0),
-        "joe": (1.0 + 1e-6, 50.0),
-    }[family]
+    bracket = _row(family).bracket
+    if bracket is None:
+        raise ValueError(f"{family} copula has no parameter")
+    return bracket
 
 
 def _invert_tau(tau_fn, target: float, lo: float, hi: float) -> float:
@@ -541,8 +545,7 @@ def tau_to_theta(family: str, tau: float, rotation: int | None = None) -> Copula
     tau raises.  Gaussian, Clayton and Gumbel invert in closed form; Frank
     and Joe invert their tau map by 60 fixed halvings of theta_bracket.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown copula family {family!r}")
+    row = _row(family)
     if not -1.0 < tau < 1.0:
         raise ValueError(f"kendall tau must be in (-1, 1), got {tau}")
 
@@ -553,38 +556,27 @@ def tau_to_theta(family: str, tau: float, rotation: int | None = None) -> Copula
             raise ValueError("independence copula does not take a rotation")
         return CopulaModel("independence")
 
-    if family in ("gaussian", "frank"):
-        if rotation not in (None, 0):
-            raise ValueError(f"{family} copula does not take a rotation")
-        if family == "gaussian":
-            return CopulaModel("gaussian", math.sin(math.pi * tau / 2.0))
-        if tau == 0.0:
-            raise ValueError("frank copula is undefined at tau = 0; use independence")
-        lo, hi = theta_bracket("frank")
-        theta = _invert_tau(_frank_tau_positive, abs(tau), lo, hi)
-        return CopulaModel("frank", math.copysign(theta, tau))
+    if family in ROTATABLE:
+        if rotation is None:
+            rotation = 0 if tau >= 0.0 else 90
+        if tau > 0.0 and rotation not in (0, 180):
+            raise ValueError(f"positive tau requires rotation 0 or 180, got {rotation}")
+        if tau < 0.0 and rotation not in (90, 270):
+            raise ValueError(f"negative tau requires rotation 90 or 270, got {rotation}")
+        tau = abs(tau)  # the rotation carries the sign
+    elif rotation not in (None, 0):
+        raise ValueError(f"{family} copula does not take a rotation")
+    else:
+        rotation = 0
 
-    # rotatable families
-    if rotation is None:
-        rotation = 0 if tau >= 0.0 else 90
-    if tau > 0.0 and rotation not in (0, 180):
-        raise ValueError(f"positive tau requires rotation 0 or 180, got {rotation}")
-    if tau < 0.0 and rotation not in (90, 270):
-        raise ValueError(f"negative tau requires rotation 90 or 270, got {rotation}")
-
-    mag = abs(tau)
-    if family == "clayton":
-        if mag == 0.0:
-            raise ValueError("clayton copula is undefined at tau = 0; use independence")
-        theta = 2.0 * mag / (1.0 - mag)
-    elif family == "gumbel":
-        theta = 1.0 / (1.0 - mag)
-    else:  # joe
-        if mag == 0.0:
-            theta = 1.0
-        else:
-            lo, hi = theta_bracket("joe")
-            theta = _invert_tau(_joe_tau, mag, lo, hi)
+    if tau == 0.0 and family in ("frank", "clayton"):
+        raise ValueError(f"{family} copula is undefined at tau = 0; use independence")
+    if tau == 0.0 and family == "joe":
+        theta = 1.0
+    elif row.theta_of is not None:
+        theta = row.theta_of(tau)
+    else:
+        theta = math.copysign(_invert_tau(row.tau, abs(tau), *row.bracket), tau)
     return CopulaModel(family, theta, rotation)
 
 

@@ -13,6 +13,7 @@ from scipy.stats import kendalltau
 
 from .copula import (
     _EPS,
+    FAMILIES,
     ROTATABLE,
     CopulaModel,
     PseudoObservations,
@@ -138,11 +139,15 @@ def select_copula(obs: PseudoObservations,
 
     Clayton/Gumbel/Joe are rotated 90 degrees when the sample Kendall tau
     is negative; Gaussian and Frank cover both signs natively.  Per-family
-    fit failures are recorded (converged=False) without aborting.
+    fit failures are recorded (converged=False) without aborting; an
+    unknown family name raises ValueError before any family is fitted.
     """
     families = tuple(families)
     if len(families) < 1:
         raise ValueError("need at least one candidate family")
+    unknown = [f for f in families if f not in FAMILIES]
+    if unknown:
+        raise ValueError(f"unknown copula family {unknown[0]!r}")
     tau = empirical_kendall_tau(obs)
     results = []
     for family in families:

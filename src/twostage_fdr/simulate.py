@@ -218,6 +218,8 @@ def _cell_replicate(args) -> dict:
 
 
 def _map_replicates(worker, arglist, threads: int):
+    if threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads}")
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker, arglist))
@@ -316,6 +318,8 @@ def run_copula_selection_study(true_model: cp.CopulaModel, n: int, reps: int,
                                candidates=ft.DEFAULT_CANDIDATES) -> SelectionStudyResult:
     """Sample n pairs from the true copula `reps` times and tally which
     family each criterion selects."""
+    if reps < 1:
+        raise ValueError(f"reps must be positive, got {reps}")
     candidates = tuple(candidates)
     counts = {f: {c: 0 for c in ft.CRITERIA} for f in candidates}
     values = {f: {c: [] for c in ft.CRITERIA} for f in candidates}

@@ -300,6 +300,30 @@ class TestSimulateCommand:
         assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
         assert "must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"mode": "selection", "n": 300, "reps": 1, "candidates": ["clayton", "foo"]},
+         "error: unknown copula family 'foo'"),
+        ({"mode": "selection", "n": 300, "reps": 0}, "error: reps must be positive, got 0"),
+        ({"mode": "selection", "n": 300, "reps": -2}, "error: reps must be positive, got -2"),
+    ])
+    def test_bad_selection_study_rejected(self, tmp_path, capsys, payload, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(payload))
+        assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "simtable.tsv").exists()
+
+    @pytest.mark.parametrize("mode", ["cell", "misspecification"])
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_must_be_positive(self, tmp_path, capsys, mode, threads):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"mode": mode, "m": 300, "k_reps": 1}))
+        assert main(["simulate", str(cfgfile), "--threads", threads,
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: threads must be a positive integer, got {threads}"
+        assert not (tmp_path / "simtable.tsv").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"mode": "cell", "m": 300, "k_reps": 2, "seed": 5}))

@@ -678,3 +678,139 @@ def test_conditioner_outside_open_interval_raises_the_seed_message(given_u):
             fn(model, 0.5, given_u)
     with pytest.raises(ValueError, match=r"^u must lie in \(0, 1\)$"):
         cp.log_density(model, given_u, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Kendall tau maps against the seed code, which spelled out each family's
+# tau, bracket and inverse in if-chains and a literal dict.
+# ---------------------------------------------------------------------------
+
+
+def seed_base_tau(family, theta):
+    if family == "independence":
+        return 0.0
+    if family == "gaussian":
+        return 2.0 / math.pi * math.asin(theta)
+    if family == "clayton":
+        return theta / (theta + 2.0)
+    if family == "gumbel":
+        return 1.0 - 1.0 / theta
+    if family == "frank":
+        return math.copysign(cp._frank_tau_positive(abs(theta)), theta)
+    return cp._joe_tau(theta)
+
+
+def seed_kendall_tau(model):
+    tau = seed_base_tau(model.family, model.theta)
+    return -tau if model.rotation in (90, 270) else tau
+
+
+def seed_theta_bracket(family):
+    return {
+        "gaussian": (-0.9999, 0.9999),
+        "frank": (1e-6, 50.0),
+        "clayton": (1e-4, 50.0),
+        "gumbel": (1.0 + 1e-6, 50.0),
+        "joe": (1.0 + 1e-6, 50.0),
+    }[family]
+
+
+def seed_tau_to_theta(family, tau, rotation=None):
+    if family not in cp.FAMILIES:
+        raise ValueError(f"unknown copula family {family!r}")
+    if not -1.0 < tau < 1.0:
+        raise ValueError(f"kendall tau must be in (-1, 1), got {tau}")
+    if family == "independence":
+        if tau != 0.0:
+            raise ValueError("independence copula requires tau = 0")
+        if rotation not in (None, 0):
+            raise ValueError("independence copula does not take a rotation")
+        return cp.CopulaModel("independence")
+    if family in ("gaussian", "frank"):
+        if rotation not in (None, 0):
+            raise ValueError(f"{family} copula does not take a rotation")
+        if family == "gaussian":
+            return cp.CopulaModel("gaussian", math.sin(math.pi * tau / 2.0))
+        if tau == 0.0:
+            raise ValueError("frank copula is undefined at tau = 0; use independence")
+        lo, hi = seed_theta_bracket("frank")
+        theta = cp._invert_tau(cp._frank_tau_positive, abs(tau), lo, hi)
+        return cp.CopulaModel("frank", math.copysign(theta, tau))
+    if rotation is None:
+        rotation = 0 if tau >= 0.0 else 90
+    if tau > 0.0 and rotation not in (0, 180):
+        raise ValueError(f"positive tau requires rotation 0 or 180, got {rotation}")
+    if tau < 0.0 and rotation not in (90, 270):
+        raise ValueError(f"negative tau requires rotation 90 or 270, got {rotation}")
+    mag = abs(tau)
+    if family == "clayton":
+        if mag == 0.0:
+            raise ValueError("clayton copula is undefined at tau = 0; use independence")
+        theta = 2.0 * mag / (1.0 - mag)
+    elif family == "gumbel":
+        theta = 1.0 / (1.0 - mag)
+    elif mag == 0.0:
+        theta = 1.0
+    else:
+        lo, hi = seed_theta_bracket("joe")
+        theta = cp._invert_tau(cp._joe_tau, mag, lo, hi)
+    return cp.CopulaModel(family, theta, rotation)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def same_model(got, ref):
+    """Equal models with theta equal bit for bit, sign of zero included."""
+    if not isinstance(ref, cp.CopulaModel):
+        return got == ref
+    return (isinstance(got, cp.CopulaModel) and got == ref
+            and (ref.theta is None or math.copysign(1.0, got.theta)
+                 == math.copysign(1.0, ref.theta)))
+
+
+ORACLE_TAUS = [s * t for t in (0.9, 0.7, 0.4, 0.1, 1e-4, 1e-9, 0.0) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("family", [*cp.FAMILIES, "foo"])
+def test_tau_to_theta_matches_seed(family):
+    for tau in ORACLE_TAUS:
+        for rotation in (None, *cp.ROTATIONS):
+            got = outcome(cp.tau_to_theta, family, tau, rotation)
+            ref = outcome(seed_tau_to_theta, family, tau, rotation)
+            assert same_model(got, ref), (family, tau, rotation, got, ref)
+
+
+@pytest.mark.parametrize("family", [f for f in cp.FAMILIES if f != "independence"])
+def test_kendall_tau_at_bracket_ends_matches_seed(family):
+    assert cp.theta_bracket(family) == seed_theta_bracket(family)
+    lo, hi = seed_theta_bracket(family)
+    thetas = (lo, hi, -lo, -hi) if family == "frank" else (lo, hi)
+    rotations = cp.ROTATIONS if family in cp.ROTATABLE else (0,)
+    for theta in thetas:
+        for rotation in rotations:
+            model = cp.CopulaModel(family, theta, rotation)
+            got, ref = cp.kendall_tau(model), seed_kendall_tau(model)
+            assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+
+
+def test_independence_kendall_tau_matches_seed():
+    model = cp.CopulaModel("independence")
+    assert cp.kendall_tau(model) == seed_kendall_tau(model) == 0.0
+
+
+@pytest.mark.parametrize("family, message", [
+    ("independence", "independence copula has no parameter"),
+    ("foo", "unknown copula family 'foo'"),
+])
+def test_theta_bracket_without_bracket_raises_value_error(family, message):
+    # the one intended difference: the seed's dict lookup raised KeyError
+    with pytest.raises(KeyError):
+        seed_theta_bracket(family)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cp.theta_bracket(family)

@@ -150,6 +150,11 @@ class TestFitMle:
         with pytest.raises(ft.FitError):
             ft.fit_mle("clayton", 0, _obs([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]))
 
+    def test_unknown_family_raises_value_error(self):
+        obs = cp.sample(cp.tau_to_theta("clayton", 0.4), 50, 3)
+        with pytest.raises(ValueError, match="^unknown copula family 'foo'$"):
+            ft.fit_mle("foo", 0, obs)
+
     def test_frank_negative_branch(self):
         true = cp.tau_to_theta("frank", -0.4)
         obs = cp.sample(true, 8000, 11)
@@ -192,6 +197,14 @@ class TestSelectCopula:
         text = ft.format_report(report)
         assert "Family" in text and "BIC" in text
         assert "clayton" in text
+
+    def test_unknown_family_rejected_before_any_fit(self, monkeypatch):
+        obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 200, 5)
+        fitted = []
+        monkeypatch.setattr(ft, "fit_mle", lambda family, *a, **k: fitted.append(family))
+        with pytest.raises(ValueError, match="^unknown copula family 'foo'$"):
+            ft.select_copula(obs, families=("clayton", "foo"))
+        assert fitted == []
 
     def test_per_candidate_failure_is_contained(self, monkeypatch):
         obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 1000, 5)

@@ -127,6 +127,16 @@ class TestRunCell:
             np.testing.assert_array_equal(a[name].r, b[name].r)
             np.testing.assert_array_equal(a[name].s, b[name].s)
 
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_threads_must_be_positive(self, threads):
+        message = f"^threads must be a positive integer, got {threads}$"
+        with pytest.raises(ValueError, match=message):
+            sim._map_replicates(abs, [1, 2], threads)
+        with pytest.raises(ValueError, match=message):
+            sim.run_cell(small_cfg(k_reps=1), threads=threads)
+        with pytest.raises(ValueError, match=message):
+            sim.run_misspecification(small_cfg(k_reps=1), mode="fixed", threads=threads)
+
     def test_pure_null_fdr_control(self):
         # no alternatives: plug-in control keeps the false rejection rate near 0
         cfg = small_cfg(m=2000, p0=1.0, k_reps=200)
@@ -206,6 +216,12 @@ class TestSelectionStudy:
         study = sim.run_copula_selection_study(true_model, n=2000, reps=3, seed=5)
         for criterion in ft.CRITERIA:
             assert sum(study.counts[f][criterion] for f in study.families) == 3
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_reps_must_be_positive(self, reps):
+        true_model = cp.tau_to_theta("clayton", -0.4)
+        with pytest.raises(ValueError, match=f"^reps must be positive, got {reps}$"):
+            sim.run_copula_selection_study(true_model, n=300, reps=reps)
 
     def test_true_family_dominates_smoke(self):
         true_model = cp.tau_to_theta("clayton", -0.4)
