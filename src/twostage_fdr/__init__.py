@@ -22,13 +22,11 @@ from .copula import (
 )
 from .fit import FitResult, SelectionReport, empirical_kendall_tau, fit_mle, select_copula
 from .marginal import (
-    EmpiricalCdf,
     GaussianMixture,
     HypothesisTable,
     REAL_DATA_NULL,
     STANDARD_NORMAL,
     build_table,
-    empirical_p1,
     mixture_cdf,
 )
 from .procedure import (

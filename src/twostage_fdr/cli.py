@@ -20,8 +20,6 @@ from . import marginal as mg
 from . import procedure as proc
 from . import simulate as sim
 
-DEFAULT_SEED = 20240001
-
 _METHOD_ALIASES = {"h": "hard", "hard": "hard", "s": "soft", "soft": "soft",
                    "storey": "storey"}
 
@@ -29,6 +27,8 @@ _METHOD_ALIASES = {"h": "hard", "hard": "hard", "s": "soft", "soft": "soft",
 def parse_copula_spec(spec: str) -> cp.CopulaModel:
     """Parse 'family[:theta[:rotation]]', e.g. 'clayton:1.333:90'."""
     parts = spec.lower().split(":")
+    if len(parts) > 3:
+        raise ValueError(f"copula spec {spec!r} has more than three ':'-separated parts")
     family = parts[0]
     if family == "independence":
         if len(parts) > 1:
@@ -104,23 +104,13 @@ def cmd_test(args) -> int:
     return 0
 
 
-_CELL_KEYS = {"mode", "m", "mu", "tau", "p0", "dep_family", "analysis_family",
-              "analysis_mode", "k_reps", "alpha", "lambda", "seed"}
+_CELL_KEYS = {"mode", *sim.CONFIG_KEYS}
 _MISSPEC_KEYS = _CELL_KEYS | {"analysis_families", "fit_mode"}
 _SELECTION_KEYS = {"mode", "n", "true_family", "tau", "reps", "seed", "candidates"}
 _INTEGER_KEYS = ("m", "k_reps", "n", "reps", "seed")
 _REAL_KEYS = ("mu", "tau", "p0", "alpha", "lambda")
+_FAMILY_KEYS = ("dep_family", "true_family")
 _FAMILY_LIST_KEYS = ("analysis_families", "candidates")
-
-
-def _cfg_from_payload(payload: dict, seed: int) -> sim.SimulationConfig:
-    kwargs = {k: payload[k] for k in
-              ("m", "mu", "tau", "p0", "dep_family", "analysis_family",
-               "analysis_mode", "k_reps", "alpha") if k in payload}
-    if "lambda" in payload:
-        kwargs["lambda_"] = payload["lambda"]
-    kwargs["seed"] = seed
-    return sim.SimulationConfig(**kwargs)
 
 
 def cmd_simulate(args) -> int:
@@ -130,25 +120,23 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"{args.config}: config must be a JSON object")
     _check_types(payload)
     mode = payload.get("mode", "cell")
-    seed = args.seed if args.seed is not None else payload.get("seed", DEFAULT_SEED)
+    seed = args.seed if args.seed is not None else payload.get("seed", sim.DEFAULT_SEED)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "simtable.tsv"
 
-    if mode == "cell":
-        _reject_unknown(payload, _CELL_KEYS)
-        cfg = _cfg_from_payload(payload, seed)
-        results = sim.run_cell(cfg, threads=args.threads)
-        sim.cell_to_tsv(results, table_path, seed=seed)
-        (out_dir / "results.json").write_text(sim.cell_to_json(results, cfg) + "\n",
-                                              encoding="utf-8")
-    elif mode == "misspecification":
-        _reject_unknown(payload, _MISSPEC_KEYS)
-        cfg = _cfg_from_payload(payload, seed)
-        results = sim.run_misspecification(
-            cfg, analysis_families=payload.get("analysis_families"),
-            mode=payload.get("fit_mode", "refit"), threads=args.threads)
-        sim.misspecification_to_tsv(results, table_path, seed=seed)
+    if mode in ("cell", "misspecification"):
+        _reject_unknown(payload, _CELL_KEYS if mode == "cell" else _MISSPEC_KEYS)
+        kwargs = {name: payload[key] for key, name in sim.CONFIG_KEYS.items() if key in payload}
+        cfg = sim.SimulationConfig(**{**kwargs, "seed": seed})
+        if mode == "cell":
+            results = sim.run_cell(cfg, threads=args.threads)
+            sim.cell_to_tsv(results, table_path, seed=seed)
+        else:
+            results = sim.run_misspecification(
+                cfg, analysis_families=payload.get("analysis_families"),
+                mode=payload.get("fit_mode", "refit"), threads=args.threads)
+            sim.misspecification_to_tsv(results, table_path, seed=seed)
         (out_dir / "results.json").write_text(sim.cell_to_json(results, cfg) + "\n",
                                               encoding="utf-8")
     elif mode == "selection":
@@ -166,7 +154,8 @@ def cmd_simulate(args) -> int:
 
 
 def _check_types(payload: dict) -> None:
-    """Reject a numeric or family-list config value of the wrong type, naming its key."""
+    """Reject a numeric, family or family-list config value of the wrong type,
+    naming its key."""
     for key in _INTEGER_KEYS:
         value = payload.get(key, 0)
         if isinstance(value, bool) or not isinstance(value, int):
@@ -176,6 +165,10 @@ def _check_types(payload: dict) -> None:
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not math.isfinite(value)):
             raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
+    for key in _FAMILY_KEYS:
+        value = payload.get(key, "")
+        if not isinstance(value, str):
+            raise ValueError(f"config key {key!r} must be a family name, got {value!r}")
     for key in _FAMILY_LIST_KEYS:
         value = payload.get(key, [])
         if not isinstance(value, list) or not all(isinstance(f, str) for f in value):
@@ -223,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--null-mixture", default=None)
     p_test.add_argument("--tail", default="two_sided", choices=mg.TAILS)
     p_test.add_argument("--out-dir", default=".")
-    p_test.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_test.add_argument("--seed", type=int, default=sim.DEFAULT_SEED)
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="run a simulation study from a JSON config")

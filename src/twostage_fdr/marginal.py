@@ -17,14 +17,12 @@ from scipy.special import ndtr
 
 __all__ = [
     "GaussianMixture",
-    "EmpiricalCdf",
     "HypothesisTable",
     "STANDARD_NORMAL",
     "REAL_DATA_NULL",
     "TAILS",
     "mixture_cdf",
     "p_value",
-    "empirical_p1",
     "build_table",
     "mixture_from_json",
 ]
@@ -89,37 +87,6 @@ def p_value(m: GaussianMixture, beta_hat, tail: str = "two_sided"):
 
 
 @dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous empirical CDF H(y) = #{y_i <= y} / n."""
-
-    sorted_values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.sort(np.asarray(self.sorted_values, dtype=float))
-        if vals.size < 1:
-            raise ValueError("empirical CDF needs at least one value")
-        if np.any(~np.isfinite(vals)):
-            raise ValueError("empirical CDF values must be finite")
-        object.__setattr__(self, "sorted_values", vals)
-
-    @property
-    def n(self) -> int:
-        return self.sorted_values.size
-
-    def __call__(self, y):
-        counts = np.searchsorted(self.sorted_values, np.asarray(y, dtype=float), side="right")
-        out = counts / self.n
-        return float(out) if np.isscalar(y) else out
-
-
-def empirical_p1(cdf: EmpiricalCdf, y):
-    """H(y) clamped into [1/(n+1), n/(n+1)] for use as a pseudo-observation."""
-    n = cdf.n
-    out = np.clip(cdf(y), 1.0 / (n + 1.0), n / (n + 1.0))
-    return float(out) if np.isscalar(y) else out
-
-
-@dataclass(frozen=True)
 class HypothesisTable:
     """Per-hypothesis columns: primary statistic, auxiliary statistic and
     the two marginal p-values.  Rows are positions; ids stay with the
@@ -154,16 +121,22 @@ class HypothesisTable:
 
 def build_table(beta_hats, ys, null: GaussianMixture,
                 tail: str = "two_sided") -> HypothesisTable:
-    """Assemble a HypothesisTable: p1 from the empirical CDF of the ys,
-    p2 from the mixture null of the primary statistic."""
+    """Assemble a HypothesisTable: p1 is the right-continuous empirical CDF
+    #{y_i <= y} / n of the ys, clamped into [1/(n+1), n/(n+1)] for use as a
+    pseudo-observation; p2 is the mixture-null p-value of the primary
+    statistic."""
     beta = np.asarray(beta_hats, dtype=float)
     y = np.asarray(ys, dtype=float)
     if beta.size != y.size:
         raise ValueError("beta_hats and ys must have equal length")
-    ecdf = EmpiricalCdf(y)
-    p1 = empirical_p1(ecdf, y)
-    p2 = p_value(null, beta, tail)
-    return HypothesisTable(beta, y, np.atleast_1d(p1), np.atleast_1d(p2))
+    if y.size < 1:
+        raise ValueError("ys must not be empty")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("ys must be finite")
+    n = y.size
+    p1 = np.clip(np.searchsorted(np.sort(y), y, side="right") / n,
+                 1.0 / (n + 1.0), n / (n + 1.0))
+    return HypothesisTable(beta, y, p1, p_value(null, beta, tail))
 
 
 _MIXTURE_KEYS = ("weights", "means", "sds")

@@ -10,18 +10,17 @@ pair (p1, p2) follows the dependence copula under the null.  Alternatives
 use the same construction with the |mixture| quantile, which keeps the
 two-point mixture marginal and the orientation of the dependence.
 
-The analysis copula is, by default, the data-generating family with its
-parameter re-estimated from each replicate's p-value pairs by Kendall-tau
-inversion ("tau", the only analysis mode).  For analysis with the true
-copula, run ``run_misspecification`` with mode="fixed" and the generating
-family.
+The analysis copula is the data-generating family with its parameter
+re-estimated from each replicate's p-value pairs by Kendall-tau inversion
+("tau", the only analysis mode).  For analysis with the true copula, run
+``run_misspecification`` with mode="fixed" and the generating family.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtri
@@ -52,6 +51,8 @@ METHODS = ("storey", "hard", "soft")
 
 _TAU_INDEPENDENT = 1e-6  # |tau_hat| below this collapses to independence
 
+DEFAULT_SEED = 20240001
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -62,12 +63,11 @@ class SimulationConfig:
     tau: float = -0.4          # Kendall tau of the dependence copula
     p0: float = 0.95           # true-null proportion
     dep_family: str = "clayton"
-    analysis_family: str | None = None   # None: same as dep_family
     analysis_mode: str = "tau"  # the only mode; kept so results.json records it
     k_reps: int = 100
     alpha: float = 0.05
     lambda_: float = 0.5
-    seed: int = 20240001
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.m < 1:
@@ -80,8 +80,6 @@ class SimulationConfig:
             raise ValueError("p0 must lie in [0, 1]")
         if self.dep_family not in cp.FAMILIES:
             raise ValueError(f"unknown dependence family {self.dep_family!r}")
-        if self.analysis_family is not None and self.analysis_family not in cp.FAMILIES:
-            raise ValueError(f"unknown analysis family {self.analysis_family!r}")
         if self.analysis_mode != "tau":
             raise ValueError(f"analysis_mode must be 'tau', got {self.analysis_mode!r}")
         if self.k_reps < 1:
@@ -90,6 +88,12 @@ class SimulationConfig:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         if not 0.0 < self.lambda_ < 1.0:
             raise ValueError("lambda must lie strictly inside (0, 1)")
+
+
+# JSON config key -> SimulationConfig field, in field (and results.json) order;
+# "lambda" is a Python keyword, hence the one rename.
+CONFIG_KEYS = {"lambda" if f.name == "lambda_" else f.name: f.name
+               for f in fields(SimulationConfig)}
 
 
 @dataclass(frozen=True)
@@ -191,10 +195,10 @@ def _tau_model(family: str, tau_hat: float) -> cp.CopulaModel:
 
 
 def analysis_model(cfg: SimulationConfig, table: mg.HypothesisTable) -> cp.CopulaModel:
-    """Analysis copula for one replicate: the analysis family at the Kendall
+    """Analysis copula for one replicate: the generating family at the Kendall
     tau of the replicate's p-value pairs."""
     obs = cp.PseudoObservations.clamped(table.p1, table.p2)
-    return _tau_model(cfg.analysis_family or cfg.dep_family, ft.empirical_kendall_tau(obs))
+    return _tau_model(cfg.dep_family, ft.empirical_kendall_tau(obs))
 
 
 def _counts(outcome: proc.ProcedureOutcome, is_alt: np.ndarray) -> tuple[int, int, int, int]:
@@ -220,8 +224,9 @@ def _cell_replicate(args) -> dict:
 def _map_replicates(worker, arglist, threads: int):
     if threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads}")
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(arglist))  # a pool forks all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, arglist))
     return [worker(a) for a in arglist]
 
@@ -314,7 +319,7 @@ class SelectionStudyResult:
 
 
 def run_copula_selection_study(true_model: cp.CopulaModel, n: int, reps: int,
-                               seed: int = 20240001,
+                               seed: int = DEFAULT_SEED,
                                candidates=ft.DEFAULT_CANDIDATES) -> SelectionStudyResult:
     """Sample n pairs from the true copula `reps` times and tally which
     family each criterion selects."""
@@ -353,12 +358,7 @@ def cell_to_tsv(results: dict, path, seed=None) -> None:
 
 
 def cell_to_json(results: dict, cfg: SimulationConfig) -> str:
-    payload = {"config": {
-        "m": cfg.m, "mu": cfg.mu, "tau": cfg.tau, "p0": cfg.p0,
-        "dep_family": cfg.dep_family, "analysis_family": cfg.analysis_family,
-        "analysis_mode": cfg.analysis_mode, "k_reps": cfg.k_reps,
-        "alpha": cfg.alpha, "lambda": cfg.lambda_, "seed": cfg.seed,
-    }}
+    payload = {"config": {key: getattr(cfg, name) for key, name in CONFIG_KEYS.items()}}
     for name, r in results.items():
         if isinstance(r, dict):
             payload[name] = {sub: _mc_payload(rr) for sub, rr in r.items()}

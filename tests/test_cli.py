@@ -54,6 +54,11 @@ class TestParseCopulaSpec:
         with pytest.raises(ValueError):
             parse_copula_spec("independence:2.0")
 
+    def test_extra_parts_rejected(self):
+        with pytest.raises(ValueError, match="^copula spec 'clayton:1.2:90:junk' has more "
+                                             "than three ':'-separated parts$"):
+            parse_copula_spec("clayton:1.2:90:junk")
+
 
 class TestBootstrapCommand:
     def test_known_output(self, tmp_path, capsys):
@@ -196,6 +201,15 @@ class TestTestCommand:
         assert err.startswith("error: ")
         assert message in err
 
+    def test_copula_spec_with_extra_parts_rejected(self, tmp_path, capsys, null_json):
+        table = tmp_path / "table.tsv"
+        write_test_table(table, m=200)
+        assert main(["test", str(table), "--method", "H", "--copula", "clayton:1.2:90:junk",
+                     "--null-mixture", null_json, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: copula spec 'clayton:1.2:90:junk' has more than three ':'-separated parts")
+        assert not (tmp_path / "decisions.tsv").exists()
+
     def test_duplicate_id_names_line(self, tmp_path, capsys, null_json):
         table = tmp_path / "table.tsv"
         table.write_text("gene_id\tbeta_hat\ty\ng1\t0.5\t0.2\ng2\t0.1\t0.3\ng1\t0.2\t0.4\n")
@@ -283,6 +297,29 @@ class TestSimulateCommand:
         assert err.startswith("error: config key ")
         assert key in err
 
+    @pytest.mark.parametrize("payload, key, value", [
+        ({"mode": "selection", "n": 50, "reps": 1, "true_family": []}, "true_family", "[]"),
+        ({"mode": "selection", "n": 50, "reps": 1, "true_family": {}}, "true_family", "{}"),
+        ({"mode": "cell", "m": 100, "k_reps": 1, "dep_family": ["clayton"]}, "dep_family",
+         "['clayton']"),
+    ])
+    def test_non_string_family_rejected(self, tmp_path, capsys, payload, key, value):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(payload))
+        assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: config key {key!r} must be a family name, got {value}")
+        assert not (tmp_path / "simtable.tsv").exists()
+
+    def test_removed_analysis_family_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"mode": "cell", "m": 100, "k_reps": 1,
+                                       "analysis_family": "frank"}))
+        assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: unknown config keys: ['analysis_family']")
+        assert not (tmp_path / "simtable.tsv").exists()
+
     @pytest.mark.parametrize("mode", ["mle", "true"])
     def test_removed_analysis_mode_rejected(self, tmp_path, capsys, mode):
         cfgfile = tmp_path / "cfg.json"
@@ -366,6 +403,46 @@ class TestSimulateCommand:
                      "--out-dir", str(d2)]) == 0
         assert (d1 / "simtable.tsv").read_bytes() == (d2 / "simtable.tsv").read_bytes()
         assert (d1 / "results.json").read_bytes() == (d2 / "results.json").read_bytes()
+
+
+# sha256 of what `simulate` writes for small runs of each mode.  A
+# results.json digest is taken after dropping the always-null
+# config.analysis_family key of earlier versions, so it pins the key order
+# and every other byte.
+SIMULATE_CASES = {
+    "cell": ({"mode": "cell", "m": 400, "mu": 3.0, "tau": -0.4, "k_reps": 2, "seed": 5},
+             "69cfffdde7e5aad5af11b2a69bb12177e48b2e095e8b2c8d61cf4d7c439af695",
+             "9b88af0fe23bf1e43c32b9d90044948727430fb4f11a12d574ab80b1a5f71b84"),
+    "misspec_fixed": ({"mode": "misspecification", "m": 400, "k_reps": 2, "seed": 4,
+                       "analysis_families": ["frank", "joe"], "fit_mode": "fixed"},
+                      "1097514361db4b75535f941e1900900a717d596792523a723371e27552bed11a",
+                      "5408cb6f981b440292857461fa331f457201a699d198bc106dadf53e4dca82e8"),
+    "misspec_refit": ({"mode": "misspecification", "m": 400, "k_reps": 2, "seed": 4,
+                       "analysis_families": ["frank", "joe"], "fit_mode": "refit"},
+                      "7b5a3823e4d7e15825f88f7cf426d161439cc76e1fe9950578a14bc5bd8b9601",
+                      "787355fdd0fcadbd888de5636a877b0f800b9cde20c4803d3eab093fdb9256c7"),
+    "selection": ({"mode": "selection", "n": 300, "true_family": "clayton", "tau": -0.4,
+                   "reps": 2, "seed": 3},
+                  "4e790bb8810742e5f22b7f628c82102ea446294a7370da3e1cb261d368e2e172", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_golden_simulate_outputs(tmp_path, case):
+    config, table_sha, results_sha = SIMULATE_CASES[case]
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 0
+    assert hashlib.sha256((out / "simtable.tsv").read_bytes()).hexdigest() == table_sha
+    results = out / "results.json"
+    if results_sha is None:
+        assert not results.exists()
+        return
+    payload = json.loads(results.read_text())
+    payload["config"].pop("analysis_family", None)
+    normalized = json.dumps(payload, indent=2) + "\n"
+    assert hashlib.sha256(normalized.encode()).hexdigest() == results_sha
 
 
 class TestParserBasics:

@@ -1,9 +1,12 @@
 """Marginal model tests: mixture null, empirical CDF, p-values, hypothesis table."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage_fdr import copula as cp
 from twostage_fdr import marginal as mg
@@ -91,31 +94,95 @@ class TestPValues:
         assert ks < 1.63 / np.sqrt(n)
 
 
+def p1_of(ys):
+    """p1 column that build_table assigns to the auxiliary values ys."""
+    return mg.build_table(np.zeros(len(ys)), ys, mg.STANDARD_NORMAL).p1
+
+
 class TestEmpiricalCdf:
     def test_direct_count(self):
-        cdf = mg.EmpiricalCdf(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert cdf(2.0) == pytest.approx(0.5)
-        assert mg.empirical_p1(cdf, 2.0) == pytest.approx(0.5)
+        # H(2) = #{y_i <= 2} / 4
+        assert p1_of([1.0, 2.0, 3.0, 4.0])[1] == pytest.approx(0.5)
 
     def test_clamping(self):
-        cdf = mg.EmpiricalCdf(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert mg.empirical_p1(cdf, 0.0) == pytest.approx(1.0 / 5.0)
-        assert mg.empirical_p1(cdf, 4.0) == pytest.approx(4.0 / 5.0)
-        assert cdf(0.0) == 0.0
-        assert cdf(4.0) == 1.0
+        # the largest value's H = 1 is clamped to n/(n+1); the smallest
+        # value's H = 1/n already lies above the lower clamp 1/(n+1)
+        p1 = p1_of([1.0, 2.0, 3.0, 4.0])
+        assert p1[0] == pytest.approx(1.0 / 4.0)
+        assert p1[3] == pytest.approx(4.0 / 5.0)
+        assert p1_of([1.0, 1.0, 1.0, 1.0]).tolist() == [4.0 / 5.0] * 4
+        assert p1_of([1.0]).tolist() == [1.0 / 2.0]
 
     def test_tie_handling_right_continuous(self):
-        cdf = mg.EmpiricalCdf(np.array([1.0, 1.0, 2.0]))
-        assert cdf(1.0) == pytest.approx(2.0 / 3.0)
+        np.testing.assert_allclose(p1_of([1.0, 1.0, 2.0]), [2.0 / 3.0, 2.0 / 3.0, 3.0 / 4.0])
 
     def test_rank_property(self):
         rng = np.random.default_rng(2)
         y = rng.normal(size=500)
-        cdf = mg.EmpiricalCdf(y)
-        ranks = np.sort(mg.empirical_p1(cdf, y))
+        ranks = np.sort(p1_of(y))
         n = y.size
         expected = np.clip(np.arange(1, n + 1) / n, 1.0 / (n + 1), n / (n + 1.0))
         np.testing.assert_allclose(ranks, expected, atol=1e-12)
+
+
+# Seed oracle: the empirical-CDF class and clamp that build_table used before
+# it computed p1 itself.
+@dataclass(frozen=True)
+class SeedEmpiricalCdf:
+    sorted_values: np.ndarray
+
+    def __post_init__(self):
+        vals = np.sort(np.asarray(self.sorted_values, dtype=float))
+        if vals.size < 1:
+            raise ValueError("empirical CDF needs at least one value")
+        if np.any(~np.isfinite(vals)):
+            raise ValueError("empirical CDF values must be finite")
+        object.__setattr__(self, "sorted_values", vals)
+
+    @property
+    def n(self) -> int:
+        return self.sorted_values.size
+
+    def __call__(self, y):
+        counts = np.searchsorted(self.sorted_values, np.asarray(y, dtype=float), side="right")
+        out = counts / self.n
+        return float(out) if np.isscalar(y) else out
+
+
+def seed_empirical_p1(cdf, y):
+    n = cdf.n
+    out = np.clip(cdf(y), 1.0 / (n + 1.0), n / (n + 1.0))
+    return float(out) if np.isscalar(y) else out
+
+
+aux_values = st.lists(
+    st.one_of(st.floats(-1e6, 1e6), st.floats(-1.0, 1.0).map(lambda x: round(x, 2))),
+    min_size=1, max_size=300,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=aux_values)
+def test_p1_matches_seed_empirical_cdf(values):
+    y = np.array(values)
+    assert p1_of(y).tobytes() == seed_empirical_p1(SeedEmpiricalCdf(y), y).tobytes()
+
+
+@pytest.mark.parametrize("values", [[0.5], [0.5, 0.5], [0.5, -0.5], [-0.0, 0.0]])
+def test_p1_matches_seed_at_small_n(values):
+    y = np.array(values)
+    assert p1_of(y).tobytes() == seed_empirical_p1(SeedEmpiricalCdf(y), y).tobytes()
+
+
+@pytest.mark.parametrize("ys, message", [
+    ([], "ys must not be empty"),
+    ([1.0, np.nan], "ys must be finite"),
+    ([np.inf, 1.0], "ys must be finite"),
+    ([1.0, -np.inf], "ys must be finite"),
+])
+def test_build_table_rejects_empty_or_non_finite_ys(ys, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mg.build_table(np.zeros(len(ys)), ys, mg.STANDARD_NORMAL)
 
 
 class TestBuildTable:

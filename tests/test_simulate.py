@@ -30,6 +30,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="analysis_mode must be 'tau'"):
                 sim.SimulationConfig(analysis_mode=mode)
 
+    def test_config_keys_follow_the_fields(self):
+        assert list(sim.CONFIG_KEYS) == ["m", "mu", "tau", "p0", "dep_family",
+                                         "analysis_mode", "k_reps", "alpha", "lambda", "seed"]
+        assert sim.CONFIG_KEYS["lambda"] == "lambda_"
+        assert sim.SimulationConfig().seed == sim.DEFAULT_SEED
+        with pytest.raises(TypeError, match="analysis_family"):
+            sim.SimulationConfig(analysis_family="frank")
+
     def test_tau_zero_gives_independence(self):
         cfg = small_cfg(tau=0.0)
         assert sim.dependence_model(cfg).family == "independence"
@@ -136,6 +144,33 @@ class TestRunCell:
             sim.run_cell(small_cfg(k_reps=1), threads=threads)
         with pytest.raises(ValueError, match=message):
             sim.run_misspecification(small_cfg(k_reps=1), mode="fixed", threads=threads)
+
+    @pytest.mark.parametrize("threads, n_args, workers", [
+        (8, 2, [2]), (3, 3, [3]), (2, 5, [2]), (8, 1, []), (1, 4, []),
+    ])
+    def test_pool_never_larger_than_the_replicate_count(self, monkeypatch, threads, n_args,
+                                                        workers):
+        started = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        args = list(range(-n_args, 0))
+        assert sim._map_replicates(abs, args, threads) == [abs(a) for a in args]
+        assert started == workers
 
     def test_pure_null_fdr_control(self):
         # no alternatives: plug-in control keeps the false rejection rate near 0
