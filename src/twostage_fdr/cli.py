@@ -25,7 +25,7 @@ _METHOD_ALIASES = {"h": "hard", "hard": "hard", "s": "soft", "soft": "soft",
 
 
 def parse_copula_spec(spec: str) -> cp.CopulaModel:
-    """Parse 'family[:theta[:rotation]]', e.g. 'clayton:1.333:90'."""
+    """Parse the --copula value 'family[:theta[:rotation]]', e.g. 'clayton:1.333:90'."""
     parts = spec.lower().split(":")
     if len(parts) > 3:
         raise ValueError(f"copula spec {spec!r} has more than three ':'-separated parts")
@@ -36,9 +36,10 @@ def parse_copula_spec(spec: str) -> cp.CopulaModel:
         return cp.CopulaModel("independence")
     if len(parts) < 2:
         raise ValueError(f"copula spec {spec!r} needs a parameter, e.g. 'clayton:2.0'")
-    theta = float(parts[1])
-    rotation = int(parts[2]) if len(parts) > 2 else 0
-    return cp.CopulaModel(family, theta, rotation)
+    try:
+        return cp.CopulaModel(family, float(parts[1]), int(parts[2]) if len(parts) > 2 else 0)
+    except ValueError as exc:
+        raise ValueError(f"--copula {spec!r}: {exc}") from None
 
 
 def _read_table(path, null_path: str | None, tail: str) -> tuple[list, mg.HypothesisTable]:
@@ -69,30 +70,31 @@ def cmd_fit(args) -> int:
 
 def cmd_test(args) -> int:
     method = _METHOD_ALIASES[args.method.lower()]
+    model = grid = None
+    if method in ("hard", "soft") and args.copula != "auto":
+        model = parse_copula_spec(args.copula)
+    if method == "hard" and args.gamma1_grid is not None:
+        try:
+            grid = [float(x) for x in args.gamma1_grid.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"--gamma1-grid {args.gamma1_grid!r}: {exc}") from None
     ids, table = _read_table(args.input, args.null_mixture, args.tail)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    model = None
-    if method in ("hard", "soft"):
-        if args.copula == "auto":
-            report = ft.select_copula(cp.PseudoObservations.clamped(table.p1, table.p2))
-            model = report.winner("bic").model
-            print(f"auto-selected copula: {model.describe()}")
-        else:
-            model = parse_copula_spec(args.copula)
+    if method in ("hard", "soft") and model is None:
+        report = ft.select_copula(cp.PseudoObservations.clamped(table.p1, table.p2))
+        model = report.winner("bic").model
+        print(f"auto-selected copula: {model.describe()}")
 
     if method == "storey":
         outcome = proc.run_one_stage_storey(table, args.alpha, args.lambda_)
     elif method == "soft":
         outcome = proc.run_two_stage_soft(table, model, args.alpha, args.lambda_)
     else:
-        grid = None
-        if args.gamma1_grid is not None:
-            grid = [float(x) for x in args.gamma1_grid.split(",")]
         outcome = proc.run_two_stage_hard(table, model, args.alpha, args.lambda_,
                                           gamma1_grid=grid)
 
+    out_dir = Path(args.out_dir)  # made only once the run has succeeded
+    out_dir.mkdir(parents=True, exist_ok=True)
     proc.write_decisions_tsv(ids, table, outcome, out_dir / "decisions.tsv", seed=args.seed)
     (out_dir / "outcome.json").write_text(proc.outcome_to_json(outcome, ids, seed=args.seed)
                                           + "\n", encoding="utf-8")
@@ -121,8 +123,7 @@ def cmd_simulate(args) -> int:
     _check_types(payload)
     mode = payload.get("mode", "cell")
     seed = args.seed if args.seed is not None else payload.get("seed", sim.DEFAULT_SEED)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out_dir)  # made only once the run has succeeded
     table_path = out_dir / "simtable.tsv"
 
     if mode in ("cell", "misspecification"):
@@ -131,12 +132,14 @@ def cmd_simulate(args) -> int:
         cfg = sim.SimulationConfig(**{**kwargs, "seed": seed})
         if mode == "cell":
             results = sim.run_cell(cfg, threads=args.threads)
-            sim.cell_to_tsv(results, table_path, seed=seed)
+            write = sim.cell_to_tsv
         else:
             results = sim.run_misspecification(
                 cfg, analysis_families=payload.get("analysis_families"),
                 mode=payload.get("fit_mode", "refit"), threads=args.threads)
-            sim.misspecification_to_tsv(results, table_path, seed=seed)
+            write = sim.misspecification_to_tsv
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write(results, table_path, seed=seed)
         (out_dir / "results.json").write_text(sim.cell_to_json(results, cfg) + "\n",
                                               encoding="utf-8")
     elif mode == "selection":
@@ -146,6 +149,7 @@ def cmd_simulate(args) -> int:
         study = sim.run_copula_selection_study(
             true_model, n=payload.get("n", 8000), reps=payload.get("reps", 100),
             seed=seed, candidates=payload.get("candidates", ft.DEFAULT_CANDIDATES))
+        out_dir.mkdir(parents=True, exist_ok=True)
         sim.study_to_tsv(study, table_path, seed=seed)
     else:
         raise ValueError(f"unknown simulate mode {mode!r}")

@@ -29,6 +29,7 @@ __all__ = [
     "ROTATIONS",
     "cdf",
     "log_density",
+    "log_density_of",
     "hfunc",
     "hfunc_inverse",
     "kendall_tau",
@@ -45,6 +46,15 @@ ROTATIONS = (0, 90, 180, 270)
 ROTATABLE = ("clayton", "gumbel", "joe")
 
 _EPS = 1e-10  # boundary clamp for interior-only evaluations
+
+
+def _check_family(family: str, rotation) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown copula family {family!r}")
+    if rotation not in ROTATIONS:
+        raise ValueError(f"rotation must be one of {ROTATIONS}, got {rotation}")
+    if family not in ROTATABLE and rotation != 0:
+        raise ValueError(f"{family} copula does not take a rotation")
 
 
 def _check_theta(family: str, theta) -> None:
@@ -73,12 +83,7 @@ class CopulaModel:
     rotation: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown copula family {self.family!r}")
-        if self.rotation not in ROTATIONS:
-            raise ValueError(f"rotation must be one of {ROTATIONS}, got {self.rotation}")
-        if self.family not in ROTATABLE and self.rotation != 0:
-            raise ValueError(f"{self.family} copula does not take a rotation")
+        _check_family(self.family, self.rotation)
         _check_theta(self.family, self.theta)
 
     def describe(self) -> str:
@@ -120,7 +125,9 @@ class PseudoObservations:
 # ---------------------------------------------------------------------------
 # Base (unrotated) family evaluators.  All take (theta, u, v) arrays with
 # u, v strictly inside (0, 1) and are written to stay finite for the
-# parameter brackets used in fitting (|theta| <= 50).
+# parameter brackets used in fitting (|theta| <= 50).  A log-density comes
+# in two stages: a family's prepare maps (u, v) to its theta-free
+# transforms, and its logpdf takes theta and those transforms.
 # ---------------------------------------------------------------------------
 
 
@@ -140,11 +147,15 @@ def _gaussian_cdf(t, u, v):
     return bvn_cdf(ndtri(u), ndtri(v), t)
 
 
-def _gaussian_logpdf(t, u, v):
+def _gaussian_prepare(u, v):
     x = ndtri(u)
     y = ndtri(v)
+    return x, y, x * x + y * y
+
+
+def _gaussian_logpdf(t, x, y, xx_yy):
     s2 = 1.0 - t * t
-    return -0.5 * np.log(s2) - (t * t * (x * x + y * y) - 2.0 * t * x * y) / (2.0 * s2)
+    return -0.5 * np.log(s2) - (t * t * xx_yy - 2.0 * t * x * y) / (2.0 * s2)
 
 
 def _gaussian_h(t, v, u):
@@ -209,26 +220,33 @@ def _frank_hinv(t, x, u):
     return -(ln_num - ln_den) / t
 
 
-def _clayton_ln_a(t, u, v):
-    # log(u^-t + v^-t - 1), overflow-safe for large t.
-    p = -t * np.log(u)
-    q = -t * np.log(v)
+def _clayton_ln_a(t, lu, lv):
+    # log(u^-t + v^-t - 1) from lu = log u and lv = log v, overflow-safe for large t.
+    p = -t * lu
+    q = -t * lv
     m = np.maximum(p, q)
     return m + np.log(np.exp(p - m) + np.exp(q - m) - np.exp(-m))
 
 
 def _clayton_cdf(t, u, v):
-    return np.exp(-_clayton_ln_a(t, u, v) / t)
+    return np.exp(-_clayton_ln_a(t, np.log(u), np.log(v)) / t)
 
 
-def _clayton_logpdf(t, u, v):
-    ln_a = _clayton_ln_a(t, u, v)
-    return math.log1p(t) - (t + 1.0) * (np.log(u) + np.log(v)) - (2.0 + 1.0 / t) * ln_a
+def _clayton_prepare(u, v):
+    lu = np.log(u)
+    lv = np.log(v)
+    return lu, lv, lu + lv
+
+
+def _clayton_logpdf(t, lu, lv, lu_lv):
+    ln_a = _clayton_ln_a(t, lu, lv)
+    return math.log1p(t) - (t + 1.0) * lu_lv - (2.0 + 1.0 / t) * ln_a
 
 
 def _clayton_h(t, v, u):
-    ln_a = _clayton_ln_a(t, u, v)
-    return np.exp(-(t + 1.0) * np.log(u) - (1.0 + 1.0 / t) * ln_a)
+    lu = np.log(u)
+    ln_a = _clayton_ln_a(t, lu, np.log(v))
+    return np.exp(-(t + 1.0) * lu - (1.0 + 1.0 / t) * ln_a)
 
 
 def _clayton_hinv(t, x, u):
@@ -239,34 +257,43 @@ def _clayton_hinv(t, x, u):
     return np.exp(-np.logaddexp(s, 0.0) / t)
 
 
-def _gumbel_parts(t, u, v):
-    la = np.log(-np.log(u))
-    lb = np.log(-np.log(v))
-    ln_s = np.logaddexp(t * la, t * lb)
-    return la, lb, ln_s
+def _gumbel_ln_s(t, la, lb):
+    # log((-log u)^t + (-log v)^t) from la = log(-log u) and lb = log(-log v)
+    return np.logaddexp(t * la, t * lb)
 
 
 def _gumbel_cdf(t, u, v):
-    _, _, ln_s = _gumbel_parts(t, u, v)
+    ln_s = _gumbel_ln_s(t, np.log(-np.log(u)), np.log(-np.log(v)))
     return np.exp(-np.exp(ln_s / t))
 
 
-def _gumbel_logpdf(t, u, v):
-    la, lb, ln_s = _gumbel_parts(t, u, v)
+def _gumbel_prepare(u, v):
+    lu = np.log(u)
+    lv = np.log(v)
+    la = np.log(-lu)
+    lb = np.log(-lv)
+    return lu, lv, la, lb, la + lb
+
+
+def _gumbel_logpdf(t, lu, lv, la, lb, la_lb):
+    ln_s = _gumbel_ln_s(t, la, lb)
     w = np.exp(ln_s / t)
-    return (-w + (t - 1.0) * (la + lb) + (2.0 / t - 2.0) * ln_s
-            - np.log(u) - np.log(v) + np.log1p((t - 1.0) / w))
+    return (-w + (t - 1.0) * la_lb + (2.0 / t - 2.0) * ln_s
+            - lu - lv + np.log1p((t - 1.0) / w))
 
 
 def _gumbel_h(t, v, u):
-    la, _, ln_s = _gumbel_parts(t, u, v)
+    lu = np.log(u)
+    la = np.log(-lu)
+    ln_s = _gumbel_ln_s(t, la, np.log(-np.log(v)))
     w = np.exp(ln_s / t)
-    return np.exp(-w + (t - 1.0) * la + (1.0 / t - 1.0) * ln_s - np.log(u))
+    return np.exp(-w + (t - 1.0) * la + (1.0 / t - 1.0) * ln_s - lu)
 
 
-def _joe_parts(t, u, v):
-    lx = t * np.log1p(-u)
-    ly = t * np.log1p(-v)
+def _joe_parts(t, l1u, l1v):
+    # from l1u = log(1 - u) and l1v = log(1 - v)
+    lx = t * l1u
+    ly = t * l1v
     ex = -np.expm1(lx)  # 1 - (1-u)^t
     ey = -np.expm1(ly)
     # T = x + y - xy in (0, 1]; pick the cancellation-free form per point.
@@ -278,19 +305,23 @@ def _joe_parts(t, u, v):
 
 
 def _joe_cdf(t, u, v):
-    ln_t = _joe_parts(t, u, v)[4]
+    ln_t = _joe_parts(t, np.log1p(-u), np.log1p(-v))[4]
     return -np.expm1(ln_t / t)
 
 
-def _joe_logpdf(t, u, v):
-    lx, ly, _, _, ln_t = _joe_parts(t, u, v)
+def _joe_prepare(u, v):
+    return np.log1p(-u), np.log1p(-v)
+
+
+def _joe_logpdf(t, l1u, l1v):
+    lx, ly, _, _, ln_t = _joe_parts(t, l1u, l1v)
     big_t = np.exp(ln_t)
     return ((1.0 / t - 2.0) * ln_t + (1.0 - 1.0 / t) * (lx + ly)
             + np.log(t - 1.0 + big_t))
 
 
 def _joe_h(t, v, u):
-    lx, _, _, ey, ln_t = _joe_parts(t, u, v)
+    lx, _, _, ey, ln_t = _joe_parts(t, np.log1p(-u), np.log1p(-v))
     return np.exp((1.0 - 1.0 / t) * lx + np.log(ey) + (1.0 / t - 1.0) * ln_t)
 
 
@@ -335,17 +366,22 @@ def _joe_tau(theta: float) -> float:
 class _Family:
     """One base (unrotated) family: everything the module knows about it.
 
-    cdf, logpdf and h are its evaluators at (theta, u, v) and (theta, v, u);
-    hinv inverts h, by bisection when not given.  tau maps theta to the
-    population Kendall tau.  theta_of is the closed-form inverse of tau, or
-    None to bisect tau on bracket.  bracket is the admissible theta interval
-    of inversion and fitting (Frank's positive branch, mirrored for negative
-    tau), or None for independence, which has no parameter.
+    cdf and h are its evaluators at (theta, u, v) and (theta, v, u); hinv
+    inverts h, by bisection when not given.  The log-density at (u, v) is
+    logpdf(theta, *prepare(u, v)): prepare computes the theta-free
+    transforms of the pairs, which a fit needs only once (by default the
+    pairs themselves).  tau maps theta to the population Kendall tau.
+    theta_of is the closed-form inverse of tau, or None to bisect tau on
+    bracket.  bracket is the admissible theta interval of inversion and
+    fitting (Frank's positive branch, mirrored for negative tau), or None
+    for independence, which has no parameter.
     """
 
-    def __init__(self, cdf, logpdf, h, hinv=None, *, tau, theta_of=None, bracket=None):
+    def __init__(self, cdf, logpdf, h, hinv=None, *, prepare=lambda u, v: (u, v), tau,
+                 theta_of=None, bracket=None):
         self.cdf = cdf
         self.logpdf = logpdf
+        self.prepare = prepare
         self.h = h
         self.hinv = hinv if hinv is not None else self._hinv_bisect
         self.tau = tau
@@ -375,21 +411,22 @@ _BASE = {
     "independence": _Family(_indep_cdf, _indep_logpdf, _indep_h, _indep_h,
                             tau=lambda t: 0.0),
     "gaussian": _Family(_gaussian_cdf, _gaussian_logpdf, _gaussian_h, _gaussian_hinv,
-                        tau=lambda t: 2.0 / math.pi * math.asin(t),
+                        prepare=_gaussian_prepare, tau=lambda t: 2.0 / math.pi * math.asin(t),
                         theta_of=lambda tau: math.sin(math.pi * tau / 2.0),
                         bracket=(-0.9999, 0.9999)),
     "frank": _Family(_frank_cdf, _frank_logpdf, _frank_h, _frank_hinv,
                      tau=lambda t: math.copysign(_frank_tau_positive(abs(t)), t),
                      bracket=(1e-6, 50.0)),
     "clayton": _Family(_clayton_cdf, _clayton_logpdf, _clayton_h, _clayton_hinv,
-                       tau=lambda t: t / (t + 2.0),
+                       prepare=_clayton_prepare, tau=lambda t: t / (t + 2.0),
                        theta_of=lambda tau: 2.0 * tau / (1.0 - tau),
                        bracket=(1e-4, 50.0)),
-    "gumbel": _Family(_gumbel_cdf, _gumbel_logpdf, _gumbel_h,
+    "gumbel": _Family(_gumbel_cdf, _gumbel_logpdf, _gumbel_h, prepare=_gumbel_prepare,
                       tau=lambda t: 1.0 - 1.0 / t,
                       theta_of=lambda tau: 1.0 / (1.0 - tau),
                       bracket=(1.0 + 1e-6, 50.0)),
-    "joe": _Family(_joe_cdf, _joe_logpdf, _joe_h, tau=_joe_tau, bracket=(1.0 + 1e-6, 50.0)),
+    "joe": _Family(_joe_cdf, _joe_logpdf, _joe_h, prepare=_joe_prepare, tau=_joe_tau,
+                   bracket=(1.0 + 1e-6, 50.0)),
 }
 
 
@@ -458,13 +495,30 @@ def _rotated_args(rotation: int, u, v):
     return u, 1.0 - v
 
 
-def log_density(model: CopulaModel, u, v):
-    """Log copula density; u and v must lie strictly inside (0, 1)."""
+def log_density_of(family: str, rotation: int, u, v):
+    """The log density of the family and rotation at (u, v), as a function
+    of theta; u and v must lie strictly inside (0, 1).
+
+    The checks of u and v, the rotation and the family's theta-free
+    transforms of the pairs run once, here, so a likelihood search over
+    theta runs only the theta-dependent part of the formula per step.
+    """
+    _check_family(family, rotation)
     uu, _ = _as_unit("u", u, open_=True)
     vv, _ = _as_unit("v", v, open_=True)
-    ru, rv = _rotated_args(model.rotation, uu, vv)
-    out = _BASE[model.family].logpdf(model.theta, ru, rv)
-    return _maybe_scalar(out, uu, vv)
+    fam = _BASE[family]
+    prepared = fam.prepare(*_rotated_args(rotation, uu, vv))
+
+    def at(theta):
+        _check_theta(family, theta)
+        return _maybe_scalar(fam.logpdf(theta, *prepared), uu, vv)
+
+    return at
+
+
+def log_density(model: CopulaModel, u, v):
+    """Log copula density; u and v must lie strictly inside (0, 1)."""
+    return log_density_of(model.family, model.rotation, u, v)(model.theta)
 
 
 def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u):

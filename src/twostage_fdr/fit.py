@@ -18,6 +18,7 @@ from .copula import (
     CopulaModel,
     PseudoObservations,
     log_density,
+    log_density_of,
     theta_bracket,
 )
 
@@ -117,20 +118,21 @@ def fit_mle(family: str, rotation: int, obs: PseudoObservations,
         tau_hint = empirical_kendall_tau(obs)
     lo, hi = _fit_bracket(family, tau_hint if tau_hint is not None else 1.0)
 
+    log_density_at = log_density_of(family, rotation, u, v)
+
     def negloglik(theta: float) -> float:
-        model = CopulaModel(family, theta, rotation)
-        ll = np.sum(log_density(model, u, v))
+        ll = np.sum(log_density_at(theta))
         return -ll if np.isfinite(ll) else np.inf
 
     res = minimize_scalar(negloglik, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-7, "maxiter": 500})
     if not res.success or not np.isfinite(res.fun):
         raise FitError(f"{family} fit did not converge: {res.message}")
-    theta_hat = float(res.x)
-    loglik = -float(res.fun)
+    model = CopulaModel(family, float(res.x), rotation)
+    loglik = float(np.sum(log_density(model, u, v)))  # -res.fun, bit for bit
     aic = -2.0 * loglik + 2.0
     bic = -2.0 * loglik + math.log(n)
-    return FitResult(CopulaModel(family, theta_hat, rotation), loglik, aic, bic, n, True)
+    return FitResult(model, loglik, aic, bic, n, True)
 
 
 def select_copula(obs: PseudoObservations,

@@ -208,16 +208,47 @@ def open_text(path, mode="rt"):
     return open(path, mode.replace("t", ""), encoding="utf-8")
 
 
+def _read_lines(path) -> list:
+    with open_text(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    return lines
+
+
+def _bulk_rows(lines, n_fields: int, id_col: int, value_cols, positive=False):
+    """(ids, values) of a table's nonblank data lines, parsed in one pass.
+
+    values has one row per line and one column per value_cols entry.
+    Returns None when any line might be rejected: a wrong tab count, a cell
+    that np.loadtxt does not parse, a value that is not finite (or, when
+    positive, not above 0) or a repeated id.  The reader's per-line loop
+    then finds the first bad line and names it; it is the authority on what
+    is accepted.  loadtxt parses a subset of what float() parses, to the
+    same double, except that it strips a unit separator (\\x1f) that float()
+    rejects, so a line holding one goes to the per-line loop too.
+    """
+    rows = [line for line in lines[1:] if line]
+    if not rows or any(line.count("\t") != n_fields - 1 or "\x1f" in line for line in rows):
+        return None
+    try:
+        values = np.loadtxt(rows, delimiter="\t", usecols=value_cols, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    ok = (values > 0.0) & (values < np.inf) if positive else np.isfinite(values)
+    ids = [line.split("\t", id_col + 1)[id_col] for line in rows]
+    if values.shape[0] != len(rows) or not ok.all() or len(set(ids)) != len(ids):
+        return None
+    return ids, values
+
+
 def read_counts(path) -> ReplicateData:
     """Read a TSV with header gene_id, ko_1..ko_r, wt_1..wt_r.
 
     Accepts gzip input by extension and both LF and CRLF line endings;
     rejects malformed rows with the offending line number.
     """
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
+    lines = _read_lines(path)
     header = lines[0].split("\t")
     if header[0] != "gene_id":
         raise ValueError(f"{path}: first column must be gene_id, got {header[0]!r}")
@@ -226,7 +257,16 @@ def read_counts(path) -> ReplicateData:
     r = len(ko_cols)
     if r < 1 or len(wt_cols) != r or header[1:] != ko_cols + wt_cols:
         raise ValueError(f"{path}: header must be gene_id, ko_1..ko_r, wt_1..wt_r")
-    ids, ko_rows, wt_rows, seen = [], [], [], set()
+    ids, values = (_bulk_rows(lines, 1 + 2 * r, 0, range(1, 1 + 2 * r), positive=True)
+                   or _count_rows(path, lines, r))
+    return ReplicateData(tuple(ids), np.ascontiguousarray(values[:, :r]),
+                         np.ascontiguousarray(values[:, r:]))
+
+
+def _count_rows(path, lines, r: int) -> tuple[list, np.ndarray]:
+    """read_counts' per-line parse: (ids, (n, 2r) counts), or the error of
+    the first bad line."""
+    ids, rows, seen = [], [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -246,18 +286,17 @@ def read_counts(path) -> ReplicateData:
             raise ValueError(f"{path}: line {lineno}: duplicate gene id {parts[0]!r}")
         seen.add(parts[0])
         ids.append(parts[0])
-        ko_rows.append(values[:r])
-        wt_rows.append(values[r:])
+        rows.append(values)
     if not ids:
         raise ValueError(f"{path}: no data rows")
-    return ReplicateData(tuple(ids), np.array(ko_rows), np.array(wt_rows))
+    return ids, np.array(rows)
 
 
 def write_summary(summary: FoldChangeSummary, path) -> None:
+    rows = zip(summary.ids, summary.beta_hat.tolist(), summary.sd_boot.tolist())
     with open_text(path, "wt") as fh:
         fh.write("gene_id\tbeta_hat\tsd_boot\n")
-        for i, gid in enumerate(summary.ids):
-            fh.write(f"{gid}\t{float(summary.beta_hat[i])!r}\t{float(summary.sd_boot[i])!r}\n")
+        fh.writelines(f"{gid}\t{beta!r}\t{sd!r}\n" for gid, beta, sd in rows)
 
 
 def read_hypotheses(path) -> tuple[list, np.ndarray, np.ndarray]:
@@ -269,10 +308,7 @@ def read_hypotheses(path) -> tuple[list, np.ndarray, np.ndarray]:
     non-finite values and repeated ids are rejected with the path and line
     number.
     """
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
+    lines = _read_lines(path)
     header = lines[0].split("\t")
     cols = {name: i for i, name in enumerate(header)}
     id_col = next((cols[c] for c in ("gene_id", "id") if c in cols), None)
@@ -280,7 +316,16 @@ def read_hypotheses(path) -> tuple[list, np.ndarray, np.ndarray]:
     if id_col is None or "beta_hat" not in cols or aux_col is None:
         raise ValueError(f"{path}: need columns gene_id/id, beta_hat and y/sd_boot")
     beta_col = cols["beta_hat"]
-    ids, beta, aux, seen = [], [], [], set()
+    ids, values = (_bulk_rows(lines, len(header), id_col, (beta_col, aux_col))
+                   or _hypothesis_rows(path, lines, header, id_col, beta_col, aux_col))
+    beta, aux = np.ascontiguousarray(values.T)
+    return ids, beta, aux
+
+
+def _hypothesis_rows(path, lines, header, id_col, beta_col, aux_col):
+    """read_hypotheses' per-line parse: (ids, (n, 2) beta_hat and aux), or
+    the error of the first bad line."""
+    ids, rows, seen = [], [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -294,8 +339,7 @@ def read_hypotheses(path) -> tuple[list, np.ndarray, np.ndarray]:
         if not (math.isfinite(b) and math.isfinite(a)):
             raise ValueError(f"{path}: line {lineno}: non-finite {header[beta_col]} "
                              f"or {header[aux_col]}")
-        beta.append(b)
-        aux.append(a)
+        rows.append((b, a))
         hid = parts[id_col]
         if hid in seen:
             raise ValueError(f"{path}: line {lineno}: duplicate id {hid!r}")
@@ -303,4 +347,4 @@ def read_hypotheses(path) -> tuple[list, np.ndarray, np.ndarray]:
         ids.append(hid)
     if not ids:
         raise ValueError(f"{path}: no data rows")
-    return ids, np.array(beta), np.array(aux)
+    return ids, np.array(rows)

@@ -210,6 +210,29 @@ class TestTestCommand:
             "error: copula spec 'clayton:1.2:90:junk' has more than three ':'-separated parts")
         assert not (tmp_path / "decisions.tsv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--copula", "clayton:abc"],
+         "--copula 'clayton:abc': could not convert string to float: 'abc'"),
+        (["--copula", "clayton:1.2:90.5"],
+         "--copula 'clayton:1.2:90.5': invalid literal for int() with base 10: '90.5'"),
+        (["--copula", "clayton:-1"],
+         "--copula 'clayton:-1': clayton parameter must be positive, got -1.0"),
+        (["--copula", "frank:2:90"],
+         "--copula 'frank:2:90': frank copula does not take a rotation"),
+        (["--gamma1-grid", "0.1,x"],
+         "--gamma1-grid '0.1,x': could not convert string to float: 'x'"),
+        (["--gamma1-grid", "0.97,0.95"], "gamma1 grid must be strictly increasing"),
+    ])
+    def test_bad_flag_is_named_and_leaves_no_out_dir(self, tmp_path, capsys, null_json,
+                                                      flags, message):
+        table = tmp_path / "table.tsv"
+        write_test_table(table, m=200)
+        out = tmp_path / "out"
+        assert main(["test", str(table), "--method", "H", "--null-mixture", null_json,
+                     "--out-dir", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_duplicate_id_names_line(self, tmp_path, capsys, null_json):
         table = tmp_path / "table.tsv"
         table.write_text("gene_id\tbeta_hat\ty\ng1\t0.5\t0.2\ng2\t0.1\t0.3\ng1\t0.2\t0.4\n")
@@ -257,6 +280,43 @@ def test_golden_outputs(tmp_path, null_json):
     assert written == GOLDEN_SHA256
 
 
+def seeded_counts_text(genes=300, seed=17):
+    """Triplicate counts TSV text whose cells mix integers, %.6g and repr floats."""
+    rng = np.random.default_rng(seed)
+    level = np.exp(rng.normal(4.0, 1.5, genes))
+    counts = level[:, None] * rng.gamma(20.0, 1.0 / 20.0, (genes, 6))
+    style = rng.integers(0, 3, (genes, 6))
+    lines = ["gene_id\tko_1\tko_2\tko_3\twt_1\twt_2\twt_3"]
+    for i in range(genes):
+        cells = [str(int(x) + 1) if s == 0 else f"{x:.6g}" if s == 1 else repr(float(x))
+                 for x, s in zip(counts[i], style[i])]
+        lines.append("\t".join([f"gene{i:04d}"] + cells))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of the summary.tsv that `bootstrap` writes for seeded_counts_text(),
+# whatever the line endings, compression or blank lines of its input.
+BOOTSTRAP_GOLDEN_SHA256 = "006768a1be543998b44fec6b2cfd44e1757e6116136128d4b734e5d9ee8b3dd1"
+
+
+@pytest.mark.parametrize("variant", ["lf", "crlf", "gzip", "blank_lines"])
+def test_golden_bootstrap_output(tmp_path, variant):
+    text = seeded_counts_text()
+    src = tmp_path / ("counts.tsv.gz" if variant == "gzip" else "counts.tsv")
+    if variant == "gzip":
+        with gzip.open(src, "wt", encoding="utf-8") as fh:
+            fh.write(text)
+    elif variant == "crlf":
+        src.write_bytes(text.replace("\n", "\r\n").encode())
+    elif variant == "blank_lines":
+        src.write_text(text.replace("\ngene0100\t", "\n\n\ngene0100\t") + "\n\n")
+    else:
+        src.write_text(text)
+    out = tmp_path / "summary.tsv"
+    assert main(["bootstrap", str(src), str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BOOTSTRAP_GOLDEN_SHA256
+
+
 class TestSimulateCommand:
     def test_cell_mode(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -276,6 +336,22 @@ class TestSimulateCommand:
         cfgfile.write_text(json.dumps({"mode": "cell", "m": 100, "bogus": 1}))
         assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        {"mode": "cell", "bogus": 1},
+        {"mode": "cell", "m": 100, "tau": 0.5},
+        {"mode": "misspecification", "m": 100, "k_reps": 1, "fit_mode": "sometimes"},
+        {"mode": "selection", "n": 50, "reps": 0},
+        {"mode": "selection", "true_family": "foo"},
+        {"mode": "nonsense"},
+    ], ids=repr)
+    def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, payload):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload, key", [
         ({"mode": "cell", "m": "abc"}, "'m'"),

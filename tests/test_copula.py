@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import kendalltau as scipy_kendalltau
 
 from twostage_fdr import copula as cp
@@ -814,3 +815,122 @@ def test_theta_bracket_without_bracket_raises_value_error(family, message):
         seed_theta_bracket(family)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cp.theta_bracket(family)
+
+
+# ---------------------------------------------------------------------------
+# log_density against the seed code, which evaluated each family's
+# log-density as one formula of (theta, u, v), recomputing the theta-free
+# transforms of the pairs on every call.
+# ---------------------------------------------------------------------------
+
+
+def seed_logpdf(family, t, u, v):
+    if family == "independence":
+        return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)))
+    if family == "gaussian":
+        x, y = ndtri(u), ndtri(v)
+        s2 = 1.0 - t * t
+        return -0.5 * np.log(s2) - (t * t * (x * x + y * y) - 2.0 * t * x * y) / (2.0 * s2)
+    if family == "frank":
+        if abs(t) < 1.0:
+            x = np.expm1(-t * u) * np.expm1(-t * v) / math.expm1(-t)
+            return math.log(-t / math.expm1(-t)) - t * (u + v) - 2.0 * np.log1p(x)
+        return seed_frank(t, u, v)[2]
+    if family == "clayton":
+        p, q = -t * np.log(u), -t * np.log(v)
+        m = np.maximum(p, q)
+        ln_a = m + np.log(np.exp(p - m) + np.exp(q - m) - np.exp(-m))
+        return math.log1p(t) - (t + 1.0) * (np.log(u) + np.log(v)) - (2.0 + 1.0 / t) * ln_a
+    if family == "gumbel":
+        la, lb = np.log(-np.log(u)), np.log(-np.log(v))
+        ln_s = np.logaddexp(t * la, t * lb)
+        w = np.exp(ln_s / t)
+        return (-w + (t - 1.0) * (la + lb) + (2.0 / t - 2.0) * ln_s
+                - np.log(u) - np.log(v) + np.log1p((t - 1.0) / w))
+    lx, ly = t * np.log1p(-u), t * np.log1p(-v)
+    ex, ey = -np.expm1(lx), -np.expm1(ly)
+    prod = ex * ey
+    ln_t = np.where(prod < 0.5, np.log1p(-prod), np.log(np.exp(lx) + np.exp(ly) * ex))
+    return ((1.0 / t - 2.0) * ln_t + (1.0 - 1.0 / t) * (lx + ly)
+            + np.log(t - 1.0 + np.exp(ln_t)))
+
+
+def seed_log_density(model, u, v):
+    uu = seed_as_unit("u", u, lo_open=True, hi_open=True)
+    vv = seed_as_unit("v", v, lo_open=True, hi_open=True)
+    r = model.rotation
+    ru = 1.0 - uu if r in (90, 180) else uu
+    rv = 1.0 - vv if r in (180, 270) else vv
+    return seed_maybe_scalar(seed_logpdf(model.family, model.theta, ru, rv), u, v)
+
+
+# theta across each bracket; Frank on both sides of |theta| = 1, where its
+# formula switches form
+LOG_DENSITY_THETAS = {
+    "independence": [None],
+    "gaussian": [-0.9999, -0.6, -1e-3, 1e-3, 0.3, 0.9999],
+    "frank": [s * t for t in (1e-6, 0.01, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 3.0, 50.0)
+              for s in (1.0, -1.0)],
+    "clayton": [1e-4, 0.05, 1.0, 7.5, 50.0],
+    "gumbel": [1.0 + 1e-6, 1.3, 2.0, 12.0, 50.0],
+    "joe": [1.0 + 1e-6, 1.5, 2.0, 9.0, 50.0],
+}
+LOG_DENSITY_MODELS = [cp.CopulaModel(f, t, r) for f, thetas in LOG_DENSITY_THETAS.items()
+                      for t in thetas
+                      for r in (cp.ROTATIONS if f in cp.ROTATABLE else (0,))]
+
+
+def log_density_inputs():
+    """(u, v) pairs: arrays with points at and inside the 1e-10 clamp, a
+    scalar against an array, 2-d broadcasting and scalars."""
+    rng = np.random.default_rng(65)
+    ends = np.array([CLAMP, 1e-7, 0.5, 1.0 - 1e-7, 1.0 - CLAMP])
+    inner = np.concatenate([rng.random(100), ends, 10.0 ** -rng.uniform(4, 10, 20),
+                            1.0 - 10.0 ** -rng.uniform(4, 10, 20)])
+    pairs = [(inner, rng.permutation(inner)), (np.repeat(ends, 5), np.tile(ends, 5))]
+    pairs += [(s, inner) for s in (CLAMP, 0.3, 1.0 - CLAMP)]
+    pairs += [(inner[:4].reshape(4, 1), ends), (0.3, 0.6), (np.float64(CLAMP), 1.0 - CLAMP)]
+    return pairs
+
+
+@pytest.mark.parametrize("model", LOG_DENSITY_MODELS, ids=[m.describe() for m in
+                                                           LOG_DENSITY_MODELS])
+def test_log_density_matches_seed(model):
+    with np.errstate(all="ignore"):
+        for u, v in log_density_inputs():
+            ref = seed_log_density(model, u, v)
+            assert_same(cp.log_density(model, u, v), ref)
+            assert_same(cp.log_density_of(model.family, model.rotation, u, v)(model.theta),
+                        ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(cp.FAMILIES[1:]), where=st.floats(0.0, 1.0),
+       negative=st.booleans(), rotation=st.sampled_from(cp.ROTATIONS),
+       pairs=st.lists(st.tuples(log_unit, log_unit), min_size=1, max_size=16))
+def test_log_density_of_matches_seed_over_the_bracket(family, where, negative, rotation,
+                                                      pairs):
+    # one prepared pair set evaluated at two thetas, as a fit's steps are
+    lo, hi = cp.theta_bracket(family)
+    thetas = [min(max(t, lo), hi) for t in (lo + where * (hi - lo), hi - where * (hi - lo))]
+    if family == "frank" and negative:
+        thetas = [-t for t in thetas]
+    rotation = rotation if family in cp.ROTATABLE else 0
+    u, v = np.array(pairs).T
+    at = cp.log_density_of(family, rotation, u, v)
+    with np.errstate(all="ignore"):
+        for theta in thetas:
+            assert_same(at(theta), seed_log_density(cp.CopulaModel(family, theta, rotation),
+                                                    u, v))
+
+
+@pytest.mark.parametrize("family, rotation, theta", [
+    ("foo", 0, 1.0), ("gaussian", 90, 0.5), ("clayton", 45, 2.0),
+    ("clayton", 0, -1.0), ("gumbel", 90, 0.5), ("frank", 0, 0.0),
+    ("gaussian", 0, 1.0), ("independence", 0, 0.3), ("joe", 0, float("nan")),
+])
+def test_log_density_of_rejects_what_copula_model_rejects(family, rotation, theta):
+    with pytest.raises(ValueError) as model_err:
+        cp.CopulaModel(family, theta, rotation)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(model_err.value))}$"):
+        cp.log_density_of(family, rotation, [0.3, 0.6], [0.5, 0.2])(theta)

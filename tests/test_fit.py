@@ -243,3 +243,47 @@ class TestSelectCopula:
                     continue
                 ll = float(np.sum(cp.log_density(nearby, u, v)))
                 assert res.loglik >= ll - 1e-9, (family, delta)
+
+
+def seed_fit_mle(family, rotation, obs, tau_hint):
+    """(theta_hat, loglik) of the seed fit, whose objective built a model
+    and called log_density at every step."""
+    from scipy.optimize import minimize_scalar
+    u = np.clip(obs.u, 1e-10, 1.0 - 1e-10)
+    v = np.clip(obs.v, 1e-10, 1.0 - 1e-10)
+    lo, hi = ft._fit_bracket(family, tau_hint)
+
+    def negloglik(theta):
+        ll = np.sum(cp.log_density(cp.CopulaModel(family, theta, rotation), u, v))
+        return -ll if np.isfinite(ll) else np.inf
+
+    res = minimize_scalar(negloglik, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-7, "maxiter": 500})
+    assert res.success
+    return float(res.x), -float(res.fun)
+
+
+@pytest.mark.parametrize("true_family", ["clayton", "gumbel", "frank"])
+@pytest.mark.parametrize("tau", [-0.4, 0.3])
+def test_select_copula_matches_seed_fit(true_family, tau):
+    obs = cp.sample(cp.tau_to_theta(true_family, tau), 1500, 29)
+    sample_tau = ft.empirical_kendall_tau(obs)
+    for res in ft.select_copula(obs).candidates:
+        family, rotation = res.model.family, res.model.rotation
+        theta_hat, loglik = seed_fit_mle(family, rotation, obs, sample_tau)
+        assert (res.model.theta, res.loglik) == (theta_hat, loglik), family
+        assert res.aic == -2.0 * loglik + 2.0
+        assert res.bic == -2.0 * loglik + math.log(obs.n)
+
+
+@pytest.mark.parametrize("family", ["clayton", "gumbel", "joe"])
+@pytest.mark.parametrize("rotation", cp.ROTATIONS)
+def test_fit_mle_matches_seed_fit_every_rotation(family, rotation):
+    # pairs at the clamp too: some p-values reach 0 or 1 in real tables
+    theta = cp.tau_to_theta(family, 0.35).theta
+    obs = cp.sample(cp.CopulaModel(family, theta, rotation), 800, 31)
+    u, v = obs.u.copy(), obs.v.copy()
+    u[:3], v[3:6] = 1e-10, 1.0 - 1e-10
+    obs = cp.PseudoObservations(u, v)
+    res = ft.fit_mle(family, rotation, obs, tau_hint=0.35)
+    assert (res.model.theta, res.loglik) == seed_fit_mle(family, rotation, obs, 0.35)

@@ -8,6 +8,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage_fdr import ingest as ig
 
@@ -307,3 +309,178 @@ class TestReadHypotheses:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + message):
             ig.read_hypotheses(path)
+
+
+# ---------------------------------------------------------------------------
+# The bulk parse against the per-line loop it falls back to, which stays the
+# authority on what is accepted and on the messages: with _bulk_rows made to
+# fail, both readers run the per-line loop alone.
+# ---------------------------------------------------------------------------
+
+
+def read_outcome(reader, path):
+    """What a reader gives: its ids and the bits of its arrays, or its error."""
+    try:
+        result = reader(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    if isinstance(result, ig.ReplicateData):
+        ids, arrays = result.ids, (result.ko, result.wt)
+    else:
+        ids, arrays = tuple(result[0]), result[1:]
+    return ("ok", ids, [(a.dtype, a.shape, a.tobytes()) for a in arrays])
+
+
+def per_line_outcome(reader, path):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ig, "_bulk_rows", lambda *args, **kwargs: None)
+        return read_outcome(reader, path)
+
+
+def bulk_taken(reader, path):
+    """Whether the reader's bulk parse accepted the file."""
+    results = []
+    real = ig._bulk_rows
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ig, "_bulk_rows", spy)
+        read_outcome(reader, path)
+    return results[0] is not None
+
+
+def number_text(lo=None):
+    """Numeric cells as writers format them: repr, %.6g, %E and integers."""
+    floats = st.floats(min_value=lo, exclude_min=lo is not None)
+    return st.one_of(floats.map(repr), floats.map(lambda x: f"{x:.6g}"),
+                     floats.map(lambda x: f"{x:E}"),
+                     st.integers(1 if lo is not None else -10**6, 10**6).map(str))
+
+
+# float() accepts some of these and np.loadtxt fewer: underscores, non-ASCII
+# digits, the unit separator float() rejects and loadtxt strips
+ODD_TEXT = st.sampled_from([
+    "1_0", "2_500.5", "\u0661\u0662", "\u0663.\u0665", ".5", "5.", "+7", "-0", "1e5", "1E-5",
+    "inf", "-Infinity", "nan", "NaN", "", " ", "abc", "0x10", "1 5", "1e", "--1",
+    "1.5\x1f", "\x1f2", "0", "-3.5",
+])
+PAD = st.sampled_from(["", "", " ", "  ", "\u2003", "\xa0"])
+
+
+@st.composite
+def table_text(draw, header, order, cell_columns, number):
+    """A TSV with the given header: in cell_columns of each row (listed in
+    unpermuted order, ids first) a padded number or, in some tables, now
+    and then an odd cell; in some tables a repeated id or a row one cell
+    short; blank lines here and there."""
+    odd_every = draw(st.sampled_from([0, 0, 4, 20]))
+    dup_row, short_row = (draw(st.sampled_from([None, None, None, 1, 3])) for _ in range(2))
+    lines = ["\t".join(header)]
+    for k in range(draw(st.integers(1, 6))):
+        cells = ["g0" if k == dup_row else f"g{k}"]
+        for j in range(1, len(order)):
+            odd = odd_every and draw(st.integers(1, odd_every)) == 1
+            text = draw(ODD_TEXT if odd else number) if j in cell_columns else "note"
+            cells.append(draw(PAD) + text + draw(PAD) if j in cell_columns else text)
+        row = [cells[i] for i in order]
+        lines.append("\t".join(row[:-1] if k == short_row else row))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+@st.composite
+def hypothesis_table_text(draw):
+    """Header columns id, beta_hat, aux and maybe a text column, in any order."""
+    names = [draw(st.sampled_from(["gene_id", "id"])), "beta_hat",
+             draw(st.sampled_from(["y", "sd_boot"]))] + ["note"] * draw(st.integers(0, 1))
+    order = draw(st.permutations(range(len(names))))
+    return draw(table_text([names[i] for i in order], list(order), {1, 2}, number_text()))
+
+
+@st.composite
+def count_table_text(draw):
+    r = draw(st.integers(1, 3))
+    names = ["gene_id"] + [f"ko_{j + 1}" for j in range(r)] + [f"wt_{j + 1}" for j in range(r)]
+    return draw(table_text(names, list(range(len(names))), set(range(1, 1 + 2 * r)),
+                           number_text(lo=0.0)))
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=hypothesis_table_text())
+def test_read_hypotheses_bulk_matches_per_line(table_dir, text):
+    path = table_dir / "table.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert read_outcome(ig.read_hypotheses, path) == per_line_outcome(ig.read_hypotheses, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=count_table_text())
+def test_read_counts_bulk_matches_per_line(table_dir, text):
+    path = table_dir / "counts.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert read_outcome(ig.read_counts, path) == per_line_outcome(ig.read_counts, path)
+
+
+def test_bulk_parse_takes_well_formed_files_and_leaves_odd_cells_to_float(tmp_path):
+    plain = tmp_path / "plain.tsv"
+    plain.write_text("y\tbeta_hat\tid\n 0.25\t-1e-3\ta\n\n.5\t-0\tb\n")
+    assert bulk_taken(ig.read_hypotheses, plain)
+    counts = tmp_path / "counts.tsv"
+    write_counts(counts, ["g1\t1\t2.5\t3e2\t4\t5\t6"])
+    assert bulk_taken(ig.read_counts, counts)
+    for cell, value in (("1_0", 10.0), ("\u0661\u0662", 12.0)):
+        odd = tmp_path / "odd.tsv"
+        odd.write_text(f"gene_id\tbeta_hat\ty\ng1\t{cell}\t0.5\n")
+        assert not bulk_taken(ig.read_hypotheses, odd)
+        assert ig.read_hypotheses(odd)[1].tolist() == [value]
+    odd.write_text("gene_id\tbeta_hat\ty\ng1\t1.5\x1f\t0.5\n")
+    assert not bulk_taken(ig.read_hypotheses, odd)
+    with pytest.raises(ValueError, match="line 2: could not convert"):
+        ig.read_hypotheses(odd)
+
+
+COUNTS_HEADER = "gene_id\tko_1\tko_2\tko_3\twt_1\twt_2\twt_3\n"
+
+
+# every malformed input of the tests above, with the whole message it gives
+@pytest.mark.parametrize("reader, text, message", [
+    (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\t6\ng2\t0\t2\t2\t3\t3\t3\n",
+     "line 3: counts must be positive"),
+    (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\t6\ng1\t2\t2\t2\t3\t3\t3\n",
+     "line 3: duplicate gene id 'g1'"),
+    (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\n", "line 2: expected 7 columns, got 6"),
+    (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\tx\t4\t5\t6\n", "line 2: non-numeric count"),
+    (ig.read_counts, "", "empty file"),
+    (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\t6\ng2\t1\tnan\t3\t4\t5\t6\n",
+     "line 3: non-finite count"),
+    (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\t6\ng2\t1\t-inf\t3\t4\t5\t6\n",
+     "line 3: non-finite count"),
+    (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\t-6\n", "line 2: counts must be positive"),
+    (ig.read_counts, "gene\tko_1\twt_1\n", "first column must be gene_id, got 'gene'"),
+    (ig.read_counts, COUNTS_HEADER + "\n", "no data rows"),
+    (ig.read_hypotheses, "gene_id\tbeta_hat\tsd_boot\ng1\t0.1\t0.2\ng2\tabc\t0.3\n",
+     "line 3: could not convert string to float: 'abc'"),
+    (ig.read_hypotheses, "gene_id\tbeta_hat\tsd_boot\ng1\t0.1\t0.2\ng2\t0.1\t0.2\n\ng1\t0.3\t0.4\n",
+     "line 5: duplicate id 'g1'"),
+    (ig.read_hypotheses, "", "empty file"),
+    (ig.read_hypotheses, "gene_id\tbeta_hat\n", "need columns gene_id/id, beta_hat and y/sd_boot"),
+    (ig.read_hypotheses, "gene_id\tbeta_hat\tsd_boot\n", "no data rows"),
+    (ig.read_hypotheses, "gene_id\tbeta_hat\tsd_boot\ng1\t0.1\n", "line 2: expected 3 columns"),
+    (ig.read_hypotheses, "gene_id\tbeta_hat\ty\ng1\t0.5\t0.2\ng2\tinf\t0.3\n",
+     "line 3: non-finite beta_hat or y"),
+])
+def test_malformed_input_keeps_its_message(tmp_path, reader, text, message):
+    path = tmp_path / "table.tsv"
+    path.write_text(text)
+    expected = ("error", f"{path}: {message}")
+    assert read_outcome(reader, path) == expected
+    assert per_line_outcome(reader, path) == expected
