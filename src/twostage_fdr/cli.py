@@ -70,10 +70,14 @@ def cmd_fit(args) -> int:
 
 def cmd_test(args) -> int:
     method = _METHOD_ALIASES[args.method.lower()]
+    if method == "storey" and args.copula != "auto":
+        raise ValueError("--copula applies only to the hard and soft methods, not storey")
+    if method != "hard" and args.gamma1_grid is not None:
+        raise ValueError(f"--gamma1-grid applies only to the hard method, not {method}")
     model = grid = None
-    if method in ("hard", "soft") and args.copula != "auto":
+    if args.copula != "auto":
         model = parse_copula_spec(args.copula)
-    if method == "hard" and args.gamma1_grid is not None:
+    if args.gamma1_grid is not None:
         try:
             grid = [float(x) for x in args.gamma1_grid.split(",")]
         except ValueError as exc:

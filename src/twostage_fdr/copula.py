@@ -27,6 +27,7 @@ __all__ = [
     "PseudoObservations",
     "FAMILIES",
     "ROTATIONS",
+    "EPS",
     "cdf",
     "log_density",
     "log_density_of",
@@ -35,6 +36,7 @@ __all__ = [
     "kendall_tau",
     "tau_to_theta",
     "theta_bracket",
+    "orientation",
     "sample",
 ]
 
@@ -45,7 +47,7 @@ ROTATIONS = (0, 90, 180, 270)
 # rotation to represent negative Kendall tau.
 ROTATABLE = ("clayton", "gumbel", "joe")
 
-_EPS = 1e-10  # boundary clamp for interior-only evaluations
+EPS = 1e-10  # boundary clamp for interior-only evaluations
 
 
 def _check_family(family: str, rotation) -> None:
@@ -118,8 +120,8 @@ class PseudoObservations:
 
     @classmethod
     def clamped(cls, u, v) -> "PseudoObservations":
-        """Pairs clipped into [_EPS, 1 - _EPS], e.g. p-values that reach 0 or 1."""
-        return cls(np.clip(u, _EPS, 1.0 - _EPS), np.clip(v, _EPS, 1.0 - _EPS))
+        """Pairs clipped into [EPS, 1 - EPS], e.g. p-values that reach 0 or 1."""
+        return cls(np.clip(u, EPS, 1.0 - EPS), np.clip(v, EPS, 1.0 - EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +401,7 @@ class _Family:
         ub = np.broadcast_to(u, shape)
 
         def h(v):
-            return self.h(t, np.clip(v, _EPS, 1.0 - _EPS), ub)
+            return self.h(t, np.clip(v, EPS, 1.0 - EPS), ub)
 
         v = bisect_increasing(h, np.broadcast_to(x, shape), np.zeros(shape), np.ones(shape), 80)
         if np.any(np.isnan(h(v))):
@@ -439,7 +441,7 @@ def _maybe_scalar(out, *arrays):
 def _as_unit(name, value, open_=False):
     """value as a float array, checked by its min and max against the closed
     [0, 1], or the open (0, 1) when open_ (NaN fails either way); with it,
-    whether an entry lies past the clamp interior [_EPS, 1 - _EPS], the only
+    whether an entry lies past the clamp interior [EPS, 1 - EPS], the only
     case where clipping into it or a boundary case at 0 or 1 changes a value.
     """
     arr = np.asarray(value, dtype=float)
@@ -449,7 +451,7 @@ def _as_unit(name, value, open_=False):
     hi = arr.max()
     if not ((0.0 < lo and hi < 1.0) if open_ else (0.0 <= lo and hi <= 1.0)):
         raise ValueError(f"{name} must lie in {'(0, 1)' if open_ else '[0, 1]'}")
-    return arr, bool(lo < _EPS or hi > 1.0 - _EPS)
+    return arr, bool(lo < EPS or hi > 1.0 - EPS)
 
 
 def cdf(model: CopulaModel, u, v):
@@ -467,8 +469,8 @@ def cdf(model: CopulaModel, u, v):
     vv, v_edge = _as_unit("v", v)
     fam = _BASE[model.family]
     t = model.theta
-    ui = np.clip(uu, _EPS, 1.0 - _EPS) if u_edge else uu
-    vi = np.clip(vv, _EPS, 1.0 - _EPS) if v_edge else vv
+    ui = np.clip(uu, EPS, 1.0 - EPS) if u_edge else uu
+    vi = np.clip(vv, EPS, 1.0 - EPS) if v_edge else vv
     r = model.rotation
     if r == 0:
         out = fam.cdf(t, ui, vi)
@@ -532,7 +534,7 @@ def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u)
     """
     aa, a_edge = _as_unit(name, value)
     uu, _ = _as_unit("given_u", given_u, open_=True)
-    ai = np.clip(aa, _EPS, 1.0 - _EPS) if a_edge else aa
+    ai = np.clip(aa, EPS, 1.0 - EPS) if a_edge else aa
     ru, ra = _rotated_args(model.rotation, uu, ai)
     out = base_fn(model.theta, ra, ru)
     if model.rotation in (180, 270):  # the rotations that reflect v
@@ -591,13 +593,28 @@ def _invert_tau(tau_fn, target: float, lo: float, hi: float) -> float:
     return float(bisect_increasing(tau_fn, target, lo, hi, 60))
 
 
-def tau_to_theta(family: str, tau: float, rotation: int | None = None) -> CopulaModel:
+def orientation(family: str, tau: float) -> tuple[int, tuple[float, float] | None]:
+    """(rotation, theta bracket of inversion and fitting) of the family for
+    a Kendall tau of tau's sign.  A negative tau rotates Clayton, Gumbel
+    and Joe by 90 degrees and mirrors Frank's bracket to (-hi, -lo);
+    Gaussian and independence (whose bracket is None) keep rotation 0 and
+    their bracket.  A tau of 0 or -0.0 counts as positive.
+    """
+    bracket = _row(family).bracket
+    if not tau < 0.0:
+        return 0, bracket
+    if family == "frank":
+        return 0, (-bracket[1], -bracket[0])
+    return (90 if family in ROTATABLE else 0), bracket
+
+
+def tau_to_theta(family: str, tau: float) -> CopulaModel:
     """Build the model of a family whose population Kendall tau equals tau.
 
-    For Clayton/Gumbel/Joe a negative tau selects the 90-degree rotation
-    (270 also accepted); a rotation argument that contradicts the sign of
-    tau raises.  Gaussian, Clayton and Gumbel invert in closed form; Frank
-    and Joe invert their tau map by 60 fixed halvings of theta_bracket.
+    The rotation is orientation's: 90 degrees for Clayton/Gumbel/Joe at a
+    negative tau.  Gaussian, Clayton and Gumbel invert in closed form;
+    Frank and Joe invert their tau map by 60 fixed halvings of
+    theta_bracket.
     """
     row = _row(family)
     if not -1.0 < tau < 1.0:
@@ -606,22 +623,11 @@ def tau_to_theta(family: str, tau: float, rotation: int | None = None) -> Copula
     if family == "independence":
         if tau != 0.0:
             raise ValueError("independence copula requires tau = 0")
-        if rotation not in (None, 0):
-            raise ValueError("independence copula does not take a rotation")
         return CopulaModel("independence")
 
-    if family in ROTATABLE:
-        if rotation is None:
-            rotation = 0 if tau >= 0.0 else 90
-        if tau > 0.0 and rotation not in (0, 180):
-            raise ValueError(f"positive tau requires rotation 0 or 180, got {rotation}")
-        if tau < 0.0 and rotation not in (90, 270):
-            raise ValueError(f"negative tau requires rotation 90 or 270, got {rotation}")
+    rotation, _ = orientation(family, tau)
+    if rotation:
         tau = abs(tau)  # the rotation carries the sign
-    elif rotation not in (None, 0):
-        raise ValueError(f"{family} copula does not take a rotation")
-    else:
-        rotation = 0
 
     if tau == 0.0 and family in ("frank", "clayton"):
         raise ValueError(f"{family} copula is undefined at tau = 0; use independence")
@@ -641,7 +647,7 @@ def sample(model: CopulaModel, n: int, seed) -> PseudoObservations:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     w = rng.random(n)
-    u = np.clip(u, _EPS, 1.0 - _EPS)
+    u = np.clip(u, EPS, 1.0 - EPS)
     v = hfunc_inverse(model, w, u)
-    v = np.clip(v, _EPS, 1.0 - _EPS)
+    v = np.clip(v, EPS, 1.0 - EPS)
     return PseudoObservations(u, v)

@@ -12,14 +12,13 @@ from scipy.optimize import minimize_scalar
 from scipy.stats import kendalltau
 
 from .copula import (
-    _EPS,
+    EPS,
     FAMILIES,
-    ROTATABLE,
     CopulaModel,
     PseudoObservations,
     log_density,
     log_density_of,
-    theta_bracket,
+    orientation,
 )
 
 __all__ = [
@@ -89,13 +88,6 @@ def empirical_kendall_tau(obs: PseudoObservations) -> float:
     return con_minus_dis / n0
 
 
-def _fit_bracket(family: str, tau_sign: float) -> tuple[float, float]:
-    lo, hi = theta_bracket(family)
-    if family == "frank" and tau_sign < 0.0:
-        return -hi, -lo
-    return lo, hi
-
-
 def fit_mle(family: str, rotation: int, obs: PseudoObservations,
             tau_hint: float | None = None) -> FitResult:
     """Fit the family's parameter by maximizing the copula log-likelihood.
@@ -111,12 +103,12 @@ def fit_mle(family: str, rotation: int, obs: PseudoObservations,
     if family == "independence":
         return FitResult(CopulaModel("independence"), 0.0, 0.0, 0.0, n, True)
 
-    u = np.clip(obs.u, _EPS, 1.0 - _EPS)
-    v = np.clip(obs.v, _EPS, 1.0 - _EPS)
+    u = np.clip(obs.u, EPS, 1.0 - EPS)
+    v = np.clip(obs.v, EPS, 1.0 - EPS)
 
     if family == "frank" and tau_hint is None:
         tau_hint = empirical_kendall_tau(obs)
-    lo, hi = _fit_bracket(family, tau_hint if tau_hint is not None else 1.0)
+    _, (lo, hi) = orientation(family, 1.0 if tau_hint is None else tau_hint)
 
     log_density_at = log_density_of(family, rotation, u, v)
 
@@ -139,10 +131,10 @@ def select_copula(obs: PseudoObservations,
                   families=DEFAULT_CANDIDATES) -> SelectionReport:
     """Fit each candidate family and report the winner per criterion.
 
-    Clayton/Gumbel/Joe are rotated 90 degrees when the sample Kendall tau
-    is negative; Gaussian and Frank cover both signs natively.  Per-family
-    fit failures are recorded (converged=False) without aborting; an
-    unknown family name raises ValueError before any family is fitted.
+    Each family is fitted in the rotation that copula.orientation gives
+    for the sample Kendall tau.  Per-family fit failures are recorded
+    (converged=False) without aborting; an unknown family name raises
+    ValueError before any family is fitted.
     """
     families = tuple(families)
     if len(families) < 1:
@@ -153,12 +145,12 @@ def select_copula(obs: PseudoObservations,
     tau = empirical_kendall_tau(obs)
     results = []
     for family in families:
-        rotation = 90 if (family in ROTATABLE and tau < 0.0) else 0
+        rotation, bracket = orientation(family, tau)
         try:
             results.append(fit_mle(family, rotation, obs, tau_hint=tau))
         except FitError:
-            placeholder = CopulaModel(family, None if family == "independence"
-                                      else _fit_bracket(family, tau)[0], rotation)
+            placeholder = CopulaModel(family, None if bracket is None else bracket[0],
+                                      rotation)
             results.append(FitResult(placeholder, float("nan"), float("nan"),
                                      float("nan"), obs.n, False))
     winner_index = {}

@@ -40,6 +40,7 @@ __all__ = [
     "open_text",
     "read_counts",
     "write_summary",
+    "write_tsv",
     "read_hypotheses",
 ]
 
@@ -292,11 +293,20 @@ def _count_rows(path, lines, r: int) -> tuple[list, np.ndarray]:
     return ids, np.array(rows)
 
 
+def write_tsv(path, columns, lines, seed=None) -> None:
+    """Write a table: a '# seed: N' line when seed is given, the header of
+    column names, then one preformatted, tab-separated line per row, each
+    ending in LF.  Gzip output by extension, as open_text."""
+    with open_text(path, "wt") as fh:
+        if seed is not None:
+            fh.write(f"# seed: {seed}\n")
+        fh.write("\n".join(["\t".join(columns), *lines, ""]))
+
+
 def write_summary(summary: FoldChangeSummary, path) -> None:
     rows = zip(summary.ids, summary.beta_hat.tolist(), summary.sd_boot.tolist())
-    with open_text(path, "wt") as fh:
-        fh.write("gene_id\tbeta_hat\tsd_boot\n")
-        fh.writelines(f"{gid}\t{beta!r}\t{sd!r}\n" for gid, beta, sd in rows)
+    write_tsv(path, ("gene_id", "beta_hat", "sd_boot"),
+              (f"{gid}\t{beta!r}\t{sd!r}" for gid, beta, sd in rows))
 
 
 def read_hypotheses(path) -> tuple[list, np.ndarray, np.ndarray]:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import _EPS, CopulaModel, cdf as copula_cdf, hfunc
+from .copula import EPS, CopulaModel, cdf as copula_cdf, hfunc
+from .ingest import write_tsv
 from .marginal import HypothesisTable
 
 __all__ = [
@@ -118,7 +119,7 @@ def aggregate_soft(table: HypothesisTable, model: CopulaModel) -> AggregatedPVal
     p1 is clipped into the copula's [1e-10, 1 - 1e-10] interior, as
     ``PseudoObservations.clamped`` does, so a p1 of 0 or 1 is accepted.
     """
-    return AggregatedPValues("soft", hfunc(model, table.p2, np.clip(table.p1, _EPS, 1.0 - _EPS)))
+    return AggregatedPValues("soft", hfunc(model, table.p2, np.clip(table.p1, EPS, 1.0 - EPS)))
 
 
 def estimate_pi0(pvalues: AggregatedPValues, lambda_: float) -> float:
@@ -256,21 +257,14 @@ def write_decisions_tsv(ids, table: HypothesisTable, outcome: ProcedureOutcome, 
         raise ValueError("ids, table and outcome must cover the same hypotheses")
     rows = zip(ids, table.p1.tolist(), table.p2.tolist(),
                outcome.aggregated.values.tolist(), outcome.rejected.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        if seed is not None:
-            fh.write(f"# seed: {seed}\n")
-        fh.write("id\tp1\tp2\tp_aggregated\trejected\n")
-        fh.writelines(f"{hid}\t{p1!r}\t{p2!r}\t{p!r}\t{int(rej)}\n"
-                      for hid, p1, p2, p, rej in rows)
+    write_tsv(path, ("id", "p1", "p2", "p_aggregated", "rejected"),
+              (f"{hid}\t{p1!r}\t{p2!r}\t{p!r}\t{int(rej)}" for hid, p1, p2, p, rej in rows),
+              seed)
 
 
 def write_gamma1_curve_tsv(outcome: ProcedureOutcome, path, seed=None) -> None:
     """Screen level vs rejection count, for plotting."""
     if outcome.rejections_by_gamma1 is None:
         raise ValueError("outcome has no gamma1 curve (not a hard run)")
-    with open(path, "w", encoding="utf-8") as fh:
-        if seed is not None:
-            fh.write(f"# seed: {seed}\n")
-        fh.write("gamma1\tn_rejected\n")
-        for g1, count in outcome.rejections_by_gamma1:
-            fh.write(f"{g1!r}\t{count}\n")
+    write_tsv(path, ("gamma1", "n_rejected"),
+              (f"{g1!r}\t{count}" for g1, count in outcome.rejections_by_gamma1), seed)

@@ -30,6 +30,7 @@ from . import copula as cp
 from . import fit as ft
 from . import marginal as mg
 from . import procedure as proc
+from .ingest import write_tsv
 
 __all__ = [
     "SimulationConfig",
@@ -170,9 +171,9 @@ def generate_dataset(cfg: SimulationConfig, replicate: int):
     """
     dep = dependence_model(cfg)
     rng = np.random.default_rng([cfg.seed, replicate])
-    u = np.clip(rng.random(cfg.m), cp._EPS, 1.0 - cp._EPS)
+    u = np.clip(rng.random(cfg.m), cp.EPS, 1.0 - cp.EPS)
     w = rng.random(cfg.m)
-    # 1e-12, not _EPS: v sets p2 through ndtri below, and a wider clamp would change the data
+    # 1e-12, not EPS: v sets p2 through ndtri below, and a wider clamp would change the data
     v = np.clip(cp.hfunc_inverse(dep, w, u), 1e-12, 1.0 - 1e-12)
     is_alt = rng.random(cfg.m) < (1.0 - cfg.p0)
     sign = np.where(rng.random(cfg.m) < 0.5, -1.0, 1.0)
@@ -346,15 +347,16 @@ def run_copula_selection_study(true_model: cp.CopulaModel, n: int, reps: int,
     return SelectionStudyResult(candidates, counts, stats, reps)
 
 
+_RATE_COLUMNS = ("fdr", "fdr_sd", "tpr", "tpr_sd")  # the columns of _rate_cells
+
+
+def _rate_cells(r: MonteCarloResult) -> str:
+    return f"{r.fdr_hat:.6f}\t{r.fdr_sd:.6f}\t{r.tpr_hat:.6f}\t{r.tpr_sd:.6f}"
+
+
 def cell_to_tsv(results: dict, path, seed=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if seed is not None:
-            fh.write(f"# seed: {seed}\n")
-        fh.write("method\tfdr\tfdr_sd\ttpr\ttpr_sd\n")
-        for name in METHODS:
-            r = results[name]
-            fh.write(f"{name}\t{r.fdr_hat:.6f}\t{r.fdr_sd:.6f}"
-                     f"\t{r.tpr_hat:.6f}\t{r.tpr_sd:.6f}\n")
+    write_tsv(path, ("method", *_RATE_COLUMNS),
+              (f"{name}\t{_rate_cells(results[name])}" for name in METHODS), seed)
 
 
 def cell_to_json(results: dict, cfg: SimulationConfig) -> str:
@@ -376,29 +378,18 @@ def _mc_payload(r: MonteCarloResult) -> dict:
 
 
 def misspecification_to_tsv(results: dict, path, seed=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if seed is not None:
-            fh.write(f"# seed: {seed}\n")
-        fh.write("family\tmethod\tfdr\tfdr_sd\ttpr\ttpr_sd\n")
-        storey = results["storey"]
-        fh.write(f"-\tstorey\t{storey.fdr_hat:.6f}\t{storey.fdr_sd:.6f}"
-                 f"\t{storey.tpr_hat:.6f}\t{storey.tpr_sd:.6f}\n")
-        for family, sub in results.items():
-            if family == "storey":
-                continue
-            for method in ("hard", "soft"):
-                r = sub[method]
-                fh.write(f"{family}\t{method}\t{r.fdr_hat:.6f}\t{r.fdr_sd:.6f}"
-                         f"\t{r.tpr_hat:.6f}\t{r.tpr_sd:.6f}\n")
+    lines = [f"-\tstorey\t{_rate_cells(results['storey'])}"]
+    lines += (f"{family}\t{method}\t{_rate_cells(sub[method])}"
+              for family, sub in results.items() if family != "storey"
+              for method in ("hard", "soft"))
+    write_tsv(path, ("family", "method", *_RATE_COLUMNS), lines, seed)
 
 
 def study_to_tsv(study: SelectionStudyResult, path, seed=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if seed is not None:
-            fh.write(f"# seed: {seed}\n")
-        fh.write("family\tcriterion\tn_selected\tmean\tsd\n")
-        for family in study.families:
-            for criterion in ft.CRITERIA:
-                mean, sd = study.stats[family][criterion]
-                fh.write(f"{family}\t{criterion}\t{study.counts[family][criterion]}"
-                         f"\t{mean:.3f}\t{sd:.3f}\n")
+    lines = []
+    for family in study.families:
+        for criterion in ft.CRITERIA:
+            mean, sd = study.stats[family][criterion]
+            lines.append(f"{family}\t{criterion}\t{study.counts[family][criterion]}"
+                         f"\t{mean:.3f}\t{sd:.3f}")
+    write_tsv(path, ("family", "criterion", "n_selected", "mean", "sd"), lines, seed)

@@ -222,6 +222,13 @@ class TestTestCommand:
         (["--gamma1-grid", "0.1,x"],
          "--gamma1-grid '0.1,x': could not convert string to float: 'x'"),
         (["--gamma1-grid", "0.97,0.95"], "gamma1 grid must be strictly increasing"),
+        # a later --method overrides the H below: flags that method ignores
+        (["--method", "S", "--gamma1-grid", "0.1,x"],
+         "--gamma1-grid applies only to the hard method, not soft"),
+        (["--method", "storey", "--gamma1-grid", "0.5"],
+         "--gamma1-grid applies only to the hard method, not storey"),
+        (["--method", "storey", "--copula", "nonsense:abc"],
+         "--copula applies only to the hard and soft methods, not storey"),
     ])
     def test_bad_flag_is_named_and_leaves_no_out_dir(self, tmp_path, capsys, null_json,
                                                       flags, message):

@@ -216,7 +216,7 @@ class TestTauMaps:
         assert m.theta == pytest.approx(np.sin(-0.2 * np.pi), abs=1e-12)
 
     def test_clayton_closed_form(self):
-        m = cp.tau_to_theta("clayton", -0.4, rotation=90)
+        m = cp.tau_to_theta("clayton", -0.4)
         assert m.theta == pytest.approx(2.0 * 0.4 / 0.6, abs=1e-12)
         assert m.rotation == 90
 
@@ -233,12 +233,6 @@ class TestTauMaps:
         for family in ("gaussian", "frank", "clayton", "gumbel", "joe"):
             m = cp.tau_to_theta(family, 1e-4)
             np.testing.assert_allclose(cp.cdf(m, u, v), u * v, atol=1e-3)
-
-    def test_sign_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cp.tau_to_theta("clayton", 0.4, rotation=90)
-        with pytest.raises(ValueError):
-            cp.tau_to_theta("gumbel", -0.4, rotation=0)
 
     def test_tau_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -781,10 +775,34 @@ ORACLE_TAUS = [s * t for t in (0.9, 0.7, 0.4, 0.1, 1e-4, 1e-9, 0.0) for s in (1.
 @pytest.mark.parametrize("family", [*cp.FAMILIES, "foo"])
 def test_tau_to_theta_matches_seed(family):
     for tau in ORACLE_TAUS:
-        for rotation in (None, *cp.ROTATIONS):
-            got = outcome(cp.tau_to_theta, family, tau, rotation)
-            ref = outcome(seed_tau_to_theta, family, tau, rotation)
-            assert same_model(got, ref), (family, tau, rotation, got, ref)
+        got = outcome(cp.tau_to_theta, family, tau)
+        ref = outcome(seed_tau_to_theta, family, tau, None)
+        assert same_model(got, ref), (family, tau, got, ref)
+
+
+# The seed's two statements of the orientation rule: fit's bracket of
+# inversion and fitting, and select_copula's inline rotation.
+def seed_fit_bracket(family, tau_sign):
+    lo, hi = cp.theta_bracket(family)
+    if family == "frank" and tau_sign < 0.0:
+        return -hi, -lo
+    return lo, hi
+
+
+def seed_rotation(family, tau):
+    return 90 if (family in ("clayton", "gumbel", "joe") and tau < 0.0) else 0
+
+
+@pytest.mark.parametrize("family", [*cp.FAMILIES, "foo"])
+def test_orientation_matches_seed(family):
+    for tau in [s * t for t in (0.9, 0.4, 1e-9, 0.0) for s in (1.0, -1.0)]:
+        got = outcome(cp.orientation, family, tau)
+        if family == "independence":
+            # the seed bracket raised here, and the placeholder took theta None
+            assert got == (seed_rotation(family, tau), None)
+            continue
+        ref = outcome(lambda: (seed_rotation(family, tau), seed_fit_bracket(family, tau)))
+        assert got == ref, (family, tau, got, ref)
 
 
 @pytest.mark.parametrize("family", [f for f in cp.FAMILIES if f != "independence"])

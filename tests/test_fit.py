@@ -251,7 +251,9 @@ def seed_fit_mle(family, rotation, obs, tau_hint):
     from scipy.optimize import minimize_scalar
     u = np.clip(obs.u, 1e-10, 1.0 - 1e-10)
     v = np.clip(obs.v, 1e-10, 1.0 - 1e-10)
-    lo, hi = ft._fit_bracket(family, tau_hint)
+    lo, hi = cp.theta_bracket(family)
+    if family == "frank" and tau_hint < 0.0:
+        lo, hi = -hi, -lo
 
     def negloglik(theta):
         ll = np.sum(cp.log_density(cp.CopulaModel(family, theta, rotation), u, v))
