@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import digamma, ndtr, ndtri
 
 from .bvn import bvn_cdf
@@ -35,7 +34,6 @@ __all__ = [
     "hfunc_inverse",
     "kendall_tau",
     "tau_to_theta",
-    "theta_bracket",
     "orientation",
     "sample",
 ]
@@ -346,6 +344,8 @@ def bisect_increasing(f, target, lo, hi, iterations: int):
 
 def _frank_tau_positive(theta: float) -> float:
     # tau = 1 - 4/theta + 4*D1(theta)/theta with D1 the order-1 Debye function.
+    from scipy.integrate import quad  # deferred: only Frank's tau map integrates
+
     debye, _ = quad(lambda s: s / math.expm1(s) if s != 0.0 else 1.0, 0.0, theta)
     return 1.0 - 4.0 / theta + 4.0 * debye / (theta * theta)
 
@@ -574,14 +574,6 @@ def kendall_tau(model: CopulaModel) -> float:
     return tau
 
 
-def theta_bracket(family: str) -> tuple[float, float]:
-    """Admissible parameter search interval used by inversion and fitting."""
-    bracket = _row(family).bracket
-    if bracket is None:
-        raise ValueError(f"{family} copula has no parameter")
-    return bracket
-
-
 def _invert_tau(tau_fn, target: float, lo: float, hi: float) -> float:
     """theta in [lo, hi] with tau_fn(theta) = target, tau_fn increasing.
 
@@ -613,8 +605,8 @@ def tau_to_theta(family: str, tau: float) -> CopulaModel:
 
     The rotation is orientation's: 90 degrees for Clayton/Gumbel/Joe at a
     negative tau.  Gaussian, Clayton and Gumbel invert in closed form;
-    Frank and Joe invert their tau map by 60 fixed halvings of
-    theta_bracket.
+    Frank and Joe invert their tau map by 60 fixed halvings of the
+    family's theta bracket.
     """
     row = _row(family)
     if not -1.0 < tau < 1.0:

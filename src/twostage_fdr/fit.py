@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import kendalltau
 
 from .copula import (
     EPS,
@@ -83,6 +81,8 @@ def empirical_kendall_tau(obs: PseudoObservations) -> float:
     ny = _tie_pairs(obs.v)
     if nx == n0 or ny == n0:
         return 0.0
+    from scipy.stats import kendalltau  # deferred: slower to import than the whole CLI
+
     tau_b = float(kendalltau(obs.u, obs.v).statistic)
     con_minus_dis = round(tau_b * math.sqrt(n0 - nx) * math.sqrt(n0 - ny))
     return con_minus_dis / n0
@@ -115,6 +115,8 @@ def fit_mle(family: str, rotation: int, obs: PseudoObservations,
     def negloglik(theta: float) -> float:
         ll = np.sum(log_density_at(theta))
         return -ll if np.isfinite(ll) else np.inf
+
+    from scipy.optimize import minimize_scalar  # deferred, like kendalltau
 
     res = minimize_scalar(negloglik, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-7, "maxiter": 500})

@@ -3,10 +3,16 @@
 import gzip
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twostage_fdr
 from twostage_fdr import copula as cp
 from twostage_fdr import ingest as ig
 from twostage_fdr.cli import main, parse_copula_spec
@@ -546,3 +552,41 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             main(["test", "x.tsv", "--method", "Q"])
         assert exc.value.code == 2
+
+
+# Each command after the import, in one fresh interpreter; `fit` last, as the
+# control that the probe sees a subpackage load.
+COLD_START_SCRIPT = textwrap.dedent("""
+    import json, sys
+    HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+    def loaded():
+        return [m for m in HEAVY if m in sys.modules]
+    steps = {}
+    from twostage_fdr import cli
+    steps["import"] = loaded()
+    counts, summary, out = sys.argv[1:4]
+    for name, argv in [
+        ("bootstrap", ["bootstrap", counts, summary]),
+        ("test H frank", ["test", summary, "--method", "H", "--copula", "frank:-2.4",
+                          "--out-dir", out + "/h"]),
+        ("test storey", ["test", summary, "--method", "storey", "--out-dir", out + "/st"]),
+        ("fit", ["fit", summary, "--out-dir", out + "/fit"]),
+    ]:
+        assert cli.main(argv) == 0, name
+        steps[name] = loaded()
+    print(json.dumps(steps))
+""")
+
+
+def test_cold_commands_load_no_heavy_scipy_subpackage(tmp_path):
+    counts = tmp_path / "counts.tsv"
+    counts.write_text(seeded_counts_text())
+    src = str(Path(twostage_fdr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT, str(counts), str(tmp_path / "summary.tsv"),
+         str(tmp_path)], env=env, timeout=120, capture_output=True, text=True, check=True)
+    steps = json.loads(done.stdout.splitlines()[-1])
+    assert "scipy.stats" in steps.pop("fit")  # its Kendall tau loads it
+    assert steps == {"import": [], "bootstrap": [], "test H frank": [], "test storey": []}

@@ -414,10 +414,10 @@ def test_nan_conditional_raises(monkeypatch):
 
 
 def bracket_end_models():
-    """Every family and rotation at both ends of its theta_bracket."""
+    """Every family and rotation at both ends of its theta bracket."""
     models = [cp.CopulaModel("independence")]
     for family in ("gaussian", "frank", "clayton", "gumbel", "joe"):
-        lo, hi = cp.theta_bracket(family)
+        lo, hi = cp.orientation(family, 1.0)[1]
         thetas = (lo, hi, -lo, -hi) if family == "frank" else (lo, hi)
         rotations = cp.ROTATIONS if family in cp.ROTATABLE else (0,)
         models += [cp.CopulaModel(family, t, r) for t in thetas for r in rotations]
@@ -783,7 +783,7 @@ def test_tau_to_theta_matches_seed(family):
 # The seed's two statements of the orientation rule: fit's bracket of
 # inversion and fitting, and select_copula's inline rotation.
 def seed_fit_bracket(family, tau_sign):
-    lo, hi = cp.theta_bracket(family)
+    lo, hi = cp.orientation(family, 1.0)[1]
     if family == "frank" and tau_sign < 0.0:
         return -hi, -lo
     return lo, hi
@@ -807,7 +807,7 @@ def test_orientation_matches_seed(family):
 
 @pytest.mark.parametrize("family", [f for f in cp.FAMILIES if f != "independence"])
 def test_kendall_tau_at_bracket_ends_matches_seed(family):
-    assert cp.theta_bracket(family) == seed_theta_bracket(family)
+    assert cp.orientation(family, 1.0)[1] == seed_theta_bracket(family)
     lo, hi = seed_theta_bracket(family)
     thetas = (lo, hi, -lo, -hi) if family == "frank" else (lo, hi)
     rotations = cp.ROTATIONS if family in cp.ROTATABLE else (0,)
@@ -823,16 +823,13 @@ def test_independence_kendall_tau_matches_seed():
     assert cp.kendall_tau(model) == seed_kendall_tau(model) == 0.0
 
 
-@pytest.mark.parametrize("family, message", [
-    ("independence", "independence copula has no parameter"),
-    ("foo", "unknown copula family 'foo'"),
-])
-def test_theta_bracket_without_bracket_raises_value_error(family, message):
+def test_orientation_of_unknown_family_raises_value_error():
     # the one intended difference: the seed's dict lookup raised KeyError
     with pytest.raises(KeyError):
-        seed_theta_bracket(family)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        cp.theta_bracket(family)
+        seed_theta_bracket("foo")
+    for tau in (0.4, 0.0, -0.4):
+        with pytest.raises(ValueError, match="^unknown copula family 'foo'$"):
+            cp.orientation("foo", tau)
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +926,7 @@ def test_log_density_matches_seed(model):
 def test_log_density_of_matches_seed_over_the_bracket(family, where, negative, rotation,
                                                       pairs):
     # one prepared pair set evaluated at two thetas, as a fit's steps are
-    lo, hi = cp.theta_bracket(family)
+    lo, hi = cp.orientation(family, 1.0)[1]
     thetas = [min(max(t, lo), hi) for t in (lo + where * (hi - lo), hi - where * (hi - lo))]
     if family == "frank" and negative:
         thetas = [-t for t in thetas]

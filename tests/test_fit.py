@@ -251,7 +251,7 @@ def seed_fit_mle(family, rotation, obs, tau_hint):
     from scipy.optimize import minimize_scalar
     u = np.clip(obs.u, 1e-10, 1.0 - 1e-10)
     v = np.clip(obs.v, 1e-10, 1.0 - 1e-10)
-    lo, hi = cp.theta_bracket(family)
+    lo, hi = cp.orientation(family, 1.0)[1]
     if family == "frank" and tau_hint < 0.0:
         lo, hi = -hi, -lo
 

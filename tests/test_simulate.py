@@ -5,6 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaincinv
+from scipy.stats import gamma as scipy_gamma
 
 from twostage_fdr import copula as cp
 from twostage_fdr import fit as ft
@@ -43,11 +47,42 @@ class TestConfig:
         assert sim.dependence_model(cfg).family == "independence"
 
 
+def gamma_quantile_bits(u):
+    """(generate_dataset's Gamma(3, scale 0.25) quantile, scipy.stats' ppf),
+    each viewed as int64 so that equality is bit for bit."""
+    u = np.asarray(u, dtype=float)
+    got = gammaincinv(3.0, u) * 0.25
+    ref = scipy_gamma.ppf(u, a=3.0, scale=0.25)
+    return got.view(np.int64), ref.view(np.int64)
+
+
+def test_gamma_quantile_matches_scipy_stats_at_the_clamp():
+    ends = [cp.EPS, 1.0 - cp.EPS]
+    u = ends + [np.nextafter(e, d) for e in ends for d in (0.0, 1.0)] + [0.5, 0.75]
+    got, ref = gamma_quantile_bits(u)
+    np.testing.assert_array_equal(got, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(cp.EPS, 1.0 - cp.EPS), min_size=1, max_size=64))
+def test_gamma_quantile_matches_scipy_stats(u):
+    got, ref = gamma_quantile_bits(u)
+    np.testing.assert_array_equal(got, ref)
+
+
 class TestGenerateDataset:
     def test_auxiliary_mean(self):
         cfg = small_cfg(m=8000)
         table, _ = sim.generate_dataset(cfg, 0)
         assert np.mean(table.y) == pytest.approx(0.75, abs=0.02)
+
+    def test_auxiliary_is_the_scipy_stats_gamma_quantile(self):
+        cfg = small_cfg(m=5000)
+        table, _ = sim.generate_dataset(cfg, 2)
+        # u is the first draw of the replicate's generator
+        u = np.random.default_rng([cfg.seed, 2]).random(cfg.m)
+        ref = scipy_gamma.ppf(np.clip(u, cp.EPS, 1.0 - cp.EPS), a=3.0, scale=0.25)
+        np.testing.assert_array_equal(table.y.view(np.int64), ref.view(np.int64))
 
     def test_null_p2_is_uniform_pure_null(self):
         cfg = small_cfg(m=100_000, p0=1.0)
