@@ -25,6 +25,7 @@ __all__ = [
     "SelectionReport",
     "CRITERIA",
     "DEFAULT_CANDIDATES",
+    "check_families",
     "empirical_kendall_tau",
     "fit_mle",
     "select_copula",
@@ -58,6 +59,18 @@ class SelectionReport:
 
     def winner(self, criterion: str) -> FitResult:
         return self.candidates[self.winner_index[criterion]]
+
+
+def check_families(families, key: str) -> tuple:
+    """The family names as a tuple; an unknown name raises ValueError, and so
+    does a repeated one, naming `key` and the family."""
+    families = tuple(families)
+    for i, family in enumerate(families):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown copula family {family!r}")
+        if family in families[:i]:
+            raise ValueError(f"{key} lists family {family!r} twice")
+    return families
 
 
 def _tie_pairs(values: np.ndarray) -> int:
@@ -135,15 +148,12 @@ def select_copula(obs: PseudoObservations,
 
     Each family is fitted in the rotation that copula.orientation gives
     for the sample Kendall tau.  Per-family fit failures are recorded
-    (converged=False) without aborting; an unknown family name raises
-    ValueError before any family is fitted.
+    (converged=False) without aborting; an unknown or repeated family name
+    raises ValueError before any family is fitted.
     """
-    families = tuple(families)
+    families = check_families(families, "families")
     if len(families) < 1:
         raise ValueError("need at least one candidate family")
-    unknown = [f for f in families if f not in FAMILIES]
-    if unknown:
-        raise ValueError(f"unknown copula family {unknown[0]!r}")
     tau = empirical_kendall_tau(obs)
     results = []
     for family in families:
@@ -174,7 +184,7 @@ def report_to_json(report: SelectionReport) -> str:
             {
                 "family": r.model.family,
                 "rotation": r.model.rotation,
-                "theta": r.model.theta,
+                "theta": r.model.theta if r.converged else None,
                 "loglik": value(r.loglik),
                 "aic": value(r.aic),
                 "bic": value(r.bic),

@@ -10,10 +10,10 @@ pair (p1, p2) follows the dependence copula under the null.  Alternatives
 use the same construction with the |mixture| quantile, which keeps the
 two-point mixture marginal and the orientation of the dependence.
 
-The analysis copula is the data-generating family with its parameter
-re-estimated from each replicate's p-value pairs by Kendall-tau inversion
-("tau", the only analysis mode).  For analysis with the true copula, run
-``run_misspecification`` with mode="fixed" and the generating family.
+Each analysis family's copula is re-estimated per replicate by Kendall-tau
+inversion on the p-value pairs (``run_misspecification`` mode "refit") or
+taken at the true tau with nothing fitted (mode "fixed").  A cell
+(``run_cell``) is the refit analysis with the generating family alone.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ __all__ = [
 
 METHODS = ("storey", "hard", "soft")
 
-_TAU_INDEPENDENT = 1e-6  # |tau_hat| below this collapses to independence
+_TAU_INDEPENDENT = 1e-6  # |tau| below this collapses to independence
 
 DEFAULT_SEED = 20240001
 
@@ -144,11 +144,17 @@ class MonteCarloResult:
         return float(np.std(self.tpr_ratios, ddof=1)) if self.v.size > 1 else 0.0
 
 
-def dependence_model(cfg: SimulationConfig) -> cp.CopulaModel:
-    """The data-generating copula; tau = 0 degenerates to independence."""
-    if cfg.tau == 0.0 or cfg.dep_family == "independence":
+def analysis_model(family: str, tau: float) -> cp.CopulaModel:
+    """The copula of `family` at Kendall tau `tau`; independence for the
+    independence family or |tau| < 1e-6."""
+    if abs(tau) < _TAU_INDEPENDENT or family == "independence":
         return cp.CopulaModel("independence")
-    return cp.tau_to_theta(cfg.dep_family, cfg.tau)
+    return cp.tau_to_theta(family, tau)
+
+
+def dependence_model(cfg: SimulationConfig) -> cp.CopulaModel:
+    """The data-generating copula."""
+    return analysis_model(cfg.dep_family, cfg.tau)
 
 
 def _abs_mixture_quantile(mix: mg.GaussianMixture, q: np.ndarray) -> np.ndarray:
@@ -189,37 +195,12 @@ def generate_dataset(cfg: SimulationConfig, replicate: int):
     return table, is_alt
 
 
-def _tau_model(family: str, tau_hat: float) -> cp.CopulaModel:
-    if abs(tau_hat) < _TAU_INDEPENDENT or family == "independence":
-        return cp.CopulaModel("independence")
-    return cp.tau_to_theta(family, tau_hat)
-
-
-def analysis_model(cfg: SimulationConfig, table: mg.HypothesisTable) -> cp.CopulaModel:
-    """Analysis copula for one replicate: the generating family at the Kendall
-    tau of the replicate's p-value pairs."""
-    obs = cp.PseudoObservations.clamped(table.p1, table.p2)
-    return _tau_model(cfg.dep_family, ft.empirical_kendall_tau(obs))
-
-
 def _counts(outcome: proc.ProcedureOutcome, is_alt: np.ndarray) -> tuple[int, int, int, int]:
     """(V, R, S, M1): false, all and true rejections, and true alternatives."""
     rejected = outcome.rejected
     v = int(np.count_nonzero(rejected & ~is_alt))
     s = int(np.count_nonzero(rejected & is_alt))
     return v, v + s, s, int(np.count_nonzero(is_alt))
-
-
-def _cell_replicate(args) -> dict:
-    cfg, k = args
-    table, is_alt = generate_dataset(cfg, k)
-    model = analysis_model(cfg, table)
-    outcomes = {
-        "storey": proc.run_one_stage_storey(table, cfg.alpha, cfg.lambda_),
-        "hard": proc.run_two_stage_hard(table, model, cfg.alpha, cfg.lambda_),
-        "soft": proc.run_two_stage_soft(table, model, cfg.alpha, cfg.lambda_),
-    }
-    return {name: _counts(o, is_alt) for name, o in outcomes.items()}
 
 
 def _map_replicates(worker, arglist, threads: int):
@@ -237,48 +218,40 @@ def _mc_result(rows: list) -> MonteCarloResult:
     return MonteCarloResult(*np.array(rows, dtype=int).T)
 
 
-def run_cell(cfg: SimulationConfig, threads: int = 1) -> dict:
-    """K replications of all three methods on one parameter cell."""
-    per_rep = _map_replicates(_cell_replicate, [(cfg, k) for k in range(cfg.k_reps)],
-                              threads)
-    return {name: _mc_result([rep[name] for rep in per_rep]) for name in METHODS}
-
-
-def _misspec_replicate(args) -> dict:
+def _replicate(args) -> dict:
+    """Storey's (V, R, S, M1), and the hard and soft ones under each
+    analysis family, for one replicate."""
     cfg, k, families, mode = args
     table, is_alt = generate_dataset(cfg, k)
-    obs = cp.PseudoObservations.clamped(table.p1, table.p2)
-    tau_hat = ft.empirical_kendall_tau(obs)
-    null_u = obs.u[~is_alt]
-    null_v = obs.v[~is_alt]
+    if mode == "refit":
+        obs = cp.PseudoObservations.clamped(table.p1, table.p2)
+        tau_hat = ft.empirical_kendall_tau(obs)
+        null_u, null_v = obs.u[~is_alt], obs.v[~is_alt]
 
     out = {"storey": _counts(proc.run_one_stage_storey(table, cfg.alpha, cfg.lambda_),
                              is_alt)}
     cache = {}
     for family in families:
         if mode == "fixed":
-            model = _tau_model(family, cfg.tau)
+            model = analysis_model(family, cfg.tau)
         else:
-            # Refit: the candidate set is {foil, generating family}; the
-            # winner (by null-pair log-likelihood at tau-matched
-            # parameters) is used, so misspecified foils fall back to the
-            # generating family.
-            candidates = dict.fromkeys((family, cfg.dep_family))
-            scored = []
-            for cand in candidates:
-                mdl = _tau_model(cand, tau_hat)
-                ll = float(np.sum(cp.log_density(mdl, null_u, null_v)))
-                scored.append((ll, cand, mdl))
-            model = max(scored, key=lambda t: t[0])[2]
-        key = (model.family, model.rotation, model.theta)
-        if key not in cache:
-            cache[key] = {
+            model = analysis_model(family, tau_hat)
+            if family != cfg.dep_family:
+                # A foil competes with the generating family by null-pair
+                # log-likelihood at tau-matched parameters and keeps a tie,
+                # so a misspecified foil falls back to the generating family.
+                true_model = analysis_model(cfg.dep_family, tau_hat)
+                if (np.sum(cp.log_density(model, null_u, null_v))
+                        < np.sum(cp.log_density(true_model, null_u, null_v))):
+                    model = true_model
+        if model not in cache:
+            cache[model] = {
                 "hard": _counts(proc.run_two_stage_hard(table, model, cfg.alpha,
                                                         cfg.lambda_), is_alt),
                 "soft": _counts(proc.run_two_stage_soft(table, model, cfg.alpha,
                                                         cfg.lambda_), is_alt),
             }
-        out[family] = cache[key]
+        out[family] = cache[model]
     return out
 
 
@@ -287,26 +260,33 @@ def run_misspecification(cfg: SimulationConfig, analysis_families=None,
     """FDR/TPR when the analysis copula family is misspecified.
 
     mode="fixed": each listed family is used as-is with its parameter
-    matched to the true tau.  mode="refit": per replicate the copula is
-    re-estimated and the listed family competes against the generating
-    family on the null pairs, mirroring data-driven copula selection.
+    matched to the true tau, and nothing is fitted.  mode="refit": per
+    replicate the copula is re-estimated and the listed family competes
+    against the generating family on the null pairs, mirroring
+    data-driven copula selection.
 
     Returns {"storey": MonteCarloResult, family: {"hard"/"soft": ...}}.
     """
     if mode not in ("fixed", "refit"):
         raise ValueError(f"mode must be 'fixed' or 'refit', got {mode!r}")
-    families = tuple(analysis_families if analysis_families is not None
-                     else ft.DEFAULT_CANDIDATES)
+    families = ft.check_families(analysis_families if analysis_families is not None
+                                 else ft.DEFAULT_CANDIDATES, "analysis_families")
     if not families:
         raise ValueError("need at least one analysis family")
-    per_rep = _map_replicates(_misspec_replicate,
-                              [(cfg, k, families, mode) for k in range(cfg.k_reps)],
+    per_rep = _map_replicates(_replicate, [(cfg, k, families, mode) for k in range(cfg.k_reps)],
                               threads)
     out = {"storey": _mc_result([rep["storey"] for rep in per_rep])}
     for family in families:
         out[family] = {method: _mc_result([rep[family][method] for rep in per_rep])
                        for method in ("hard", "soft")}
     return out
+
+
+def run_cell(cfg: SimulationConfig, threads: int = 1) -> dict:
+    """K replications of all three methods on one parameter cell: the refit
+    analysis with the generating family alone."""
+    results = run_misspecification(cfg, (cfg.dep_family,), "refit", threads)
+    return {"storey": results["storey"], **results[cfg.dep_family]}
 
 
 @dataclass(frozen=True)
@@ -326,7 +306,7 @@ def run_copula_selection_study(true_model: cp.CopulaModel, n: int, reps: int,
     family each criterion selects."""
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
-    candidates = tuple(candidates)
+    candidates = ft.check_families(candidates, "candidates")
     counts = {f: {c: 0 for c in ft.CRITERIA} for f in candidates}
     values = {f: {c: [] for c in ft.CRITERIA} for f in candidates}
     for rep in range(reps):

@@ -439,6 +439,21 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.strip() == message
         assert not (tmp_path / "simtable.tsv").exists()
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"mode": "selection", "n": 300, "reps": 2, "candidates": ["clayton", "clayton", "frank"]},
+         "error: candidates lists family 'clayton' twice"),
+        ({"mode": "misspecification", "m": 300, "k_reps": 1,
+          "analysis_families": ["frank", "frank"]},
+         "error: analysis_families lists family 'frank' twice"),
+    ])
+    def test_repeated_family_rejected(self, tmp_path, capsys, payload, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["cell", "misspecification"])
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_threads_must_be_positive(self, tmp_path, capsys, mode, threads):

@@ -206,6 +206,14 @@ class TestSelectCopula:
             ft.select_copula(obs, families=("clayton", "foo"))
         assert fitted == []
 
+    def test_repeated_family_rejected_before_any_fit(self, monkeypatch):
+        obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 200, 5)
+        fitted = []
+        monkeypatch.setattr(ft, "fit_mle", lambda family, *a, **k: fitted.append(family))
+        with pytest.raises(ValueError, match="^families lists family 'clayton' twice$"):
+            ft.select_copula(obs, families=("clayton", "clayton", "frank"))
+        assert fitted == []
+
     def test_per_candidate_failure_is_contained(self, monkeypatch):
         obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 1000, 5)
         real_fit = ft.fit_mle
@@ -225,6 +233,7 @@ class TestSelectCopula:
         payload = json.loads(ft.report_to_json(report))
         failed = next(c for c in payload["candidates"] if c["family"] == "gumbel")
         assert failed["loglik"] is None
+        assert failed["theta"] is None
         assert "failed" in ft.format_report(report)
 
     def test_local_maximum_every_family(self):

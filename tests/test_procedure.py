@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostage_fdr import copula as cp
+from twostage_fdr import fit as ft
 from twostage_fdr import procedure as proc
 from twostage_fdr import simulate as sim
 from twostage_fdr.marginal import HypothesisTable
@@ -233,7 +234,8 @@ class TestTwoStageHard:
         # in an increasing grid the first maximum is the smallest level
         cfg = sim.SimulationConfig(m=2000, seed=1)
         table, _ = sim.generate_dataset(cfg, 0)
-        model = sim.analysis_model(cfg, table)
+        obs = cp.PseudoObservations.clamped(table.p1, table.p2)
+        model = sim.analysis_model(cfg.dep_family, ft.empirical_kendall_tau(obs))
         outcome = proc.run_two_stage_hard(table, model, cfg.alpha, cfg.lambda_,
                                           gamma1_grid=[0.95, 0.97])
         assert outcome.rejections_by_gamma1 == ((0.95, 58), (0.97, 58))
@@ -247,7 +249,8 @@ class TestTwoStageHard:
         cfg = sim.SimulationConfig(m=4000, mu=3.0, tau=-0.4, p0=0.95,
                                    k_reps=1, seed=424)
         table, _ = sim.generate_dataset(cfg, 0)
-        model = sim.analysis_model(cfg, table)
+        obs = cp.PseudoObservations.clamped(table.p1, table.p2)
+        model = sim.analysis_model(cfg.dep_family, ft.empirical_kendall_tau(obs))
         outcome = proc.run_two_stage_hard(table, model, 0.05)
         counts = np.array([c for _, c in outcome.rejections_by_gamma1])
         peak = int(np.argmax(counts))

@@ -46,6 +46,17 @@ class TestConfig:
         cfg = small_cfg(tau=0.0)
         assert sim.dependence_model(cfg).family == "independence"
 
+    @pytest.mark.parametrize("family", ft.DEFAULT_CANDIDATES)
+    def test_near_zero_tau_generates_with_the_fixed_analysis_model(self, family):
+        # below |tau| = 1e-6 the data come from independence, the model that
+        # fixed mode analyses the generating family with, and match tau = 0
+        cfg = small_cfg(m=500, tau=-5e-7, dep_family=family)
+        independence = cp.CopulaModel("independence")
+        assert sim.dependence_model(cfg) == sim.analysis_model(family, cfg.tau) == independence
+        table, _ = sim.generate_dataset(cfg, 0)
+        at_zero, _ = sim.generate_dataset(small_cfg(m=500, tau=0.0, dep_family=family), 0)
+        np.testing.assert_array_equal(table.p2, at_zero.p2)
+
 
 def gamma_quantile_bits(u):
     """(generate_dataset's Gamma(3, scale 0.25) quantile, scipy.stats' ppf),
@@ -230,10 +241,10 @@ class TestMisspecification:
         cfg = small_cfg(k_reps=3)
         cell = sim.run_cell(cfg)
         mis = sim.run_misspecification(cfg, analysis_families=("clayton",), mode="refit")
-        for method in ("hard", "soft"):
-            np.testing.assert_array_equal(mis["clayton"][method].v, cell[method].v)
-            np.testing.assert_array_equal(mis["clayton"][method].r, cell[method].r)
-        np.testing.assert_array_equal(mis["storey"].v, cell["storey"].v)
+        for method in sim.METHODS:
+            got = mis["storey"] if method == "storey" else mis["clayton"][method]
+            for count in ("v", "r", "s", "m1"):
+                np.testing.assert_array_equal(getattr(got, count), getattr(cell[method], count))
 
     @pytest.mark.parametrize("family", ft.DEFAULT_CANDIDATES)
     def test_fixed_generating_family_analyses_with_the_true_copula(self, family):
@@ -279,6 +290,112 @@ class TestMisspecification:
         with pytest.raises(ValueError):
             sim.run_misspecification(small_cfg(), mode="other")
 
+    @pytest.mark.parametrize("families, message", [
+        (("frank", "frank"), "^analysis_families lists family 'frank' twice$"),
+        # at tau = 0 every family collapses to independence, so only the
+        # up-front check sees the unknown name
+        (("foo",), "^unknown copula family 'foo'$"),
+    ])
+    def test_bad_family_list_rejected(self, families, message):
+        with pytest.raises(ValueError, match=message):
+            sim.run_misspecification(small_cfg(k_reps=1, tau=0.0), analysis_families=families,
+                                     mode="fixed")
+
+
+# Reference replicates, written out without the shared replicate path: a
+# cell analysed with the generating family at the replicate's Kendall tau,
+# and a misspecification replicate that computes tau and null pairs in both
+# modes and scores every refit candidate.  run_cell and run_misspecification
+# must match them count for count.
+
+def oracle_tau_model(family, tau_hat):
+    if abs(tau_hat) < 1e-6 or family == "independence":
+        return cp.CopulaModel("independence")
+    return cp.tau_to_theta(family, tau_hat)
+
+
+def oracle_analysis_model(cfg, table):
+    obs = cp.PseudoObservations.clamped(table.p1, table.p2)
+    return oracle_tau_model(cfg.dep_family, ft.empirical_kendall_tau(obs))
+
+
+def oracle_counts(outcome, is_alt):
+    rejected = outcome.rejected
+    v = int(np.count_nonzero(rejected & ~is_alt))
+    s = int(np.count_nonzero(rejected & is_alt))
+    return v, v + s, s, int(np.count_nonzero(is_alt))
+
+
+def oracle_cell_replicate(cfg, k):
+    table, is_alt = sim.generate_dataset(cfg, k)
+    model = oracle_analysis_model(cfg, table)
+    outcomes = {
+        "storey": proc.run_one_stage_storey(table, cfg.alpha, cfg.lambda_),
+        "hard": proc.run_two_stage_hard(table, model, cfg.alpha, cfg.lambda_),
+        "soft": proc.run_two_stage_soft(table, model, cfg.alpha, cfg.lambda_),
+    }
+    return {name: oracle_counts(o, is_alt) for name, o in outcomes.items()}
+
+
+def oracle_misspec_replicate(cfg, k, families, mode):
+    table, is_alt = sim.generate_dataset(cfg, k)
+    obs = cp.PseudoObservations.clamped(table.p1, table.p2)
+    tau_hat = ft.empirical_kendall_tau(obs)
+    null_u = obs.u[~is_alt]
+    null_v = obs.v[~is_alt]
+
+    out = {"storey": oracle_counts(proc.run_one_stage_storey(table, cfg.alpha, cfg.lambda_),
+                                   is_alt)}
+    for family in families:
+        if mode == "fixed":
+            model = oracle_tau_model(family, cfg.tau)
+        else:
+            scored = []
+            for cand in dict.fromkeys((family, cfg.dep_family)):
+                mdl = oracle_tau_model(cand, tau_hat)
+                ll = float(np.sum(cp.log_density(mdl, null_u, null_v)))
+                scored.append((ll, cand, mdl))
+            model = max(scored, key=lambda t: t[0])[2]
+        out[family] = {
+            "hard": oracle_counts(proc.run_two_stage_hard(table, model, cfg.alpha,
+                                                          cfg.lambda_), is_alt),
+            "soft": oracle_counts(proc.run_two_stage_soft(table, model, cfg.alpha,
+                                                          cfg.lambda_), is_alt),
+        }
+    return out
+
+
+def per_replicate(result):
+    """(V, R, S, M1) of each replicate of a MonteCarloResult."""
+    return list(zip(result.v.tolist(), result.r.tolist(), result.s.tolist(),
+                    result.m1.tolist()))
+
+
+ORACLE_CELLS = [(family, tau, p0) for family in cp.FAMILIES
+                for tau in (-0.4, 0.0) for p0 in (0.95, 1.0)]
+
+
+@pytest.mark.parametrize("family, tau, p0", ORACLE_CELLS)
+def test_run_cell_matches_the_cell_replicate_oracle(family, tau, p0):
+    cfg = small_cfg(m=400, k_reps=2, tau=tau, p0=p0, dep_family=family)
+    res = sim.run_cell(cfg)
+    expected = [oracle_cell_replicate(cfg, k) for k in range(cfg.k_reps)]
+    for method in sim.METHODS:
+        assert per_replicate(res[method]) == [rep[method] for rep in expected], method
+
+
+@pytest.mark.parametrize("mode", ["fixed", "refit"])
+@pytest.mark.parametrize("family, tau, p0", ORACLE_CELLS)
+def test_run_misspecification_matches_the_replicate_oracle(family, tau, p0, mode):
+    cfg = small_cfg(m=400, k_reps=2, tau=tau, p0=p0, dep_family=family)
+    res = sim.run_misspecification(cfg, cp.FAMILIES, mode)
+    expected = [oracle_misspec_replicate(cfg, k, cp.FAMILIES, mode) for k in range(cfg.k_reps)]
+    assert per_replicate(res["storey"]) == [rep["storey"] for rep in expected]
+    for analysis in cp.FAMILIES:
+        for method in ("hard", "soft"):
+            assert (per_replicate(res[analysis][method])
+                    == [rep[analysis][method] for rep in expected]), (analysis, method)
+
 
 class TestSelectionStudy:
     def test_counts_sum_to_reps(self):
@@ -292,6 +409,12 @@ class TestSelectionStudy:
         true_model = cp.tau_to_theta("clayton", -0.4)
         with pytest.raises(ValueError, match=f"^reps must be positive, got {reps}$"):
             sim.run_copula_selection_study(true_model, n=300, reps=reps)
+
+    def test_repeated_candidate_rejected(self):
+        true_model = cp.tau_to_theta("clayton", -0.4)
+        with pytest.raises(ValueError, match="^candidates lists family 'clayton' twice$"):
+            sim.run_copula_selection_study(true_model, n=300, reps=2,
+                                           candidates=("clayton", "clayton", "frank"))
 
     def test_true_family_dominates_smoke(self):
         true_model = cp.tau_to_theta("clayton", -0.4)
