@@ -36,6 +36,7 @@ __all__ = [
     "tau_to_theta",
     "orientation",
     "sample",
+    "bisect_increasing",
 ]
 
 FAMILIES = ("independence", "gaussian", "frank", "clayton", "gumbel", "joe")

@@ -209,12 +209,17 @@ def open_text(path, mode="rt"):
     return open(path, mode.replace("t", ""), encoding="utf-8")
 
 
-def _read_lines(path) -> list:
+def _read_tsv(path) -> tuple[list, list]:
+    """A nonempty TSV's lines and its header cells, which name no column twice."""
     with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
-    return lines
+    header = lines[0].split("\t")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValueError(f"{path}: header names column {name!r} twice")
+    return lines, header
 
 
 def _bulk_rows(lines, n_fields: int, id_col: int, value_cols, positive=False):
@@ -223,7 +228,7 @@ def _bulk_rows(lines, n_fields: int, id_col: int, value_cols, positive=False):
     values has one row per line and one column per value_cols entry.
     Returns None when any line might be rejected: a wrong tab count, a cell
     that np.loadtxt does not parse, a value that is not finite (or, when
-    positive, not above 0) or a repeated id.  The reader's per-line loop
+    positive, not above 0) or a repeated id.  The per-line loop _line_rows
     then finds the first bad line and names it; it is the authority on what
     is accepted.  loadtxt parses a subset of what float() parses, to the
     same double, except that it strips a unit separator (\\x1f) that float()
@@ -243,14 +248,55 @@ def _bulk_rows(lines, n_fields: int, id_col: int, value_cols, positive=False):
     return ids, values
 
 
+def _line_rows(path, lines, id_col: int, value_cols, positive=False):
+    """_bulk_rows' table parsed line by line with float(): (ids, values), or
+    the error of the first bad line, naming it and the header column of its
+    first bad cell."""
+    header = lines[0].split("\t")
+    ids, rows, seen = [], [], set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        where = f"{path}: line {lineno}"
+        parts = line.split("\t")
+        if len(parts) != len(header):
+            raise ValueError(f"{where}: expected {len(header)} columns, got {len(parts)}")
+        values = []
+        for col in value_cols:
+            try:
+                x = float(parts[col])
+            except ValueError as exc:
+                raise ValueError(f"{where}: non-numeric {header[col]}: {exc}") from None
+            if not math.isfinite(x):
+                raise ValueError(f"{where}: non-finite {header[col]}")
+            if positive and x <= 0.0:
+                raise ValueError(f"{where}: {header[col]} must be positive")
+            values.append(x)
+        if parts[id_col] in seen:
+            raise ValueError(f"{where}: duplicate {header[id_col]} {parts[id_col]!r}")
+        seen.add(parts[id_col])
+        ids.append(parts[id_col])
+        rows.append(values)
+    if not ids:
+        raise ValueError(f"{path}: no data rows")
+    return ids, np.array(rows)
+
+
+def _table_rows(path, lines, id_col: int, value_cols, positive=False):
+    """(ids, values) of a table's data lines: the bulk parse when it takes
+    every line, else the per-line one."""
+    return (_bulk_rows(lines, lines[0].count("\t") + 1, id_col, value_cols, positive)
+            or _line_rows(path, lines, id_col, value_cols, positive))
+
+
 def read_counts(path) -> ReplicateData:
     """Read a TSV with header gene_id, ko_1..ko_r, wt_1..wt_r.
 
     Accepts gzip input by extension and both LF and CRLF line endings;
-    rejects malformed rows with the offending line number.
+    rejects a malformed row naming its line and the column of its first bad
+    cell, and a header naming a column twice.
     """
-    lines = _read_lines(path)
-    header = lines[0].split("\t")
+    lines, header = _read_tsv(path)
     if header[0] != "gene_id":
         raise ValueError(f"{path}: first column must be gene_id, got {header[0]!r}")
     ko_cols = [c for c in header[1:] if c.startswith("ko_")]
@@ -258,39 +304,9 @@ def read_counts(path) -> ReplicateData:
     r = len(ko_cols)
     if r < 1 or len(wt_cols) != r or header[1:] != ko_cols + wt_cols:
         raise ValueError(f"{path}: header must be gene_id, ko_1..ko_r, wt_1..wt_r")
-    ids, values = (_bulk_rows(lines, 1 + 2 * r, 0, range(1, 1 + 2 * r), positive=True)
-                   or _count_rows(path, lines, r))
+    ids, values = _table_rows(path, lines, 0, range(1, 1 + 2 * r), positive=True)
     return ReplicateData(tuple(ids), np.ascontiguousarray(values[:, :r]),
                          np.ascontiguousarray(values[:, r:]))
-
-
-def _count_rows(path, lines, r: int) -> tuple[list, np.ndarray]:
-    """read_counts' per-line parse: (ids, (n, 2r) counts), or the error of
-    the first bad line."""
-    ids, rows, seen = [], [], set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 1 + 2 * r:
-            raise ValueError(f"{path}: line {lineno}: expected {1 + 2 * r} columns, "
-                             f"got {len(parts)}")
-        try:
-            values = [float(x) for x in parts[1:]]
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric count") from None
-        if not all(0.0 < x < math.inf for x in values):  # NaN fails too
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}: line {lineno}: non-finite count")
-            raise ValueError(f"{path}: line {lineno}: counts must be positive")
-        if parts[0] in seen:
-            raise ValueError(f"{path}: line {lineno}: duplicate gene id {parts[0]!r}")
-        seen.add(parts[0])
-        ids.append(parts[0])
-        rows.append(values)
-    if not ids:
-        raise ValueError(f"{path}: no data rows")
-    return ids, np.array(rows)
 
 
 def write_tsv(path, columns, lines, seed=None) -> None:
@@ -315,46 +331,15 @@ def read_hypotheses(path) -> tuple[list, np.ndarray, np.ndarray]:
     The header names an id column (gene_id or id), beta_hat and an
     auxiliary column (y or sd_boot), so ``write_summary`` output reads
     back as is.  Gzip input is accepted by extension.  Malformed rows,
-    non-finite values and repeated ids are rejected with the path and line
-    number.
+    non-finite values and repeated ids are rejected with the path, the line
+    and the column, as is a header naming a column twice.
     """
-    lines = _read_lines(path)
-    header = lines[0].split("\t")
+    lines, header = _read_tsv(path)
     cols = {name: i for i, name in enumerate(header)}
     id_col = next((cols[c] for c in ("gene_id", "id") if c in cols), None)
     aux_col = next((cols[c] for c in ("y", "sd_boot") if c in cols), None)
     if id_col is None or "beta_hat" not in cols or aux_col is None:
         raise ValueError(f"{path}: need columns gene_id/id, beta_hat and y/sd_boot")
-    beta_col = cols["beta_hat"]
-    ids, values = (_bulk_rows(lines, len(header), id_col, (beta_col, aux_col))
-                   or _hypothesis_rows(path, lines, header, id_col, beta_col, aux_col))
+    ids, values = _table_rows(path, lines, id_col, (cols["beta_hat"], aux_col))
     beta, aux = np.ascontiguousarray(values.T)
     return ids, beta, aux
-
-
-def _hypothesis_rows(path, lines, header, id_col, beta_col, aux_col):
-    """read_hypotheses' per-line parse: (ids, (n, 2) beta_hat and aux), or
-    the error of the first bad line."""
-    ids, rows, seen = [], [], set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(header):
-            raise ValueError(f"{path}: line {lineno}: expected {len(header)} columns")
-        try:
-            b, a = float(parts[beta_col]), float(parts[aux_col])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        if not (math.isfinite(b) and math.isfinite(a)):
-            raise ValueError(f"{path}: line {lineno}: non-finite {header[beta_col]} "
-                             f"or {header[aux_col]}")
-        rows.append((b, a))
-        hid = parts[id_col]
-        if hid in seen:
-            raise ValueError(f"{path}: line {lineno}: duplicate id {hid!r}")
-        seen.add(hid)
-        ids.append(hid)
-    if not ids:
-        raise ValueError(f"{path}: no data rows")
-    return ids, np.array(rows)

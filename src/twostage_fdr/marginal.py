@@ -157,6 +157,11 @@ def mixture_from_json(source) -> GaussianMixture:
     missing = [k for k in _MIXTURE_KEYS if k not in payload]
     if missing:
         raise ValueError(f"mixture JSON is missing keys: {missing}")
+    for key in _MIXTURE_KEYS:  # numpy would read true as 1.0 and "1.5" as 1.5
+        items = payload[key]
+        if isinstance(items, list) and not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+            raise ValueError(f"mixture {key} must be a list of JSON numbers, got {items!r}")
     try:
         return GaussianMixture(*(payload[k] for k in _MIXTURE_KEYS))
     except TypeError as exc:  # e.g. an object where a list of numbers belongs

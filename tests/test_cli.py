@@ -190,11 +190,13 @@ class TestTestCommand:
         table.write_text(f"gene_id\tbeta_hat\ty\ng1\t0.5\t0.2\ng2\t{cell}\t0.3\n")
         assert main(["test", str(table), "--method", "storey", "--null-mixture", null_json,
                      "--out-dir", str(tmp_path / "out")]) == 1
-        assert f"error: {table}: line 3: non-finite beta_hat or y" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {table}: line 3: non-finite beta_hat\n"
 
     @pytest.mark.parametrize("payload, message", [
         ('{"weights": [1.0], "means": [0.0]}', "missing keys: ['sds']"),
         ('[1.0, 0.0, 1.0]', "must be an object"),
+        ('{"weights": [true], "means": [0.0], "sds": [1.0]}',
+         "mixture weights must be a list of JSON numbers, got [True]"),
     ])
     def test_malformed_null_mixture_fails(self, tmp_path, capsys, payload, message):
         table = tmp_path / "table.tsv"
@@ -251,7 +253,7 @@ class TestTestCommand:
         table.write_text("gene_id\tbeta_hat\ty\ng1\t0.5\t0.2\ng2\t0.1\t0.3\ng1\t0.2\t0.4\n")
         assert main(["test", str(table), "--method", "storey", "--null-mixture", null_json,
                      "--out-dir", str(tmp_path / "out")]) == 1
-        assert f"{table}: line 4: duplicate id 'g1'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {table}: line 4: duplicate gene_id 'g1'\n"
 
     def test_byte_identical_reruns(self, tmp_path, null_json):
         table = tmp_path / "table.tsv"

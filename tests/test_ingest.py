@@ -205,7 +205,7 @@ class TestReadCounts:
         path = tmp_path / "counts.tsv"
         write_counts(path, ["g1\t1\t2\t3\t4\t5\t6", "g1\t2\t2\t2\t3\t3\t3"])
         with pytest.raises(ValueError,
-                           match=re.escape(f"{path}: line 3: duplicate gene id 'g1'")):
+                           match=re.escape(f"{path}: line 3: duplicate gene_id 'g1'")):
             ig.read_counts(path)
 
     def test_short_row(self, tmp_path):
@@ -230,13 +230,13 @@ class TestReadCounts:
     def test_non_finite_names_row(self, tmp_path, cell):
         path = tmp_path / "counts.tsv"
         write_counts(path, ["g1\t1\t2\t3\t4\t5\t6", f"g2\t1\t{cell}\t3\t4\t5\t6"])
-        with pytest.raises(ValueError, match="line 3: non-finite count"):
+        with pytest.raises(ValueError, match="line 3: non-finite ko_2"):
             ig.read_counts(path)
 
     def test_negative_count_names_row(self, tmp_path):
         path = tmp_path / "counts.tsv"
         write_counts(path, ["g1\t1\t2\t3\t4\t5\t-6"])
-        with pytest.raises(ValueError, match="line 2: counts must be positive"):
+        with pytest.raises(ValueError, match="line 2: wt_3 must be positive"):
             ig.read_counts(path)
 
     def test_bad_header(self, tmp_path):
@@ -295,7 +295,7 @@ class TestReadHypotheses:
         path = tmp_path / "summary.tsv"
         path.write_text("gene_id\tbeta_hat\tsd_boot\n"
                         "g1\t0.1\t0.2\ng2\t0.1\t0.2\n\ng1\t0.3\t0.4\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: duplicate id 'g1'")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: duplicate gene_id 'g1'")):
             ig.read_hypotheses(path)
 
     @pytest.mark.parametrize("text, message", [
@@ -444,39 +444,48 @@ def test_bulk_parse_takes_well_formed_files_and_leaves_odd_cells_to_float(tmp_pa
         assert ig.read_hypotheses(odd)[1].tolist() == [value]
     odd.write_text("gene_id\tbeta_hat\ty\ng1\t1.5\x1f\t0.5\n")
     assert not bulk_taken(ig.read_hypotheses, odd)
-    with pytest.raises(ValueError, match="line 2: could not convert"):
+    with pytest.raises(ValueError, match="line 2: non-numeric beta_hat: could not convert"):
         ig.read_hypotheses(odd)
 
 
 COUNTS_HEADER = "gene_id\tko_1\tko_2\tko_3\twt_1\twt_2\twt_3\n"
 
 
-# every malformed input of the tests above, with the whole message it gives
+# every malformed input of the tests above, and headers naming a column twice,
+# with the whole message each gives
 @pytest.mark.parametrize("reader, text, message", [
     (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\t6\ng2\t0\t2\t2\t3\t3\t3\n",
-     "line 3: counts must be positive"),
+     "line 3: ko_1 must be positive"),
     (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\t6\ng1\t2\t2\t2\t3\t3\t3\n",
-     "line 3: duplicate gene id 'g1'"),
+     "line 3: duplicate gene_id 'g1'"),
     (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\n", "line 2: expected 7 columns, got 6"),
-    (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\tx\t4\t5\t6\n", "line 2: non-numeric count"),
+    (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\tx\t4\t5\t6\n",
+     "line 2: non-numeric ko_3: could not convert string to float: 'x'"),
     (ig.read_counts, "", "empty file"),
     (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\t6\ng2\t1\tnan\t3\t4\t5\t6\n",
-     "line 3: non-finite count"),
+     "line 3: non-finite ko_2"),
     (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\t6\ng2\t1\t-inf\t3\t4\t5\t6\n",
-     "line 3: non-finite count"),
-    (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\t-6\n", "line 2: counts must be positive"),
+     "line 3: non-finite ko_2"),
+    (ig.read_counts, COUNTS_HEADER + "g1\t1\t2\t3\t4\t5\t-6\n", "line 2: wt_3 must be positive"),
     (ig.read_counts, "gene\tko_1\twt_1\n", "first column must be gene_id, got 'gene'"),
     (ig.read_counts, COUNTS_HEADER + "\n", "no data rows"),
     (ig.read_hypotheses, "gene_id\tbeta_hat\tsd_boot\ng1\t0.1\t0.2\ng2\tabc\t0.3\n",
-     "line 3: could not convert string to float: 'abc'"),
+     "line 3: non-numeric beta_hat: could not convert string to float: 'abc'"),
     (ig.read_hypotheses, "gene_id\tbeta_hat\tsd_boot\ng1\t0.1\t0.2\ng2\t0.1\t0.2\n\ng1\t0.3\t0.4\n",
-     "line 5: duplicate id 'g1'"),
+     "line 5: duplicate gene_id 'g1'"),
     (ig.read_hypotheses, "", "empty file"),
     (ig.read_hypotheses, "gene_id\tbeta_hat\n", "need columns gene_id/id, beta_hat and y/sd_boot"),
     (ig.read_hypotheses, "gene_id\tbeta_hat\tsd_boot\n", "no data rows"),
-    (ig.read_hypotheses, "gene_id\tbeta_hat\tsd_boot\ng1\t0.1\n", "line 2: expected 3 columns"),
+    (ig.read_hypotheses, "gene_id\tbeta_hat\tsd_boot\ng1\t0.1\n",
+     "line 2: expected 3 columns, got 2"),
     (ig.read_hypotheses, "gene_id\tbeta_hat\ty\ng1\t0.5\t0.2\ng2\tinf\t0.3\n",
-     "line 3: non-finite beta_hat or y"),
+     "line 3: non-finite beta_hat"),
+    (ig.read_hypotheses, "gene_id\tbeta_hat\tbeta_hat\tsd_boot\ng1\t0.1\t5\t0.3\n",
+     "header names column 'beta_hat' twice"),
+    (ig.read_hypotheses, "id\tbeta_hat\ty\tnote\tnote\ng1\t0.1\t0.3\ta\tb\n",
+     "header names column 'note' twice"),
+    (ig.read_counts, "gene_id\tko_1\tko_1\twt_1\twt_2\ng1\t1\t2\t3\t4\n",
+     "header names column 'ko_1' twice"),
 ])
 def test_malformed_input_keeps_its_message(tmp_path, reader, text, message):
     path = tmp_path / "table.tsv"
@@ -484,3 +493,112 @@ def test_malformed_input_keeps_its_message(tmp_path, reader, text, message):
     expected = ("error", f"{path}: {message}")
     assert read_outcome(reader, path) == expected
     assert per_line_outcome(reader, path) == expected
+
+
+# ---------------------------------------------------------------------------
+# The two per-line loops the readers had before they shared _line_rows, kept
+# as oracles: the shared loop must accept and reject the same files, with the
+# same ids and value bits, and name the same line in any error.
+# ---------------------------------------------------------------------------
+
+
+def oracle_count_rows(path, lines, r: int):
+    ids, rows, seen = [], [], set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 1 + 2 * r:
+            raise ValueError(f"{path}: line {lineno}: expected {1 + 2 * r} columns, "
+                             f"got {len(parts)}")
+        try:
+            values = [float(x) for x in parts[1:]]
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric count") from None
+        if not all(0.0 < x < math.inf for x in values):  # NaN fails too
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: line {lineno}: non-finite count")
+            raise ValueError(f"{path}: line {lineno}: counts must be positive")
+        if parts[0] in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate gene id {parts[0]!r}")
+        seen.add(parts[0])
+        ids.append(parts[0])
+        rows.append(values)
+    if not ids:
+        raise ValueError(f"{path}: no data rows")
+    return ids, np.array(rows)
+
+
+def oracle_hypothesis_rows(path, lines, header, id_col, beta_col, aux_col):
+    ids, rows, seen = [], [], set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}: line {lineno}: expected {len(header)} columns")
+        try:
+            b, a = float(parts[beta_col]), float(parts[aux_col])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if not (math.isfinite(b) and math.isfinite(a)):
+            raise ValueError(f"{path}: line {lineno}: non-finite {header[beta_col]} "
+                             f"or {header[aux_col]}")
+        rows.append((b, a))
+        hid = parts[id_col]
+        if hid in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate id {hid!r}")
+        seen.add(hid)
+        ids.append(hid)
+    if not ids:
+        raise ValueError(f"{path}: no data rows")
+    return ids, np.array(rows)
+
+
+def oracle_outcome(reader, path):
+    """read_outcome of the reader with its old per-line loop, an error
+    reduced to the line it names (None for a file-level error)."""
+    with ig.open_text(path) as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split("\t")
+    try:
+        if reader is ig.read_counts:
+            r = (len(header) - 1) // 2
+            ids, values = oracle_count_rows(path, lines, r)
+            arrays = (np.ascontiguousarray(values[:, :r]), np.ascontiguousarray(values[:, r:]))
+        else:
+            cols = {name: i for i, name in enumerate(header)}
+            id_col = next(cols[c] for c in ("gene_id", "id") if c in cols)
+            aux_col = next(cols[c] for c in ("y", "sd_boot") if c in cols)
+            ids, values = oracle_hypothesis_rows(path, lines, header, id_col,
+                                                 cols["beta_hat"], aux_col)
+            arrays = tuple(np.ascontiguousarray(values.T))
+    except ValueError as exc:
+        return ("error", error_line(str(exc)))
+    return ("ok", tuple(ids), [(a.dtype, a.shape, a.tobytes()) for a in arrays])
+
+
+def error_line(message):
+    found = re.search(r": line (\d+): ", message)
+    return found and int(found[1])
+
+
+def shared_loop_outcome(reader, path):
+    outcome = per_line_outcome(reader, path)
+    return ("error", error_line(outcome[1])) if outcome[0] == "error" else outcome
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=hypothesis_table_text())
+def test_read_hypotheses_per_line_matches_old_loop(table_dir, text):
+    path = table_dir / "table.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert shared_loop_outcome(ig.read_hypotheses, path) == oracle_outcome(ig.read_hypotheses, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=count_table_text())
+def test_read_counts_per_line_matches_old_loop(table_dir, text):
+    path = table_dir / "counts.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert shared_loop_outcome(ig.read_counts, path) == oracle_outcome(ig.read_counts, path)

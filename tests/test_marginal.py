@@ -1,6 +1,7 @@
 """Marginal model tests: mixture null, empirical CDF, p-values, hypothesis table."""
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,6 +251,18 @@ class TestMixtureJson:
     def test_object_values_rejected(self):
         with pytest.raises(ValueError, match="lists of numbers"):
             mg.mixture_from_json({"weights": {}, "means": [0.0], "sds": [1.0]})
+
+    @pytest.mark.parametrize("key, items", [("weights", "[true]"), ("means", "[false]"),
+                                            ("sds", '["1.5"]'), ("sds", "[null]"),
+                                            ("means", "[[0.0]]")])
+    def test_non_number_items_rejected(self, tmp_path, key, items):
+        fields = {"weights": "[1.0]", "means": "[0.0]", "sds": "[1.0]"}
+        fields[key] = items
+        path = tmp_path / "null.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        message = f"mixture {key} must be a list of JSON numbers, got {json.loads(items)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mg.mixture_from_json(str(path))
 
     @pytest.mark.parametrize("key, values", [("weights", "[NaN, 0.5]"),
                                              ("means", "[Infinity, 0.0]"),

@@ -301,6 +301,22 @@ class TestMisspecification:
             sim.run_misspecification(small_cfg(k_reps=1, tau=0.0), analysis_families=families,
                                      mode="fixed")
 
+    def test_refit_builds_the_generating_model_and_its_null_loglik_once(self, monkeypatch):
+        calls = {"tau_to_theta": 0, "log_density": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(cp, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cp, name, counted)
+        cfg = small_cfg(m=400, k_reps=1, dep_family="frank")
+        # data and generating model, the four foils, and one null
+        # log-likelihood for the generating family and each foil
+        sim.run_misspecification(cfg, mode="refit")
+        assert calls == {"tau_to_theta": 6, "log_density": 5}
+        calls.update(tau_to_theta=0, log_density=0)
+        sim.run_cell(cfg)
+        assert calls == {"tau_to_theta": 2, "log_density": 0}
+
 
 # Reference replicates, written out without the shared replicate path: a
 # cell analysed with the generating family at the replicate's Kendall tau,
