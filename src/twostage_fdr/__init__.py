@@ -44,10 +44,9 @@ from .procedure import (
 from .ingest import (
     FoldChangeSummary,
     ReplicateData,
-    bootstrap_sd,
-    logfold,
     read_counts,
     read_hypotheses,
+    summarize,
 )
 from .simulate import MonteCarloResult, SimulationConfig, generate_dataset, run_cell
 

@@ -138,9 +138,13 @@ def cmd_simulate(args) -> int:
             results = sim.run_cell(cfg, threads=args.threads)
             write = sim.cell_to_tsv
         else:
+            fit_mode = payload.get("fit_mode", "refit")
+            if fit_mode not in sim.FIT_MODES:
+                raise ValueError(f"config key 'fit_mode' must be "
+                                 f"{' or '.join(map(repr, sim.FIT_MODES))}, got {fit_mode!r}")
             results = sim.run_misspecification(
                 cfg, analysis_families=payload.get("analysis_families"),
-                mode=payload.get("fit_mode", "refit"), threads=args.threads)
+                mode=fit_mode, threads=args.threads)
             write = sim.misspecification_to_tsv
         out_dir.mkdir(parents=True, exist_ok=True)
         write(results, table_path, seed=seed)

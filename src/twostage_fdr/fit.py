@@ -25,6 +25,7 @@ __all__ = [
     "SelectionReport",
     "CRITERIA",
     "DEFAULT_CANDIDATES",
+    "MIN_FIT_PAIRS",
     "check_families",
     "empirical_kendall_tau",
     "fit_mle",
@@ -36,6 +37,8 @@ __all__ = [
 CRITERIA = ("loglik", "aic", "bic")
 
 DEFAULT_CANDIDATES = ("gaussian", "frank", "clayton", "gumbel", "joe")
+
+MIN_FIT_PAIRS = 10  # fewest observation pairs fit_mle accepts
 
 
 class FitError(RuntimeError):
@@ -110,8 +113,8 @@ def fit_mle(family: str, rotation: int, obs: PseudoObservations,
     only picks the Frank branch sign; it is computed when omitted.
     """
     n = obs.n
-    if n < 10:
-        raise FitError(f"need at least 10 observation pairs to fit, got {n}")
+    if n < MIN_FIT_PAIRS:
+        raise FitError(f"need at least {MIN_FIT_PAIRS} observation pairs to fit, got {n}")
 
     if family == "independence":
         return FitResult(CopulaModel("independence"), 0.0, 0.0, 0.0, n, True)

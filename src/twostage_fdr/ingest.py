@@ -33,9 +33,7 @@ __all__ = [
     "ReplicateData",
     "FoldChangeSummary",
     "MAX_BOOTSTRAP_COMBINATIONS",
-    "logfold",
     "bootstrap_logfolds",
-    "bootstrap_sd",
     "summarize",
     "open_text",
     "read_counts",
@@ -106,15 +104,6 @@ class FoldChangeSummary:
         object.__setattr__(self, "sd_boot", sd)
 
 
-def logfold(ko, wt) -> float:
-    """log2 of the ratio of condition means, knockout over wildtype."""
-    ko_mean = float(np.mean(ko))
-    wt_mean = float(np.mean(wt))
-    if ko_mean <= 0.0 or wt_mean <= 0.0:
-        raise ValueError("condition means must be positive")
-    return float(np.log2(ko_mean / wt_mean))
-
-
 def _resample_index(r: int) -> np.ndarray:
     """Index tuples of all r^r with-replacement resamples, in odometer order."""
     return np.array(list(itertools.product(range(r), repeat=r)), dtype=int).reshape(-1, r)
@@ -132,24 +121,15 @@ def _combination_count(r: int) -> int:
     return n_comb
 
 
-def _one_gene(ko, wt) -> tuple[np.ndarray, np.ndarray, int]:
-    """Checked 1-d replicate arrays of one gene and its combination count."""
-    ko = np.asarray(ko, dtype=float)
-    wt = np.asarray(wt, dtype=float)
-    if ko.size != wt.size:
-        raise ValueError("conditions must have the same replicate count")
-    n_comb = _combination_count(ko.size)
-    if np.any(ko <= 0.0) or np.any(wt <= 0.0):
-        raise ValueError("counts must be positive")
-    return ko, wt, n_comb
-
-
 def bootstrap_logfolds(ko, wt) -> np.ndarray:
-    """All r^r x r^r bootstrap log-fold changes (KO resamples outer)."""
-    ko, wt, _ = _one_gene(ko, wt)
-    idx = _resample_index(ko.size)
-    ko_means = ko[idx].mean(axis=1)
-    wt_means = wt[idx].mean(axis=1)
+    """All r^r x r^r bootstrap log-fold changes of one gene (KO resamples
+    outer): the enumeration that the closed-form SD of ``summarize`` is
+    tested against."""
+    data = ReplicateData(("gene",), [ko], [wt])
+    _combination_count(data.r)
+    idx = _resample_index(data.r)
+    ko_means = data.ko[0][idx].mean(axis=1)
+    wt_means = data.wt[0][idx].mean(axis=1)
     return np.log2(ko_means[:, None] / wt_means[None, :]).ravel()
 
 
@@ -186,15 +166,6 @@ def _bootstrap_sds(ko: np.ndarray, wt: np.ndarray) -> np.ndarray:
     constant = np.all(ko == ko[:, :1], axis=1) & np.all(wt == wt[:, :1], axis=1)
     sd[constant] = 0.0
     return sd
-
-
-def bootstrap_sd(ko, wt) -> tuple[float, int]:
-    """Sample SD (denominator n-1) of the exhaustive bootstrap log-folds.
-
-    Returns (sd, combination_count); the count is 729 for triplicates.
-    """
-    ko, wt, n_comb = _one_gene(ko, wt)
-    return float(_bootstrap_sds(ko.reshape(1, -1), wt.reshape(1, -1))[0]), n_comb
 
 
 def summarize(data: ReplicateData) -> FoldChangeSummary:

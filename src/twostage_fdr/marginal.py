@@ -10,6 +10,7 @@ yeast knockout analysis.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,8 +144,9 @@ _MIXTURE_KEYS = ("weights", "means", "sds")
 
 
 def mixture_from_json(source) -> GaussianMixture:
-    """Load a mixture from a JSON object/file with weights/means/sds keys."""
-    if isinstance(source, (str, bytes)):
+    """Load a mixture from a JSON object, or from the file a str, bytes or
+    path-like source names, with weights/means/sds keys."""
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     else:

@@ -38,6 +38,7 @@ __all__ = [
     "METHODS",
     "CONFIG_KEYS",
     "DEFAULT_SEED",
+    "FIT_MODES",
     "generate_dataset",
     "dependence_model",
     "run_cell",
@@ -54,6 +55,8 @@ METHODS = ("storey", "hard", "soft")
 _TAU_INDEPENDENT = 1e-6  # |tau| below this collapses to independence
 
 DEFAULT_SEED = 20240001
+
+FIT_MODES = ("fixed", "refit")  # the modes of run_misspecification
 
 
 @dataclass(frozen=True)
@@ -272,8 +275,8 @@ def run_misspecification(cfg: SimulationConfig, analysis_families=None,
 
     Returns {"storey": MonteCarloResult, family: {"hard"/"soft": ...}}.
     """
-    if mode not in ("fixed", "refit"):
-        raise ValueError(f"mode must be 'fixed' or 'refit', got {mode!r}")
+    if mode not in FIT_MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, FIT_MODES))}, got {mode!r}")
     families = ft.check_families(analysis_families if analysis_families is not None
                                  else ft.DEFAULT_CANDIDATES, "analysis_families")
     if not families:
@@ -309,6 +312,8 @@ def run_copula_selection_study(true_model: cp.CopulaModel, n: int, reps: int,
                                candidates=ft.DEFAULT_CANDIDATES) -> SelectionStudyResult:
     """Sample n pairs from the true copula `reps` times and tally which
     family each criterion selects."""
+    if n < ft.MIN_FIT_PAIRS:
+        raise ValueError(f"n must be at least {ft.MIN_FIT_PAIRS}, got {n}")
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
     candidates = ft.check_families(candidates, "candidates")

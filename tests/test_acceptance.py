@@ -161,8 +161,10 @@ def test_criterion_6_copula_selection_study():
 
 def test_criterion_7_exhaustive_bootstrap():
     """729 combinations per triplicate gene; multiset equals a brute-force
-    enumeration oracle on 10 fixture genes."""
+    enumeration oracle on 10 fixture genes, and summarize's closed-form SD
+    of each gene equals the oracle's sample SD."""
     rng = np.random.default_rng(SEED)
+    genes = []
     for _ in range(10):
         ko = rng.uniform(0.5, 40.0, 3).tolist()
         wt = rng.uniform(0.5, 40.0, 3).tolist()
@@ -175,9 +177,11 @@ def test_criterion_7_exhaustive_bootstrap():
                 wt_mean = statistics.mean(wt[i] for i in wt_pick)
                 oracle.append(math.log2(ko_mean / wt_mean))
         np.testing.assert_allclose(np.sort(folds), np.sort(oracle), atol=1e-12)
-        sd, count = ig.bootstrap_sd(ko, wt)
-        assert count == 729
-        assert sd == pytest.approx(statistics.stdev(oracle), abs=1e-12)
+        genes.append((ko, wt, statistics.stdev(oracle)))
+    ko, wt, oracle_sd = zip(*genes)
+    summary = ig.summarize(ig.ReplicateData([f"g{i}" for i in range(10)], ko, wt))
+    for sd, expected in zip(summary.sd_boot, oracle_sd):
+        assert sd == pytest.approx(expected, abs=1e-12)
     print("ACCEPTANCE 7 (exhaustive bootstrap vs enumeration oracle): PASS")
 
 

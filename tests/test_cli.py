@@ -76,8 +76,9 @@ class TestBootstrapCommand:
         assert ids == ["g1", "g2"]
         assert beta_hat[0] == pytest.approx(1.0)
         assert sd_boot[0] == 0.0
-        # oracle for gene 2
-        expected = ig.bootstrap_sd([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])[0]
+        # enumeration oracle for gene 2
+        expected = float(np.std(ig.bootstrap_logfolds([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
+                                ddof=1))
         assert sd_boot[1] == pytest.approx(expected, abs=1e-12)
 
     def test_gzip_input_same_output(self, tmp_path):
@@ -433,13 +434,27 @@ class TestSimulateCommand:
          "error: unknown copula family 'foo'"),
         ({"mode": "selection", "n": 300, "reps": 0}, "error: reps must be positive, got 0"),
         ({"mode": "selection", "n": 300, "reps": -2}, "error: reps must be positive, got -2"),
+        ({"mode": "selection", "n": 5, "reps": 1}, "error: n must be at least 10, got 5"),
+        ({"mode": "selection", "n": 1, "reps": 1}, "error: n must be at least 10, got 1"),
     ])
     def test_bad_selection_study_rejected(self, tmp_path, capsys, payload, message):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(payload))
-        assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.strip() == message
-        assert not (tmp_path / "simtable.tsv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fit_mode", [5, "sometimes", None, "Fixed"], ids=repr)
+    def test_bad_fit_mode_names_its_key(self, tmp_path, capsys, fit_mode):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"mode": "misspecification", "m": 100, "k_reps": 1,
+                                       "fit_mode": fit_mode}))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config key 'fit_mode' must be 'fixed' or 'refit', got {fit_mode!r}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload, message", [
         ({"mode": "selection", "n": 300, "reps": 2, "candidates": ["clayton", "clayton", "frank"]},

@@ -26,42 +26,60 @@ def oracle_bootstrap_folds(ko, wt):
     return folds
 
 
+def oracle_logfold(ko, wt):
+    """log2 of the ratio of condition means, knockout over wildtype: the
+    one-gene rule that summarize's beta_hat must reproduce bit for bit."""
+    ko_mean = float(np.mean(ko))
+    wt_mean = float(np.mean(wt))
+    if ko_mean <= 0.0 or wt_mean <= 0.0:
+        raise ValueError("condition means must be positive")
+    return float(np.log2(ko_mean / wt_mean))
+
+
+def summarize_one(ko, wt):
+    """summarize on a one-gene ReplicateData: (beta_hat, sd_boot)."""
+    summary = ig.summarize(ig.ReplicateData(("g1",), [ko], [wt]))
+    return summary.beta_hat[0], summary.sd_boot[0]
+
+
 class TestLogfold:
+    """summarize's beta_hat, the one home of the log-fold rule."""
+
     def test_equal_conditions(self):
-        assert ig.logfold([3.0, 3.0, 3.0], [3.0, 3.0, 3.0]) == 0.0
+        assert summarize_one([3.0, 3.0, 3.0], [3.0, 3.0, 3.0])[0] == 0.0
 
     def test_doubling(self):
-        assert ig.logfold([4.0, 4.0, 4.0], [2.0, 2.0, 2.0]) == 1.0
+        assert summarize_one([4.0, 4.0, 4.0], [2.0, 2.0, 2.0])[0] == 1.0
 
     def test_halving(self):
-        assert ig.logfold([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == -1.0
+        assert summarize_one([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])[0] == -1.0
 
     def test_nonpositive_mean(self):
-        with pytest.raises(ValueError):
-            ig.logfold([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^counts must be positive$"):
+            summarize_one([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
 
 
 class TestBootstrap:
+    """summarize's SD and the bootstrap_logfolds enumeration, one gene at a time."""
+
     def test_constant_replicates(self):
-        sd, count = ig.bootstrap_sd([5.0, 5.0, 5.0], [2.0, 2.0, 2.0])
-        assert sd == 0.0
-        assert count == 729
+        assert summarize_one([5.0, 5.0, 5.0], [2.0, 2.0, 2.0])[1] == 0.0
+        assert ig.bootstrap_logfolds([5.0, 5.0, 5.0], [2.0, 2.0, 2.0]).size == 729
 
     def test_count_is_729_for_triplicates(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             ko = rng.uniform(1.0, 10.0, 3)
             wt = rng.uniform(1.0, 10.0, 3)
-            _, count = ig.bootstrap_sd(ko, wt)
-            assert count == 729
+            assert ig.bootstrap_logfolds(ko, wt).size == 729
 
     def test_multiset_matches_oracle_simple(self):
         got = ig.bootstrap_logfolds([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
         expected = oracle_bootstrap_folds([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
         np.testing.assert_allclose(np.sort(got), np.sort(expected), atol=1e-12)
-        sd, count = ig.bootstrap_sd([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        sd = summarize_one([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])[1]
         assert sd == pytest.approx(statistics.stdev(expected), abs=1e-12)
-        assert count == 729
+        assert got.size == 729
 
     def test_multiset_matches_oracle_random_genes(self):
         rng = np.random.default_rng(2024)
@@ -74,9 +92,9 @@ class TestBootstrap:
 
     def test_permutation_invariance(self):
         ko, wt = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
-        base_sd, _ = ig.bootstrap_sd(ko, wt)
+        base_sd = summarize_one(ko, wt)[1]
         for ko_perm in itertools.permutations(ko):
-            sd, _ = ig.bootstrap_sd(list(ko_perm), wt)
+            sd = summarize_one(list(ko_perm), wt)[1]
             assert sd == pytest.approx(base_sd, abs=1e-14)
 
     def test_scaling_invariance(self):
@@ -91,9 +109,21 @@ class TestBootstrap:
             ig.bootstrap_logfolds(np.ones(5), np.ones(5))
 
     def test_four_replicates_supported(self):
-        sd, count = ig.bootstrap_sd([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 2.0, 2.0])
-        assert count == 4 ** 4 * 4 ** 4
-        assert sd > 0.0
+        ko, wt = [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 2.0, 2.0]
+        assert ig.bootstrap_logfolds(ko, wt).size == 4 ** 4 * 4 ** 4
+        assert summarize_one(ko, wt)[1] > 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        with pytest.raises(ValueError, match="^counts must be finite$"):
+            ig.bootstrap_logfolds([bad, 1.0, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^counts must be finite$"):
+            ig.bootstrap_logfolds([1.0, 1.0, 1.0], [1.0, bad, 1.0])
+
+    def test_mismatched_replicate_counts_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "ko and wt must be (n_genes, r) arrays matching ids")):
+            ig.bootstrap_logfolds([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def oracle_summary_sd(ko, wt):
@@ -119,14 +149,14 @@ class TestClosedFormSummary:
         ko, wt = random_genes(rng, 12, r)
         summary = ig.summarize(ig.ReplicateData([f"g{i}" for i in range(12)], ko, wt))
         for i in range(12):
-            assert summary.beta_hat[i] == ig.logfold(ko[i], wt[i])
+            assert summary.beta_hat[i] == oracle_logfold(ko[i], wt[i])
             if r == 1 or i < 2:
                 assert summary.sd_boot[i] == 0.0
             else:
                 expected = oracle_summary_sd(ko[i], wt[i])
                 assert expected > 0.0
                 assert summary.sd_boot[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
-            assert ig.bootstrap_sd(ko[i], wt[i])[0] == summary.sd_boot[i]
+            assert summarize_one(ko[i], wt[i])[1] == summary.sd_boot[i]
 
     def test_blocks_give_the_same_values(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -143,7 +173,36 @@ class TestClosedFormSummary:
         with pytest.raises(ValueError, match="cap"):
             ig.summarize(data)
         with pytest.raises(ValueError, match="cap"):
-            ig.bootstrap_sd(np.ones(5), np.ones(5))
+            ig.bootstrap_logfolds(np.ones(5), np.ones(5))
+
+
+class TestReplicateDataChecks:
+    """ReplicateData is the one check of replicate counts."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="^counts must be finite$"):
+            ig.ReplicateData(("g1", "g2"), [[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [bad, 4.0]])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -2.5])
+    def test_nonpositive_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="^counts must be positive$"):
+            ig.ReplicateData(("g1", "g2"), [[1.0, 2.0], [3.0, bad]], [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("ko, wt, ids", [
+        ([[1.0, 2.0]], [[1.0, 2.0, 3.0]], ("g1",)),  # replicate counts differ
+        ([[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]], ("g1",)),  # gene counts differ
+        ([[1.0, 2.0]], [[1.0, 2.0]], ("g1", "g2")),  # ids do not match the rows
+        ([1.0, 2.0], [1.0, 2.0], ("g1", "g2")),  # not (n_genes, r)
+    ])
+    def test_shape_mismatch_rejected(self, ko, wt, ids):
+        with pytest.raises(ValueError, match=re.escape(
+                "ko and wt must be (n_genes, r) arrays matching ids")):
+            ig.ReplicateData(ids, ko, wt)
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ValueError, match="^gene ids must be unique$"):
+            ig.ReplicateData(("g1", "g2", "g1"), np.ones((3, 3)), np.ones((3, 3)))
 
 
 class TestFoldChangeSummaryChecks:
@@ -252,7 +311,7 @@ class TestSummary:
                                 np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]]),
                                 np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]))
         summary = ig.summarize(data)
-        assert summary.beta_hat[0] == pytest.approx(ig.logfold([1, 2, 3], [1, 1, 1]))
+        assert summary.beta_hat[0] == pytest.approx(oracle_logfold([1, 2, 3], [1, 1, 1]))
         assert summary.beta_hat[1] == 1.0
         assert summary.sd_boot[1] == 0.0
         path = tmp_path / "summary.tsv"

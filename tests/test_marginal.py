@@ -229,6 +229,11 @@ class TestMixtureJson:
         m = mg.mixture_from_json(str(path))
         assert m == mg.REAL_DATA_NULL
 
+    def test_load_from_path_object(self, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text('{"weights": [0.615, 0.385], "means": [0.0, -0.002], "sds": [0.063, 0.205]}')
+        assert mg.mixture_from_json(path) == mg.REAL_DATA_NULL
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             mg.mixture_from_json({"weights": [1.0], "means": [0.0], "sds": [1.0], "shape": 2})

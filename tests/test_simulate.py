@@ -287,7 +287,7 @@ class TestMisspecification:
         assert r.fdr_hat <= cfg.alpha + 3.0 * max(r.fdr_sd, 1e-12)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mode must be 'fixed' or 'refit', got 'other'$"):
             sim.run_misspecification(small_cfg(), mode="other")
 
     @pytest.mark.parametrize("families, message", [
@@ -425,6 +425,24 @@ class TestSelectionStudy:
         true_model = cp.tau_to_theta("clayton", -0.4)
         with pytest.raises(ValueError, match=f"^reps must be positive, got {reps}$"):
             sim.run_copula_selection_study(true_model, n=300, reps=reps)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 5, 9])
+    def test_n_below_the_fit_floor_rejected_before_sampling(self, monkeypatch, n):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking n")
+
+        monkeypatch.setattr(cp, "sample", no_sampling)
+        true_model = cp.tau_to_theta("clayton", -0.4)
+        with pytest.raises(ValueError, match=f"^n must be at least 10, got {n}$"):
+            sim.run_copula_selection_study(true_model, n=n, reps=1)
+
+    def test_n_floor_is_the_fit_floor(self):
+        true_model = cp.tau_to_theta("clayton", -0.4)
+        obs = cp.sample(true_model, ft.MIN_FIT_PAIRS - 1, 5)
+        with pytest.raises(ft.FitError, match=f"need at least {ft.MIN_FIT_PAIRS} "):
+            ft.fit_mle("clayton", 90, obs)
+        study = sim.run_copula_selection_study(true_model, n=ft.MIN_FIT_PAIRS, reps=1, seed=5)
+        assert sum(study.counts[f]["bic"] for f in study.families) == 1
 
     def test_repeated_candidate_rejected(self):
         true_model = cp.tau_to_theta("clayton", -0.4)
