@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, ndtr, ndtri
+from scipy.special import digamma, factorial, ndtr, ndtri, polygamma
 
 from .bvn import bvn_cdf
 
@@ -223,10 +223,11 @@ def _frank_hinv(t, x, u):
 
 def _clayton_ln_a(t, lu, lv):
     # log(u^-t + v^-t - 1) from lu = log u and lv = log v, overflow-safe for large t.
+    # Of e^(p-m) and e^(q-m), one is e^0 = 1 and the other e^-|p-q|.
     p = -t * lu
     q = -t * lv
     m = np.maximum(p, q)
-    return m + np.log(np.exp(p - m) + np.exp(q - m) - np.exp(-m))
+    return m + np.log(1.0 + np.exp(-np.abs(p - q)) - np.exp(-m))
 
 
 def _clayton_cdf(t, u, v):
@@ -326,6 +327,15 @@ def _joe_h(t, v, u):
     return np.exp((1.0 - 1.0 / t) * lx + np.log(ey) + (1.0 / t - 1.0) * ln_t)
 
 
+def _same_bits(a, b) -> bool:
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    uint = np.dtype(f"u{a.dtype.itemsize}")
+    return bool(np.array_equal(a.view(uint), b.view(uint)))
+
+
 def bisect_increasing(f, target, lo, hi, iterations: int):
     """Solve f(x) = target on [lo, hi] by a fixed number of halvings.
 
@@ -334,12 +344,19 @@ def bisect_increasing(f, target, lo, hi, iterations: int):
     lower end has f below target, so the result is the midpoint of a
     bracket of width (hi - lo) / 2**iterations around the smallest x with
     f(x) >= target (lo or hi when the target lies outside f's range).
+
+    A halving that leaves lo and hi unchanged, bit for bit, ends the loop:
+    f is a deterministic function, so every later halving would leave
+    them as they are, and the result is that of all the halvings.
     """
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         take_hi = f(mid) < target
-        lo = np.where(take_hi, mid, lo)
-        hi = np.where(take_hi, hi, mid)
+        new_lo = np.where(take_hi, mid, lo)
+        new_hi = np.where(take_hi, hi, mid)
+        if _same_bits(new_lo, lo) and _same_bits(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 
@@ -354,16 +371,16 @@ def _frank_tau_positive(theta: float) -> float:
 def _joe_tau(theta: float) -> float:
     if theta == 1.0:
         return 0.0
-
-    def f(t):
-        return 1.0 + 2.0 * (digamma(2.0) - digamma(1.0 + 2.0 / t)) / (2.0 - t)
-
-    # 0/0 at theta = 2; bridge the hole by local linear interpolation.
-    h = 1e-4
-    if abs(theta - 2.0) < h:
-        lo, hi = f(2.0 - h), f(2.0 + h)
-        return lo + (theta - (2.0 - h)) * (hi - lo) / (2.0 * h)
-    return f(theta)
+    if 1.9 <= theta <= 2.1:
+        # tau = 1 + 2 (psi(2) - psi(1 + x)) / (2 - theta), x = 2 / theta, is
+        # 0/0 at theta = 2.  Expanding psi(1 + x) about x = 1 cancels the pole:
+        # tau = 1 - x sum_j psi^(j)(2) (x - 1)^(j-1) / j!, j = 1..10; the
+        # first term left out is below 1e-16 for theta in [1.9, 2.1].
+        x = 2.0 / theta
+        j = np.arange(1, 11)
+        terms = polygamma(j, 2.0) / factorial(j) * (x - 1.0) ** (j - 1)
+        return 1.0 - x * float(terms.sum())
+    return 1.0 + 2.0 * (digamma(2.0) - digamma(1.0 + 2.0 / theta)) / (2.0 - theta)
 
 
 class _Family:

@@ -102,14 +102,23 @@ def aggregate_hard(table: HypothesisTable, model: CopulaModel,
 
     The copula CDF is evaluated on the screened-in rows only; it works
     element by element, so each value equals the one an evaluation over
-    all rows would give.
+    all rows would give.  When the k screened-in rows are the first k rows
+    (always so for rows in p1 order, as run_two_stage_hard scans them), the
+    CDF runs on the prefix views of p2 and of the values; otherwise it runs
+    on the rows gathered by index.
     """
     if not 0.0 < gamma1 < 1.0:
         raise ValueError(f"gamma1 must lie strictly inside (0, 1), got {gamma1}")
-    # integer indices gather and scatter faster than a boolean mask
-    screened_in = np.flatnonzero(table.p1 <= gamma1)
-    values = table.p1.copy()
-    values[screened_in] = copula_cdf(model, gamma1, table.p2[screened_in])
+    p1, p2 = table.p1, table.p2
+    values = p1.copy()
+    screened = p1 <= gamma1
+    k = np.count_nonzero(screened)
+    if k == 0 or p1[:k].max() <= gamma1:
+        values[:k] = copula_cdf(model, gamma1, p2[:k])
+    else:
+        # integer indices gather and scatter faster than a boolean mask
+        screened_in = np.flatnonzero(screened)
+        values[screened_in] = copula_cdf(model, gamma1, p2[screened_in])
     return AggregatedPValues("hard", values)
 
 
@@ -205,6 +214,12 @@ def run_two_stage_hard(table: HypothesisTable, model: CopulaModel, alpha: float,
     the level rejecting the most hypotheses wins, ties resolved toward the
     smallest (most stringent) screen.  The grid must be strictly increasing,
     so that the first maximum is the smallest level.
+
+    The levels are scanned on a copy of the table with its rows in p1 order,
+    where each level's screened-in rows are a prefix.  Each merged value
+    depends on its own row alone, and select_gamma on the values as a
+    multiset, so every level's count is the one the caller's row order
+    gives; the final aggregate runs on the caller's rows.
     """
     grid = default_gamma1_grid() if gamma1_grid is None else np.asarray(gamma1_grid, float)
     if grid.size < 1:
@@ -214,9 +229,13 @@ def run_two_stage_hard(table: HypothesisTable, model: CopulaModel, alpha: float,
     if not np.all(np.diff(grid) > 0.0):
         raise ValueError("gamma1 grid must be strictly increasing")
 
+    # the order among tied p1 values changes no count, so no stable sort
+    order = np.argsort(table.p1)
+    by_p1 = HypothesisTable(table.beta_hat[order], table.y[order],
+                            table.p1[order], table.p2[order])
     counts = []
     for g1 in grid:
-        agg = aggregate_hard(table, model, g1)
+        agg = aggregate_hard(by_p1, model, g1)
         _, _, m_k = select_gamma(agg, alpha, lambda_)
         counts.append(m_k)
     counts = np.asarray(counts)

@@ -365,6 +365,59 @@ def test_bisect_increasing_brackets_step_crossing(steps, ends, iterations):
     assert np.all(np.abs(r - crossing) <= tol)
 
 
+def seed_bisect(f, target, lo, hi, iterations):
+    """The fixed-count halving loop, the oracle of bisect_increasing's stop
+    at a fixed point."""
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        take_hi = f(mid) < target
+        lo = np.where(take_hi, mid, lo)
+        hi = np.where(take_hi, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(knots=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=12),
+       targets=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=20),
+       ends=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)).filter(
+           lambda e: e[0] < e[1]),
+       iterations=st.integers(0, 90), step=st.booleans(), scalar=st.booleans())
+def test_bisect_increasing_matches_fixed_count_loop(knots, targets, ends, iterations, step,
+                                                    scalar):
+    # a nondecreasing f: a step function or a piecewise-linear ramp, flat
+    # outside its knots; scalar runs one scalar target on scalar ends
+    xs = np.unique([k[0] for k in knots])
+    ys = np.sort([k[1] for k in knots])[:xs.size]
+    if step:
+        def f(x):
+            return np.searchsorted(xs, x, side="right") / xs.size
+    else:
+        def f(x):
+            return np.interp(x, xs, ys)
+    lo, hi = ends
+    target = targets[0] if scalar else np.array(targets)
+    if not scalar:
+        lo, hi = np.full(target.shape, lo), np.full(target.shape, hi)
+    assert_same(cp.bisect_increasing(f, target, lo, hi, iterations),
+                seed_bisect(f, target, lo, hi, iterations))
+
+
+def test_bisect_increasing_stops_at_the_fixed_point():
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        return x
+
+    target = 0.5 + 0.5 * np.random.default_rng(5).random(50)
+    got = cp.bisect_increasing(f, target, np.zeros(50), np.ones(50), 90)
+    # doubles in [0.5, 1) are 2^-53 apart: once the bracket is that narrow,
+    # a halving moves no end
+    assert len(calls) <= 55
+    assert_same(got, seed_bisect(lambda x: x, target, np.zeros(50), np.ones(50), 90))
+
+
 def seed_hinv_bisect(h, t, x, u):
     """Reference 80-halving h-inverse loop, the oracle for bisect_increasing."""
     x = np.asarray(x, dtype=float)
@@ -499,6 +552,41 @@ def test_frank_cdf_monotone_near_independence(theta):
                                  1e-10 + np.arange(2000) * np.spacing(1e-10)]))
     for gamma1 in (0.05, 0.5, 0.95):
         assert np.all(np.diff(cp.cdf(cp.CopulaModel("frank", theta), gamma1, p2)) >= 0.0)
+
+
+def seed_clayton_ln_a(t, lu, lv):
+    """The three-exponential Clayton log-sum, the oracle of the two-exponential one."""
+    p = -t * lu
+    q = -t * lv
+    m = np.maximum(p, q)
+    return m + np.log(np.exp(p - m) + np.exp(q - m) - np.exp(-m))
+
+
+@pytest.mark.parametrize("rotation", cp.ROTATIONS)
+@pytest.mark.parametrize("theta", [1e-4, 0.571, 50.0])
+def test_clayton_two_exponentials_match_three(theta, rotation, monkeypatch):
+    model = cp.CopulaModel("clayton", theta, rotation)
+    rng = np.random.default_rng(67)
+    ends = np.array([0.0, 1e-10, 0.5, 1.0 - 1e-10, 1.0])
+    v = np.concatenate([ends, rng.random(200), 10.0 ** -rng.uniform(1, 10, 40),
+                        1.0 - 10.0 ** -rng.uniform(1, 10, 40)])
+    inner = v[(v > 0.0) & (v < 1.0)]
+    firsts = [*ends, 0.3, rng.permutation(v)]  # scalar and array u
+    inner_firsts = [1e-10, 0.3, 1.0 - 1e-10, rng.permutation(inner)]
+
+    def evaluate():
+        out = []
+        with np.errstate(all="ignore"):
+            for u in firsts:
+                out += [cp.cdf(model, u, v), cp.cdf(model, v, u),
+                        cp.hfunc(model, v, interior(u))]
+            out += [cp.log_density(model, u, inner) for u in inner_firsts]
+        return out
+
+    got = evaluate()
+    monkeypatch.setattr(cp, "_clayton_ln_a", seed_clayton_ln_a)
+    for g, ref in zip(got, evaluate(), strict=True):
+        assert_same(g, ref)
 
 
 def seed_frank(t, u, v):

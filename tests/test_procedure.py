@@ -83,6 +83,65 @@ class TestAggregateHard:
             proc.aggregate_hard(t, INDEP, 1.0)
 
 
+def gather_aggregate_hard(table, model, gamma1):
+    """aggregate_hard's gather path, the oracle of its prefix path."""
+    screened_in = np.flatnonzero(table.p1 <= gamma1)
+    values = table.p1.copy()
+    values[screened_in] = cp.cdf(model, gamma1, table.p2[screened_in])
+    return values
+
+
+class TestAggregateHardPrefix:
+    """Rows whose screened-in set is a prefix take the prefix path, the rest
+    the gather path, and both give the gather path's values."""
+
+    LEVELS = (0.005, 0.25, 0.5, 0.75, 0.995)
+
+    @staticmethod
+    def rows(order):
+        rng = np.random.default_rng(32)
+        p1 = rng.uniform(0.01, 0.99, 300)
+        p1[:30] = 0.25  # ties on a grid level
+        p2 = rng.uniform(size=300)
+        p2[30:40] = 0.0
+        p2[40:50] = 1.0
+        p2[50:60] = 1e-10
+        rows = np.argsort(p1, kind="stable")
+        if order == "reverse":
+            rows = rows[::-1]
+        return make_table(p1[rows], p2[rows])
+
+    def paths(self, table, model, monkeypatch):
+        """Run every level; the path each took: a p2 view is a prefix."""
+        took_prefix = []
+
+        def spy(m, u, v):
+            took_prefix.append(v.base is table.p2)
+            return cp.cdf(m, u, v)
+
+        monkeypatch.setattr(proc, "copula_cdf", spy)
+        for g1 in self.LEVELS:
+            got = proc.aggregate_hard(table, model, g1)
+            np.testing.assert_array_equal(got.values, gather_aggregate_hard(table, model, g1))
+        return took_prefix
+
+    @pytest.mark.parametrize("model", [CLAYTON2, cp.CopulaModel("gumbel", 1.7, 90)],
+                             ids=lambda m: m.describe())
+    def test_p1_order_takes_the_prefix_path(self, model, monkeypatch):
+        assert self.paths(self.rows("p1"), model, monkeypatch) == [True] * 5
+
+    @pytest.mark.parametrize("model", [CLAYTON2, cp.CopulaModel("gumbel", 1.7, 90)],
+                             ids=lambda m: m.describe())
+    def test_reverse_order_gathers_between_the_ends(self, model, monkeypatch):
+        # 0.005 screens in no row, 0.995 every row: both are prefixes
+        assert self.paths(self.rows("reverse"), model, monkeypatch) == [
+            True, False, False, False, True]
+
+    def test_screened_in_rows_first_but_unsorted_take_the_prefix_path(self, monkeypatch):
+        table = make_table([0.2, 0.1, 0.25, 0.9, 0.5], [0.3, 0.4, 0.5, 0.6, 0.7])
+        assert self.paths(table, CLAYTON2, monkeypatch) == [True, True, False, False, True]
+
+
 class TestAggregateSoft:
     def test_independence_is_p2(self):
         t = make_table([0.8], [0.1])
@@ -188,6 +247,23 @@ def brute_force_hard_counts(table, model, grid, alpha, lambda_):
 
 
 class TestTwoStageHard:
+    def test_levels_scan_rows_in_p1_order(self, monkeypatch):
+        table = table_from_copula(CLAYTON2, 500, 12)
+        tables = []
+
+        def spy(t, model, gamma1):
+            tables.append(t)
+            return aggregate_hard(t, model, gamma1)
+
+        aggregate_hard = proc.aggregate_hard
+        monkeypatch.setattr(proc, "aggregate_hard", spy)
+        proc.run_two_stage_hard(table, CLAYTON2, 0.1)
+        levels, final = tables[:-1], tables[-1]
+        assert len(levels) == proc.default_gamma1_grid().size
+        assert all(t is levels[0] for t in levels)
+        assert np.all(np.diff(levels[0].p1) >= 0.0)
+        assert final is table
+
     def test_against_brute_force_scan(self):
         rng = np.random.default_rng(99)
         m = 300
