@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -110,87 +109,15 @@ def cmd_test(args) -> int:
     return 0
 
 
-_CELL_KEYS = {"mode", *sim.CONFIG_KEYS}
-_MISSPEC_KEYS = _CELL_KEYS | {"analysis_families", "fit_mode"}
-_SELECTION_KEYS = {"mode", "n", "true_family", "tau", "reps", "seed", "candidates"}
-_INTEGER_KEYS = ("m", "k_reps", "n", "reps", "seed")
-_REAL_KEYS = ("mu", "tau", "p0", "alpha", "lambda")
-_FAMILY_KEYS = ("dep_family", "true_family")
-_FAMILY_LIST_KEYS = ("analysis_families", "candidates")
-
-
 def cmd_simulate(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
-    _check_types(payload)
-    mode = payload.get("mode", "cell")
-    seed = args.seed if args.seed is not None else payload.get("seed", sim.DEFAULT_SEED)
-    out_dir = Path(args.out_dir)  # made only once the run has succeeded
-    table_path = out_dir / "simtable.tsv"
-
-    if mode in ("cell", "misspecification"):
-        _reject_unknown(payload, _CELL_KEYS if mode == "cell" else _MISSPEC_KEYS)
-        kwargs = {name: payload[key] for key, name in sim.CONFIG_KEYS.items() if key in payload}
-        cfg = sim.SimulationConfig(**{**kwargs, "seed": seed})
-        if mode == "cell":
-            results = sim.run_cell(cfg, threads=args.threads)
-            write = sim.cell_to_tsv
-        else:
-            fit_mode = payload.get("fit_mode", "refit")
-            if fit_mode not in sim.FIT_MODES:
-                raise ValueError(f"config key 'fit_mode' must be "
-                                 f"{' or '.join(map(repr, sim.FIT_MODES))}, got {fit_mode!r}")
-            results = sim.run_misspecification(
-                cfg, analysis_families=payload.get("analysis_families"),
-                mode=fit_mode, threads=args.threads)
-            write = sim.misspecification_to_tsv
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write(results, table_path, seed=seed)
-        (out_dir / "results.json").write_text(sim.cell_to_json(results, cfg) + "\n",
-                                              encoding="utf-8")
-    elif mode == "selection":
-        _reject_unknown(payload, _SELECTION_KEYS)
-        true_model = cp.tau_to_theta(payload.get("true_family", "clayton"),
-                                     payload.get("tau", -0.4))
-        study = sim.run_copula_selection_study(
-            true_model, n=payload.get("n", 8000), reps=payload.get("reps", 100),
-            seed=seed, candidates=payload.get("candidates", ft.DEFAULT_CANDIDATES))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        sim.study_to_tsv(study, table_path, seed=seed)
-    else:
-        raise ValueError(f"unknown simulate mode {mode!r}")
-    print(f"wrote {table_path}")
+    print(f"wrote {sim.run_config(payload, args.out_dir, args.seed, args.threads)}")
     return 0
-
-
-def _check_types(payload: dict) -> None:
-    """Reject a numeric, family or family-list config value of the wrong type,
-    naming its key."""
-    for key in _INTEGER_KEYS:
-        value = payload.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    for key in _REAL_KEYS:
-        value = payload.get(key, 0.0)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
-    for key in _FAMILY_KEYS:
-        value = payload.get(key, "")
-        if not isinstance(value, str):
-            raise ValueError(f"config key {key!r} must be a family name, got {value!r}")
-    for key in _FAMILY_LIST_KEYS:
-        value = payload.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(f, str) for f in value):
-            raise ValueError(f"config key {key!r} must be a list of family names, got {value!r}")
-
-
-def _reject_unknown(payload: dict, allowed: set) -> None:
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -65,15 +65,17 @@ class SelectionReport:
 
 
 def check_families(families, key: str) -> tuple:
-    """The family names as a tuple; an unknown name raises ValueError, and so
-    does a repeated one, naming `key` and the family."""
-    families = tuple(families)
-    for i, family in enumerate(families):
+    """The family names as a tuple.  A str, a non-str item or a repeated name
+    raises ValueError naming `key`; an unknown name raises one naming it."""
+    names = () if isinstance(families, str) else tuple(families)
+    if isinstance(families, str) or not all(isinstance(f, str) for f in names):
+        raise ValueError(f"{key} must be a list of family names, got {families!r}")
+    for i, family in enumerate(names):
         if family not in FAMILIES:
             raise ValueError(f"unknown copula family {family!r}")
-        if family in families[:i]:
+        if family in names[:i]:
             raise ValueError(f"{key} lists family {family!r} twice")
-    return families
+    return names
 
 
 def _tie_pairs(values: np.ndarray) -> int:

@@ -148,7 +148,10 @@ def mixture_from_json(source) -> GaussianMixture:
     path-like source names, with weights/means/sds keys."""
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{os.fsdecode(source)}: {exc}") from None
     else:
         payload = source
     if not isinstance(payload, dict):

@@ -19,8 +19,10 @@ taken at the true tau with nothing fitted (mode "fixed").  A cell
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaincinv, ndtri
@@ -36,18 +38,13 @@ __all__ = [
     "MonteCarloResult",
     "SelectionStudyResult",
     "METHODS",
-    "CONFIG_KEYS",
     "DEFAULT_SEED",
-    "FIT_MODES",
     "generate_dataset",
     "dependence_model",
     "run_cell",
     "run_misspecification",
     "run_copula_selection_study",
-    "cell_to_tsv",
-    "cell_to_json",
-    "misspecification_to_tsv",
-    "study_to_tsv",
+    "run_config",
 ]
 
 METHODS = ("storey", "hard", "soft")
@@ -56,12 +53,13 @@ _TAU_INDEPENDENT = 1e-6  # |tau| below this collapses to independence
 
 DEFAULT_SEED = 20240001
 
-FIT_MODES = ("fixed", "refit")  # the modes of run_misspecification
+_FIT_MODES = ("fixed", "refit")  # the modes of run_misspecification
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Knobs of one simulation cell."""
+    """Knobs of one simulation cell.  Each field's default sets the type it
+    takes (see ``_check_value``), checked before any range."""
 
     m: int = 8000              # hypotheses per replicate
     mu: float = 3.0            # alternative location
@@ -75,6 +73,8 @@ class SimulationConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for key, name in _CONFIG_KEYS.items():
+            _check_value(key, getattr(self, name), _CELL[key])
         if self.m < 1:
             raise ValueError("m must be positive")
         if self.mu <= 0.0:
@@ -85,8 +85,6 @@ class SimulationConfig:
             raise ValueError("p0 must lie in [0, 1]")
         if self.dep_family not in cp.FAMILIES:
             raise ValueError(f"unknown dependence family {self.dep_family!r}")
-        if self.analysis_mode != "tau":
-            raise ValueError(f"analysis_mode must be 'tau', got {self.analysis_mode!r}")
         if self.k_reps < 1:
             raise ValueError("k_reps must be positive")
         if not 0.0 < self.alpha < 1.0:
@@ -95,10 +93,42 @@ class SimulationConfig:
             raise ValueError("lambda must lie strictly inside (0, 1)")
 
 
-# JSON config key -> SimulationConfig field, in field (and results.json) order;
-# "lambda" is a Python keyword, hence the one rename.
-CONFIG_KEYS = {"lambda" if f.name == "lambda_" else f.name: f.name
-               for f in fields(SimulationConfig)}
+# JSON key -> SimulationConfig field, in field (and results.json) order; "lambda" is a keyword
+_CONFIG_KEYS = {"lambda" if f.name == "lambda_" else f.name: f.name
+                for f in fields(SimulationConfig)}
+
+# Each simulate mode's keys besides "mode", with defaults that also set their types
+_CELL = {key: f.default for key, f in zip(_CONFIG_KEYS, fields(SimulationConfig))}
+_SCHEMAS = {
+    "cell": _CELL,
+    "misspecification": {**_CELL, "analysis_families": ft.DEFAULT_CANDIDATES,
+                         "fit_mode": "refit"},
+    "selection": {"n": 8000, "true_family": "clayton", "tau": -0.4, "reps": 100,
+                  "seed": DEFAULT_SEED, "candidates": ft.DEFAULT_CANDIDATES},
+}
+
+
+def _check_value(key: str, value, default) -> None:
+    """Raise ValueError naming config key `key` unless `value` has the type
+    `default` sets (an int, a finite int or float, a family name or a list of
+    them; never a bool), or, for a mode key, is one of the mode's values."""
+    if key == "analysis_mode" and value != "tau":
+        raise ValueError(f"analysis_mode must be 'tau', got {value!r}")
+    if key == "fit_mode":
+        ok, kind = value in _FIT_MODES, " or ".join(map(repr, _FIT_MODES))
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int), "an integer"
+    elif isinstance(default, float):
+        # an exact comparison: math.isfinite overflows on a huge int
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        kind = "a finite number"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a family name"
+    else:
+        ok = isinstance(value, (list, tuple)) and all(isinstance(f, str) for f in value)
+        kind = "a list of family names"
+    if not ok or isinstance(value, bool):
+        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -209,7 +239,7 @@ def _counts(outcome: proc.ProcedureOutcome, is_alt: np.ndarray) -> tuple[int, in
 
 
 def _map_replicates(worker, arglist, threads: int):
-    if threads < 1:
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads}")
     workers = min(threads, len(arglist))  # a pool forks all its workers at once
     if workers > 1:
@@ -263,7 +293,7 @@ def _replicate(args) -> dict:
     return out
 
 
-def run_misspecification(cfg: SimulationConfig, analysis_families=None,
+def run_misspecification(cfg: SimulationConfig, analysis_families=ft.DEFAULT_CANDIDATES,
                          mode: str = "refit", threads: int = 1) -> dict:
     """FDR/TPR when the analysis copula family is misspecified.
 
@@ -275,10 +305,9 @@ def run_misspecification(cfg: SimulationConfig, analysis_families=None,
 
     Returns {"storey": MonteCarloResult, family: {"hard"/"soft": ...}}.
     """
-    if mode not in FIT_MODES:
-        raise ValueError(f"mode must be {' or '.join(map(repr, FIT_MODES))}, got {mode!r}")
-    families = ft.check_families(analysis_families if analysis_families is not None
-                                 else ft.DEFAULT_CANDIDATES, "analysis_families")
+    if mode not in _FIT_MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, _FIT_MODES))}, got {mode!r}")
+    families = ft.check_families(analysis_families, "analysis_families")
     if not families:
         raise ValueError("need at least one analysis family")
     per_rep = _map_replicates(_replicate, [(cfg, k, families, mode) for k in range(cfg.k_reps)],
@@ -312,6 +341,8 @@ def run_copula_selection_study(true_model: cp.CopulaModel, n: int, reps: int,
                                candidates=ft.DEFAULT_CANDIDATES) -> SelectionStudyResult:
     """Sample n pairs from the true copula `reps` times and tally which
     family each criterion selects."""
+    for key, value in (("n", n), ("reps", reps), ("seed", seed)):
+        _check_value(key, value, _SCHEMAS["selection"][key])
     if n < ft.MIN_FIT_PAIRS:
         raise ValueError(f"n must be at least {ft.MIN_FIT_PAIRS}, got {n}")
     if reps < 1:
@@ -344,13 +375,13 @@ def _rate_cells(r: MonteCarloResult) -> str:
     return f"{r.fdr_hat:.6f}\t{r.fdr_sd:.6f}\t{r.tpr_hat:.6f}\t{r.tpr_sd:.6f}"
 
 
-def cell_to_tsv(results: dict, path, seed=None) -> None:
+def _cell_to_tsv(results: dict, path, seed=None) -> None:
     write_tsv(path, ("method", *_RATE_COLUMNS),
               (f"{name}\t{_rate_cells(results[name])}" for name in METHODS), seed)
 
 
-def cell_to_json(results: dict, cfg: SimulationConfig) -> str:
-    payload = {"config": {key: getattr(cfg, name) for key, name in CONFIG_KEYS.items()}}
+def _cell_to_json(results: dict, cfg: SimulationConfig) -> str:
+    payload = {"config": {key: getattr(cfg, name) for key, name in _CONFIG_KEYS.items()}}
     for name, r in results.items():
         if isinstance(r, dict):
             payload[name] = {sub: _mc_payload(rr) for sub, rr in r.items()}
@@ -367,7 +398,7 @@ def _mc_payload(r: MonteCarloResult) -> dict:
     }
 
 
-def misspecification_to_tsv(results: dict, path, seed=None) -> None:
+def _misspecification_to_tsv(results: dict, path, seed=None) -> None:
     lines = [f"-\tstorey\t{_rate_cells(results['storey'])}"]
     lines += (f"{family}\t{method}\t{_rate_cells(sub[method])}"
               for family, sub in results.items() if family != "storey"
@@ -375,7 +406,7 @@ def misspecification_to_tsv(results: dict, path, seed=None) -> None:
     write_tsv(path, ("family", "method", *_RATE_COLUMNS), lines, seed)
 
 
-def study_to_tsv(study: SelectionStudyResult, path, seed=None) -> None:
+def _study_to_tsv(study: SelectionStudyResult, path, seed=None) -> None:
     lines = []
     for family in study.families:
         for criterion in ft.CRITERIA:
@@ -383,3 +414,39 @@ def study_to_tsv(study: SelectionStudyResult, path, seed=None) -> None:
             lines.append(f"{family}\t{criterion}\t{study.counts[family][criterion]}"
                          f"\t{mean:.3f}\t{sd:.3f}")
     write_tsv(path, ("family", "criterion", "n_selected", "mean", "sd"), lines, seed)
+
+
+def run_config(payload: dict, out_dir, seed=None, threads: int = 1) -> Path:
+    """Run the ``simulate`` config `payload`, a JSON object, and return the path
+    of its simtable.tsv, written (with results.json unless in selection mode) to
+    `out_dir` once the run succeeds; `seed`, if given, overrides the config's."""
+    mode = payload.get("mode", "cell")
+    if not isinstance(mode, str) or mode not in _SCHEMAS:  # a list is unhashable
+        raise ValueError(f"unknown simulate mode {mode!r}")
+    unknown = set(payload) - {"mode", *_SCHEMAS[mode]}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    conf = {**_SCHEMAS[mode], **payload}
+    for key, default in _SCHEMAS[mode].items():
+        _check_value(key, conf[key], default)
+    conf["seed"] = conf["seed"] if seed is None else seed
+    out_dir = Path(out_dir)
+    table_path = out_dir / "simtable.tsv"
+    if mode == "selection":
+        study = run_copula_selection_study(
+            cp.tau_to_theta(conf["true_family"], conf["tau"]), conf["n"], conf["reps"],
+            conf["seed"], conf["candidates"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _study_to_tsv(study, table_path, seed=conf["seed"])
+        return table_path
+    cfg = SimulationConfig(**{name: conf[key] for key, name in _CONFIG_KEYS.items()})
+    if mode == "cell":
+        results, write = run_cell(cfg, threads), _cell_to_tsv
+    else:
+        results = run_misspecification(cfg, conf["analysis_families"], conf["fit_mode"],
+                                       threads)
+        write = _misspecification_to_tsv
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write(results, table_path, seed=cfg.seed)
+    (out_dir / "results.json").write_text(_cell_to_json(results, cfg) + "\n", encoding="utf-8")
+    return table_path

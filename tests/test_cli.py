@@ -15,6 +15,7 @@ import pytest
 import twostage_fdr
 from twostage_fdr import copula as cp
 from twostage_fdr import ingest as ig
+from twostage_fdr import simulate as sim
 from twostage_fdr.cli import main, parse_copula_spec
 
 COUNTS = "\n".join([
@@ -210,6 +211,18 @@ class TestTestCommand:
         assert err.startswith("error: ")
         assert message in err
 
+    def test_truncated_null_mixture_names_its_file(self, tmp_path, capsys):
+        table = tmp_path / "table.tsv"
+        write_test_table(table, m=50, seed=7)
+        null = tmp_path / "null.json"
+        null.write_text('{"weights": [1.0], "means": [0.0]')
+        out = tmp_path / "out"
+        assert main(["test", str(table), "--method", "storey", "--null-mixture", str(null),
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {null}: Expecting ',' delimiter: line 1 column 34 (char 33)\n")
+        assert not out.exists()
+
     def test_copula_spec_with_extra_parts_rejected(self, tmp_path, capsys, null_json):
         table = tmp_path / "table.tsv"
         write_test_table(table, m=200)
@@ -333,6 +346,56 @@ def test_golden_bootstrap_output(tmp_path, variant):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BOOTSTRAP_GOLDEN_SHA256
 
 
+REJECTED_CONFIGS = [
+    {"mode": "cell", "bogus": 1},
+    {"mode": "cell", "m": 100, "tau": 0.5},
+    {"mode": "misspecification", "m": 100, "k_reps": 1, "fit_mode": "sometimes"},
+    {"mode": "selection", "n": 50, "reps": 0},
+    {"mode": "selection", "true_family": "foo"},
+    {"mode": "nonsense"},
+    {"mode": []},
+]
+
+MISTYPED_VALUES = [
+    ({"mode": "cell", "m": "abc"}, "'m'"),
+    ({"mode": "cell", "m": 8000.0}, "'m'"),
+    ({"mode": "cell", "mu": "3"}, "'mu'"),
+    ({"mode": "misspecification", "lambda": None}, "'lambda'"),
+    ({"mode": "selection", "reps": "2"}, "'reps'"),
+    ({"mode": "cell", "seed": True}, "'seed'"),
+    ({"mode": "misspecification", "analysis_families": 5}, "'analysis_families'"),
+    ({"mode": "misspecification", "analysis_families": "gumbel"}, "'analysis_families'"),
+    ({"mode": "selection", "candidates": 3}, "'candidates'"),
+    ({"mode": "selection", "candidates": ["clayton", 1]}, "'candidates'"),
+]
+
+NON_STRING_FAMILIES = [
+    ({"mode": "selection", "n": 50, "reps": 1, "true_family": []}, "true_family", "[]"),
+    ({"mode": "selection", "n": 50, "reps": 1, "true_family": {}}, "true_family", "{}"),
+    ({"mode": "cell", "m": 100, "k_reps": 1, "dep_family": ["clayton"]}, "dep_family",
+     "['clayton']"),
+]
+
+BAD_SELECTION_STUDIES = [
+    ({"mode": "selection", "n": 300, "reps": 1, "candidates": ["clayton", "foo"]},
+     "error: unknown copula family 'foo'"),
+    ({"mode": "selection", "n": 300, "reps": 0}, "error: reps must be positive, got 0"),
+    ({"mode": "selection", "n": 300, "reps": -2}, "error: reps must be positive, got -2"),
+    ({"mode": "selection", "n": 5, "reps": 1}, "error: n must be at least 10, got 5"),
+    ({"mode": "selection", "n": 1, "reps": 1}, "error: n must be at least 10, got 1"),
+]
+
+BAD_FIT_MODES = [5, "sometimes", None, "Fixed"]
+
+REPEATED_FAMILIES = [
+    ({"mode": "selection", "n": 300, "reps": 2, "candidates": ["clayton", "clayton", "frank"]},
+     "error: candidates lists family 'clayton' twice"),
+    ({"mode": "misspecification", "m": 300, "k_reps": 1,
+      "analysis_families": ["frank", "frank"]},
+     "error: analysis_families lists family 'frank' twice"),
+]
+
+
 class TestSimulateCommand:
     def test_cell_mode(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -353,14 +416,7 @@ class TestSimulateCommand:
         assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
         assert "bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload", [
-        {"mode": "cell", "bogus": 1},
-        {"mode": "cell", "m": 100, "tau": 0.5},
-        {"mode": "misspecification", "m": 100, "k_reps": 1, "fit_mode": "sometimes"},
-        {"mode": "selection", "n": 50, "reps": 0},
-        {"mode": "selection", "true_family": "foo"},
-        {"mode": "nonsense"},
-    ], ids=repr)
+    @pytest.mark.parametrize("payload", REJECTED_CONFIGS, ids=repr)
     def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, payload):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(payload))
@@ -369,18 +425,7 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("payload, key", [
-        ({"mode": "cell", "m": "abc"}, "'m'"),
-        ({"mode": "cell", "m": 8000.0}, "'m'"),
-        ({"mode": "cell", "mu": "3"}, "'mu'"),
-        ({"mode": "misspecification", "lambda": None}, "'lambda'"),
-        ({"mode": "selection", "reps": "2"}, "'reps'"),
-        ({"mode": "cell", "seed": True}, "'seed'"),
-        ({"mode": "misspecification", "analysis_families": 5}, "'analysis_families'"),
-        ({"mode": "misspecification", "analysis_families": "gumbel"}, "'analysis_families'"),
-        ({"mode": "selection", "candidates": 3}, "'candidates'"),
-        ({"mode": "selection", "candidates": ["clayton", 1]}, "'candidates'"),
-    ])
+    @pytest.mark.parametrize("payload, key", MISTYPED_VALUES)
     def test_non_numeric_value_rejected(self, tmp_path, capsys, payload, key):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(payload))
@@ -389,12 +434,7 @@ class TestSimulateCommand:
         assert err.startswith("error: config key ")
         assert key in err
 
-    @pytest.mark.parametrize("payload, key, value", [
-        ({"mode": "selection", "n": 50, "reps": 1, "true_family": []}, "true_family", "[]"),
-        ({"mode": "selection", "n": 50, "reps": 1, "true_family": {}}, "true_family", "{}"),
-        ({"mode": "cell", "m": 100, "k_reps": 1, "dep_family": ["clayton"]}, "dep_family",
-         "['clayton']"),
-    ])
+    @pytest.mark.parametrize("payload, key, value", NON_STRING_FAMILIES)
     def test_non_string_family_rejected(self, tmp_path, capsys, payload, key, value):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(payload))
@@ -423,20 +463,23 @@ class TestSimulateCommand:
         assert "analysis_mode must be 'tau'" in err
         assert not (tmp_path / "simtable.tsv").exists()
 
+    def test_malformed_json_names_its_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"mode": "cell",')
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfgfile}: Expecting property name enclosed in double quotes: "
+            "line 1 column 17 (char 16)\n")
+        assert not out.exists()
+
     def test_non_object_config_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text("[1, 2]")
         assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
         assert "must be a JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload, message", [
-        ({"mode": "selection", "n": 300, "reps": 1, "candidates": ["clayton", "foo"]},
-         "error: unknown copula family 'foo'"),
-        ({"mode": "selection", "n": 300, "reps": 0}, "error: reps must be positive, got 0"),
-        ({"mode": "selection", "n": 300, "reps": -2}, "error: reps must be positive, got -2"),
-        ({"mode": "selection", "n": 5, "reps": 1}, "error: n must be at least 10, got 5"),
-        ({"mode": "selection", "n": 1, "reps": 1}, "error: n must be at least 10, got 1"),
-    ])
+    @pytest.mark.parametrize("payload, message", BAD_SELECTION_STUDIES)
     def test_bad_selection_study_rejected(self, tmp_path, capsys, payload, message):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(payload))
@@ -445,7 +488,7 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.strip() == message
         assert not out.exists()
 
-    @pytest.mark.parametrize("fit_mode", [5, "sometimes", None, "Fixed"], ids=repr)
+    @pytest.mark.parametrize("fit_mode", BAD_FIT_MODES, ids=repr)
     def test_bad_fit_mode_names_its_key(self, tmp_path, capsys, fit_mode):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"mode": "misspecification", "m": 100, "k_reps": 1,
@@ -456,13 +499,7 @@ class TestSimulateCommand:
             f"error: config key 'fit_mode' must be 'fixed' or 'refit', got {fit_mode!r}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("payload, message", [
-        ({"mode": "selection", "n": 300, "reps": 2, "candidates": ["clayton", "clayton", "frank"]},
-         "error: candidates lists family 'clayton' twice"),
-        ({"mode": "misspecification", "m": 300, "k_reps": 1,
-          "analysis_families": ["frank", "frank"]},
-         "error: analysis_families lists family 'frank' twice"),
-    ])
+    @pytest.mark.parametrize("payload, message", REPEATED_FAMILIES)
     def test_repeated_family_rejected(self, tmp_path, capsys, payload, message):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(payload))
@@ -524,6 +561,36 @@ class TestSimulateCommand:
                      "--out-dir", str(d2)]) == 0
         assert (d1 / "simtable.tsv").read_bytes() == (d2 / "simtable.tsv").read_bytes()
         assert (d1 / "results.json").read_bytes() == (d2 / "results.json").read_bytes()
+
+
+# Every config object TestSimulateCommand rejects, with its --threads value.
+REJECTED_RUNS = (
+    [(payload, 1) for payload in REJECTED_CONFIGS]
+    + [(payload, 1) for payload, *_ in MISTYPED_VALUES + NON_STRING_FAMILIES]
+    + [(payload, 1) for payload, _ in BAD_SELECTION_STUDIES + REPEATED_FAMILIES]
+    + [({"mode": "cell", "m": 100, "bogus": 1}, 1),
+       ({"mode": "cell", "m": 100, "k_reps": 1, "analysis_family": "frank"}, 1)]
+    + [({"mode": "cell", "m": 100, "k_reps": 1, "analysis_mode": mode}, 1)
+       for mode in ("mle", "true")]
+    + [({"mode": "misspecification", "m": 100, "k_reps": 1, "fit_mode": fit_mode}, 1)
+       for fit_mode in BAD_FIT_MODES]
+    + [({"mode": mode, "m": 300, "k_reps": 1}, threads)
+       for mode in ("cell", "misspecification") for threads in (0, -5)]
+)
+
+
+@pytest.mark.parametrize("payload, threads", REJECTED_RUNS, ids=repr)
+def test_simulate_error_is_the_library_error(tmp_path, capsys, payload, threads):
+    # the command adds nothing to the config schema: its message is run_config's
+    with pytest.raises(ValueError) as exc:
+        sim.run_config(payload, tmp_path / "lib", threads=threads)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(payload))
+    assert main(["simulate", str(cfgfile), "--threads", str(threads),
+                 "--out-dir", str(tmp_path / "cli")]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not (tmp_path / "lib").exists()
+    assert not (tmp_path / "cli").exists()
 
 
 # sha256 of what `simulate` writes for small runs of each mode.  A
