@@ -28,6 +28,7 @@ __all__ = [
     "ROTATIONS",
     "EPS",
     "cdf",
+    "cdf_of",
     "log_density",
     "log_density_of",
     "hfunc",
@@ -124,15 +125,19 @@ class PseudoObservations:
 
 
 # ---------------------------------------------------------------------------
-# Base (unrotated) family evaluators.  All take (theta, u, v) arrays with
-# u, v strictly inside (0, 1) and are written to stay finite for the
-# parameter brackets used in fitting (|theta| <= 50).  A log-density comes
-# in two stages: a family's prepare maps (u, v) to its theta-free
-# transforms, and its logpdf takes theta and those transforms.
+# Base (unrotated) family evaluators.  All take theta and arrays with u, v
+# strictly inside (0, 1) and are written to stay finite for the parameter
+# brackets used in fitting (|theta| <= 50).  Each evaluator comes in two
+# stages, so that an argument held fixed while another varies is
+# transformed once: a log-density's prepare maps (u, v) to its theta-free
+# transforms and its logpdf takes theta and those; a family's _cdf_v maps
+# (theta, v) to what of the CDF depends on v alone and its _cdf_at takes
+# (theta, u) and those; its _h_u maps (theta, u) to what of h depends on u
+# alone and its _h_at takes (theta, v) and those.
 # ---------------------------------------------------------------------------
 
 
-def _indep_cdf(t, u, v):
+def _indep_cdf_at(t, u, v):
     return u * v
 
 
@@ -144,8 +149,12 @@ def _indep_h(t, v, u):
     return np.broadcast_arrays(v, u)[0].astype(float, copy=True)
 
 
-def _gaussian_cdf(t, u, v):
-    return bvn_cdf(ndtri(u), ndtri(v), t)
+def _gaussian_cdf_v(t, v):
+    return (ndtri(v),)
+
+
+def _gaussian_cdf_at(t, u, y):
+    return bvn_cdf(ndtri(u), y, t)
 
 
 def _gaussian_prepare(u, v):
@@ -174,36 +183,48 @@ def _gaussian_hinv(t, x, u):
 _FRANK_SMALL = 1.0
 
 
-def _frank_x(t, u, v):
-    # _frank_d / expm1(-t) - 1, without forming the difference
-    return np.expm1(-t * u) * np.expm1(-t * v) / math.expm1(-t)
+def _frank_ev(t, v):
+    # v's exponential term in _frank_x and _frank_d: e^{-tv} - 1 near
+    # independence, e^{-tv} otherwise
+    return np.expm1(-t * v) if abs(t) < _FRANK_SMALL else np.exp(-t * v)
 
 
-def _frank_d(t, u, v):
+def _frank_cdf_v(t, v):
+    return v, _frank_ev(t, v)
+
+
+def _frank_x(t, u, ev):
+    # _frank_d / expm1(-t) - 1, without forming the difference; |t| < _FRANK_SMALL
+    return np.expm1(-t * u) * ev / math.expm1(-t)
+
+
+def _frank_d(t, u, v, ev):
     # e^{-t(u+v)} + e^{-t} - e^{-tu} - e^{-tv}; shares the sign of e^{-t}-1.
     if abs(t) < _FRANK_SMALL:
-        return np.expm1(-t * u) * np.expm1(-t * v) + math.expm1(-t)
-    return np.exp(-t * (u + v)) + math.exp(-t) - np.exp(-t * u) - np.exp(-t * v)
+        return np.expm1(-t * u) * ev + math.expm1(-t)
+    return np.exp(-t * (u + v)) + math.exp(-t) - np.exp(-t * u) - ev
 
 
-def _frank_cdf(t, u, v):
+def _frank_cdf_at(t, u, v, ev):
     if abs(t) < _FRANK_SMALL:
-        return -np.log1p(_frank_x(t, u, v)) / t
+        return -np.log1p(_frank_x(t, u, ev)) / t
     g1 = math.expm1(-t)
-    return -np.log(_frank_d(t, u, v) / g1) / t
+    return -np.log(_frank_d(t, u, v, ev) / g1) / t
 
 
 def _frank_logpdf(t, u, v):
+    ev = _frank_ev(t, v)
     if abs(t) < _FRANK_SMALL:
         return (math.log(-t / math.expm1(-t)) - t * (u + v)
-                - 2.0 * np.log1p(_frank_x(t, u, v)))
+                - 2.0 * np.log1p(_frank_x(t, u, ev)))
     g1 = math.expm1(-t)
-    return math.log(abs(t * g1)) - t * (u + v) - 2.0 * np.log(np.abs(_frank_d(t, u, v)))
+    return math.log(abs(t * g1)) - t * (u + v) - 2.0 * np.log(np.abs(_frank_d(t, u, v, ev)))
 
 
 def _frank_h(t, v, u):
-    gv = np.expm1(-t * np.asarray(v, dtype=float))
-    return np.exp(-t * u) * gv / _frank_d(t, u, v)
+    v = np.asarray(v, dtype=float)
+    gv = np.expm1(-t * v)
+    return np.exp(-t * u) * gv / _frank_d(t, u, v, _frank_ev(t, v))
 
 
 def _frank_hinv(t, x, u):
@@ -221,17 +242,19 @@ def _frank_hinv(t, x, u):
     return -(ln_num - ln_den) / t
 
 
-def _clayton_ln_a(t, lu, lv):
-    # log(u^-t + v^-t - 1) from lu = log u and lv = log v, overflow-safe for large t.
-    # Of e^(p-m) and e^(q-m), one is e^0 = 1 and the other e^-|p-q|.
-    p = -t * lu
-    q = -t * lv
+def _clayton_ln_a(p, q):
+    # log(u^-t + v^-t - 1) from p = -t log u and q = -t log v, overflow-safe for
+    # large t.  Of e^(p-m) and e^(q-m), one is e^0 = 1 and the other e^-|p-q|.
     m = np.maximum(p, q)
     return m + np.log(1.0 + np.exp(-np.abs(p - q)) - np.exp(-m))
 
 
-def _clayton_cdf(t, u, v):
-    return np.exp(-_clayton_ln_a(t, np.log(u), np.log(v)) / t)
+def _clayton_cdf_v(t, v):
+    return (-t * np.log(v),)
+
+
+def _clayton_cdf_at(t, u, q):
+    return np.exp(-_clayton_ln_a(-t * np.log(u), q) / t)
 
 
 def _clayton_prepare(u, v):
@@ -241,13 +264,13 @@ def _clayton_prepare(u, v):
 
 
 def _clayton_logpdf(t, lu, lv, lu_lv):
-    ln_a = _clayton_ln_a(t, lu, lv)
+    ln_a = _clayton_ln_a(-t * lu, -t * lv)
     return math.log1p(t) - (t + 1.0) * lu_lv - (2.0 + 1.0 / t) * ln_a
 
 
 def _clayton_h(t, v, u):
     lu = np.log(u)
-    ln_a = _clayton_ln_a(t, lu, np.log(v))
+    ln_a = _clayton_ln_a(-t * lu, -t * np.log(v))
     return np.exp(-(t + 1.0) * lu - (1.0 + 1.0 / t) * ln_a)
 
 
@@ -259,13 +282,16 @@ def _clayton_hinv(t, x, u):
     return np.exp(-np.logaddexp(s, 0.0) / t)
 
 
-def _gumbel_ln_s(t, la, lb):
-    # log((-log u)^t + (-log v)^t) from la = log(-log u) and lb = log(-log v)
-    return np.logaddexp(t * la, t * lb)
+# Gumbel: ln_s = log((-log u)^t + (-log v)^t) = logaddexp(t la, t lb) with
+# la = log(-log u) and lb = log(-log v).
 
 
-def _gumbel_cdf(t, u, v):
-    ln_s = _gumbel_ln_s(t, np.log(-np.log(u)), np.log(-np.log(v)))
+def _gumbel_cdf_v(t, v):
+    return (t * np.log(-np.log(v)),)
+
+
+def _gumbel_cdf_at(t, u, t_lb):
+    ln_s = np.logaddexp(t * np.log(-np.log(u)), t_lb)
     return np.exp(-np.exp(ln_s / t))
 
 
@@ -278,53 +304,70 @@ def _gumbel_prepare(u, v):
 
 
 def _gumbel_logpdf(t, lu, lv, la, lb, la_lb):
-    ln_s = _gumbel_ln_s(t, la, lb)
+    ln_s = np.logaddexp(t * la, t * lb)
     w = np.exp(ln_s / t)
     return (-w + (t - 1.0) * la_lb + (2.0 / t - 2.0) * ln_s
             - lu - lv + np.log1p((t - 1.0) / w))
 
 
-def _gumbel_h(t, v, u):
+def _gumbel_h_u(t, u):
     lu = np.log(u)
     la = np.log(-lu)
-    ln_s = _gumbel_ln_s(t, la, np.log(-np.log(v)))
+    return lu, t * la, (t - 1.0) * la
+
+
+def _gumbel_h_at(t, v, lu, t_la, t1_la):
+    ln_s = np.logaddexp(t_la, t * np.log(-np.log(v)))
     w = np.exp(ln_s / t)
-    return np.exp(-w + (t - 1.0) * la + (1.0 / t - 1.0) * ln_s - lu)
+    return np.exp(-w + t1_la + (1.0 / t - 1.0) * ln_s - lu)
 
 
-def _joe_parts(t, l1u, l1v):
-    # from l1u = log(1 - u) and l1v = log(1 - v)
-    lx = t * l1u
-    ly = t * l1v
-    ex = -np.expm1(lx)  # 1 - (1-u)^t
-    ey = -np.expm1(ly)
-    # T = x + y - xy in (0, 1]; pick the cancellation-free form per point.
+# Joe: from l1 = log(1 - u), lx = t l1, x = 1 - (1-u)^t and px = (1-u)^t;
+# the same for v.  T = x + y - xy lies in (0, 1].
+
+
+def _joe_side(t, l1):
+    lx = t * l1
+    return lx, -np.expm1(lx), np.exp(lx)
+
+
+def _joe_ln_t(ex, ey, px, py):
+    # log T, in the cancellation-free form per point
     prod = ex * ey
     with np.errstate(divide="ignore"):
-        ln_t = np.where(prod < 0.5, np.log1p(-prod),
-                        np.log(np.exp(lx) + np.exp(ly) * ex))
-    return lx, ly, ex, ey, ln_t
-
-
-def _joe_cdf(t, u, v):
-    ln_t = _joe_parts(t, np.log1p(-u), np.log1p(-v))[4]
-    return -np.expm1(ln_t / t)
+        return np.where(prod < 0.5, np.log1p(-prod), np.log(px + py * ex))
 
 
 def _joe_prepare(u, v):
     return np.log1p(-u), np.log1p(-v)
 
 
+def _joe_cdf_v(t, v):
+    return _joe_side(t, np.log1p(-v))[1:]
+
+
+def _joe_cdf_at(t, u, ey, py):
+    _, ex, px = _joe_side(t, np.log1p(-u))
+    return -np.expm1(_joe_ln_t(ex, ey, px, py) / t)
+
+
 def _joe_logpdf(t, l1u, l1v):
-    lx, ly, _, _, ln_t = _joe_parts(t, l1u, l1v)
+    lx, ex, px = _joe_side(t, l1u)
+    ly, ey, py = _joe_side(t, l1v)
+    ln_t = _joe_ln_t(ex, ey, px, py)
     big_t = np.exp(ln_t)
     return ((1.0 / t - 2.0) * ln_t + (1.0 - 1.0 / t) * (lx + ly)
             + np.log(t - 1.0 + big_t))
 
 
-def _joe_h(t, v, u):
-    lx, _, _, ey, ln_t = _joe_parts(t, np.log1p(-u), np.log1p(-v))
-    return np.exp((1.0 - 1.0 / t) * lx + np.log(ey) + (1.0 / t - 1.0) * ln_t)
+def _joe_h_u(t, u):
+    lx, ex, px = _joe_side(t, np.log1p(-u))
+    return (1.0 - 1.0 / t) * lx, ex, px
+
+
+def _joe_h_at(t, v, t1_lx, ex, px):
+    _, ey, py = _joe_side(t, np.log1p(-v))
+    return np.exp(t1_lx + np.log(ey) + (1.0 / t - 1.0) * _joe_ln_t(ex, ey, px, py))
 
 
 def _same_bits(a, b) -> bool:
@@ -386,8 +429,17 @@ def _joe_tau(theta: float) -> float:
 class _Family:
     """One base (unrotated) family: everything the module knows about it.
 
-    cdf and h are its evaluators at (theta, u, v) and (theta, v, u); hinv
-    inverts h, by bisection when not given.  The log-density at (u, v) is
+    Each evaluator comes in two halves, a transform of the argument that a
+    caller may hold fixed and an evaluation at the others, so that a loop
+    over the others transforms the fixed one once.  The CDF at (u, v) is
+    cdf_at(theta, u, *cdf_v(theta, v)): cdf_v computes what depends on v
+    and theta alone (by default v itself), as the hard scan's p2 and theta
+    are fixed across its screen levels.  The h-function h(theta, v, u) is
+    h_at(theta, v, *h_u(theta, u)): h_u computes what depends on the
+    conditioner and theta alone (by default u itself), which a bisection in
+    v holds fixed.  Each half keeps the operations of the one formula in
+    their order, so the split changes no bit of a value.  hinv inverts h, by
+    bisection when not given.  The log-density at (u, v) is
     logpdf(theta, *prepare(u, v)): prepare computes the theta-free
     transforms of the pairs, which a fit needs only once (by default the
     pairs themselves).  tau maps theta to the population Kendall tau.
@@ -397,16 +449,22 @@ class _Family:
     for independence, which has no parameter.
     """
 
-    def __init__(self, cdf, logpdf, h, hinv=None, *, prepare=lambda u, v: (u, v), tau,
-                 theta_of=None, bracket=None):
-        self.cdf = cdf
+    def __init__(self, cdf_at, logpdf, h_at, hinv=None, *, cdf_v=lambda t, v: (v,),
+                 h_u=lambda t, u: (u,), prepare=lambda u, v: (u, v), tau, theta_of=None,
+                 bracket=None):
+        self.cdf_v = cdf_v
+        self.cdf_at = cdf_at
         self.logpdf = logpdf
         self.prepare = prepare
-        self.h = h
+        self.h_u = h_u
+        self.h_at = h_at
         self.hinv = hinv if hinv is not None else self._hinv_bisect
         self.tau = tau
         self.theta_of = theta_of
         self.bracket = bracket
+
+    def h(self, t, v, u):
+        return self.h_at(t, v, *self.h_u(t, u))
 
     def _hinv_bisect(self, t, x, u):
         # h is a CDF in v for fixed u: monotone, h(0)=0, h(1)=1.  80 halvings
@@ -416,10 +474,10 @@ class _Family:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         shape = np.broadcast_shapes(x.shape, u.shape)
-        ub = np.broadcast_to(u, shape)
+        given = self.h_u(t, np.broadcast_to(u, shape))  # once for every halving
 
         def h(v):
-            return self.h(t, np.clip(v, EPS, 1.0 - EPS), ub)
+            return self.h_at(t, np.clip(v, EPS, 1.0 - EPS), *given)
 
         v = bisect_increasing(h, np.broadcast_to(x, shape), np.zeros(shape), np.ones(shape), 80)
         if np.any(np.isnan(h(v))):
@@ -428,25 +486,28 @@ class _Family:
 
 
 _BASE = {
-    "independence": _Family(_indep_cdf, _indep_logpdf, _indep_h, _indep_h,
+    "independence": _Family(_indep_cdf_at, _indep_logpdf, _indep_h, _indep_h,
                             tau=lambda t: 0.0),
-    "gaussian": _Family(_gaussian_cdf, _gaussian_logpdf, _gaussian_h, _gaussian_hinv,
-                        prepare=_gaussian_prepare, tau=lambda t: 2.0 / math.pi * math.asin(t),
+    "gaussian": _Family(_gaussian_cdf_at, _gaussian_logpdf, _gaussian_h, _gaussian_hinv,
+                        cdf_v=_gaussian_cdf_v, prepare=_gaussian_prepare,
+                        tau=lambda t: 2.0 / math.pi * math.asin(t),
                         theta_of=lambda tau: math.sin(math.pi * tau / 2.0),
                         bracket=(-0.9999, 0.9999)),
-    "frank": _Family(_frank_cdf, _frank_logpdf, _frank_h, _frank_hinv,
+    "frank": _Family(_frank_cdf_at, _frank_logpdf, _frank_h, _frank_hinv, cdf_v=_frank_cdf_v,
                      tau=lambda t: math.copysign(_frank_tau_positive(abs(t)), t),
                      bracket=(1e-6, 50.0)),
-    "clayton": _Family(_clayton_cdf, _clayton_logpdf, _clayton_h, _clayton_hinv,
-                       prepare=_clayton_prepare, tau=lambda t: t / (t + 2.0),
+    "clayton": _Family(_clayton_cdf_at, _clayton_logpdf, _clayton_h, _clayton_hinv,
+                       cdf_v=_clayton_cdf_v, prepare=_clayton_prepare,
+                       tau=lambda t: t / (t + 2.0),
                        theta_of=lambda tau: 2.0 * tau / (1.0 - tau),
                        bracket=(1e-4, 50.0)),
-    "gumbel": _Family(_gumbel_cdf, _gumbel_logpdf, _gumbel_h, prepare=_gumbel_prepare,
+    "gumbel": _Family(_gumbel_cdf_at, _gumbel_logpdf, _gumbel_h_at, cdf_v=_gumbel_cdf_v,
+                      h_u=_gumbel_h_u, prepare=_gumbel_prepare,
                       tau=lambda t: 1.0 - 1.0 / t,
                       theta_of=lambda tau: 1.0 / (1.0 - tau),
                       bracket=(1.0 + 1e-6, 50.0)),
-    "joe": _Family(_joe_cdf, _joe_logpdf, _joe_h, prepare=_joe_prepare, tau=_joe_tau,
-                   bracket=(1.0 + 1e-6, 50.0)),
+    "joe": _Family(_joe_cdf_at, _joe_logpdf, _joe_h_at, cdf_v=_joe_cdf_v, h_u=_joe_h_u,
+                   prepare=_joe_prepare, tau=_joe_tau, bracket=(1.0 + 1e-6, 50.0)),
 }
 
 
@@ -472,37 +533,80 @@ def _as_unit(name, value, open_=False):
     return arr, bool(lo < EPS or hi > 1.0 - EPS)
 
 
-def cdf(model: CopulaModel, u, v):
-    """Copula CDF C(u, v); accepts the closed unit square.
+def _rotated_cdf_v(model: CopulaModel, vv, v_edge):
+    """The family's transforms of checked v: clipped into the clamp interior
+    when v_edge, and reflected by the rotations that reflect v."""
+    vi = np.clip(vv, EPS, 1.0 - EPS) if v_edge else vv
+    if model.rotation in (180, 270):
+        vi = 1.0 - vi
+    return _BASE[model.family].cdf_v(model.theta, vi)
 
-    u and v broadcast inside the family formula without being expanded, so
-    a scalar u (the hard scan's screen level) is rotated and transformed
-    once per call.  Inside the clamp interior [1e-10, 1 - 1e-10] the result
-    is the formula's value clipped to [0, 1].  Only an input past the
-    interior takes the boundary path: the inputs are clipped into it for
-    the formula, and the margins C(0, v) = C(u, 0) = 0, C(1, v) = v and
-    C(u, 1) = u are imposed.
-    """
-    uu, u_edge = _as_unit("u", u)
-    vv, v_edge = _as_unit("v", v)
+
+def _rotated_cdf_at(model: CopulaModel, uu, u_edge, vv, v_edge, prepared):
+    """C(u, v) from checked u and v and _rotated_cdf_v's transforms of v."""
     fam = _BASE[model.family]
     t = model.theta
     ui = np.clip(uu, EPS, 1.0 - EPS) if u_edge else uu
-    vi = np.clip(vv, EPS, 1.0 - EPS) if v_edge else vv
     r = model.rotation
     if r == 0:
-        out = fam.cdf(t, ui, vi)
+        out = fam.cdf_at(t, ui, *prepared)
     elif r == 90:
-        out = vv - fam.cdf(t, 1.0 - ui, vi)
+        out = vv - fam.cdf_at(t, 1.0 - ui, *prepared)
     elif r == 180:
-        out = uu + vv - 1.0 + fam.cdf(t, 1.0 - ui, 1.0 - vi)
+        out = uu + vv - 1.0 + fam.cdf_at(t, 1.0 - ui, *prepared)
     else:
-        out = uu - fam.cdf(t, ui, 1.0 - vi)
+        out = uu - fam.cdf_at(t, ui, *prepared)
     if u_edge or v_edge:
         out = np.where(uu <= 0.0, 0.0, np.where(vv <= 0.0, 0.0,
                        np.where(uu >= 1.0, vv, np.where(vv >= 1.0, uu, out))))
     out = np.clip(out, 0.0, 1.0)
     return _maybe_scalar(out, uu, vv)
+
+
+def cdf(model: CopulaModel, u, v):
+    """Copula CDF C(u, v); accepts the closed unit square.
+
+    u and v broadcast inside the family formula without being expanded, so
+    a scalar u is rotated and transformed once per call.  Inside the clamp
+    interior [1e-10, 1 - 1e-10] the result is the formula's value clipped
+    to [0, 1].  Only an input past the interior takes the boundary path:
+    the inputs are clipped into it for the formula, and the margins
+    C(0, v) = C(u, 0) = 0, C(1, v) = v and C(u, 1) = u are imposed.
+    """
+    uu, u_edge = _as_unit("u", u)
+    vv, v_edge = _as_unit("v", v)
+    return _rotated_cdf_at(model, uu, u_edge, vv, v_edge, _rotated_cdf_v(model, vv, v_edge))
+
+
+def cdf_of(model: CopulaModel, v):
+    """C(u, v[:n]) as a function at(u, n) of a scalar u and a prefix length n.
+
+    v must be a 1-d array in [0, 1].  Its check, clip, rotation and the
+    family's transform of v run once, here, so a scan over u (the hard
+    scan's screen levels on p2 in p1 order) runs only the u-dependent part
+    of the formula per step.  Each value equals cdf(model, u, v[:n]) bit
+    for bit.  at.v is the array prepared on, for a caller to check that
+    it is theirs.
+    """
+    vv, v_edge = _as_unit("v", v)
+    if vv.ndim != 1:
+        raise ValueError(f"v must be a 1-d array, got shape {vv.shape}")
+    prepared = _rotated_cdf_v(model, vv, v_edge)
+    # a prefix takes the boundary path, as in cdf, once it holds the first v
+    # past the clamp interior
+    first_edge = int(np.argmax((vv < EPS) | (vv > 1.0 - EPS))) if v_edge else vv.size
+
+    def at(u, n: int):
+        if np.ndim(u) != 0:
+            raise ValueError("u must be a scalar")
+        if not 0 <= n <= vv.size:
+            raise ValueError(f"prefix length must lie in [0, {vv.size}], got {n}")
+        uu, u_edge = _as_unit("u", u)
+        return _rotated_cdf_at(model, uu, u_edge, vv[:n], n > first_edge,
+                               [p[:n] for p in prepared])
+
+    at.v = vv
+    return at
 
 
 def _rotated_args(rotation: int, u, v):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,12 @@ class SelectionReport:
 
 
 def check_families(families, key: str) -> tuple:
-    """The family names as a tuple.  A str, a non-str item or a repeated name
-    raises ValueError naming `key`; an unknown name raises one naming it."""
-    names = () if isinstance(families, str) else tuple(families)
-    if isinstance(families, str) or not all(isinstance(f, str) for f in names):
+    """The family names as a tuple.  A str, a non-iterable, a non-str item or
+    a repeated name raises ValueError naming `key`; an unknown name raises
+    one naming it."""
+    listed = isinstance(families, Iterable) and not isinstance(families, str)
+    names = tuple(families) if listed else ()
+    if not listed or not all(isinstance(f, str) for f in names):
         raise ValueError(f"{key} must be a list of family names, got {families!r}")
     for i, family in enumerate(names):
         if family not in FAMILIES:

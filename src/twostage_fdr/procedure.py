@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import EPS, CopulaModel, cdf as copula_cdf, hfunc
+from .copula import EPS, CopulaModel, cdf as copula_cdf, cdf_of, hfunc
 from .ingest import write_tsv
 from .marginal import HypothesisTable
 
@@ -96,29 +96,37 @@ def default_gamma1_grid() -> np.ndarray:
     return np.concatenate([coarse, fine])
 
 
-def aggregate_hard(table: HypothesisTable, model: CopulaModel,
-                   gamma1: float) -> AggregatedPValues:
+def aggregate_hard(table: HypothesisTable, model, gamma1: float) -> AggregatedPValues:
     """p_i = C(gamma1, p2_i) if p1_i <= gamma1 else p1_i.
+
+    model is a CopulaModel, or its copula.cdf_of(model, table.p2): the CDF
+    prepared once on this table's p2 array, for a caller that aggregates
+    one table at many screen levels; one prepared on another array raises.
 
     The copula CDF is evaluated on the screened-in rows only; it works
     element by element, so each value equals the one an evaluation over
     all rows would give.  When the k screened-in rows are the first k rows
     (always so for rows in p1 order, as run_two_stage_hard scans them), the
     CDF runs on the prefix views of p2 and of the values; otherwise it runs
-    on the rows gathered by index.
+    on the rows gathered by index (with a prepared CDF, on all rows, of
+    which the screened-in ones are kept).
     """
     if not 0.0 < gamma1 < 1.0:
         raise ValueError(f"gamma1 must lie strictly inside (0, 1), got {gamma1}")
     p1, p2 = table.p1, table.p2
+    prepared = not isinstance(model, CopulaModel)
+    if prepared and model.v is not p2:
+        raise ValueError("the prepared copula CDF was not prepared on this table's p2")
     values = p1.copy()
     screened = p1 <= gamma1
     k = np.count_nonzero(screened)
     if k == 0 or p1[:k].max() <= gamma1:
-        values[:k] = copula_cdf(model, gamma1, p2[:k])
+        values[:k] = model(gamma1, k) if prepared else copula_cdf(model, gamma1, p2[:k])
     else:
         # integer indices gather and scatter faster than a boolean mask
         screened_in = np.flatnonzero(screened)
-        values[screened_in] = copula_cdf(model, gamma1, p2[screened_in])
+        values[screened_in] = (model(gamma1, p2.size)[screened_in] if prepared
+                               else copula_cdf(model, gamma1, p2[screened_in]))
     return AggregatedPValues("hard", values)
 
 
@@ -219,7 +227,10 @@ def run_two_stage_hard(table: HypothesisTable, model: CopulaModel, alpha: float,
     where each level's screened-in rows are a prefix.  Each merged value
     depends on its own row alone, and select_gamma on the values as a
     multiset, so every level's count is the one the caller's row order
-    gives; the final aggregate runs on the caller's rows.
+    gives; the final aggregate runs on the caller's rows.  The copy's p2
+    is checked, rotated and transformed by the copula family once
+    (copula.cdf_of), and each level evaluates the CDF at its gamma1 on a
+    prefix of that transform.
     """
     grid = default_gamma1_grid() if gamma1_grid is None else np.asarray(gamma1_grid, float)
     if grid.size < 1:
@@ -233,9 +244,10 @@ def run_two_stage_hard(table: HypothesisTable, model: CopulaModel, alpha: float,
     order = np.argsort(table.p1)
     by_p1 = HypothesisTable(table.beta_hat[order], table.y[order],
                             table.p1[order], table.p2[order])
+    cdf_on_p2 = cdf_of(model, by_p1.p2)
     counts = []
     for g1 in grid:
-        agg = aggregate_hard(by_p1, model, g1)
+        agg = aggregate_hard(by_p1, cdf_on_p2, g1)
         _, _, m_k = select_gamma(agg, alpha, lambda_)
         counts.append(m_k)
     counts = np.asarray(counts)

@@ -12,6 +12,7 @@ from scipy.special import ndtri
 from scipy.stats import kendalltau as scipy_kendalltau
 
 from twostage_fdr import copula as cp
+from twostage_fdr.bvn import bvn_cdf
 
 # One representative parameterization per family/rotation used by the
 # grid-style invariant checks below.
@@ -444,11 +445,13 @@ def test_bisected_inverse_matches_seed_loop(family, theta, rotation, monkeypatch
     rng = np.random.default_rng(7)
     x = rng.random(2000)
     u = rng.uniform(1e-10, 1.0 - 1e-10, 2000)
+    x[:4] = [0.0, 1e-12, 1.0 - 1e-12, 1.0]
+    u[:4] = [1e-10, 1e-10, 1.0 - 1e-10, 0.5]
     model = cp.CopulaModel(family, theta, rotation)
     got = cp.hfunc_inverse(model, x, u)
-    base = cp._BASE[family]
-    monkeypatch.setattr(base, "hinv", lambda t, xx, uu: seed_hinv_bisect(base.h, t, xx, uu))
-    np.testing.assert_array_equal(got, cp.hfunc_inverse(model, x, u))
+    monkeypatch.setattr(cp._BASE[family], "hinv",
+                        lambda t, xx, uu: seed_hinv_bisect(SEED_H[family], t, xx, uu))
+    assert_same(got, cp.hfunc_inverse(model, x, u))
 
 
 def test_steep_conditional_inverts():
@@ -460,8 +463,10 @@ def test_steep_conditional_inverts():
 
 
 def test_nan_conditional_raises(monkeypatch):
-    monkeypatch.setattr(cp._BASE["gumbel"], "h",
-                        lambda t, v, u: np.full(np.broadcast_shapes(v.shape, u.shape), np.nan))
+    # the bisection evaluates h's v-half on the conditioner transformed once
+    monkeypatch.setattr(cp._BASE["gumbel"], "h_at",
+                        lambda t, v, lu, *_: np.full(np.broadcast_shapes(v.shape, lu.shape),
+                                                     np.nan))
     with pytest.raises(RuntimeError, match="NaN"):
         cp.hfunc_inverse(cp.CopulaModel("gumbel", 2.0), np.array([0.3, 0.7]), 0.5)
 
@@ -554,10 +559,8 @@ def test_frank_cdf_monotone_near_independence(theta):
         assert np.all(np.diff(cp.cdf(cp.CopulaModel("frank", theta), gamma1, p2)) >= 0.0)
 
 
-def seed_clayton_ln_a(t, lu, lv):
+def seed_clayton_ln_a(p, q):
     """The three-exponential Clayton log-sum, the oracle of the two-exponential one."""
-    p = -t * lu
-    q = -t * lv
     m = np.maximum(p, q)
     return m + np.log(np.exp(p - m) + np.exp(q - m) - np.exp(-m))
 
@@ -603,7 +606,7 @@ def seed_frank(t, u, v):
 def test_frank_unchanged_away_from_independence(theta):
     rng = np.random.default_rng(63)
     u, v = rng.uniform(0.001, 0.999, 1000), rng.uniform(0.001, 0.999, 1000)
-    got = (cp._frank_cdf(theta, u, v), cp._frank_h(theta, v, u),
+    got = (cp._frank_cdf_at(theta, u, *cp._frank_cdf_v(theta, v)), cp._frank_h(theta, v, u),
            cp._frank_logpdf(theta, u, v), cp._frank_hinv(theta, v, u))
     for g, ref in zip(got, seed_frank(theta, u, v)):
         np.testing.assert_array_equal(g, ref)
@@ -632,24 +635,81 @@ def seed_maybe_scalar(out, *inputs):
     return out
 
 
+def seed_frank_cdf(t, u, v):
+    if abs(t) < 1.0:
+        return -np.log1p(np.expm1(-t * u) * np.expm1(-t * v) / math.expm1(-t)) / t
+    d = np.exp(-t * (u + v)) + math.exp(-t) - np.exp(-t * u) - np.exp(-t * v)
+    return -np.log(d / math.expm1(-t)) / t
+
+
+def seed_clayton_cdf(t, u, v):
+    p = -t * np.log(u)
+    q = -t * np.log(v)
+    m = np.maximum(p, q)
+    ln_a = m + np.log(1.0 + np.exp(-np.abs(p - q)) - np.exp(-m))
+    return np.exp(-ln_a / t)
+
+
+def seed_joe_parts(t, l1u, l1v):
+    lx = t * l1u
+    ly = t * l1v
+    ex = -np.expm1(lx)
+    ey = -np.expm1(ly)
+    prod = ex * ey
+    with np.errstate(divide="ignore"):
+        ln_t = np.where(prod < 0.5, np.log1p(-prod),
+                        np.log(np.exp(lx) + np.exp(ly) * ex))
+    return lx, ly, ex, ey, ln_t
+
+
+# Each base family's CDF and the Gumbel and Joe h(v | u) in one piece, as
+# they were before each was split into what depends on its fixed argument
+# alone and an evaluation at the other: the oracles of the split.
+SEED_BASE_CDF = {
+    "independence": lambda t, u, v: u * v,
+    "gaussian": lambda t, u, v: bvn_cdf(ndtri(u), ndtri(v), t),
+    "frank": seed_frank_cdf,
+    "clayton": seed_clayton_cdf,
+    "gumbel": lambda t, u, v: np.exp(-np.exp(
+        np.logaddexp(t * np.log(-np.log(u)), t * np.log(-np.log(v))) / t)),
+    "joe": lambda t, u, v: -np.expm1(seed_joe_parts(t, np.log1p(-u), np.log1p(-v))[4] / t),
+}
+
+
+def seed_gumbel_h(t, v, u):
+    lu = np.log(u)
+    la = np.log(-lu)
+    ln_s = np.logaddexp(t * la, t * np.log(-np.log(v)))
+    w = np.exp(ln_s / t)
+    return np.exp(-w + (t - 1.0) * la + (1.0 / t - 1.0) * ln_s - lu)
+
+
+def seed_joe_h(t, v, u):
+    lx, _, _, ey, ln_t = seed_joe_parts(t, np.log1p(-u), np.log1p(-v))
+    return np.exp((1.0 - 1.0 / t) * lx + np.log(ey) + (1.0 / t - 1.0) * ln_t)
+
+
+SEED_H = {"gumbel": seed_gumbel_h, "joe": seed_joe_h}
+
+
 def seed_cdf(model, u, v):
     """C(u, v) as the seed code computed it."""
     uu = seed_as_unit("u", u)
     vv = seed_as_unit("v", v)
     uu, vv = np.broadcast_arrays(uu, vv)
-    fam = cp._BASE[model.family]
+    base_cdf = SEED_BASE_CDF[model.family]
     t = model.theta
     ui = np.clip(uu, 1e-10, 1.0 - 1e-10)
     vi = np.clip(vv, 1e-10, 1.0 - 1e-10)
     r = model.rotation
     if r == 0:
-        inner = fam.cdf(t, ui, vi)
+        inner = base_cdf(t, ui, vi)
     elif r == 90:
-        inner = vv - fam.cdf(t, 1.0 - ui, vi)
+        inner = vv - base_cdf(t, 1.0 - ui, vi)
     elif r == 180:
-        inner = uu + vv - 1.0 + fam.cdf(t, 1.0 - ui, 1.0 - vi)
+        inner = uu + vv - 1.0 + base_cdf(t, 1.0 - ui, 1.0 - vi)
     else:
-        inner = uu - fam.cdf(t, ui, 1.0 - vi)
+        inner = uu - base_cdf(t, ui, 1.0 - vi)
     out = np.where(uu <= 0.0, 0.0, np.where(vv <= 0.0, 0.0,
                    np.where(uu >= 1.0, vv, np.where(vv >= 1.0, uu, inner))))
     out = np.clip(out, 0.0, 1.0)
@@ -660,6 +720,8 @@ def seed_conditional(model, kind, value, given_u):
     """hfunc (kind "h") or hfunc_inverse (kind "hinv") as the seed code
     computed them."""
     base_fn = getattr(cp._BASE[model.family], kind)
+    if kind == "h":
+        base_fn = SEED_H.get(model.family, base_fn)
     aa = seed_as_unit("v" if kind == "h" else "x", value)
     uu = seed_as_unit("given_u", given_u, lo_open=True, hi_open=True)
     aa, uu = np.broadcast_arrays(aa, uu)
@@ -730,6 +792,84 @@ def test_conditionals_match_seed(model):
             assert_same(cp.hfunc(model, v, given_u), seed_conditional(model, "h", v, given_u))
             assert_same(cp.hfunc_inverse(model, v, given_u),
                         seed_conditional(model, "hinv", v, given_u))
+
+
+def split_models():
+    """Every family and rotation with theta at both ends and the middle of
+    its bracket, Frank on both sides of |theta| = 1 and Gaussian at +-0.9999."""
+    models = [cp.CopulaModel("independence")]
+    thetas = {"gaussian": (-0.9999, -0.3, 0.5, 0.9999),
+              "frank": (1e-6, -1e-6, 0.9, -0.9, 1.0, -1.0, 5.0, -5.0, 50.0, -50.0),
+              "clayton": (1e-4, 1.5, 50.0),
+              "gumbel": (1.0 + 1e-6, 2.5, 50.0),
+              "joe": (1.0 + 1e-6, 2.5, 50.0)}
+    for family, ts in thetas.items():
+        rotations = cp.ROTATIONS if family in cp.ROTATABLE else (0,)
+        models += [cp.CopulaModel(family, t, r) for t in ts for r in rotations]
+    return models
+
+
+SPLIT_MODELS = split_models()
+SPLIT_IDS = [m.describe() for m in SPLIT_MODELS]
+
+
+def split_v():
+    """v with both ends, the clamp and points past it, and log-spread tails."""
+    rng = np.random.default_rng(69)
+    return np.concatenate([[0.0, 1.0, 1e-12, cp.EPS, 1.0 - cp.EPS, 1.0 - 1e-12],
+                           rng.random(60), 10.0 ** -rng.uniform(1, 12, 20),
+                           1.0 - 10.0 ** -rng.uniform(1, 12, 20)])
+
+
+@pytest.mark.parametrize("model", SPLIT_MODELS, ids=SPLIT_IDS)
+def test_prepared_cdf_matches_the_unsplit_formula(model):
+    v = split_v()
+    # v's values past the clamp interior at its start, from index 30 on, and nowhere
+    interior_v = np.clip(v, 1e-6, 1.0 - 1e-6)
+    with np.errstate(all="ignore"):
+        for vs in (v, np.roll(v, 30), interior_v):
+            at = cp.cdf_of(model, vs)
+            for u in (0.0, 1e-12, cp.EPS, 0.005, 0.3, 0.995, 1.0 - cp.EPS, 1.0):
+                for n in (0, 1, 7, 31, vs.size):
+                    ref = seed_cdf(model, u, vs[:n])
+                    assert_same(at(u, n), ref)
+                    assert_same(cp.cdf(model, u, vs[:n]), ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(SPLIT_MODELS),
+       v=st.lists(st.one_of(log_unit, st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]),
+                            st.floats(0.0, 1.0)), min_size=1, max_size=40),
+       u=st.one_of(log_unit, st.floats(0.0, 1.0)),
+       data=st.data())
+def test_prepared_cdf_matches_the_unsplit_formula_anywhere(model, v, u, data):
+    v = np.array(v)
+    n = data.draw(st.integers(0, v.size))
+    with np.errstate(all="ignore"):
+        assert_same(cp.cdf_of(model, v)(u, n), seed_cdf(model, u, v[:n]))
+
+
+@pytest.mark.parametrize("bad_v, message", [
+    (0.5, r"^v must be a 1-d array, got shape \(\)$"),
+    ([[0.5]], r"^v must be a 1-d array, got shape \(1, 1\)$"),
+    ([0.5, 1.5], r"^v must lie in \[0, 1\]$"),
+])
+def test_cdf_of_rejects_bad_v(bad_v, message):
+    with pytest.raises(ValueError, match=message):
+        cp.cdf_of(cp.CopulaModel("clayton", 2.0), bad_v)
+
+
+@pytest.mark.parametrize("u, n, message", [
+    (np.array([0.5]), 1, "^u must be a scalar$"),
+    (1.5, 1, r"^u must lie in \[0, 1\]$"),
+    (np.nan, 1, r"^u must lie in \[0, 1\]$"),
+    (0.5, 4, r"^prefix length must lie in \[0, 3\], got 4$"),
+    (0.5, -1, r"^prefix length must lie in \[0, 3\], got -1$"),
+])
+def test_prepared_cdf_rejects_bad_arguments(u, n, message):
+    at = cp.cdf_of(cp.CopulaModel("clayton", 2.0), np.array([0.2, 0.5, 0.9]))
+    with pytest.raises(ValueError, match=message):
+        at(u, n)
 
 
 BAD_UNIT = [np.nan, -0.1, 1.1, np.inf, [0.2, np.nan], [0.2, 1.5], [[0.3], [-1e-300]]]

@@ -214,6 +214,13 @@ class TestSelectCopula:
             ft.select_copula(obs, families=("clayton", "clayton", "frank"))
         assert fitted == []
 
+    @pytest.mark.parametrize("families", [5, None, 3.5], ids=repr)
+    def test_family_list_that_is_not_a_list_rejected(self, families):
+        obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 200, 5)
+        with pytest.raises(ValueError, match=f"^families must be a list of family names, "
+                                             f"got {families!r}$"):
+            ft.select_copula(obs, families=families)
+
     def test_per_candidate_failure_is_contained(self, monkeypatch):
         obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 1000, 5)
         real_fit = ft.fit_mle

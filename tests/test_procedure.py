@@ -142,6 +142,59 @@ class TestAggregateHardPrefix:
         assert self.paths(table, CLAYTON2, monkeypatch) == [True, True, False, False, True]
 
 
+class TestPreparedCdf:
+    """aggregate_hard on the CDF prepared once on the table's p2."""
+
+    MODELS = [CLAYTON2, cp.CopulaModel("gumbel", 1.7, 90), cp.CopulaModel("gaussian", -0.6),
+              cp.CopulaModel("frank", 0.5), cp.CopulaModel("joe", 2.0, 180)]
+
+    @pytest.mark.parametrize("order", ["p1", "reverse"])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
+    def test_same_values_as_the_model(self, model, order):
+        table = TestAggregateHardPrefix.rows(order)
+        prepared = cp.cdf_of(model, table.p2)
+        for g1 in TestAggregateHardPrefix.LEVELS:
+            got = proc.aggregate_hard(table, prepared, g1)
+            np.testing.assert_array_equal(got.values, gather_aggregate_hard(table, model, g1))
+
+    def test_prepared_on_another_array_raises(self):
+        table = TestAggregateHardPrefix.rows("p1")
+        for other in (table.p2.copy(), table.p2[::-1], table.p1):
+            with pytest.raises(ValueError, match="^the prepared copula CDF was not prepared "
+                                                 "on this table's p2$"):
+                proc.aggregate_hard(table, cp.cdf_of(CLAYTON2, other), 0.5)
+
+    def test_one_hard_run_prepares_p2_once(self, monkeypatch):
+        table = TestAggregateHardPrefix.rows("reverse")
+        calls = {"cdf_of": [], "copula_cdf": 0, "transform": []}
+
+        def cdf_of_spy(model, v):
+            calls["cdf_of"].append(np.array(v))
+            return cp.cdf_of(model, v)
+
+        def copula_cdf_spy(*args):
+            calls["copula_cdf"] += 1
+            return cp.cdf(*args)
+
+        base = cp._BASE["clayton"]
+        transform = base.cdf_v
+
+        def transform_spy(t, v):
+            calls["transform"].append(v.size)
+            return transform(t, v)
+
+        monkeypatch.setattr(proc, "cdf_of", cdf_of_spy)
+        monkeypatch.setattr(proc, "copula_cdf", copula_cdf_spy)
+        monkeypatch.setattr(base, "cdf_v", transform_spy)
+        proc.run_two_stage_hard(table, CLAYTON2, 0.1)
+        # one preparation for the 207 levels, one transform for the final
+        # aggregate on the caller's rows
+        assert len(calls["cdf_of"]) == 1
+        np.testing.assert_array_equal(calls["cdf_of"][0], table.p2[np.argsort(table.p1)])
+        assert calls["copula_cdf"] == 1
+        assert len(calls["transform"]) == 2 and calls["transform"][0] == table.m
+
+
 class TestAggregateSoft:
     def test_independence_is_p2(self):
         t = make_table([0.8], [0.1])

@@ -320,6 +320,8 @@ class TestMisspecification:
         # a bare string is not a list of one family
         ("frank", "^analysis_families must be a list of family names, got 'frank'$"),
         (["frank", 1], r"^analysis_families must be a list of family names, got \['frank', 1\]$"),
+        # nor is a value that is not iterable
+        (5, "^analysis_families must be a list of family names, got 5$"),
     ])
     def test_bad_family_list_rejected(self, families, message):
         with pytest.raises(ValueError, match=message):
