@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, factorial, ndtr, ndtri, polygamma
+from scipy.special import digamma, factorial, ndtr, ndtri, polygamma, spence
 
 from .bvn import bvn_cdf
 
@@ -403,11 +403,29 @@ def bisect_increasing(f, target, lo, hi, iterations: int):
     return 0.5 * (lo + hi)
 
 
-def _frank_tau_positive(theta: float) -> float:
-    # tau = 1 - 4/theta + 4*D1(theta)/theta with D1 the order-1 Debye function.
-    from scipy.integrate import quad  # deferred: only Frank's tau map integrates
+# c_k = 4 B_2k / ((2k + 1) (2k)!), k = 1..14 with B_2k the Bernoulli numbers,
+# rounded to doubles: Frank's tau is sum_k c_k theta^(2k - 1) for |theta| < 2 pi
+_FRANK_TAU_SERIES = (
+    0.1111111111111111, -0.0011111111111111111, 1.889644746787604e-05,
+    -3.6743092298647856e-07, 7.5915479955884e-09, -1.6259046580576902e-10,
+    3.568676408182581e-12, -7.97571834428843e-14, 1.8075920118479673e-15,
+    -4.142607044872499e-17, 9.580874484104748e-19, -2.2327143497300036e-20,
+    5.236603021673285e-22, -1.2349679209706961e-23,
+)
 
-    debye, _ = quad(lambda s: s / math.expm1(s) if s != 0.0 else 1.0, 0.0, theta)
+
+def _frank_tau_positive(theta: float) -> float:
+    # tau = 1 - 4/theta + 4*D/theta^2 with D = int_0^theta s/(e^s - 1) ds =
+    # pi^2/6 + theta log(1 - e^-theta) - Li2(e^-theta), Li2(z) = spence(1 - z).
+    # Below theta = 2 the terms cancel to a small tau, so the series is summed
+    # there instead (Horner in theta^2); its first term left out is below 2e-16.
+    if theta < 2.0:
+        theta2, acc = theta * theta, 0.0
+        for c in reversed(_FRANK_TAU_SERIES):
+            acc = acc * theta2 + c
+        return theta * acc
+    e = -math.expm1(-theta)
+    debye = math.pi ** 2 / 6.0 + theta * math.log(e) - float(spence(e))
     return 1.0 - 4.0 / theta + 4.0 * debye / (theta * theta)
 
 

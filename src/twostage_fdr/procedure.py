@@ -99,34 +99,30 @@ def default_gamma1_grid() -> np.ndarray:
 def aggregate_hard(table: HypothesisTable, model, gamma1: float) -> AggregatedPValues:
     """p_i = C(gamma1, p2_i) if p1_i <= gamma1 else p1_i.
 
-    model is a CopulaModel, or its copula.cdf_of(model, table.p2): the CDF
-    prepared once on this table's p2 array, for a caller that aggregates
-    one table at many screen levels; one prepared on another array raises.
-
-    The copula CDF is evaluated on the screened-in rows only; it works
-    element by element, so each value equals the one an evaluation over
-    all rows would give.  When the k screened-in rows are the first k rows
-    (always so for rows in p1 order, as run_two_stage_hard scans them), the
-    CDF runs on the prefix views of p2 and of the values; otherwise it runs
-    on the rows gathered by index (with a prepared CDF, on all rows, of
-    which the screened-in ones are kept).
+    model is a CopulaModel or copula.cdf_of(model, table.p2), and each takes
+    one path.  A CopulaModel evaluates the copula CDF on the screened-in rows,
+    gathered by index, in any row order.  The CDF prepared once on this
+    table's p2, for a caller that aggregates one table at many screen levels,
+    evaluates it on the first k rows, which must be the k screened-in ones (as
+    in p1 order, where run_two_stage_hard scans them); rows out of that order,
+    or a CDF prepared on another array, raise.  The CDF works element by
+    element, so both paths give the values of an evaluation over all rows.
     """
     if not 0.0 < gamma1 < 1.0:
         raise ValueError(f"gamma1 must lie strictly inside (0, 1), got {gamma1}")
     p1, p2 = table.p1, table.p2
-    prepared = not isinstance(model, CopulaModel)
-    if prepared and model.v is not p2:
-        raise ValueError("the prepared copula CDF was not prepared on this table's p2")
     values = p1.copy()
-    screened = p1 <= gamma1
-    k = np.count_nonzero(screened)
-    if k == 0 or p1[:k].max() <= gamma1:
-        values[:k] = model(gamma1, k) if prepared else copula_cdf(model, gamma1, p2[:k])
-    else:
+    if isinstance(model, CopulaModel):
         # integer indices gather and scatter faster than a boolean mask
-        screened_in = np.flatnonzero(screened)
-        values[screened_in] = (model(gamma1, p2.size)[screened_in] if prepared
-                               else copula_cdf(model, gamma1, p2[screened_in]))
+        screened_in = np.flatnonzero(p1 <= gamma1)
+        values[screened_in] = copula_cdf(model, gamma1, p2[screened_in])
+    elif model.v is not p2:
+        raise ValueError("the prepared copula CDF was not prepared on this table's p2")
+    else:
+        k = np.count_nonzero(p1 <= gamma1)
+        if k and p1[:k].max() > gamma1:
+            raise ValueError("the screened-in rows must come first for a prepared copula CDF")
+        values[:k] = model(gamma1, k)
     return AggregatedPValues("hard", values)
 
 
@@ -224,13 +220,13 @@ def run_two_stage_hard(table: HypothesisTable, model: CopulaModel, alpha: float,
     so that the first maximum is the smallest level.
 
     The levels are scanned on a copy of the table with its rows in p1 order,
-    where each level's screened-in rows are a prefix.  Each merged value
+    where each level's screened-in rows are a prefix: aggregate_hard takes
+    its prepared path there, on copula.cdf_of of the copy's p2, which checks,
+    rotates and transforms p2 once for all levels.  Each merged value
     depends on its own row alone, and select_gamma on the values as a
     multiset, so every level's count is the one the caller's row order
-    gives; the final aggregate runs on the caller's rows.  The copy's p2
-    is checked, rotated and transformed by the copula family once
-    (copula.cdf_of), and each level evaluates the CDF at its gamma1 on a
-    prefix of that transform.
+    gives.  The final aggregate takes aggregate_hard's CopulaModel path on
+    the caller's rows.
     """
     grid = default_gamma1_grid() if gamma1_grid is None else np.asarray(gamma1_grid, float)
     if grid.size < 1:

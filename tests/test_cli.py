@@ -664,11 +664,15 @@ COLD_START_SCRIPT = textwrap.dedent("""
     from twostage_fdr import cli
     steps["import"] = loaded()
     counts, summary, out = sys.argv[1:4]
+    with open(out + "/fixed.json", "w") as fh:
+        json.dump({"mode": "misspecification", "fit_mode": "fixed", "m": 200, "k_reps": 1,
+                   "analysis_families": ["frank", "joe"]}, fh)
     for name, argv in [
         ("bootstrap", ["bootstrap", counts, summary]),
         ("test H frank", ["test", summary, "--method", "H", "--copula", "frank:-2.4",
                           "--out-dir", out + "/h"]),
         ("test storey", ["test", summary, "--method", "storey", "--out-dir", out + "/st"]),
+        ("simulate fixed", ["simulate", out + "/fixed.json", "--out-dir", out + "/sim"]),
         ("fit", ["fit", summary, "--out-dir", out + "/fit"]),
     ]:
         assert cli.main(argv) == 0, name
@@ -688,4 +692,5 @@ def test_cold_commands_load_no_heavy_scipy_subpackage(tmp_path):
          str(tmp_path)], env=env, timeout=120, capture_output=True, text=True, check=True)
     steps = json.loads(done.stdout.splitlines()[-1])
     assert "scipy.stats" in steps.pop("fit")  # its Kendall tau loads it
-    assert steps == {"import": [], "bootstrap": [], "test H frank": [], "test storey": []}
+    assert steps == {"import": [], "bootstrap": [], "test H frank": [], "test storey": [],
+                     "simulate fixed": []}

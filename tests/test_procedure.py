@@ -84,16 +84,21 @@ class TestAggregateHard:
 
 
 def gather_aggregate_hard(table, model, gamma1):
-    """aggregate_hard's gather path, the oracle of its prefix path."""
+    """The merged values by definition: the CDF on the screened-in rows,
+    gathered by index; the oracle of both of aggregate_hard's paths."""
     screened_in = np.flatnonzero(table.p1 <= gamma1)
     values = table.p1.copy()
     values[screened_in] = cp.cdf(model, gamma1, table.p2[screened_in])
     return values
 
 
-class TestAggregateHardPrefix:
-    """Rows whose screened-in set is a prefix take the prefix path, the rest
-    the gather path, and both give the gather path's values."""
+PREFIX_RAISES = "^the screened-in rows must come first for a prepared copula CDF$"
+
+
+class TestAggregateHardPaths:
+    """A CopulaModel gathers the screened-in rows in any row order; a CDF
+    prepared on the table's p2 takes them as the first rows, and raises
+    when they are not.  Both give the gather oracle's values."""
 
     LEVELS = (0.005, 0.25, 0.5, 0.75, 0.995)
 
@@ -111,35 +116,45 @@ class TestAggregateHardPrefix:
             rows = rows[::-1]
         return make_table(p1[rows], p2[rows])
 
-    def paths(self, table, model, monkeypatch):
-        """Run every level; the path each took: a p2 view is a prefix."""
-        took_prefix = []
+    def model_cdf_args(self, table, model, monkeypatch):
+        """Run every level with the model; the p2 arrays its CDF saw."""
+        seen = []
 
         def spy(m, u, v):
-            took_prefix.append(v.base is table.p2)
+            seen.append(v)
             return cp.cdf(m, u, v)
 
         monkeypatch.setattr(proc, "copula_cdf", spy)
         for g1 in self.LEVELS:
             got = proc.aggregate_hard(table, model, g1)
             np.testing.assert_array_equal(got.values, gather_aggregate_hard(table, model, g1))
-        return took_prefix
+        return seen
 
+    @pytest.mark.parametrize("order", ["p1", "reverse"])
     @pytest.mark.parametrize("model", [CLAYTON2, cp.CopulaModel("gumbel", 1.7, 90)],
                              ids=lambda m: m.describe())
-    def test_p1_order_takes_the_prefix_path(self, model, monkeypatch):
-        assert self.paths(self.rows("p1"), model, monkeypatch) == [True] * 5
+    def test_model_gathers_the_screened_in_rows(self, model, order, monkeypatch):
+        table = self.rows(order)
+        seen = self.model_cdf_args(table, model, monkeypatch)
+        assert len(seen) == len(self.LEVELS)
+        for g1, v in zip(self.LEVELS, seen):
+            assert not np.shares_memory(v, table.p2)  # a gathered copy, never a view
+            np.testing.assert_array_equal(v, table.p2[table.p1 <= g1])
 
-    @pytest.mark.parametrize("model", [CLAYTON2, cp.CopulaModel("gumbel", 1.7, 90)],
-                             ids=lambda m: m.describe())
-    def test_reverse_order_gathers_between_the_ends(self, model, monkeypatch):
-        # 0.005 screens in no row, 0.995 every row: both are prefixes
-        assert self.paths(self.rows("reverse"), model, monkeypatch) == [
-            True, False, False, False, True]
-
-    def test_screened_in_rows_first_but_unsorted_take_the_prefix_path(self, monkeypatch):
+    def test_screened_in_rows_first_but_unsorted(self, monkeypatch):
+        # the prepared CDF takes the levels whose screened-in rows come
+        # first (none, the first three, all) and raises at the others
         table = make_table([0.2, 0.1, 0.25, 0.9, 0.5], [0.3, 0.4, 0.5, 0.6, 0.7])
-        assert self.paths(table, CLAYTON2, monkeypatch) == [True, True, False, False, True]
+        prepared = cp.cdf_of(CLAYTON2, table.p2)
+        for g1 in self.LEVELS:
+            if g1 in (0.5, 0.75):
+                with pytest.raises(ValueError, match=PREFIX_RAISES):
+                    proc.aggregate_hard(table, prepared, g1)
+            else:
+                got = proc.aggregate_hard(table, prepared, g1)
+                np.testing.assert_array_equal(got.values,
+                                              gather_aggregate_hard(table, CLAYTON2, g1))
+        self.model_cdf_args(table, CLAYTON2, monkeypatch)  # the model's values, every level
 
 
 class TestPreparedCdf:
@@ -148,24 +163,35 @@ class TestPreparedCdf:
     MODELS = [CLAYTON2, cp.CopulaModel("gumbel", 1.7, 90), cp.CopulaModel("gaussian", -0.6),
               cp.CopulaModel("frank", 0.5), cp.CopulaModel("joe", 2.0, 180)]
 
-    @pytest.mark.parametrize("order", ["p1", "reverse"])
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
-    def test_same_values_as_the_model(self, model, order):
-        table = TestAggregateHardPrefix.rows(order)
+    def test_same_values_as_the_model(self, model):
+        table = TestAggregateHardPaths.rows("p1")
         prepared = cp.cdf_of(model, table.p2)
-        for g1 in TestAggregateHardPrefix.LEVELS:
+        for g1 in TestAggregateHardPaths.LEVELS:
             got = proc.aggregate_hard(table, prepared, g1)
             np.testing.assert_array_equal(got.values, gather_aggregate_hard(table, model, g1))
 
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
+    def test_reverse_order_raises_between_the_ends(self, model):
+        # 0.005 screens in no row and 0.995 every row: only those come first
+        table = TestAggregateHardPaths.rows("reverse")
+        prepared = cp.cdf_of(model, table.p2)
+        for g1 in (0.005, 0.995):
+            got = proc.aggregate_hard(table, prepared, g1)
+            np.testing.assert_array_equal(got.values, gather_aggregate_hard(table, model, g1))
+        for g1 in (0.25, 0.5, 0.75):
+            with pytest.raises(ValueError, match=PREFIX_RAISES):
+                proc.aggregate_hard(table, prepared, g1)
+
     def test_prepared_on_another_array_raises(self):
-        table = TestAggregateHardPrefix.rows("p1")
+        table = TestAggregateHardPaths.rows("p1")
         for other in (table.p2.copy(), table.p2[::-1], table.p1):
             with pytest.raises(ValueError, match="^the prepared copula CDF was not prepared "
                                                  "on this table's p2$"):
                 proc.aggregate_hard(table, cp.cdf_of(CLAYTON2, other), 0.5)
 
     def test_one_hard_run_prepares_p2_once(self, monkeypatch):
-        table = TestAggregateHardPrefix.rows("reverse")
+        table = TestAggregateHardPaths.rows("reverse")
         calls = {"cdf_of": [], "copula_cdf": 0, "transform": []}
 
         def cdf_of_spy(model, v):
@@ -193,6 +219,29 @@ class TestPreparedCdf:
         np.testing.assert_array_equal(calls["cdf_of"][0], table.p2[np.argsort(table.p1)])
         assert calls["copula_cdf"] == 1
         assert len(calls["transform"]) == 2 and calls["transform"][0] == table.m
+
+
+# p1 in [0, 1] with ties on the screen levels, and p2 at both ends of [0, 1]
+# and 1e-12 inside them, past the copula's 1e-10 clamp
+GRID = proc.default_gamma1_grid()
+seam_p1 = st.one_of(st.sampled_from(GRID.tolist()), st.sampled_from([0.0, 1.0]),
+                    st.floats(0.0, 1.0))
+seam_p2 = st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_prepared_path_equals_the_model_path_at_every_grid_level(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    p1 = np.sort(data.draw(st.lists(seam_p1, min_size=n, max_size=n), label="p1"))
+    p2 = np.array(data.draw(st.lists(seam_p2, min_size=n, max_size=n), label="p2"))
+    table = make_table(p1, p2)
+    for model in TestPreparedCdf.MODELS:
+        prepared = cp.cdf_of(model, table.p2)
+        for g1 in GRID:
+            np.testing.assert_array_equal(proc.aggregate_hard(table, prepared, g1).values,
+                                          proc.aggregate_hard(table, model, g1).values,
+                                          err_msg=f"{model.describe()} at {g1}")
 
 
 class TestAggregateSoft:
