@@ -41,7 +41,11 @@ __all__ = [
 ]
 
 FAMILIES = ("independence", "gaussian", "frank", "clayton", "gumbel", "joe")
-ROTATIONS = (0, 90, 180, 270)
+
+# rotation -> (whether it reflects u, whether it reflects v): the one place
+# that says what a rotation does
+_REFLECTS = {0: (False, False), 90: (True, False), 180: (True, True), 270: (False, True)}
+ROTATIONS = tuple(_REFLECTS)
 
 # Families that only model positive dependence and therefore need a
 # rotation to represent negative Kendall tau.
@@ -370,15 +374,6 @@ def _joe_h_at(t, v, t1_lx, ex, px):
     return np.exp(t1_lx + np.log(ey) + (1.0 / t - 1.0) * _joe_ln_t(ex, ey, px, py))
 
 
-def _same_bits(a, b) -> bool:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.dtype != b.dtype or a.shape != b.shape:
-        return False
-    uint = np.dtype(f"u{a.dtype.itemsize}")
-    return bool(np.array_equal(a.view(uint), b.view(uint)))
-
-
 def bisect_increasing(f, target, lo, hi, iterations: int):
     """Solve f(x) = target on [lo, hi] by a fixed number of halvings.
 
@@ -388,16 +383,16 @@ def bisect_increasing(f, target, lo, hi, iterations: int):
     bracket of width (hi - lo) / 2**iterations around the smallest x with
     f(x) >= target (lo or hi when the target lies outside f's range).
 
-    A halving that leaves lo and hi unchanged, bit for bit, ends the loop:
-    f is a deterministic function, so every later halving would leave
-    them as they are, and the result is that of all the halvings.
+    The loop stops early once a halving leaves lo and hi unchanged
+    (np.array_equal): f is a deterministic function, so every later halving
+    would leave them as they are, and the result is that of all the halvings.
     """
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         take_hi = f(mid) < target
         new_lo = np.where(take_hi, mid, lo)
         new_hi = np.where(take_hi, hi, mid)
-        if _same_bits(new_lo, lo) and _same_bits(new_hi, hi):
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
         lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
@@ -555,25 +550,23 @@ def _rotated_cdf_v(model: CopulaModel, vv, v_edge):
     """The family's transforms of checked v: clipped into the clamp interior
     when v_edge, and reflected by the rotations that reflect v."""
     vi = np.clip(vv, EPS, 1.0 - EPS) if v_edge else vv
-    if model.rotation in (180, 270):
+    if _REFLECTS[model.rotation][1]:
         vi = 1.0 - vi
     return _BASE[model.family].cdf_v(model.theta, vi)
 
 
 def _rotated_cdf_at(model: CopulaModel, uu, u_edge, vv, v_edge, prepared):
     """C(u, v) from checked u and v and _rotated_cdf_v's transforms of v."""
-    fam = _BASE[model.family]
-    t = model.theta
+    ref_u, ref_v = _REFLECTS[model.rotation]
     ui = np.clip(uu, EPS, 1.0 - EPS) if u_edge else uu
-    r = model.rotation
-    if r == 0:
-        out = fam.cdf_at(t, ui, *prepared)
-    elif r == 90:
-        out = vv - fam.cdf_at(t, 1.0 - ui, *prepared)
-    elif r == 180:
-        out = uu + vv - 1.0 + fam.cdf_at(t, 1.0 - ui, *prepared)
-    else:
-        out = uu - fam.cdf_at(t, ui, *prepared)
+    # C90 = v - C(1-u, v), C180 = u + v - 1 + C(1-u, 1-v), C270 = u - C(u, 1-v)
+    out = _BASE[model.family].cdf_at(model.theta, 1.0 - ui if ref_u else ui, *prepared)
+    if ref_u and ref_v:
+        out = uu + vv - 1.0 + out
+    elif ref_u:
+        out = vv - out
+    elif ref_v:
+        out = uu - out
     if u_edge or v_edge:
         out = np.where(uu <= 0.0, 0.0, np.where(vv <= 0.0, 0.0,
                        np.where(uu >= 1.0, vv, np.where(vv >= 1.0, uu, out))))
@@ -609,10 +602,9 @@ def cdf_of(model: CopulaModel, v):
     vv, v_edge = _as_unit("v", v)
     if vv.ndim != 1:
         raise ValueError(f"v must be a 1-d array, got shape {vv.shape}")
+    # every prefix takes the boundary path when any v lies past the clamp
+    # interior: the clip and the margins leave interior entries as they are
     prepared = _rotated_cdf_v(model, vv, v_edge)
-    # a prefix takes the boundary path, as in cdf, once it holds the first v
-    # past the clamp interior
-    first_edge = int(np.argmax((vv < EPS) | (vv > 1.0 - EPS))) if v_edge else vv.size
 
     def at(u, n: int):
         if np.ndim(u) != 0:
@@ -620,7 +612,7 @@ def cdf_of(model: CopulaModel, v):
         if not 0 <= n <= vv.size:
             raise ValueError(f"prefix length must lie in [0, {vv.size}], got {n}")
         uu, u_edge = _as_unit("u", u)
-        return _rotated_cdf_at(model, uu, u_edge, vv[:n], n > first_edge,
+        return _rotated_cdf_at(model, uu, u_edge, vv[:n], v_edge,
                                [p[:n] for p in prepared])
 
     at.v = vv
@@ -628,13 +620,8 @@ def cdf_of(model: CopulaModel, v):
 
 
 def _rotated_args(rotation: int, u, v):
-    if rotation == 0:
-        return u, v
-    if rotation == 90:
-        return 1.0 - u, v
-    if rotation == 180:
-        return 1.0 - u, 1.0 - v
-    return u, 1.0 - v
+    ref_u, ref_v = _REFLECTS[rotation]
+    return (1.0 - u if ref_u else u), (1.0 - v if ref_v else v)
 
 
 def log_density_of(family: str, rotation: int, u, v):
@@ -677,7 +664,7 @@ def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u)
     ai = np.clip(aa, EPS, 1.0 - EPS) if a_edge else aa
     ru, ra = _rotated_args(model.rotation, uu, ai)
     out = base_fn(model.theta, ra, ru)
-    if model.rotation in (180, 270):  # the rotations that reflect v
+    if _REFLECTS[model.rotation][1]:
         out = 1.0 - out
     if a_edge:
         out = np.where(aa <= 0.0, 0.0, np.where(aa >= 1.0, 1.0, out))
@@ -709,9 +696,8 @@ def _row(family: str) -> _Family:
 def kendall_tau(model: CopulaModel) -> float:
     """Population Kendall tau of the model, rotation sign included."""
     tau = _BASE[model.family].tau(model.theta)
-    if model.rotation in (90, 270):
-        tau = -tau
-    return tau
+    ref_u, ref_v = _REFLECTS[model.rotation]
+    return -tau if ref_u != ref_v else tau
 
 
 def _invert_tau(tau_fn, target: float, lo: float, hi: float) -> float:
