@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, factorial, ndtr, ndtri, polygamma, spence
+from scipy.special import ndtr, ndtri, spence, zeta
 
 from .bvn import bvn_cdf
 
@@ -424,19 +424,25 @@ def _frank_tau_positive(theta: float) -> float:
     return 1.0 - 4.0 / theta + 4.0 * debye / (theta * theta)
 
 
+# c_m = 2^(m-1) S_m with S_m = sum_{i >= m+2} zeta(i, 3), m = 1..90: the sums
+# of positive terms, from the smallest up, so that nothing cancels
+_JOE_TAU_SERIES = tuple((np.cumsum(zeta(np.arange(260, 2, -1), 3.0))[::-1][:90]
+                         * 2.0 ** np.arange(90)).tolist())
+
+
 def _joe_tau(theta: float) -> float:
-    if theta == 1.0:
-        return 0.0
-    if 1.9 <= theta <= 2.1:
-        # tau = 1 + 2 (psi(2) - psi(1 + x)) / (2 - theta), x = 2 / theta, is
-        # 0/0 at theta = 2.  Expanding psi(1 + x) about x = 1 cancels the pole:
-        # tau = 1 - x sum_j psi^(j)(2) (x - 1)^(j-1) / j!, j = 1..10; the
-        # first term left out is below 1e-16 for theta in [1.9, 2.1].
-        x = 2.0 / theta
-        j = np.arange(1, 11)
-        terms = polygamma(j, 2.0) / factorial(j) * (x - 1.0) ** (j - 1)
-        return 1.0 - x * float(terms.sum())
-    return 1.0 + 2.0 * (digamma(2.0) - digamma(1.0 + 2.0 / theta)) / (2.0 - theta)
+    # tau = 1 + 2 (psi(2) - psi(1 + 2/theta)) / (2 - theta), expanded about
+    # theta = 1 in y = 1 - 1/theta: tau = y (1 - 4 (1 - y) sum_m c_m y^(m-1)),
+    # with no 0/0 at theta = 2 and tau(1) = 0 exactly.  The term ratio is
+    # about 2y/3 < 2/3 on the bracket, so the first term left out is below
+    # 1e-16 of the sum up to theta = 50.  The bisection inverse passes 0-d
+    # arrays, and the Horner loop runs about five times faster on a float.
+    theta = float(theta)
+    y = (theta - 1.0) / theta
+    acc = 0.0
+    for c in reversed(_JOE_TAU_SERIES):
+        acc = acc * y + c
+    return y * (1.0 - 4.0 * (1.0 - y) * acc)
 
 
 class _Family:

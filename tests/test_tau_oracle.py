@@ -21,6 +21,37 @@ def joe_tau_oracle(theta: float) -> float:
     return float(1 + 2 * (mpmath.digamma(2) - mpmath.digamma(1 + 2 / t)) / (2 - t))
 
 
+def joe_tau(theta: float) -> float:
+    return cp.kendall_tau(cp.CopulaModel("joe", theta))
+
+
+def test_joe_tau_on_its_bracket_matches_mpmath():
+    # theta = 1 + 10^-j, where tau is small and the oracle's digamma
+    # difference cancels; the old band edges 1.9 and 2.1; the whole bracket
+    steps = 1.0 + 10.0 ** -np.arange(1, 16)
+    thetas = np.unique(np.concatenate([np.linspace(1.0, 50.0, 1000), np.geomspace(1.0, 50.0, 400),
+                                       np.linspace(1.8, 2.3, 301), steps]))
+    for theta in thetas[thetas > 1.0]:
+        got, want = joe_tau(float(theta)), joe_tau_oracle(float(theta))
+        assert abs(got - want) <= 4e-15, theta
+        assert abs(got - want) <= 1e-13 * abs(want), theta
+
+
+def test_joe_tau_is_zero_at_independence():
+    assert joe_tau(1.0) == 0.0
+
+
+def test_joe_tau_nondecreasing_at_the_finest_steps():
+    # the bisection inverse needs tau monotone, also at the finest steps
+    # near theta = 1 and near the old series band and its pole
+    steps = [10.0 ** -j for j in range(1, 16)]
+    for centre in (1.0, 1.9, 2.0, 2.1):
+        thetas = sorted([centre - s for s in steps if centre - s >= 1.0] + [centre]
+                        + [centre + s for s in steps])
+        taus = [joe_tau(t) for t in thetas]
+        assert all(a <= b for a, b in zip(taus, taus[1:])), centre
+
+
 def test_joe_tau_near_theta_two_matches_mpmath():
     # the formula's 0/0 at theta = 2, approached from both sides
     near = [2.0 + s * h for s in (-1.0, 1.0) for h in (1e-4, 1e-6, 1e-9, 1e-12)]
