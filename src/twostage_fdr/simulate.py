@@ -40,7 +40,6 @@ __all__ = [
     "METHODS",
     "DEFAULT_SEED",
     "generate_dataset",
-    "dependence_model",
     "run_cell",
     "run_misspecification",
     "run_copula_selection_study",
@@ -187,11 +186,6 @@ def analysis_model(family: str, tau: float) -> cp.CopulaModel:
     return cp.tau_to_theta(family, tau)
 
 
-def dependence_model(cfg: SimulationConfig) -> cp.CopulaModel:
-    """The data-generating copula."""
-    return analysis_model(cfg.dep_family, cfg.tau)
-
-
 def _abs_mixture_quantile(mix: mg.GaussianMixture, q: np.ndarray) -> np.ndarray:
     """Quantile of |X| for X from a symmetric-about-zero mixture."""
     q = np.asarray(q, dtype=float)
@@ -209,7 +203,7 @@ def generate_dataset(cfg: SimulationConfig, replicate: int):
     The truth vector is a boolean array, True where the alternative holds.
     Deterministic in (cfg.seed, replicate).
     """
-    dep = dependence_model(cfg)
+    dep = analysis_model(cfg.dep_family, cfg.tau)
     rng = np.random.default_rng([cfg.seed, replicate])
     u = np.clip(rng.random(cfg.m), cp.EPS, 1.0 - cp.EPS)
     w = rng.random(cfg.m)

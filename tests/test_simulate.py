@@ -61,7 +61,7 @@ class TestConfig:
 
     def test_tau_zero_gives_independence(self):
         cfg = small_cfg(tau=0.0)
-        assert sim.dependence_model(cfg).family == "independence"
+        assert sim.analysis_model(cfg.dep_family, cfg.tau).family == "independence"
 
     @pytest.mark.parametrize("family", ft.DEFAULT_CANDIDATES)
     def test_near_zero_tau_generates_with_the_fixed_analysis_model(self, family):
@@ -69,7 +69,7 @@ class TestConfig:
         # fixed mode analyses the generating family with, and match tau = 0
         cfg = small_cfg(m=500, tau=-5e-7, dep_family=family)
         independence = cp.CopulaModel("independence")
-        assert sim.dependence_model(cfg) == sim.analysis_model(family, cfg.tau) == independence
+        assert sim.analysis_model(family, cfg.tau) == independence
         table, _ = sim.generate_dataset(cfg, 0)
         at_zero, _ = sim.generate_dataset(small_cfg(m=500, tau=0.0, dep_family=family), 0)
         np.testing.assert_array_equal(table.p2, at_zero.p2)
@@ -274,7 +274,7 @@ class TestMisspecification:
         # data-generating copula itself
         cfg = small_cfg(m=1000, k_reps=2, dep_family=family)
         res = sim.run_misspecification(cfg, analysis_families=(family,), mode="fixed")
-        true_model = sim.dependence_model(cfg)
+        true_model = sim.analysis_model(cfg.dep_family, cfg.tau)
         expected = {"storey": [], "hard": [], "soft": []}
         for k in range(cfg.k_reps):
             table, is_alt = sim.generate_dataset(cfg, k)
