@@ -5,6 +5,10 @@ Drezner-Wesolowsky algorithm (Gauss-Legendre quadrature on ``asin(rho)``
 for moderate correlation, a tail-difference expansion for ``|rho|`` close
 to 1).  Absolute error is below 1e-14, comfortably inside the 1e-10
 budget every downstream p-value inherits.
+
+The terms that depend on y alone come from ``bvn_y_side``, so a caller
+that evaluates many x at one y (the Gaussian hard scan: one screen level
+per x, p2 fixed) computes them once and passes them as ``prepared``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-__all__ = ["bvn_cdf"]
+__all__ = ["bvn_cdf", "bvn_y_side"]
 
 _TWOPI = 2.0 * np.pi
 
@@ -46,7 +50,16 @@ _GL_WEIGHTS = (
 )
 
 
-def bvn_cdf(x, y, rho):
+def bvn_y_side(y):
+    """bvn_cdf's terms of y alone: (k, k * k, ndtr(-k)) with k = -y.
+
+    The tail expansion (|rho| >= 0.925) reads only k.
+    """
+    k = -np.asarray(y, dtype=float)
+    return k, k * k, ndtr(-k)
+
+
+def bvn_cdf(x, y, rho, prepared=None):
     """P(X <= x, Y <= y) for standard bivariate normal with correlation rho.
 
     Parameters
@@ -55,6 +68,9 @@ def bvn_cdf(x, y, rho):
         Evaluation points, broadcast against each other.
     rho : float
         Correlation, must lie strictly inside (-1, 1).
+    prepared : tuple, optional
+        bvn_y_side(y), for a caller that holds y fixed across calls.  The
+        result equals the unprepared one bit for bit.
 
     Returns
     -------
@@ -67,7 +83,11 @@ def bvn_cdf(x, y, rho):
     # h and k broadcast inside each expression, so a scalar h is squared
     # and passed through ndtr once, not once per k.
     h = -np.asarray(x, dtype=float)
-    k = -np.asarray(y, dtype=float)
+    if prepared is None:
+        prepared = bvn_y_side(y)
+    k, kk, ndtr_mk = prepared
+    if np.shape(k) != np.shape(y):
+        raise ValueError(f"prepared y-side has shape {np.shape(k)}, y has {np.shape(y)}")
     shape = np.broadcast_shapes(h.shape, k.shape)
     hk = h * k
 
@@ -78,7 +98,7 @@ def bvn_cdf(x, y, rho):
             nodes, weights = _GL_NODES[1], _GL_WEIGHTS[1]
         else:
             nodes, weights = _GL_NODES[2], _GL_WEIGHTS[2]
-        hs = (h * h + k * k) / 2.0
+        hs = (h * h + kk) / 2.0
         asr = np.arcsin(rho)
         bvn = np.zeros(shape)
         term = np.empty(shape)
@@ -91,7 +111,7 @@ def bvn_cdf(x, y, rho):
                 np.exp(term, out=term)
                 term *= wi
                 bvn += term
-        bvn = bvn * asr / (2.0 * _TWOPI) + ndtr(-h) * ndtr(-k)
+        bvn = bvn * asr / (2.0 * _TWOPI) + ndtr(-h) * ndtr_mk
     else:
         nodes, weights = _GL_NODES[2], _GL_WEIGHTS[2]
         if rho < 0.0:

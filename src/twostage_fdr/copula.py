@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, spence, zeta
 
-from .bvn import bvn_cdf
+from .bvn import bvn_cdf, bvn_y_side
 
 __all__ = [
     "CopulaModel",
@@ -154,11 +154,14 @@ def _indep_h(t, v, u):
 
 
 def _gaussian_cdf_v(t, v):
-    return (ndtri(v),)
+    y = ndtri(v)
+    return (y, *bvn_y_side(y))
 
 
-def _gaussian_cdf_at(t, u, y):
-    return bvn_cdf(ndtri(u), y, t)
+def _gaussian_cdf_at(t, u, y, *y_side):
+    # through the bvn_cdf name, with y itself, so a wrapper of bvn_cdf sees
+    # every Gaussian CDF and its points
+    return bvn_cdf(ndtri(u), y, t, y_side)
 
 
 def _gaussian_prepare(u, v):

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, owens_t
+from scipy.special import ndtr, ndtri, owens_t
 
-from twostage_fdr.bvn import _GL_NODES, _GL_WEIGHTS, _TWOPI, bvn_cdf
+from twostage_fdr.bvn import _GL_NODES, _GL_WEIGHTS, _TWOPI, bvn_cdf, bvn_y_side
+from twostage_fdr.procedure import default_gamma1_grid
 
 
 def phi2_via_owens_t(h, k, rho):
@@ -159,7 +160,33 @@ def test_matches_seed_bvn_cdf(rho):
     cases += [(pts, 0.4), (pts, rng.permutation(pts)), (pts[:3].reshape(3, 1), pts[3:7]),
               (0.4, np.empty(0)), (0.4, -1.1), (np.float64(-2.0), 0.5)]
     for x, y in cases:
-        got, ref = bvn_cdf(x, y, rho), seed_bvn_cdf(x, y, rho)
-        assert type(got) is type(ref)
-        assert np.shape(got) == np.shape(ref)
-        np.testing.assert_array_equal(got, ref)
+        ref = seed_bvn_cdf(x, y, rho)
+        calls = [bvn_cdf(x, y, rho)]
+        if np.ndim(y):
+            calls.append(bvn_cdf(x, y, rho, bvn_y_side(y)))
+        for got in calls:
+            assert type(got) is type(ref)
+            assert np.shape(got) == np.shape(ref)
+            np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("rho", [-0.588, 0.5, -0.95, 0.97])
+def test_prepared_matches_at_every_grid_level(rho):
+    # the Gaussian hard scan: y = ndtri(p2) in p1 order, prepared once, and
+    # x = ndtri(gamma1) at each screen level on the prefix it screens in
+    rng = np.random.default_rng(21)
+    p1 = np.sort(rng.random(600))
+    y = ndtri(rng.random(600))
+    prepared = bvn_y_side(y)
+    for g1 in default_gamma1_grid():
+        n = int(np.count_nonzero(p1 <= g1))
+        x, yn = ndtri(g1), y[:n]
+        got = bvn_cdf(x, yn, rho, [p[:n] for p in prepared])
+        np.testing.assert_array_equal(got, bvn_cdf(x, yn, rho))
+        np.testing.assert_array_equal(got, seed_bvn_cdf(x, yn, rho))
+
+
+def test_prepared_of_another_shape_raises():
+    y = np.linspace(-2.0, 2.0, 5)
+    with pytest.raises(ValueError, match="prepared y-side"):
+        bvn_cdf(0.3, y, 0.5, bvn_y_side(y[:4]))

@@ -796,9 +796,11 @@ def test_conditionals_match_seed(model):
 
 def split_models():
     """Every family and rotation with theta at both ends and the middle of
-    its bracket, Frank on both sides of |theta| = 1 and Gaussian at +-0.9999."""
+    its bracket, Frank on both sides of |theta| = 1, and Gaussian at +-0.9999
+    and in each bvn_cdf branch: 6, 12 and 20 nodes and the tail expansion
+    from its edge at |rho| = 0.925."""
     models = [cp.CopulaModel("independence")]
-    thetas = {"gaussian": (-0.9999, -0.3, 0.5, 0.9999),
+    thetas = {"gaussian": (-0.9999, -0.3, 0.5, 0.9999, 0.1, 0.8, -0.8, 0.93, -0.93),
               "frank": (1e-6, -1e-6, 0.9, -0.9, 1.0, -1.0, 5.0, -5.0, 50.0, -50.0),
               "clayton": (1e-4, 1.5, 50.0),
               "gumbel": (1.0 + 1e-6, 2.5, 50.0),
