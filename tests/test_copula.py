@@ -419,6 +419,21 @@ def test_bisect_increasing_stops_at_the_fixed_point():
     assert_same(got, seed_bisect(lambda x: x, target, np.zeros(50), np.ones(50), 90))
 
 
+
+@pytest.mark.parametrize("family", ["frank", "joe"])
+def test_tau_inversion_matches_the_array_path(family):
+    # tau_to_theta bisects on floats; the oracle runs the same 60 halvings
+    # on 0-d arrays, bisect_increasing's array path
+    row = cp._BASE[family]
+    lo, hi = row.bracket
+    for tau in np.linspace(0.01, 0.9, 200).tolist():
+        oracle = float(cp.bisect_increasing(row.tau, np.asarray(tau), np.asarray(lo),
+                                            np.asarray(hi), 60))
+        assert cp.tau_to_theta(family, tau).theta.hex() == oracle.hex()
+        # Frank mirrors its bracket for a negative tau, Joe rotates
+        negative = -oracle if family == "frank" else oracle
+        assert cp.tau_to_theta(family, -tau).theta.hex() == negative.hex()
+
 def seed_hinv_bisect(h, t, x, u):
     """Reference 80-halving h-inverse loop, the oracle for bisect_increasing."""
     x = np.asarray(x, dtype=float)
