@@ -108,7 +108,7 @@ class HypothesisTable:
         if p1.size < 1:
             raise ValueError("hypothesis table must not be empty")
         for name, p in (("p1", p1), ("p2", p2)):
-            if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
+            if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails too
                 raise ValueError(f"{name} values must be finite and lie in [0, 1]")
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "y", y)

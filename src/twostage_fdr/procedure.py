@@ -57,7 +57,7 @@ class AggregatedPValues:
             raise ValueError(f"aggregated p-values must be a 1-d array, got shape {vals.shape}")
         if vals.size < 1:
             raise ValueError("aggregated p-values must not be empty")
-        if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails too
+        if not (vals.min() >= 0.0 and vals.max() <= 1.0):  # NaN fails too
             raise ValueError("aggregated p-values must be finite and lie in [0, 1]")
         object.__setattr__(self, "values", vals)
 

@@ -216,6 +216,10 @@ class TestBuildTable:
         cols[column][1] = bad
         with pytest.raises(ValueError, match=column):
             mg.HypothesisTable(np.zeros(3), np.zeros(3), cols["p1"], cols["p2"])
+        cols = {"p1": np.full(8000, 0.5), "p2": np.full(8000, 0.5)}
+        cols[column][4000] = bad
+        with pytest.raises(ValueError, match=column):
+            mg.HypothesisTable(np.zeros(8000), np.zeros(8000), cols["p1"], cols["p2"])
 
     def test_nan_beta_hat_rejected(self):
         with pytest.raises(ValueError, match="p2"):

@@ -40,6 +40,11 @@ class TestAggregatedPValues:
     def test_rejects_non_finite_and_out_of_range(self, bad):
         with pytest.raises(ValueError, match="finite"):
             proc.AggregatedPValues("raw", np.array([0.2, bad, 0.7]))
+        # the size of a hard scan, the bad value in the middle
+        values = np.full(8000, 0.5)
+        values[4000] = bad
+        with pytest.raises(ValueError, match="finite"):
+            proc.AggregatedPValues("hard", values)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="must not be empty"):
