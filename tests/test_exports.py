@@ -4,6 +4,7 @@ sibling's private names."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import types
 from pathlib import Path
@@ -111,3 +112,29 @@ def test_every_export_is_read_by_program_code():
     assert sorted(set(TEST_ORACLES) - set(unread)) == []
     for export, test in TEST_ORACLES.items():
         assert export.split(".")[1] in _names_read(REPO / test.split("::")[0]), export
+
+
+def _tracing():
+    """perfbench/tracing.py, loaded from its file: the benchmark's tracer."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  REPO / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = _tracing()
+
+
+@pytest.mark.parametrize("module, name", TRACING.REQUIRED_ALIASES,
+                         ids=[f"{m}.{n}" for m, n in TRACING.REQUIRED_ALIASES])
+def test_trace_binding_is_its_home_function(module, name):
+    """The tracer replaces a traced function under every name bound to it,
+    and refuses to run when one of these by-name imports is gone: each must
+    stay bound in its module to the function it imports."""
+    homes = {f"{home}.{fname}": getattr(importlib.import_module(f"twostage_fdr.{home}"), fname)
+             for home, fnames in TRACING.TRACED.items() for fname in fnames}
+    bound = getattr(importlib.import_module(f"twostage_fdr.{module}"), name, None)
+    assert bound is not None, f"twostage_fdr.{module} no longer binds {name}"
+    found = [home for home, fn in homes.items() if fn is bound]
+    assert found, f"twostage_fdr.{module}.{name} is none of the traced functions"
