@@ -410,9 +410,11 @@ def bisect_increasing(f, target, lo, hi, iterations: int):
         take_hi = f(mid) < target
         new_lo = pick(take_hi, mid, lo)
         new_hi = pick(take_hi, hi, mid)
-        if same(new_lo, lo) and same(new_hi, hi):
-            break
+        # the ends take the halving's values and types before the stop test
+        stop = same(new_lo, lo) and same(new_hi, hi)
         lo, hi = new_lo, new_hi
+        if stop:
+            break
     return 0.5 * (lo + hi)
 
 

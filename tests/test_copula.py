@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import kendalltau as scipy_kendalltau
@@ -384,6 +384,9 @@ def seed_bisect(f, target, lo, hi, iterations):
        ends=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)).filter(
            lambda e: e[0] < e[1]),
        iterations=st.integers(0, 90), step=st.booleans(), scalar=st.booleans())
+# adjacent doubles as ends: the first halving moves neither
+@example(knots=[(0.0, 0.0)], targets=[0.5], ends=(0.0, 5e-324), iterations=3, step=False,
+         scalar=True)
 def test_bisect_increasing_matches_fixed_count_loop(knots, targets, ends, iterations, step,
                                                     scalar):
     # a nondecreasing f: a step function or a piecewise-linear ramp, flat
