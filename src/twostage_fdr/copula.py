@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, spence, zeta
+from scipy.special import ndtr, ndtri, spence, wrightomega, zeta
 
 from .bvn import bvn_cdf, bvn_y_side
 
@@ -132,13 +132,10 @@ class PseudoObservations:
 # ---------------------------------------------------------------------------
 # Base (unrotated) family evaluators.  All take theta and arrays with u, v
 # strictly inside (0, 1) and are written to stay finite for the parameter
-# brackets used in fitting (|theta| <= 50).  Each evaluator comes in two
-# stages, so that an argument held fixed while another varies is
-# transformed once: a log-density's prepare maps (u, v) to its theta-free
-# transforms and its logpdf takes theta and those; a family's _cdf_v maps
-# (theta, v) to what of the CDF depends on v alone and its _cdf_at takes
-# (theta, u) and those; its _h_u maps (theta, u) to what of h depends on u
-# alone and its _h_at takes (theta, v) and those.
+# brackets used in fitting (|theta| <= 50).  A CDF comes in two stages,
+# _cdf_v(theta, v) and _cdf_at(theta, u, *those), and a log-density in two,
+# prepare(u, v) and logpdf(theta, *those), so that an argument held fixed
+# while another varies is transformed once.  An h-function is one formula.
 # ---------------------------------------------------------------------------
 
 
@@ -303,6 +300,24 @@ def _gumbel_cdf_at(t, u, t_lb):
     return np.exp(-np.exp(ln_s / t))
 
 
+def _gumbel_hinv(t, x, u):
+    # h(v | u) = x is w + a log w = B in w = ((-log u)^t + (-log v)^t)^(1/t),
+    # with a = t - 1, s = -log u and B = -log x + s + a log s, so w is
+    # a wrightomega(B/a - log a).  Near x = 1 the sum B rounds away digits of
+    # -log x, which one Newton step in d = log(w / s) on s expm1(d) + a d =
+    # -log x gives back; that side is convex in d, so the step lands at or past
+    # the root, d > 0 for x < 1.  Then log(-log v) = log s + d + log(-expm1(-t d)) / t.
+    a = t - 1.0
+    if a == 0.0:  # the independence copula, where v = x exactly
+        return _indep_h(t, x, u)
+    s = -np.log(u)
+    la = np.log(s)
+    e = -np.log(x)
+    d = np.log(a * wrightomega((e + s + a * la) / a - math.log(a))) - la
+    d = d - (s * np.expm1(d) + a * d - e) / (s * np.exp(d) + a)
+    return np.exp(-np.exp(la + d + np.log(-np.expm1(-t * d)) / t))
+
+
 def _gumbel_prepare(u, v):
     lu = np.log(u)
     lv = np.log(v)
@@ -318,16 +333,12 @@ def _gumbel_logpdf(t, lu, lv, la, lb, la_lb):
             - lu - lv + np.log1p((t - 1.0) / w))
 
 
-def _gumbel_h_u(t, u):
+def _gumbel_h(t, v, u):
     lu = np.log(u)
     la = np.log(-lu)
-    return lu, t * la, (t - 1.0) * la
-
-
-def _gumbel_h_at(t, v, lu, t_la, t1_la):
-    ln_s = np.logaddexp(t_la, t * np.log(-np.log(v)))
+    ln_s = np.logaddexp(t * la, t * np.log(-np.log(v)))
     w = np.exp(ln_s / t)
-    return np.exp(-w + t1_la + (1.0 / t - 1.0) * ln_s - lu)
+    return np.exp(-w + (t - 1.0) * la + (1.0 / t - 1.0) * ln_s - lu)
 
 
 # Joe: from l1 = log(1 - u), lx = t l1, x = 1 - (1-u)^t and px = (1-u)^t;
@@ -368,14 +379,10 @@ def _joe_logpdf(t, l1u, l1v):
             + np.log(t - 1.0 + big_t))
 
 
-def _joe_h_u(t, u):
+def _joe_h(t, v, u):
     lx, ex, px = _joe_side(t, np.log1p(-u))
-    return (1.0 - 1.0 / t) * lx, ex, px
-
-
-def _joe_h_at(t, v, t1_lx, ex, px):
     _, ey, py = _joe_side(t, np.log1p(-v))
-    return np.exp(t1_lx + np.log(ey) + (1.0 / t - 1.0) * _joe_ln_t(ex, ey, px, py))
+    return np.exp((1.0 - 1.0 / t) * lx + np.log(ey) + (1.0 / t - 1.0) * _joe_ln_t(ex, ey, px, py))
 
 
 def _pick_float(take_hi, a, b):
@@ -468,42 +475,31 @@ def _joe_tau(theta: float) -> float:
 class _Family:
     """One base (unrotated) family: everything the module knows about it.
 
-    Each evaluator comes in two halves, a transform of the argument that a
-    caller may hold fixed and an evaluation at the others, so that a loop
-    over the others transforms the fixed one once.  The CDF at (u, v) is
-    cdf_at(theta, u, *cdf_v(theta, v)): cdf_v computes what depends on v
-    and theta alone (by default v itself), as the hard scan's p2 and theta
-    are fixed across its screen levels.  The h-function h(theta, v, u) is
-    h_at(theta, v, *h_u(theta, u)): h_u computes what depends on the
-    conditioner and theta alone (by default u itself), which a bisection in
-    v holds fixed.  Each half keeps the operations of the one formula in
-    their order, so the split changes no bit of a value.  hinv inverts h, by
-    bisection when not given.  The log-density at (u, v) is
-    logpdf(theta, *prepare(u, v)): prepare computes the theta-free
-    transforms of the pairs, which a fit needs only once (by default the
-    pairs themselves).  tau maps theta to the population Kendall tau.
-    theta_of is the closed-form inverse of tau, or None to bisect tau on
-    bracket.  bracket is the admissible theta interval of inversion and
-    fitting (Frank's positive branch, mirrored for negative tau), or None
-    for independence, which has no parameter.
+    The CDF at (u, v) is cdf_at(theta, u, *cdf_v(theta, v)): cdf_v computes
+    what depends on v and theta alone (by default v itself), as the hard
+    scan's p2 and theta are fixed across its screen levels; the split keeps
+    the formula's operations in their order, so it changes no bit.  h is the
+    h-function h(theta, v, u), and hinv its inverse in v, by bisection when
+    not given.  The log-density at (u, v) is logpdf(theta, *prepare(u, v)):
+    prepare computes the theta-free transforms of the pairs, which a fit
+    needs only once (by default the pairs themselves).  tau maps theta to
+    the population Kendall tau, and theta_of is its closed-form inverse, or
+    None to bisect tau on bracket.  bracket is the admissible theta interval
+    of inversion and fitting (Frank's positive branch, mirrored for negative
+    tau), or None for independence, which has no parameter.
     """
 
-    def __init__(self, cdf_at, logpdf, h_at, hinv=None, *, cdf_v=lambda t, v: (v,),
-                 h_u=lambda t, u: (u,), prepare=lambda u, v: (u, v), tau, theta_of=None,
-                 bracket=None):
+    def __init__(self, cdf_at, logpdf, h, hinv=None, *, cdf_v=lambda t, v: (v,),
+                 prepare=lambda u, v: (u, v), tau, theta_of=None, bracket=None):
         self.cdf_v = cdf_v
         self.cdf_at = cdf_at
         self.logpdf = logpdf
         self.prepare = prepare
-        self.h_u = h_u
-        self.h_at = h_at
+        self.h = h
         self.hinv = hinv if hinv is not None else self._hinv_bisect
         self.tau = tau
         self.theta_of = theta_of
         self.bracket = bracket
-
-    def h(self, t, v, u):
-        return self.h_at(t, v, *self.h_u(t, u))
 
     def _hinv_bisect(self, t, x, u):
         # h is a CDF in v for fixed u: monotone, h(0)=0, h(1)=1.  80 halvings
@@ -513,10 +509,9 @@ class _Family:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         shape = np.broadcast_shapes(x.shape, u.shape)
-        given = self.h_u(t, np.broadcast_to(u, shape))  # once for every halving
 
         def h(v):
-            return self.h_at(t, np.clip(v, EPS, 1.0 - EPS), *given)
+            return self.h(t, np.clip(v, EPS, 1.0 - EPS), u)
 
         v = bisect_increasing(h, np.broadcast_to(x, shape), np.zeros(shape), np.ones(shape), 80)
         if np.any(np.isnan(h(v))):
@@ -540,13 +535,13 @@ _BASE = {
                        tau=lambda t: t / (t + 2.0),
                        theta_of=lambda tau: 2.0 * tau / (1.0 - tau),
                        bracket=(1e-4, 50.0)),
-    "gumbel": _Family(_gumbel_cdf_at, _gumbel_logpdf, _gumbel_h_at, cdf_v=_gumbel_cdf_v,
-                      h_u=_gumbel_h_u, prepare=_gumbel_prepare,
+    "gumbel": _Family(_gumbel_cdf_at, _gumbel_logpdf, _gumbel_h, _gumbel_hinv,
+                      cdf_v=_gumbel_cdf_v, prepare=_gumbel_prepare,
                       tau=lambda t: 1.0 - 1.0 / t,
                       theta_of=lambda tau: 1.0 / (1.0 - tau),
                       bracket=(1.0 + 1e-6, 50.0)),
-    "joe": _Family(_joe_cdf_at, _joe_logpdf, _joe_h_at, cdf_v=_joe_cdf_v, h_u=_joe_h_u,
-                   prepare=_joe_prepare, tau=_joe_tau, bracket=(1.0 + 1e-6, 50.0)),
+    "joe": _Family(_joe_cdf_at, _joe_logpdf, _joe_h, cdf_v=_joe_cdf_v, prepare=_joe_prepare,
+                   tau=_joe_tau, bracket=(1.0 + 1e-6, 50.0)),
 }
 
 

@@ -134,6 +134,8 @@ def build_table(beta_hats, ys, null: GaussianMixture,
         raise ValueError("ys must not be empty")
     if not np.all(np.isfinite(y)):
         raise ValueError("ys must be finite")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("beta_hats must be finite")
     n = y.size
     p1 = np.clip(np.searchsorted(np.sort(y), y, side="right") / n,
                  1.0 / (n + 1.0), n / (n + 1.0))

@@ -229,6 +229,8 @@ def run_two_stage_hard(table: HypothesisTable, model: CopulaModel, alpha: float,
     the caller's rows.
     """
     grid = default_gamma1_grid() if gamma1_grid is None else np.asarray(gamma1_grid, float)
+    if grid.ndim != 1:
+        raise ValueError(f"gamma1 grid must be a 1-d array, got shape {grid.shape}")
     if grid.size < 1:
         raise ValueError("gamma1 grid must be nonempty")
     if not np.all((grid > 0.0) & (grid < 1.0)):  # NaN fails too

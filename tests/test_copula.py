@@ -458,7 +458,7 @@ def seed_hinv_bisect(h, t, x, u):
 
 @pytest.mark.parametrize("rotation", cp.ROTATIONS)
 @pytest.mark.parametrize("theta", [1.0 + 1e-6, 2.5, 50.0])
-@pytest.mark.parametrize("family", ["gumbel", "joe"])
+@pytest.mark.parametrize("family", ["joe"])
 def test_bisected_inverse_matches_seed_loop(family, theta, rotation, monkeypatch):
     rng = np.random.default_rng(7)
     x = rng.random(2000)
@@ -481,12 +481,69 @@ def test_steep_conditional_inverts():
 
 
 def test_nan_conditional_raises(monkeypatch):
-    # the bisection evaluates h's v-half on the conditioner transformed once
-    monkeypatch.setattr(cp._BASE["gumbel"], "h_at",
-                        lambda t, v, lu, *_: np.full(np.broadcast_shapes(v.shape, lu.shape),
-                                                     np.nan))
+    # Joe is the family whose h-inverse bisects its h
+    monkeypatch.setattr(cp._BASE["joe"], "h",
+                        lambda t, v, u: np.full(np.broadcast_shapes(v.shape, u.shape), np.nan))
     with pytest.raises(RuntimeError, match="NaN"):
-        cp.hfunc_inverse(cp.CopulaModel("gumbel", 2.0), np.array([0.3, 0.7]), 0.5)
+        cp.hfunc_inverse(cp.CopulaModel("joe", 2.0), np.array([0.3, 0.7]), 0.5)
+
+
+@pytest.mark.parametrize("rotation", cp.ROTATIONS)
+@pytest.mark.parametrize("theta", [1.0, 1.0 + 1e-6, 2.5, 50.0])
+def test_gumbel_inverse_matches_the_bisection_oracle(theta, rotation, monkeypatch):
+    # The closed form and the bisection round differently, so each v is
+    # within 1e-11 of the oracle's or leaves a residual |h(v) - x| no larger
+    # than the oracle's own, with x and v clipped as the oracle clips them:
+    # where h is flat in v (x near 1 at large theta) many v share one residual.
+    rng = np.random.default_rng(7)
+    x = rng.random(2000)
+    u = rng.uniform(1e-10, 1.0 - 1e-10, 2000)
+    edge_x, edge_u = np.meshgrid([0.0, 1e-12, 1.0 - 1e-12, 1.0], [1e-10, 0.5, 1.0 - 1e-10])
+    x[:12] = edge_x.ravel()
+    u[:12] = edge_u.ravel()
+    model = cp.CopulaModel("gumbel", theta, rotation)
+    got = cp.hfunc_inverse(model, x, u)
+    monkeypatch.setattr(cp._BASE["gumbel"], "hinv",
+                        lambda t, xx, uu: seed_hinv_bisect(seed_gumbel_h, t, xx, uu))
+    ref = cp.hfunc_inverse(model, x, u)
+
+    def residual(v):
+        return np.abs(cp.hfunc(model, np.clip(v, cp.EPS, 1.0 - cp.EPS), u)
+                      - np.clip(x, cp.EPS, 1.0 - cp.EPS))
+
+    close = np.abs(got - ref) <= 1e-11
+    assert np.all(close | (residual(got) <= residual(ref)))
+
+
+@pytest.mark.parametrize("rotation", cp.ROTATIONS)
+def test_gumbel_inverse_at_theta_one_is_the_identity(rotation):
+    # theta = 1 is the independence copula: v = x to within 1 ulp, where a
+    # rotation that reflects v gives 1 - (1 - x)
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.random(500), 10.0 ** -rng.uniform(0, 10, 500),
+                        1.0 - 10.0 ** -rng.uniform(0, 10, 500)])
+    u = rng.uniform(1e-10, 1.0 - 1e-10, x.size)
+    want = 1.0 - (1.0 - x) if cp._REFLECTS[rotation][1] else x
+    v = cp.hfunc_inverse(cp.CopulaModel("gumbel", 1.0, rotation), x, u)
+    assert np.all(np.abs(v - want) <= np.spacing(want))
+
+
+# conditioners in (0, 1) whose reflection 1 - u stays below 1: a rotation that
+# reflects u turns u <= 2**-54 into 1, where Gumbel's h and its inverse take log(0)
+conditioner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(
+    lambda u: 1.0 - u < 1.0)
+
+
+@pytest.mark.parametrize("rotation", cp.ROTATIONS)
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(1.0, 50.0), u=conditioner, x=st.floats(0.0, 1.0))
+@example(theta=50.0, u=1e-10, x=1.0 - 1e-10)
+@example(theta=50.0, u=1.0 - 1e-10, x=1e-10)
+@example(theta=1.0 + 1e-6, u=2.0 ** -53, x=1.0 - 2.0 ** -53)
+def test_gumbel_inverse_is_finite_in_the_unit_interval(rotation, theta, u, x):
+    # pyproject turns a RuntimeWarning into a failure
+    v = cp.hfunc_inverse(cp.CopulaModel("gumbel", theta, rotation), x, u)
+    assert 0.0 <= v <= 1.0
 
 
 def bracket_end_models():

@@ -186,6 +186,13 @@ def test_build_table_rejects_empty_or_non_finite_ys(ys, message):
         mg.build_table(np.zeros(len(ys)), ys, mg.STANDARD_NORMAL)
 
 
+@pytest.mark.parametrize("beta_hats", [[0.1, np.nan], [np.inf, 0.1], [0.1, -np.inf]])
+def test_build_table_rejects_non_finite_beta_hats(beta_hats):
+    # an infinite beta_hat would give p2 = 0, a certain rejection
+    with pytest.raises(ValueError, match="^beta_hats must be finite$"):
+        mg.build_table(beta_hats, [1.0, 2.0], mg.STANDARD_NORMAL)
+
+
 class TestBuildTable:
     def test_single_hypothesis(self):
         t = mg.build_table([0.0], [1.0], mg.STANDARD_NORMAL)
@@ -222,7 +229,7 @@ class TestBuildTable:
             mg.HypothesisTable(np.zeros(8000), np.zeros(8000), cols["p1"], cols["p2"])
 
     def test_nan_beta_hat_rejected(self):
-        with pytest.raises(ValueError, match="p2"):
+        with pytest.raises(ValueError, match="beta_hats"):
             mg.build_table([0.3, np.nan], [1.0, 2.0], mg.STANDARD_NORMAL)
 
 

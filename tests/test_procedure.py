@@ -411,6 +411,9 @@ class TestTwoStageHard:
         for grid in ([0.97, 0.95], [0.5, 0.5], [0.2, 0.6, 0.4]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 proc.run_two_stage_hard(t, INDEP, 0.05, 0.5, gamma1_grid=grid)
+        for grid, shape in ((0.5, r"\(\)"), ([[0.1, 0.2], [0.3, 0.4]], r"\(2, 2\)")):
+            with pytest.raises(ValueError, match=f"1-d array, got shape {shape}"):
+                proc.run_two_stage_hard(t, INDEP, 0.05, 0.5, gamma1_grid=grid)
 
     def test_tied_levels_resolve_to_the_smallest(self):
         # levels 0.95 and 0.97 both reject 58 here, with different rejected sets;

@@ -1,8 +1,10 @@
-"""Kendall tau maps against a 50-digit mpmath oracle.
+"""Kendall tau maps and Gumbel's h-inverse against a 50-digit mpmath oracle.
 
 mpmath is imported at module level on purpose: without it these tests
 fail instead of being skipped.
 """
+
+import itertools
 
 import mpmath
 import numpy as np
@@ -94,3 +96,27 @@ def test_frank_tau_nondecreasing_near_theta_one_and_two():
         thetas = sorted([centre - s for s in steps] + [centre] + [centre + s for s in steps])
         taus = [frank_tau(t) for t in thetas]
         assert all(a <= b for a, b in zip(taus, taus[1:])), centre
+
+
+def gumbel_hinv_oracle(theta: float, x: float, u: float) -> float:
+    """v with h(v | u) = x: w = a W(e^(B/a - log a)) solves w + a log w = B,
+    and -log v = (w^theta - s^theta)^(1/theta), with a = theta - 1, s = -log u
+    and B = -log x + s + a log s."""
+    t = mpmath.mpf(theta)
+    a = t - 1
+    s = -mpmath.log(u)
+    b = -mpmath.log(x) + s + a * mpmath.log(s)
+    w = a * mpmath.lambertw(mpmath.exp(b / a - mpmath.log(a))).real
+    return float(mpmath.exp(-(w ** t - s ** t) ** (1 / t)))
+
+
+def test_gumbel_hinv_matches_mpmath():
+    # the clamp edges of u and x, where h is flat in v (x near 1) or v lies
+    # below the clamp (x and u near 0), across the bracket
+    thetas = (1.0 + 1e-6, 1.3, 2.5, 7.0, 25.0, 50.0)
+    us = (1e-10, 1e-3, 0.5, 0.99, 1.0 - 1e-10)
+    xs = (1e-10, 1e-3, 0.3, 0.99, 1.0 - 1e-6, 1.0 - 1e-10)
+    for theta, u, x in itertools.product(thetas, us, xs):
+        got = cp.hfunc_inverse(cp.CopulaModel("gumbel", theta), x, u)
+        want = gumbel_hinv_oracle(theta, x, u)
+        assert abs(got - want) <= 1e-13 * want, (theta, u, x)
