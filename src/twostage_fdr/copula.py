@@ -462,8 +462,8 @@ def _joe_tau(theta: float) -> float:
     # theta = 1 in y = 1 - 1/theta: tau = y (1 - 4 (1 - y) sum_m c_m y^(m-1)),
     # with no 0/0 at theta = 2 and tau(1) = 0 exactly.  The term ratio is
     # about 2y/3 < 2/3 on the bracket, so the first term left out is below
-    # 1e-16 of the sum up to theta = 50.  The bisection inverse passes 0-d
-    # arrays, and the Horner loop runs about five times faster on a float.
+    # 1e-16 of the sum up to theta = 50.  The bisection inverse passes numpy
+    # float scalars, and the Horner loop runs about five times faster on a float.
     theta = float(theta)
     y = (theta - 1.0) / theta
     acc = 0.0
@@ -552,34 +552,36 @@ def _maybe_scalar(out, *arrays):
 
 
 def _as_unit(name, value, open_=False):
-    """value as a float array, checked by its min and max against the closed
-    [0, 1], or the open (0, 1) when open_ (NaN fails either way); with it,
-    whether an entry lies past the clamp interior [EPS, 1 - EPS], the only
-    case where clipping into it or a boundary case at 0 or 1 changes a value.
-    """
+    """(checked, interior, past): value as a float array checked by its min
+    and max against the closed [0, 1], or the open (0, 1) when open_ (NaN
+    fails either way); that array clipped into the clamp interior [EPS,
+    1 - EPS], all that family formulas and rotation reflections receive; and
+    whether an entry lies past the interior, the only case where the clip
+    (run only then) or a boundary case at 0 or 1 changes a value."""
     arr = np.asarray(value, dtype=float)
     if arr.size == 0:
-        return arr, False
+        return arr, arr, False
     lo = arr.min()
     hi = arr.max()
     if not ((0.0 < lo and hi < 1.0) if open_ else (0.0 <= lo and hi <= 1.0)):
         raise ValueError(f"{name} must lie in {'(0, 1)' if open_ else '[0, 1]'}")
-    return arr, bool(lo < EPS or hi > 1.0 - EPS)
+    past = bool(lo < EPS or hi > 1.0 - EPS)
+    return arr, (np.clip(arr, EPS, 1.0 - EPS) if past else arr), past
 
 
-def _rotated_cdf_v(model: CopulaModel, vv, v_edge):
-    """The family's transforms of checked v: clipped into the clamp interior
-    when v_edge, and reflected by the rotations that reflect v."""
-    vi = np.clip(vv, EPS, 1.0 - EPS) if v_edge else vv
+def _rotated_cdf_v(model: CopulaModel, vi):
+    """The family's transforms of interior v, reflected by the rotations
+    that reflect v."""
     if _REFLECTS[model.rotation][1]:
         vi = 1.0 - vi
     return _BASE[model.family].cdf_v(model.theta, vi)
 
 
-def _rotated_cdf_at(model: CopulaModel, uu, u_edge, vv, v_edge, prepared):
-    """C(u, v) from checked u and v and _rotated_cdf_v's transforms of v."""
+def _rotated_cdf_at(model: CopulaModel, u_unit, vv, v_past, prepared):
+    """C(u, v) from _as_unit's u, checked v, whether v lies past the clamp
+    interior and _rotated_cdf_v's transforms of v."""
+    uu, ui, u_past = u_unit
     ref_u, ref_v = _REFLECTS[model.rotation]
-    ui = np.clip(uu, EPS, 1.0 - EPS) if u_edge else uu
     # C90 = v - C(1-u, v), C180 = u + v - 1 + C(1-u, 1-v), C270 = u - C(u, 1-v)
     out = _BASE[model.family].cdf_at(model.theta, 1.0 - ui if ref_u else ui, *prepared)
     if ref_u and ref_v:
@@ -588,7 +590,7 @@ def _rotated_cdf_at(model: CopulaModel, uu, u_edge, vv, v_edge, prepared):
         out = vv - out
     elif ref_v:
         out = uu - out
-    if u_edge or v_edge:
+    if u_past or v_past:
         out = np.where(uu <= 0.0, 0.0, np.where(vv <= 0.0, 0.0,
                        np.where(uu >= 1.0, vv, np.where(vv >= 1.0, uu, out))))
     out = np.clip(out, 0.0, 1.0)
@@ -602,12 +604,12 @@ def cdf(model: CopulaModel, u, v):
     a scalar u is rotated and transformed once per call.  Inside the clamp
     interior [1e-10, 1 - 1e-10] the result is the formula's value clipped
     to [0, 1].  Only an input past the interior takes the boundary path:
-    the inputs are clipped into it for the formula, and the margins
+    the inputs are clipped into it before any reflection, and the margins
     C(0, v) = C(u, 0) = 0, C(1, v) = v and C(u, 1) = u are imposed.
     """
-    uu, u_edge = _as_unit("u", u)
-    vv, v_edge = _as_unit("v", v)
-    return _rotated_cdf_at(model, uu, u_edge, vv, v_edge, _rotated_cdf_v(model, vv, v_edge))
+    u_unit = _as_unit("u", u)
+    vv, vi, v_past = _as_unit("v", v)
+    return _rotated_cdf_at(model, u_unit, vv, v_past, _rotated_cdf_v(model, vi))
 
 
 def cdf_of(model: CopulaModel, v):
@@ -620,20 +622,19 @@ def cdf_of(model: CopulaModel, v):
     for bit.  at.v is the array prepared on, for a caller to check that
     it is theirs.
     """
-    vv, v_edge = _as_unit("v", v)
+    vv, vi, v_past = _as_unit("v", v)
     if vv.ndim != 1:
         raise ValueError(f"v must be a 1-d array, got shape {vv.shape}")
     # every prefix takes the boundary path when any v lies past the clamp
     # interior: the clip and the margins leave interior entries as they are
-    prepared = _rotated_cdf_v(model, vv, v_edge)
+    prepared = _rotated_cdf_v(model, vi)
 
     def at(u, n: int):
         if np.ndim(u) != 0:
             raise ValueError("u must be a scalar")
         if not 0 <= n <= vv.size:
             raise ValueError(f"prefix length must lie in [0, {vv.size}], got {n}")
-        uu, u_edge = _as_unit("u", u)
-        return _rotated_cdf_at(model, uu, u_edge, vv[:n], v_edge,
+        return _rotated_cdf_at(model, _as_unit("u", u), vv[:n], v_past,
                                [p[:n] for p in prepared])
 
     at.v = vv
@@ -649,25 +650,26 @@ def log_density_of(family: str, rotation: int, u, v):
     """The log density of the family and rotation at (u, v), as a function
     of theta; u and v must lie strictly inside (0, 1).
 
-    The checks of u and v, the rotation and the family's theta-free
-    transforms of the pairs run once, here, so a likelihood search over
-    theta runs only the theta-dependent part of the formula per step.
+    The checks of u and v, their clip into the clamp interior, the rotation
+    and the family's theta-free transforms of the pairs run once, here, so a
+    likelihood search over theta runs only the theta-dependent part per step.
     """
     _check_family(family, rotation)
-    uu, _ = _as_unit("u", u, open_=True)
-    vv, _ = _as_unit("v", v, open_=True)
+    _, ui, _ = _as_unit("u", u, open_=True)
+    _, vi, _ = _as_unit("v", v, open_=True)
     fam = _BASE[family]
-    prepared = fam.prepare(*_rotated_args(rotation, uu, vv))
+    prepared = fam.prepare(*_rotated_args(rotation, ui, vi))
 
     def at(theta):
         _check_theta(family, theta)
-        return _maybe_scalar(fam.logpdf(theta, *prepared), uu, vv)
+        return _maybe_scalar(fam.logpdf(theta, *prepared), ui, vi)
 
     return at
 
 
 def log_density(model: CopulaModel, u, v):
-    """Log copula density; u and v must lie strictly inside (0, 1)."""
+    """Log copula density; u and v must lie strictly inside (0, 1), and are
+    clipped into the clamp interior [1e-10, 1 - 1e-10] before any reflection."""
     return log_density_of(model.family, model.rotation, u, v)(model.theta)
 
 
@@ -676,25 +678,26 @@ def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u)
 
     value (v for h, x for its inverse) may lie in the closed [0, 1], with
     0 and 1 mapped to themselves; given_u must lie strictly inside (0, 1).
-    As in cdf, the inputs are not expanded to a common shape, and the
-    clip and the boundary cases run only for a value past the clamp
-    interior.
+    As in cdf, the inputs are not expanded to a common shape, are clipped
+    into the clamp interior before any reflection, and take the boundary
+    cases only for a value past the interior.
     """
-    aa, a_edge = _as_unit(name, value)
-    uu, _ = _as_unit("given_u", given_u, open_=True)
-    ai = np.clip(aa, EPS, 1.0 - EPS) if a_edge else aa
-    ru, ra = _rotated_args(model.rotation, uu, ai)
+    aa, ai, a_past = _as_unit(name, value)
+    uu, ui, _ = _as_unit("given_u", given_u, open_=True)
+    ru, ra = _rotated_args(model.rotation, ui, ai)
     out = base_fn(model.theta, ra, ru)
     if _REFLECTS[model.rotation][1]:
         out = 1.0 - out
-    if a_edge:
+    if a_past:
         out = np.where(aa <= 0.0, 0.0, np.where(aa >= 1.0, 1.0, out))
     out = np.clip(out, 0.0, 1.0)
     return _maybe_scalar(out, aa, uu)
 
 
 def hfunc(model: CopulaModel, v, given_u):
-    """Conditional CDF C(v | u) = dC(u, v)/du of the second coordinate."""
+    """Conditional CDF C(v | u) = dC(u, v)/du of the second coordinate; v and
+    given_u are clipped into the clamp interior [1e-10, 1 - 1e-10] before any
+    reflection."""
     return _rotated_conditional(model, _BASE[model.family].h, "v", v, given_u)
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import (
-    EPS,
     FAMILIES,
     CopulaModel,
     PseudoObservations,
@@ -124,14 +123,11 @@ def fit_mle(family: str, rotation: int, obs: PseudoObservations,
     if family == "independence":
         return FitResult(CopulaModel("independence"), 0.0, 0.0, 0.0, n, True)
 
-    u = np.clip(obs.u, EPS, 1.0 - EPS)
-    v = np.clip(obs.v, EPS, 1.0 - EPS)
-
     if family == "frank" and tau_hint is None:
         tau_hint = empirical_kendall_tau(obs)
     _, (lo, hi) = orientation(family, 1.0 if tau_hint is None else tau_hint)
 
-    log_density_at = log_density_of(family, rotation, u, v)
+    log_density_at = log_density_of(family, rotation, obs.u, obs.v)
 
     def negloglik(theta: float) -> float:
         ll = np.sum(log_density_at(theta))
@@ -144,7 +140,7 @@ def fit_mle(family: str, rotation: int, obs: PseudoObservations,
     if not res.success or not np.isfinite(res.fun):
         raise FitError(f"{family} fit did not converge: {res.message}")
     model = CopulaModel(family, float(res.x), rotation)
-    loglik = float(np.sum(log_density(model, u, v)))  # -res.fun, bit for bit
+    loglik = float(np.sum(log_density(model, obs.u, obs.v)))  # -res.fun, bit for bit
     aic = -2.0 * loglik + 2.0
     bic = -2.0 * loglik + math.log(n)
     return FitResult(model, loglik, aic, bic, n, True)

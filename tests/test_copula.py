@@ -528,10 +528,7 @@ def test_gumbel_inverse_at_theta_one_is_the_identity(rotation):
     assert np.all(np.abs(v - want) <= np.spacing(want))
 
 
-# conditioners in (0, 1) whose reflection 1 - u stays below 1: a rotation that
-# reflects u turns u <= 2**-54 into 1, where Gumbel's h and its inverse take log(0)
-conditioner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(
-    lambda u: 1.0 - u < 1.0)
+conditioner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 @pytest.mark.parametrize("rotation", cp.ROTATIONS)
@@ -1254,3 +1251,83 @@ def test_log_density_of_rejects_what_copula_model_rejects(family, rotation, thet
         cp.CopulaModel(family, theta, rotation)
     with pytest.raises(ValueError, match=f"^{re.escape(str(model_err.value))}$"):
         cp.log_density_of(family, rotation, [0.3, 0.6], [0.5, 0.2])(theta)
+
+
+# ---------------------------------------------------------------------------
+# One input rule for every evaluator: check the coordinates, clip those past
+# the clamp interior [1e-10, 1 - 1e-10] into it, then reflect.
+# ---------------------------------------------------------------------------
+
+
+def bracket_models():
+    """Every family and rotation at both ends and the middle of its bracket,
+    Frank on both sides of 0."""
+    models = [cp.CopulaModel("independence")]
+    for family in ("gaussian", "frank", "clayton", "gumbel", "joe"):
+        lo, hi = cp.orientation(family, 1.0)[1]
+        thetas = (lo, 0.5 * (lo + hi), hi)
+        if family == "frank":
+            thetas += tuple(-t for t in thetas)
+        rotations = cp.ROTATIONS if family in cp.ROTATABLE else (0,)
+        models += [cp.CopulaModel(family, t, r) for t in thetas for r in rotations]
+    return models
+
+
+BRACKET_MODELS = bracket_models()
+BRACKET_IDS = [m.describe() for m in BRACKET_MODELS]
+# inside (0, 1) but past the clamp interior: 1 - u rounds to 1 from 2**-54 down,
+# and 1 - 2**-53 is the largest double below 1
+PAST_INTERIOR = (5e-324, 2.0 ** -60, 2.0 ** -54, 2.0 ** -53, 1e-12,
+                 1.0 - 1e-12, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53)
+RULE_POINTS = PAST_INTERIOR[:5] + (CLAMP, 0.3, 0.7, 1.0 - CLAMP) + PAST_INTERIOR[5:]
+GRID = [(a, b) for a in RULE_POINTS for b in RULE_POINTS]
+open_unit = st.one_of(st.sampled_from(RULE_POINTS),
+                      st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+def joe_upper_corner(model, u, v):
+    """Where Joe's (1 - u)^theta and (1 - v)^theta, after the clip and the
+    rotation, both underflow to 0: its log T takes log(0) there, and its
+    log-density is +inf (see test_joe_log_density_is_finite_in_the_upper_corner)."""
+    u, v = np.broadcast_arrays(*(np.clip(x, CLAMP, 1.0 - CLAMP) for x in (u, v)))
+    if model.family != "joe":
+        return np.zeros(u.shape, dtype=bool)
+    ru, rv = cp._rotated_args(model.rotation, u, v)
+    return ((np.exp(model.theta * np.log1p(-ru)) == 0.0)
+            & (np.exp(model.theta * np.log1p(-rv)) == 0.0))
+
+
+@pytest.mark.parametrize("model", BRACKET_MODELS, ids=BRACKET_IDS)
+@settings(max_examples=25, deadline=None)
+@given(pairs=st.lists(st.tuples(open_unit, open_unit), min_size=1, max_size=8))
+@example(pairs=GRID)
+def test_every_evaluator_is_finite_past_the_clamp_interior(model, pairs):
+    # pyproject turns a RuntimeWarning into a failure
+    u, v = np.array(pairs).T
+    for args in ((u, v), (u[0], v[0])):
+        for fn in (cp.cdf, cp.hfunc, cp.hfunc_inverse):
+            out = np.asarray(fn(model, *args))
+            assert np.all((out >= 0.0) & (out <= 1.0)), fn.__name__
+        ll = cp.log_density(model, *args)
+        assert np.all(np.isfinite(ll) | joe_upper_corner(model, *args))
+
+
+@pytest.mark.xfail(strict=True, reason="Joe's log T takes log(0) when (1 - u)^theta and "
+                   "(1 - v)^theta both underflow")
+def test_joe_log_density_is_finite_in_the_upper_corner():
+    u = 1.0 - CLAMP
+    assert joe_upper_corner(cp.CopulaModel("joe", 50.0), u, u)
+    assert math.isfinite(cp.log_density(cp.CopulaModel("joe", 50.0), u, u))
+
+
+@pytest.mark.parametrize("model", BRACKET_MODELS, ids=BRACKET_IDS)
+def test_a_coordinate_past_the_interior_evaluates_at_the_clamp(model):
+    past = np.array(PAST_INTERIOR)
+    clamped = np.clip(past, CLAMP, 1.0 - CLAMP)
+    other = np.array([CLAMP, 0.3, 0.7, 1.0 - CLAMP])[:, None]
+    for fn in (cp.hfunc, cp.hfunc_inverse, cp.log_density):
+        assert_same(fn(model, past, other), fn(model, clamped, other))
+        assert_same(fn(model, other, past), fn(model, other, clamped))
+        for p, c in zip(past, clamped):
+            assert_same(fn(model, float(p), 0.3), fn(model, float(c), 0.3))
+            assert_same(fn(model, 0.3, float(p)), fn(model, 0.3, float(c)))

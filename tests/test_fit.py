@@ -305,3 +305,22 @@ def test_fit_mle_matches_seed_fit_every_rotation(family, rotation):
     obs = cp.PseudoObservations(u, v)
     res = ft.fit_mle(family, rotation, obs, tau_hint=0.35)
     assert (res.model.theta, res.loglik) == seed_fit_mle(family, rotation, obs, 0.35)
+
+
+@pytest.mark.parametrize("model", [
+    cp.CopulaModel("gaussian", -0.5), cp.CopulaModel("gaussian", 0.5),
+    cp.CopulaModel("frank", -4.0), cp.CopulaModel("frank", 4.0),
+    *(cp.CopulaModel(family, theta, rotation)
+      for family, theta in (("clayton", 1.5), ("gumbel", 1.6), ("joe", 1.8))
+      for rotation in cp.ROTATIONS)], ids=lambda m: m.describe())
+def test_fit_mle_past_the_clamp_matches_the_clamped_pairs(model):
+    # log_density clips pairs past [1e-10, 1 - 1e-10] as PseudoObservations.clamped does
+    obs = cp.sample(model, 400, 37)
+    u, v = obs.u.copy(), obs.v.copy()
+    u[:4] = [5e-324, 2.0 ** -60, 2.0 ** -54, 1e-12]
+    v[4:8] = [1e-12, 5e-324, 1.0 - 1e-12, 1.0 - 2.0 ** -53]
+    tau = cp.kendall_tau(model)
+    got = ft.fit_mle(model.family, model.rotation, _obs(u, v), tau_hint=tau)
+    want = ft.fit_mle(model.family, model.rotation, cp.PseudoObservations.clamped(u, v),
+                      tau_hint=tau)
+    assert (got.model.theta, got.loglik) == (want.model.theta, want.loglik)
