@@ -2,8 +2,11 @@
 estimate FDR/TPR of the procedures over Monte Carlo replications.
 
 Generative design per replicate: a copula pair (u, v) drives both
-statistics.  The auxiliary statistic is the Gamma(3, rate 4) quantile of
-u.  The primary statistic carries a random sign and takes its magnitude
+statistics.  The auxiliary statistic is u itself: the procedures read it
+only through p1, its empirical CDF, which depends on the auxiliary values
+through their ranks alone, so any strictly increasing map of u (such as
+the Gamma(3, rate 4) quantile) gives the same p1 bit for bit.  The
+primary statistic carries a random sign and takes its magnitude
 from v through the null (or alternative) magnitude quantile, so that the
 two-sided p-value of a null statistic equals v exactly and the p-value
 pair (p1, p2) follows the dependence copula under the null.  Alternatives
@@ -25,7 +28,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
+from scipy.special import ndtri
 
 from . import copula as cp
 from . import fit as ft
@@ -192,7 +195,8 @@ def _abs_mixture_quantile(mix: mg.GaussianMixture, q: np.ndarray) -> np.ndarray:
     hi_cap = float(np.max(np.abs(np.asarray(mix.means)) + 12.0 * np.asarray(mix.sds)))
 
     def cdf_abs(b):
-        return mg.mixture_cdf(mix, b) - mg.mixture_cdf(mix, -b)
+        f = mg.mixture_cdf(mix, np.concatenate((b, -b)))  # F(b) and F(-b) in one call
+        return f[:b.size] - f[b.size:]
 
     return cp.bisect_increasing(cdf_abs, q, np.zeros_like(q), np.full_like(q, hi_cap), 90)
 
@@ -218,9 +222,8 @@ def generate_dataset(cfg: SimulationConfig, replicate: int):
         alt_mix = mg.GaussianMixture((0.5, 0.5), (-cfg.mu, cfg.mu), (1.0, 1.0))
         beta[is_alt] = sign[is_alt] * _abs_mixture_quantile(alt_mix, 1.0 - v[is_alt])
 
-    # Gamma(shape 3, scale 0.25) quantile: scipy.stats.gamma.ppf's own formula
-    y = gammaincinv(3.0, u) * 0.25
-    table = mg.build_table(beta, y, mg.STANDARD_NORMAL)
+    # u is the auxiliary statistic: p1 sees its ranks only
+    table = mg.build_table(beta, u, mg.STANDARD_NORMAL)
     return table, is_alt
 
 
@@ -326,7 +329,7 @@ class SelectionStudyResult:
 
     families: tuple
     counts: dict     # family -> {criterion: times selected}
-    stats: dict      # family -> {criterion: (mean, sd)}
+    stats: dict      # family -> {criterion: (mean, sd)} over its converged fits
     reps: int
 
 
@@ -349,17 +352,19 @@ def run_copula_selection_study(true_model: cp.CopulaModel, n: int, reps: int,
         report = ft.select_copula(obs, families=candidates)
         for criterion in ft.CRITERIA:
             counts[report.winner(criterion).model.family][criterion] += 1
-        for result in report.candidates:
-            values[result.model.family]["loglik"].append(result.loglik)
-            values[result.model.family]["aic"].append(result.aic)
-            values[result.model.family]["bic"].append(result.bic)
-    stats = {
-        f: {c: (float(np.mean(values[f][c])), float(np.std(values[f][c], ddof=1))
-                if len(values[f][c]) > 1 else 0.0)
-            for c in ft.CRITERIA}
-        for f in candidates
-    }
+            for result in report.candidates:
+                if result.converged:  # a failed fit's NaN would poison the mean
+                    values[result.model.family][criterion].append(getattr(result, criterion))
+    stats = {f: {c: _mean_sd(values[f][c]) for c in ft.CRITERIA} for f in candidates}
     return SelectionStudyResult(candidates, counts, stats, reps)
+
+
+def _mean_sd(values: list) -> tuple[float, float]:
+    """(mean, sd) of `values`: sd 0 for one value, and both NaN for none."""
+    if not values:
+        return float("nan"), float("nan")
+    sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return float(np.mean(values)), sd
 
 
 _RATE_COLUMNS = ("fdr", "fdr_sd", "tpr", "tpr_sd")  # the columns of _rate_cells

@@ -169,6 +169,14 @@ def test_p1_matches_seed_empirical_cdf(values):
     assert p1_of(y).tobytes() == seed_empirical_p1(SeedEmpiricalCdf(y), y).tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(values=aux_values)
+def test_p1_depends_on_the_ranks_only(values):
+    # ldexp(y, 3) = 8 y is exact and strictly increasing: same ranks, same ties
+    y = np.array(values)
+    assert p1_of(y).tobytes() == p1_of(np.ldexp(y, 3)).tobytes()
+
+
 @pytest.mark.parametrize("values", [[0.5], [0.5, 0.5], [0.5, -0.5], [-0.0, 0.0]])
 def test_p1_matches_seed_at_small_n(values):
     y = np.array(values)

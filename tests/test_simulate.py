@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaincinv
 from scipy.stats import gamma as scipy_gamma
 
 from twostage_fdr import copula as cp
@@ -75,42 +74,22 @@ class TestConfig:
         np.testing.assert_array_equal(table.p2, at_zero.p2)
 
 
-def gamma_quantile_bits(u):
-    """(generate_dataset's Gamma(3, scale 0.25) quantile, scipy.stats' ppf),
-    each viewed as int64 so that equality is bit for bit."""
-    u = np.asarray(u, dtype=float)
-    got = gammaincinv(3.0, u) * 0.25
-    ref = scipy_gamma.ppf(u, a=3.0, scale=0.25)
-    return got.view(np.int64), ref.view(np.int64)
-
-
-def test_gamma_quantile_matches_scipy_stats_at_the_clamp():
-    ends = [cp.EPS, 1.0 - cp.EPS]
-    u = ends + [np.nextafter(e, d) for e in ends for d in (0.0, 1.0)] + [0.5, 0.75]
-    got, ref = gamma_quantile_bits(u)
-    np.testing.assert_array_equal(got, ref)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(cp.EPS, 1.0 - cp.EPS), min_size=1, max_size=64))
-def test_gamma_quantile_matches_scipy_stats(u):
-    got, ref = gamma_quantile_bits(u)
-    np.testing.assert_array_equal(got, ref)
-
-
 class TestGenerateDataset:
-    def test_auxiliary_mean(self):
-        cfg = small_cfg(m=8000)
-        table, _ = sim.generate_dataset(cfg, 0)
-        assert np.mean(table.y) == pytest.approx(0.75, abs=0.02)
-
-    def test_auxiliary_is_the_scipy_stats_gamma_quantile(self):
-        cfg = small_cfg(m=5000)
-        table, _ = sim.generate_dataset(cfg, 2)
-        # u is the first draw of the replicate's generator
-        u = np.random.default_rng([cfg.seed, 2]).random(cfg.m)
-        ref = scipy_gamma.ppf(np.clip(u, cp.EPS, 1.0 - cp.EPS), a=3.0, scale=0.25)
-        np.testing.assert_array_equal(table.y.view(np.int64), ref.view(np.int64))
+    @pytest.mark.parametrize("family", ["clayton", "gumbel"])  # gumbel at tau < 0: rotated
+    def test_p1_is_that_of_the_scipy_stats_gamma_quantile(self, family):
+        # the auxiliary column is the clipped u; p1 sees its ranks only, so it
+        # equals p1 of the Gamma(3, scale 0.25) quantile of u bit for bit
+        from twostage_fdr import marginal as mg
+        for seed in range(50):
+            cfg = small_cfg(m=8000, dep_family=family, seed=9000 + seed)
+            table, _ = sim.generate_dataset(cfg, seed % 3)
+            # u is the first draw of the replicate's generator
+            u = np.clip(np.random.default_rng([cfg.seed, seed % 3]).random(cfg.m),
+                        cp.EPS, 1.0 - cp.EPS)
+            assert table.y.tobytes() == u.tobytes()
+            ref = mg.build_table(table.beta_hat, scipy_gamma.ppf(u, a=3.0, scale=0.25),
+                                 mg.STANDARD_NORMAL)
+            assert table.p1.tobytes() == ref.p1.tobytes(), seed
 
     def test_null_p2_is_uniform_pure_null(self):
         cfg = small_cfg(m=100_000, p0=1.0)
@@ -491,6 +470,49 @@ class TestSelectionStudy:
         with pytest.raises(ValueError, match="^candidates lists family 'clayton' twice$"):
             sim.run_copula_selection_study(true_model, n=300, reps=2,
                                            candidates=("clayton", "clayton", "frank"))
+
+    def test_failed_fit_is_left_out_of_the_family_statistics(self, monkeypatch):
+        # one failed Joe fit in three reps: Joe's statistics come from its two
+        # converged fits, and every other family's are unchanged
+        true_model = cp.tau_to_theta("clayton", -0.4)
+        clean = sim.run_copula_selection_study(true_model, n=400, reps=3, seed=5)
+        fit_mle, joe_fits = ft.fit_mle, []
+
+        def fail_once(family, *args, **kwargs):
+            if family != "joe":
+                return fit_mle(family, *args, **kwargs)
+            joe_fits.append(None if len(joe_fits) == 1 else fit_mle(family, *args, **kwargs))
+            if joe_fits[-1] is None:
+                raise ft.FitError("forced failure")
+            return joe_fits[-1]
+
+        monkeypatch.setattr(ft, "fit_mle", fail_once)
+        study = sim.run_copula_selection_study(true_model, n=400, reps=3, seed=5)
+        assert study.counts == clean.counts
+        for family in study.families:
+            if family != "joe":
+                assert study.stats[family] == clean.stats[family]
+        converged = [r for r in joe_fits if r is not None]
+        assert len(converged) == 2
+        for criterion in ft.CRITERIA:
+            values = [getattr(r, criterion) for r in converged]
+            assert study.stats["joe"][criterion] == (np.mean(values), np.std(values, ddof=1))
+
+    def test_family_with_no_converged_fit_reports_nan(self, monkeypatch):
+        fit_mle = ft.fit_mle
+
+        def joe_fails(family, *args, **kwargs):
+            if family == "joe":
+                raise ft.FitError("forced failure")
+            return fit_mle(family, *args, **kwargs)
+
+        monkeypatch.setattr(ft, "fit_mle", joe_fails)
+        study = sim.run_copula_selection_study(cp.tau_to_theta("clayton", -0.4),
+                                               n=400, reps=2, seed=5)
+        for criterion in ft.CRITERIA:
+            assert all(math.isnan(x) for x in study.stats["joe"][criterion])
+            assert study.counts["joe"][criterion] == 0
+            assert math.isfinite(study.stats["clayton"][criterion][0])
 
     def test_true_family_dominates_smoke(self):
         true_model = cp.tau_to_theta("clayton", -0.4)
