@@ -123,9 +123,9 @@ class HypothesisTable:
 def build_table(beta_hats, ys, null: GaussianMixture,
                 tail: str = "two_sided") -> HypothesisTable:
     """Assemble a HypothesisTable: p1 is the right-continuous empirical CDF
-    #{y_i <= y} / n of the ys, clamped into [1/(n+1), n/(n+1)] for use as a
-    pseudo-observation; p2 is the mixture-null p-value of the primary
-    statistic."""
+    #{y_i <= y} / n of the ys, capped at n/(n+1) for use as a
+    pseudo-observation, so it lies in [1/n, n/(n+1)]; p2 is the mixture-null
+    p-value of the primary statistic."""
     beta = np.asarray(beta_hats, dtype=float)
     y = np.asarray(ys, dtype=float)
     if beta.size != y.size:
@@ -137,8 +137,7 @@ def build_table(beta_hats, ys, null: GaussianMixture,
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta_hats must be finite")
     n = y.size
-    p1 = np.clip(np.searchsorted(np.sort(y), y, side="right") / n,
-                 1.0 / (n + 1.0), n / (n + 1.0))
+    p1 = np.minimum(np.searchsorted(np.sort(y), y, side="right") / n, n / (n + 1.0))
     return HypothesisTable(beta, y, p1, p_value(null, beta, tail))
 
 

@@ -6,12 +6,13 @@ statistics.  The auxiliary statistic is u itself: the procedures read it
 only through p1, its empirical CDF, which depends on the auxiliary values
 through their ranks alone, so any strictly increasing map of u (such as
 the Gamma(3, rate 4) quantile) gives the same p1 bit for bit.  The
-primary statistic carries a random sign and takes its magnitude
-from v through the null (or alternative) magnitude quantile, so that the
-two-sided p-value of a null statistic equals v exactly and the p-value
-pair (p1, p2) follows the dependence copula under the null.  Alternatives
-use the same construction with the |mixture| quantile, which keeps the
-two-point mixture marginal and the orientation of the dependence.
+primary statistic carries a random sign and takes its magnitude from v:
+the N(0, 1) magnitude (a null's) or the 1/2 N(-mu, 1) + 1/2 N(mu, 1)
+magnitude (an alternative's) exceeded with probability v.  So a null's
+two-sided p-value is v up to rounding (forming 1 - v/2 and 1 - F(beta)
+loses relative accuracy as v falls: about 1e-4 at v = 1e-12), the pair
+(p1, p2) follows the dependence copula under the null, and alternatives
+keep the two-point mixture marginal and the orientation of the dependence.
 
 Each analysis family's copula is re-estimated per replicate by Kendall-tau
 inversion on the p-value pairs (``run_misspecification`` mode "refit") or
@@ -28,7 +29,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import chndtrix, ndtri
 
 from . import copula as cp
 from . import fit as ft
@@ -189,16 +190,14 @@ def analysis_model(family: str, tau: float) -> cp.CopulaModel:
     return cp.tau_to_theta(family, tau)
 
 
-def _abs_mixture_quantile(mix: mg.GaussianMixture, q: np.ndarray) -> np.ndarray:
-    """Quantile of |X| for X from a symmetric-about-zero mixture."""
-    q = np.asarray(q, dtype=float)
-    hi_cap = float(np.max(np.abs(np.asarray(mix.means)) + 12.0 * np.asarray(mix.sds)))
-
-    def cdf_abs(b):
-        f = mg.mixture_cdf(mix, np.concatenate((b, -b)))  # F(b) and F(-b) in one call
-        return f[:b.size] - f[b.size:]
-
-    return cp.bisect_increasing(cdf_abs, q, np.zeros_like(q), np.full_like(q, hi_cap), 90)
+def _alternative_magnitude(mu: float, v: np.ndarray) -> np.ndarray:
+    """The |beta| that 1/2 N(-mu, 1) + 1/2 N(mu, 1) exceeds with probability v:
+    below mu = 9 the noncentral chi-square (1 dof, noncentrality mu^2) quantile
+    of beta^2; from mu = 9 on, where N(-mu, 1) adds under one ulp and chndtrix
+    slows and then fails, the N(mu, 1) quantile."""
+    if mu < 9.0:
+        return np.sqrt(chndtrix(1.0 - v, 1.0, mu * mu))
+    return mu - ndtri(v)
 
 
 def generate_dataset(cfg: SimulationConfig, replicate: int):
@@ -216,11 +215,9 @@ def generate_dataset(cfg: SimulationConfig, replicate: int):
     is_alt = rng.random(cfg.m) < (1.0 - cfg.p0)
     sign = np.where(rng.random(cfg.m) < 0.5, -1.0, 1.0)
 
-    # |beta| at null magnitude quantile: two-sided p-value comes out as v
+    # |beta| at null magnitude quantile: two-sided p-value comes out as v up to rounding
     beta = sign * ndtri(1.0 - v / 2.0)
-    if np.any(is_alt):
-        alt_mix = mg.GaussianMixture((0.5, 0.5), (-cfg.mu, cfg.mu), (1.0, 1.0))
-        beta[is_alt] = sign[is_alt] * _abs_mixture_quantile(alt_mix, 1.0 - v[is_alt])
+    beta[is_alt] = sign[is_alt] * _alternative_magnitude(cfg.mu, v[is_alt])
 
     # u is the auxiliary statistic: p1 sees its ranks only
     table = mg.build_table(beta, u, mg.STANDARD_NORMAL)

@@ -81,6 +81,17 @@ class TestPValues:
         with pytest.raises(ValueError):
             mg.p_value(mg.STANDARD_NORMAL, 0.7, "both")
 
+    @pytest.mark.xfail(strict=True, reason="p_value forms 1 - F(beta), which cancels "
+                       "in the upper tail")
+    def test_upper_tail_matches_the_mirrored_lower_tail(self):
+        # the standard normal is symmetric: beta and -beta have one two-sided
+        # p-value, and the right tail at beta is the left tail at -beta
+        beta = np.array([6.0, 8.3, 9.0])
+        np.testing.assert_allclose(mg.p_value(mg.STANDARD_NORMAL, beta),
+                                   mg.p_value(mg.STANDARD_NORMAL, -beta), rtol=1e-12)
+        np.testing.assert_allclose(mg.p_value(mg.STANDARD_NORMAL, beta, "right"),
+                                   mg.p_value(mg.STANDARD_NORMAL, -beta, "left"), rtol=1e-12)
+
     def test_uniform_under_null_draws(self):
         # draws from the null mixture push the two-sided p-value to U(0,1)
         rng = np.random.default_rng(5)

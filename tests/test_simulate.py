@@ -127,18 +127,38 @@ class TestGenerateDataset:
         emp = np.searchsorted(np.sort(table.beta_hat), grid, side="right") / table.m
         np.testing.assert_allclose(emp, mg.mixture_cdf(mix, grid), atol=0.01)
 
-    def test_abs_mixture_quantile_matches_seed_loop(self):
+    def test_alternative_magnitude_matches_seed_loop(self):
         from twostage_fdr import marginal as mg
-        mix = mg.GaussianMixture((0.5, 0.5), (-3.0, 3.0), (1.0, 1.0))
         q = np.random.default_rng(4).random(5000)
-        # reference: the hand-written 90-halving loop on [0, max |mean| + 12 sd]
-        lo, hi = np.zeros_like(q), np.full_like(q, 15.0)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            take_hi = mg.mixture_cdf(mix, mid) - mg.mixture_cdf(mix, -mid) < q
-            lo = np.where(take_hi, mid, lo)
-            hi = np.where(take_hi, hi, mid)
-        np.testing.assert_array_equal(sim._abs_mixture_quantile(mix, q), 0.5 * (lo + hi))
+        for mu in (2.0, 2.5, 3.0, 3.5, 4.0):  # criterion 4
+            mix = mg.GaussianMixture((0.5, 0.5), (-mu, mu), (1.0, 1.0))
+            # reference: the hand-written 90-halving loop on [0, max |mean| + 12 sd]
+            lo, hi = np.zeros_like(q), np.full_like(q, mu + 12.0)
+            for _ in range(90):
+                mid = 0.5 * (lo + hi)
+                take_hi = mg.mixture_cdf(mix, mid) - mg.mixture_cdf(mix, -mid) < q
+                lo = np.where(take_hi, mid, lo)
+                hi = np.where(take_hi, hi, mid)
+            # the loop's F(b) - F(-b) cancels at small q, so the two differ by
+            # up to about 2.5e-12 relative there and by 5e-14 for q in [1e-3, 0.999]
+            np.testing.assert_allclose(sim._alternative_magnitude(mu, 1.0 - q),
+                                       0.5 * (lo + hi), rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("mu", [1e-8, 0.01, 3.0, 8.99, 9.0, 12.0, 1e6, 1e150])
+    def test_alternatives_are_finite_at_any_mu(self, mu):
+        # |beta| of each alternative is the helper's value at its copula level
+        # v, also where chndtrix would return NaN (large mu)
+        cfg = small_cfg(m=2000, mu=mu, p0=0.0)
+        table, is_alt = sim.generate_dataset(cfg, 0)
+        assert is_alt.all()
+        assert np.all(np.isfinite(table.beta_hat))
+        # u and w are the first two draws of the replicate's generator
+        rng = np.random.default_rng([cfg.seed, 0])
+        u = np.clip(rng.random(cfg.m), cp.EPS, 1.0 - cp.EPS)
+        w = rng.random(cfg.m)
+        v = np.clip(cp.hfunc_inverse(sim.analysis_model(cfg.dep_family, cfg.tau), w, u),
+                    1e-12, 1.0 - 1e-12)
+        assert np.abs(table.beta_hat).tobytes() == sim._alternative_magnitude(mu, v).tobytes()
 
     def test_determinism(self):
         cfg = small_cfg()

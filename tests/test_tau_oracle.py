@@ -1,4 +1,5 @@
-"""Kendall tau maps and Gumbel's h-inverse against a 50-digit mpmath oracle.
+"""Kendall tau maps, Gumbel's h-inverse and the simulated alternatives'
+|beta| against a 50-digit mpmath oracle.
 
 mpmath is imported at module level on purpose: without it these tests
 fail instead of being skipped.
@@ -10,6 +11,7 @@ import mpmath
 import numpy as np
 
 from twostage_fdr import copula as cp
+from twostage_fdr import simulate as sim
 
 mpmath.mp.dps = 50
 
@@ -120,3 +122,26 @@ def test_gumbel_hinv_matches_mpmath():
         got = cp.hfunc_inverse(cp.CopulaModel("gumbel", theta), x, u)
         want = gumbel_hinv_oracle(theta, x, u)
         assert abs(got - want) <= 1e-13 * want, (theta, u, x)
+
+
+def alternative_magnitude_oracle(mu: float, v: float, start: float) -> float:
+    """b with P(|X| > b) = Phi(mu - b) + Phi(-mu - b) = v for X from
+    1/2 N(-mu, 1) + 1/2 N(mu, 1), by Newton's method from `start`."""
+    m, b = mpmath.mpf(mu), mpmath.mpf(start)
+    for _ in range(100):
+        f = mpmath.ncdf(m - b) + mpmath.ncdf(-m - b) - v
+        step = f / (mpmath.npdf(m - b) + mpmath.npdf(m + b))
+        b += step
+        if abs(step) <= mpmath.mpf(10) ** -30 * b:
+            return float(b)
+    raise AssertionError(f"no convergence at mu={mu}, v={v}")
+
+
+def test_alternative_magnitude_matches_mpmath():
+    # levels near 1, where |beta| is small and F(b) - F(-b) cancels, to the
+    # far tail; mu on both sides of the cut at 9 and far beyond chndtrix's reach
+    vs = (1.0 - 1e-12, 1.0 - 1e-9, 1.0 - 1e-6, 0.999, 0.5, 1e-3)
+    for mu, v in itertools.product((0.5, 3.0, 8.99, 9.0, 12.0, 1e6), vs):
+        got = float(sim._alternative_magnitude(mu, np.array([v]))[0])
+        want = alternative_magnitude_oracle(mu, v, got)
+        assert abs(got - want) <= 1e-13 * want, (mu, v, got, want)
