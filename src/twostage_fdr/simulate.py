@@ -9,10 +9,10 @@ the Gamma(3, rate 4) quantile) gives the same p1 bit for bit.  The
 primary statistic carries a random sign and takes its magnitude from v:
 the N(0, 1) magnitude (a null's) or the 1/2 N(-mu, 1) + 1/2 N(mu, 1)
 magnitude (an alternative's) exceeded with probability v.  So a null's
-two-sided p-value is v up to rounding (forming 1 - v/2 and 1 - F(beta)
-loses relative accuracy as v falls: about 1e-4 at v = 1e-12), the pair
-(p1, p2) follows the dependence copula under the null, and alternatives
-keep the two-point mixture marginal and the orientation of the dependence.
+two-sided p-value 2 Phi(-|beta|) is v up to rounding (within 3e-14 of v in
+relative terms down to v = 1e-12), the pair (p1, p2) follows the dependence
+copula under the null, and alternatives keep the two-point mixture marginal
+and the orientation of the dependence.
 
 Each analysis family's copula is re-estimated per replicate by Kendall-tau
 inversion on the p-value pairs (``run_misspecification`` mode "refit") or
@@ -215,8 +215,9 @@ def generate_dataset(cfg: SimulationConfig, replicate: int):
     is_alt = rng.random(cfg.m) < (1.0 - cfg.p0)
     sign = np.where(rng.random(cfg.m) < 0.5, -1.0, 1.0)
 
-    # |beta| at null magnitude quantile: two-sided p-value comes out as v up to rounding
-    beta = sign * ndtri(1.0 - v / 2.0)
+    # a null's |beta| = -ndtri(v/2), the N(0, 1) magnitude exceeded with probability v,
+    # taken from the lower tail so that nothing cancels at small v
+    beta = -sign * ndtri(v / 2.0)
     beta[is_alt] = sign[is_alt] * _alternative_magnitude(cfg.mu, v[is_alt])
 
     # u is the auxiliary statistic: p1 sees its ranks only

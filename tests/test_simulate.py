@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import gamma as scipy_gamma
 
 from twostage_fdr import copula as cp
@@ -100,6 +101,19 @@ class TestGenerateDataset:
         i = np.arange(1, n + 1)
         ks = max(np.max(i / n - p), np.max(p - (i - 1) / n))
         assert ks < 1.63 / np.sqrt(n)
+
+    def test_null_p2_gives_back_the_copula_level(self, monkeypatch):
+        # a null's two-sided p-value 2 Phi(-|beta|) is its copula level v, here
+        # set through the h-inverse and log-spread over [1e-12, 0.5].  ndtr at
+        # |beta| scales |beta|'s last-bit rounding by about beta^2, so the round
+        # trip is off by up to 1.75e-14 relative near v = 1e-12 (on 200k levels);
+        # |beta| = ndtri(1 - v/2) was off by 1e-4 there.
+        levels = np.geomspace(1e-12, 0.5, 20_000)
+        monkeypatch.setattr(cp, "hfunc_inverse", lambda model, x, u: levels)
+        table, is_alt = sim.generate_dataset(small_cfg(m=levels.size, p0=1.0), 0)
+        assert not is_alt.any()
+        p = 2.0 * ndtr(-np.abs(table.beta_hat))
+        assert np.all(np.abs(p - levels) <= 3e-14 * levels)
 
     def test_independence_when_tau_zero(self):
         cfg = small_cfg(m=20_000, tau=0.0, p0=1.0)

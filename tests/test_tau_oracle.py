@@ -1,5 +1,6 @@
 """Kendall tau maps, Gumbel's h-inverse and the simulated alternatives'
-|beta| against a 50-digit mpmath oracle.
+|beta| against a 50-digit mpmath oracle, and the copula kernels' log-sum
+against a 40-digit one.
 
 mpmath is imported at module level on purpose: without it these tests
 fail instead of being skipped.
@@ -9,6 +10,8 @@ import itertools
 
 import mpmath
 import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from twostage_fdr import copula as cp
 from twostage_fdr import simulate as sim
@@ -145,3 +148,63 @@ def test_alternative_magnitude_matches_mpmath():
         got = float(sim._alternative_magnitude(mu, np.array([v]))[0])
         want = alternative_magnitude_oracle(mu, v, got)
         assert abs(got - want) <= 1e-13 * want, (mu, v, got, want)
+
+
+def logaddexp_error_ulp(x, y, got):
+    """|got - log(e^x + e^y)| at 40 digits, in ulp of max(|x|, |y|,
+    |log(e^x + e^y)|), an ulp of a being 2^-52 a."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(x), mpmath.mpf(y)
+        exact = max(a, b) + mpmath.log1p(mpmath.exp(-abs(a - b)))
+        ulp = np.finfo(float).eps * mpmath.mpf(max(abs(x), abs(y), abs(float(exact))))
+        return float(abs(mpmath.mpf(got) - exact) / ulp)
+
+
+def test_logaddexp_matches_mpmath():
+    rng = np.random.default_rng(26)
+    n = 2500
+    x = [rng.normal(size=n), rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)]
+    y = [rng.normal(size=n), rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)]
+    # gaps up to 800, where e^-|x - y| underflows
+    far = rng.normal(0.0, 50.0, n)
+    x.append(far)
+    y.append(far - rng.choice([-1.0, 1.0], n) * rng.uniform(0.0, 800.0, n))
+    # x near -y, and e^x + e^y near 1, where the result cancels to near 0
+    near = rng.uniform(-50.0, 50.0, n)
+    x += [near, -10.0 ** rng.uniform(-8, 1, n)]
+    y += [-near * (1.0 + rng.normal(0.0, 1e-9, n)), np.log(-np.expm1(x[-1]))]
+    # Gumbel's log-sum t log(-log u), t log(-log v) at the 1e-10 clamp and
+    # across the bracket
+    ends = np.array([1e-10, 1e-7, 0.3, 0.5, 1.0 - 1e-7, 1.0 - 1e-10])
+    t, u, v = (a.ravel() for a in np.meshgrid([1.0 + 1e-6, 1.3, 2.5, 12.0, 50.0], ends, ends))
+    x.append(t * np.log(-np.log(u)))
+    y.append(t * np.log(-np.log(v)))
+    x, y = np.concatenate(x), np.concatenate(y)
+    got = cp._logaddexp(x, y)
+    errors = [logaddexp_error_ulp(a, b, g) for a, b, g in zip(x.tolist(), y.tolist(), got.tolist())]
+    worst = int(np.argmax(errors))
+    assert errors[worst] <= 2.0, (x[worst], y[worst], errors[worst])
+
+
+special = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@given(x=st.one_of(special, st.floats()), y=st.one_of(special, st.floats()))
+@example(x=np.inf, y=np.inf)
+@example(x=-np.inf, y=-np.inf)
+@example(x=np.inf, y=-np.inf)
+@example(x=-np.inf, y=np.inf)
+@example(x=-np.inf, y=2.5)
+@example(x=np.nan, y=np.inf)
+@example(x=1.7e308, y=-1.7e308)
+def test_logaddexp_edges(x, y):
+    # pyproject turns a RuntimeWarning into a failure
+    got = cp._logaddexp(np.array([x]), np.array([y]))[0]
+    if np.isfinite(x) and np.isfinite(y):
+        assert logaddexp_error_ulp(x, y, got) <= 2.0
+    elif np.isnan(x) or np.isnan(y):
+        assert np.isnan(got)
+    else:
+        # an infinity wins over a finite value and +inf over -inf, as in
+        # np.logaddexp; the same infinity twice gives that infinity
+        assert got == max(x, y)
