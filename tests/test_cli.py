@@ -285,13 +285,13 @@ class TestTestCommand:
 # write_test_table(m=500, seed=13) fixture under the standard normal null at
 # alpha 0.10; any change in a written byte changes a digest.
 GOLDEN_SHA256 = {
-    "H/decisions.tsv": "c18ce042cb84b86a2ef3695993aeccac3914098d1bd3d81206d1ec447b867a59",
+    "H/decisions.tsv": "f7d74376bc9ef7d177486a22c364a49e50c86a181500df1d6d31e77091b9d862",
     "H/gamma1_curve.tsv": "949c326d7ac12eb96c940a06ec58e300d20701fab672f59253b0ac9cdb5058ff",
-    "H/outcome.json": "9490158dff19324d4d60d8d66ac92213edbeee14b6857d754bbe462096f6fbc9",
-    "S/decisions.tsv": "590d7dedc93e4b7e7dc64b2e40857ef51734821956ee2eb7b1a6b3c9969b0aa2",
-    "S/outcome.json": "fbe0e68df1ce296d1df36c5709ee12e34ddd04d058e259d5a143802455bc1be7",
-    "fit/selection.json": "09d781233955980e0423513675f0a9621df6afa112735ff984c9cb10df088c13",
-    "storey/decisions.tsv": "283ebaa98c4fe4fa15937598e7fd4967f9b0986afa3be131b3c8bf17417dbd24",
+    "H/outcome.json": "f41898a7eb1f7cc602f42a65031dad94d134407bdd5dece470376816ad283421",
+    "S/decisions.tsv": "cc448127c7063b0109b2c3b6e61b67470dfbadd03177a3064af947b36494c623",
+    "S/outcome.json": "061a21bb428223dbb08781e516878ee297ec89e3095fd0d8a1f4d57f1763ba78",
+    "fit/selection.json": "234d4310102aa4fcc264d7b76dadc6c223662b8ced2ba2b49275533c8eab9b4b",
+    "storey/decisions.tsv": "b0c53ee0336c6cc66fac5c6ab161dc2730afccf4a648d948e46afdd5acbc1cbd",
     "storey/outcome.json": "d6f311ca821eb593bd623793116affc6cc08725ef87275bce12367d149de4e59",
 }
 
