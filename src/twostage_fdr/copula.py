@@ -131,10 +131,11 @@ class PseudoObservations:
 
 def _logaddexp(x, y):
     """log(e^x + e^y) as max(x, y) + log1p(e^-|x - y|), within 2^-51
-    max(|x|, |y|, |result|) of the exact value and faster than np.logaddexp
-    (2.7 times at 20k elements on numpy 2.4.6).  Where x and y are the same
-    infinity, |x - y| is NaN and fmin takes it to inf, so the result is that
-    infinity, as np.logaddexp gives; a NaN argument gives NaN."""
+    max(|x|, |y|, |result|) of the exact value.  On numpy 2.4.6 it is faster
+    than np.logaddexp from a few hundred elements up (4.3 times at 20k; at
+    200, 6.5 us against 2.9 us).  Where x and y are the same infinity,
+    |x - y| is NaN and fmin takes it to inf, so the result is that infinity,
+    as np.logaddexp gives; a NaN argument gives NaN."""
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; a gap past the largest double
         return np.maximum(x, y) + np.log1p(np.exp(-np.fmin(np.abs(x - y), np.inf)))
 

@@ -9,10 +9,11 @@ the Gamma(3, rate 4) quantile) gives the same p1 bit for bit.  The
 primary statistic carries a random sign and takes its magnitude from v:
 the N(0, 1) magnitude (a null's) or the 1/2 N(-mu, 1) + 1/2 N(mu, 1)
 magnitude (an alternative's) exceeded with probability v.  So a null's
-two-sided p-value 2 Phi(-|beta|) is v up to rounding (within 3e-14 of v in
-relative terms down to v = 1e-12), the pair (p1, p2) follows the dependence
-copula under the null, and alternatives keep the two-point mixture marginal
-and the orientation of the dependence.
+two-sided p-value 2 Phi(-|beta|) is v up to rounding (within 3e-14 relative
+down to v = 1e-12; the table's p2 forms a positive beta's tail as
+1 - F(beta), which loses relative accuracy as v falls), the pair (p1, p2)
+follows the dependence copula under the null, and alternatives keep the
+two-point mixture marginal and the orientation of the dependence.
 
 Each analysis family's copula is re-estimated per replicate by Kendall-tau
 inversion on the p-value pairs (``run_misspecification`` mode "refit") or

@@ -102,12 +102,11 @@ class TestGenerateDataset:
         ks = max(np.max(i / n - p), np.max(p - (i - 1) / n))
         assert ks < 1.63 / np.sqrt(n)
 
-    def test_null_p2_gives_back_the_copula_level(self, monkeypatch):
+    def test_null_magnitude_gives_back_the_copula_level(self, monkeypatch):
         # a null's two-sided p-value 2 Phi(-|beta|) is its copula level v, here
         # set through the h-inverse and log-spread over [1e-12, 0.5].  ndtr at
         # |beta| scales |beta|'s last-bit rounding by about beta^2, so the round
-        # trip is off by up to 1.75e-14 relative near v = 1e-12 (on 200k levels);
-        # |beta| = ndtri(1 - v/2) was off by 1e-4 there.
+        # trip is off by up to 1.75e-14 relative near v = 1e-12 (on 200k levels)
         levels = np.geomspace(1e-12, 0.5, 20_000)
         monkeypatch.setattr(cp, "hfunc_inverse", lambda model, x, u: levels)
         table, is_alt = sim.generate_dataset(small_cfg(m=levels.size, p0=1.0), 0)
