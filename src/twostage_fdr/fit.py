@@ -80,32 +80,90 @@ def check_families(families, key: str) -> tuple:
     return names
 
 
-def _tie_pairs(values: np.ndarray) -> int:
-    _, counts = np.unique(values, return_counts=True)
-    return int(np.sum(counts * (counts - 1) // 2))
+def _tied_pairs(changes: np.ndarray) -> int:
+    """Pairs within the runs of equal values of a sorted array, given where
+    its consecutive values change."""
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], changes, [True]))))
+    return int(np.sum(runs * (runs - 1) // 2))
+
+
+def _dense_ranks(x: np.ndarray, dtype) -> tuple:
+    """Dense ranks of x (0 for its smallest value), an order that sorts x,
+    and the pairs tied in x."""
+    order = np.argsort(x)
+    xs = x[order]
+    changes = xs[1:] != xs[:-1]
+    ranks = np.empty(x.size, dtype)
+    ranks[order[0]] = 0
+    ranks[order[1:]] = np.cumsum(changes, dtype=dtype)
+    return ranks, order, _tied_pairs(changes)
+
+
+def _stable_order(keys: np.ndarray, index: np.ndarray, bits: int) -> np.ndarray:
+    """The order that sorts `keys`, ties by index: every packed key
+    keys << bits | index is distinct, so any sort gives this order."""
+    return np.sort((keys << bits) | index) & ((1 << bits) - 1)
+
+
+def _discordant_pairs(pos: np.ndarray, index: np.ndarray, bits: int) -> int:
+    """Inversions of the permutation whose value order visits positions
+    `pos`, by a bottom-up merge count.
+
+    At each level the positions form blocks of 2s, each a left half of s
+    and a right half.  One sort of block << bits + 1 | value << 1 | half
+    orders each block by value.  A right at index i of that run, in block
+    b and after k other rights, then follows i - k - s·b lefts of its own
+    block and is inverted with the other s - (i - k - s·b).  Summed over
+    the R rights that is s·(R + sum(b)) + R(R - 1)/2 - sum(i), in closed
+    form but sum(i).
+    """
+    n = pos.size
+    count = 0
+    value = index << 1
+    for level in range(1, bits + 1):
+        s = 1 << (level - 1)
+        right = (pos >> (level - 1)) & 1
+        if level < bits:  # more than one block
+            right = np.sort(((pos >> level) << (bits + 1)) | value | right) & 1
+        full, rest = divmod(n, 2 * s)
+        extra = max(rest - s, 0)  # rights in the short last block
+        rights = s * full + extra
+        block_sum = s * full * (full - 1) // 2 + extra * full
+        # sum(i) < n(n - 1)/2 fits the key type, so its dot cannot wrap
+        count += (s * (rights + block_sum) + rights * (rights - 1) // 2
+                  - int(np.dot(index, right)))
+    return count
 
 
 def empirical_kendall_tau(obs: PseudoObservations) -> float:
     """Kendall tau-a with ties counted as neither concordant nor discordant.
 
-    scipy's tau-b is (C - D) / sqrt((n0 - nx)(n0 - ny)) with n0 = n(n-1)/2
-    pairs and nx, ny the pairs tied in u and in v; multiplying back and
-    rounding recovers the integer C - D exactly, and (C - D) / n0 is tau-a.
-    A constant column has no untied pairs and gives 0.
+    With n0 = n(n-1)/2 pairs, nx, ny the pairs tied in u and in v, nxy those
+    tied in both and D the discordant pairs, C - D = n0 - nx - ny + nxy - 2D
+    exactly, and tau-a is (C - D) / n0.  D is the inversion count of v in
+    (u, v)-lexicographic order, ties in v broken by that order so that a
+    pair tied in v is never an inversion (Knight, JASA 61, 1966).  A
+    constant column has C = D = 0 and gives 0.
     """
     n = obs.n
     if n < 2:
         raise ValueError("kendall tau needs at least 2 pairs")
     n0 = n * (n - 1) // 2
-    nx = _tie_pairs(obs.u)
-    ny = _tie_pairs(obs.v)
-    if nx == n0 or ny == n0:
-        return 0.0
-    from scipy.stats import kendalltau  # deferred: slower to import than the whole CLI
-
-    tau_b = float(kendalltau(obs.u, obs.v).statistic)
-    con_minus_dis = round(tau_b * math.sqrt(n0 - nx) * math.sqrt(n0 - ny))
-    return con_minus_dis / n0
+    bits = (n - 1).bit_length()
+    # every packed sort key is below 2**(2 * bits)
+    key = np.uint32 if bits <= 16 else np.uint64
+    index = np.arange(n, dtype=key)
+    u_rank, _, nx = _dense_ranks(obs.u, key)
+    v_rank, by_v, ny = _dense_ranks(obs.v, key)
+    by_uv = by_v[_stable_order(u_rank[by_v], index, bits)]
+    v_uv = v_rank[by_uv]
+    nxy = 0
+    if nx and ny:
+        u_uv = u_rank[by_uv]
+        nxy = _tied_pairs((u_uv[1:] != u_uv[:-1]) | (v_uv[1:] != v_uv[:-1]))
+    pos = _stable_order(v_uv, index, bits)
+    discordant = _discordant_pairs(pos, index, bits)
+    return (n0 - nx - ny + nxy - 2 * discordant) / n0
 
 
 def fit_mle(family: str, rotation: int, obs: PseudoObservations,
@@ -133,7 +191,7 @@ def fit_mle(family: str, rotation: int, obs: PseudoObservations,
         ll = np.sum(log_density_at(theta))
         return -ll if np.isfinite(ll) else np.inf
 
-    from scipy.optimize import minimize_scalar  # deferred, like kendalltau
+    from scipy.optimize import minimize_scalar  # deferred: slower to import than the whole CLI
 
     res = minimize_scalar(negloglik, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-7, "maxiter": 500})

@@ -653,8 +653,10 @@ class TestParserBasics:
         assert exc.value.code == 2
 
 
-# Each command after the import, in one fresh interpreter; `fit` last, as the
-# control that the probe sees a subpackage load.
+# Each command after the import, in one fresh interpreter.  Loaded modules
+# accumulate, so the commands that load no heavy subpackage come first; then
+# `fit`, the control that the probe sees a subpackage load, and last
+# `test --copula auto`, which may load only what `fit` loaded.
 COLD_START_SCRIPT = textwrap.dedent("""
     import json, sys
     HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate")
@@ -667,13 +669,18 @@ COLD_START_SCRIPT = textwrap.dedent("""
     with open(out + "/fixed.json", "w") as fh:
         json.dump({"mode": "misspecification", "fit_mode": "fixed", "m": 200, "k_reps": 1,
                    "analysis_families": ["frank", "joe"]}, fh)
+    with open(out + "/cell.json", "w") as fh:
+        json.dump({"mode": "cell", "m": 200, "k_reps": 1}, fh)
     for name, argv in [
         ("bootstrap", ["bootstrap", counts, summary]),
         ("test H frank", ["test", summary, "--method", "H", "--copula", "frank:-2.4",
                           "--out-dir", out + "/h"]),
         ("test storey", ["test", summary, "--method", "storey", "--out-dir", out + "/st"]),
         ("simulate fixed", ["simulate", out + "/fixed.json", "--out-dir", out + "/sim"]),
+        ("simulate cell", ["simulate", out + "/cell.json", "--out-dir", out + "/cell"]),
         ("fit", ["fit", summary, "--out-dir", out + "/fit"]),
+        ("test S auto", ["test", summary, "--method", "S", "--copula", "auto",
+                         "--out-dir", out + "/s"]),
     ]:
         assert cli.main(argv) == 0, name
         steps[name] = loaded()
@@ -691,6 +698,7 @@ def test_cold_commands_load_no_heavy_scipy_subpackage(tmp_path):
         [sys.executable, "-c", COLD_START_SCRIPT, str(counts), str(tmp_path / "summary.tsv"),
          str(tmp_path)], env=env, timeout=120, capture_output=True, text=True, check=True)
     steps = json.loads(done.stdout.splitlines()[-1])
-    assert "scipy.stats" in steps.pop("fit")  # its Kendall tau loads it
     assert steps == {"import": [], "bootstrap": [], "test H frank": [], "test storey": [],
-                     "simulate fixed": []}
+                     "simulate fixed": [], "simulate cell": [],
+                     "fit": ["scipy.optimize"],  # its maximum-likelihood fits load it
+                     "test S auto": ["scipy.optimize"]}

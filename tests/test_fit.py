@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kendalltau as scipy_kendalltau
 
 from twostage_fdr import copula as cp
@@ -46,6 +48,63 @@ def merge_sort_kendall_tau(obs):
     nxy = int(np.sum(both * (both - 1) // 2))
     concordant = n0 - _tie_pairs(obs.u) - _tie_pairs(obs.v) + nxy - discordant
     return (concordant - discordant) / n0
+
+
+def scipy_tau_a(obs):
+    """The tau-a recovered from scipy's tau-b: (C - D) / sqrt((n0 - nx)(n0 - ny))
+    times both roots, rounded to the integer C - D, over n0."""
+    n0 = obs.n * (obs.n - 1) // 2
+    nx, ny = _tie_pairs(obs.u), _tie_pairs(obs.v)
+    if nx == n0 or ny == n0:
+        return 0.0
+    tau_b = float(scipy_kendalltau(obs.u, obs.v).statistic)
+    return round(tau_b * math.sqrt(n0 - nx) * math.sqrt(n0 - ny)) / n0
+
+
+def brute_force_tau_a(u, v):
+    """Sum of sign(u_i - u_j) * sign(v_i - v_j) over the n0 pairs, over n0."""
+    n = len(u)
+    signs = sum(int(np.sign(u[i] - u[j]) * np.sign(v[i] - v[j]))
+                for i in range(n) for j in range(i + 1, n))
+    return signs / (n * (n - 1) // 2)
+
+
+# few distinct values per column, the clamps among them, so that ties in u,
+# in v and in both are the rule
+_FEW_VALUES = st.lists(st.one_of(st.sampled_from([1e-10, 0.5, 1.0 - 1e-10]),
+                                 st.floats(1e-10, 1.0 - 1e-10)),
+                       min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def tied_pairs(draw):
+    n = draw(st.integers(2, 40))
+    u = draw(st.lists(st.sampled_from(draw(_FEW_VALUES)), min_size=n, max_size=n))
+    v = draw(st.lists(st.sampled_from(draw(_FEW_VALUES)), min_size=n, max_size=n))
+    return u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_pairs())
+@example(([0.3, 0.6], [0.2, 0.9]))
+@example(([0.3, 0.6], [0.9, 0.2]))
+@example(([0.3, 0.3], [0.2, 0.9]))
+@example(([1e-10] * 7, [0.1, 0.5, 0.5, 1.0 - 1e-10, 0.2, 0.2, 0.9]))
+@example(([1e-10, 1.0 - 1e-10, 0.4, 0.4, 1e-10], [1.0 - 1e-10] * 5))
+@example(([0.2, 0.2, 0.7, 0.7, 0.2], [0.9, 0.9, 0.1, 0.1, 0.9]))
+def test_counted_c_minus_d_equals_the_brute_force_sign_sum(pairs):
+    u, v = pairs
+    assert ft.empirical_kendall_tau(_obs(u, v)) == brute_force_tau_a(u, v)
+
+
+@pytest.mark.parametrize("n", [8000, 20000, 65536, 65537])
+def test_equals_the_scipy_derived_tau_at_scale(n):
+    # 65536 and 65537 sit on either side of the switch from 32- to 64-bit sort keys
+    obs = cp.sample(cp.tau_to_theta("clayton", -0.4), n, 11)
+    tied = _obs(np.round(obs.u, 3).clip(1e-10, 1.0 - 1e-10),
+                np.round(obs.v, 2).clip(1e-10, 1.0 - 1e-10))
+    for case in (obs, tied):
+        assert ft.empirical_kendall_tau(case) == scipy_tau_a(case)
 
 
 class TestKendallTau:
