@@ -2,6 +2,9 @@
 empirical distribution of the auxiliary statistic, and the two marginal
 p-values that feed the copula machinery.
 
+A HypothesisTable is the pair (p1, p2) of those p-values, one row per
+hypothesis, and as_pvalues is the one check of a p-value array.
+
 The mixture null is supplied as configuration rather than estimated from
 data; the default below is the fitted two-component null used for the
 yeast knockout analysis.
@@ -24,6 +27,7 @@ __all__ = [
     "TAILS",
     "mixture_cdf",
     "p_value",
+    "as_pvalues",
     "build_table",
     "mixture_from_json",
 ]
@@ -87,31 +91,31 @@ def p_value(m: GaussianMixture, beta_hat, tail: str = "two_sided"):
     return 1.0 - f
 
 
+def as_pvalues(values, name: str) -> np.ndarray:
+    """`values` as a float array that is 1-d, nonempty and within [0, 1];
+    otherwise a ValueError whose message begins with `name`."""
+    p = np.asarray(values, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array, got shape {p.shape}")
+    if p.size < 1:
+        raise ValueError(f"{name} must not be empty")
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails too
+        raise ValueError(f"{name} must be finite and lie in [0, 1]")
+    return p
+
+
 @dataclass(frozen=True)
 class HypothesisTable:
-    """Per-hypothesis columns: primary statistic, auxiliary statistic and
-    the two marginal p-values.  Rows are positions; ids stay with the
-    caller."""
+    """Per-hypothesis marginal p-values: p1 of the auxiliary statistic and
+    p2 of the primary one.  Rows are positions; ids stay with the caller."""
 
-    beta_hat: np.ndarray
-    y: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
 
     def __post_init__(self):
-        beta = np.asarray(self.beta_hat, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        p1 = np.asarray(self.p1, dtype=float)
-        p2 = np.asarray(self.p2, dtype=float)
-        if not (beta.shape == y.shape == p1.shape == p2.shape == (p1.size,)):
-            raise ValueError("all columns must be 1-d and share the table length")
-        if p1.size < 1:
-            raise ValueError("hypothesis table must not be empty")
-        for name, p in (("p1", p1), ("p2", p2)):
-            if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails too
-                raise ValueError(f"{name} values must be finite and lie in [0, 1]")
-        object.__setattr__(self, "beta_hat", beta)
-        object.__setattr__(self, "y", y)
+        p1, p2 = as_pvalues(self.p1, "p1"), as_pvalues(self.p2, "p2")
+        if p1.size != p2.size:
+            raise ValueError(f"p1 and p2 must share the table length, got {p1.size} and {p2.size}")
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
 
@@ -138,7 +142,7 @@ def build_table(beta_hats, ys, null: GaussianMixture,
         raise ValueError("beta_hats must be finite")
     n = y.size
     p1 = np.minimum(np.searchsorted(np.sort(y), y, side="right") / n, n / (n + 1.0))
-    return HypothesisTable(beta, y, p1, p_value(null, beta, tail))
+    return HypothesisTable(p1, p_value(null, beta, tail))
 
 
 _MIXTURE_KEYS = ("weights", "means", "sds")

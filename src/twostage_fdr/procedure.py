@@ -22,7 +22,7 @@ import numpy as np
 
 from .copula import EPS, CopulaModel, cdf as copula_cdf, cdf_of, hfunc
 from .ingest import write_tsv
-from .marginal import HypothesisTable
+from .marginal import HypothesisTable, as_pvalues
 
 __all__ = [
     "AggregatedPValues",
@@ -52,14 +52,7 @@ class AggregatedPValues:
     def __post_init__(self):
         if self.kind not in ("hard", "soft", "raw"):
             raise ValueError(f"unknown aggregation kind {self.kind!r}")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError(f"aggregated p-values must be a 1-d array, got shape {vals.shape}")
-        if vals.size < 1:
-            raise ValueError("aggregated p-values must not be empty")
-        if not (vals.min() >= 0.0 and vals.max() <= 1.0):  # NaN fails too
-            raise ValueError("aggregated p-values must be finite and lie in [0, 1]")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", as_pvalues(self.values, "aggregated p-values"))
 
     @property
     def m(self) -> int:
@@ -240,8 +233,7 @@ def run_two_stage_hard(table: HypothesisTable, model: CopulaModel, alpha: float,
 
     # the order among tied p1 values changes no count, so no stable sort
     order = np.argsort(table.p1)
-    by_p1 = HypothesisTable(table.beta_hat[order], table.y[order],
-                            table.p1[order], table.p2[order])
+    by_p1 = HypothesisTable(table.p1[order], table.p2[order])
     cdf_on_p2 = cdf_of(model, by_p1.p2)
     counts = []
     for g1 in grid:

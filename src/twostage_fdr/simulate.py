@@ -257,9 +257,8 @@ def _replicate(args) -> dict:
     if mode == "refit":
         obs = cp.PseudoObservations.clamped(table.p1, table.p2)
         tau_hat = ft.empirical_kendall_tau(obs)
-        null_u, null_v = obs.u[~is_alt], obs.v[~is_alt]
         true_model = analysis_model(cfg.dep_family, tau_hat)
-        true_loglik = None  # scored when the first foil needs it
+        true_loglik = None  # the null pairs are gathered and scored when the first foil needs them
 
     out = {"storey": _counts(proc.run_one_stage_storey(table, cfg.alpha, cfg.lambda_),
                              is_alt)}
@@ -275,6 +274,7 @@ def _replicate(args) -> dict:
             # so a misspecified foil falls back to the generating family.
             model = analysis_model(family, tau_hat)
             if true_loglik is None:
+                null_u, null_v = obs.u[~is_alt], obs.v[~is_alt]
                 true_loglik = np.sum(cp.log_density(true_model, null_u, null_v))
             if np.sum(cp.log_density(model, null_u, null_v)) < true_loglik:
                 model = true_model
@@ -329,7 +329,6 @@ class SelectionStudyResult:
     families: tuple
     counts: dict     # family -> {criterion: times selected}
     stats: dict      # family -> {criterion: (mean, sd)} over its converged fits
-    reps: int
 
 
 def run_copula_selection_study(true_model: cp.CopulaModel, n: int, reps: int,
@@ -355,7 +354,7 @@ def run_copula_selection_study(true_model: cp.CopulaModel, n: int, reps: int,
                 if result.converged:  # a failed fit's NaN would poison the mean
                     values[result.model.family][criterion].append(getattr(result, criterion))
     stats = {f: {c: _mean_sd(values[f][c]) for c in ft.CRITERIA} for f in candidates}
-    return SelectionStudyResult(candidates, counts, stats, reps)
+    return SelectionStudyResult(candidates, counts, stats)
 
 
 def _mean_sd(values: list) -> tuple[float, float]:
@@ -432,7 +431,7 @@ def run_config(payload: dict, out_dir, seed=None, threads: int = 1) -> Path:
     table_path = out_dir / "simtable.tsv"
     if mode == "selection":
         study = run_copula_selection_study(
-            cp.tau_to_theta(conf["true_family"], conf["tau"]), conf["n"], conf["reps"],
+            analysis_model(conf["true_family"], conf["tau"]), conf["n"], conf["reps"],
             conf["seed"], conf["candidates"])
         out_dir.mkdir(parents=True, exist_ok=True)
         _study_to_tsv(study, table_path, seed=conf["seed"])

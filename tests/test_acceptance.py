@@ -35,7 +35,7 @@ def ks_uniform(values: np.ndarray) -> float:
 
 def null_table(model, n, seed):
     obs = cp.sample(model, n, seed)
-    return mg.HypothesisTable(np.zeros(n), np.zeros(n), obs.u, obs.v)
+    return mg.HypothesisTable(obs.u, obs.v)
 
 
 def test_criterion_1_uniformity():

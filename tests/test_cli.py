@@ -309,6 +309,62 @@ def test_golden_outputs(tmp_path, null_json):
     assert written == GOLDEN_SHA256
 
 
+def fit_and_test_outputs(rows, out, null_json):
+    """Every file that `fit`, `test -m H` and `test -m S` write for the
+    hypothesis table `rows` (id, beta_hat, y), by path under `out`."""
+    table = out / "table.tsv"
+    out.mkdir()
+    table.write_text("gene_id\tbeta_hat\ty\n" + "".join(f"{hid}\t{beta!r}\t{y!r}\n"
+                                                         for hid, beta, y in rows))
+    assert main(["fit", str(table), "--null-mixture", null_json,
+                 "--out-dir", str(out / "fit")]) == 0
+    for method in ("H", "S"):
+        assert main(["test", str(table), "--method", method, "--null-mixture", null_json,
+                     "--out-dir", str(out / method)]) == 0
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.glob("*/*")}
+
+
+def metamorphic_rows(tmp_path):
+    """The 400 rows of write_test_table(m=400, seed=3), with float columns."""
+    write_test_table(tmp_path / "source.tsv", m=400, seed=3)
+    lines = (tmp_path / "source.tsv").read_text().splitlines()[1:]
+    return [(hid, float(beta), float(y)) for hid, beta, y in (ln.split("\t") for ln in lines)]
+
+
+def test_increasing_map_of_the_auxiliary_column_changes_no_output(tmp_path, null_json):
+    # p1 sees the auxiliary column through its ranks alone, and scaling by a
+    # power of two is exact, so it keeps every tie and creates none
+    rows = metamorphic_rows(tmp_path)
+    base = fit_and_test_outputs(rows, tmp_path / "base", null_json)
+    scaled = fit_and_test_outputs([(hid, beta, 4.0 * y) for hid, beta, y in rows],
+                                  tmp_path / "scaled", null_json)
+    assert sorted(base) == ["H/decisions.tsv", "H/gamma1_curve.tsv", "H/outcome.json",
+                            "S/decisions.tsv", "S/outcome.json", "fit/selection.json"]
+    assert scaled == base
+
+
+def test_renamed_ids_change_only_the_id_columns(tmp_path, null_json):
+    # the new names sort in the reverse order, so the sorted rejected list moves too
+    rows = metamorphic_rows(tmp_path)
+    rename = {hid: f"r{len(rows) - i:04d}" for i, (hid, _, _) in enumerate(rows)}
+    base = fit_and_test_outputs(rows, tmp_path / "base", null_json)
+    renamed = fit_and_test_outputs([(rename[hid], beta, y) for hid, beta, y in rows],
+                                   tmp_path / "renamed", null_json)
+    assert sorted(renamed) == sorted(base)
+    for name in ("fit/selection.json", "H/gamma1_curve.tsv"):
+        assert renamed[name] == base[name]
+    for method in ("H", "S"):
+        expected = []
+        for line in base[f"{method}/decisions.tsv"].decode().splitlines(keepends=True):
+            first, tab, rest = line.partition("\t")
+            expected.append(rename.get(first, first) + tab + rest)
+        assert renamed[f"{method}/decisions.tsv"].decode() == "".join(expected)
+        outcome = json.loads(base[f"{method}/outcome.json"])
+        assert outcome["n_rejected"] > 0
+        outcome["rejected"] = sorted(rename[hid] for hid in outcome["rejected"])
+        assert renamed[f"{method}/outcome.json"].decode() == json.dumps(outcome, indent=2) + "\n"
+
+
 def seeded_counts_text(genes=300, seed=17):
     """Triplicate counts TSV text whose cells mix integers, %.6g and repr floats."""
     rng = np.random.default_rng(seed)

@@ -227,13 +227,14 @@ class TestBuildTable:
             mg.build_table([0.0, 1.0], [1.0], mg.STANDARD_NORMAL)
 
     def test_column_shapes(self):
-        with pytest.raises(ValueError, match="share the table length"):
-            mg.HypothesisTable(np.zeros(2), np.zeros(3), np.full(3, 0.5), np.full(3, 0.5))
-        with pytest.raises(ValueError, match="1-d"):
-            mg.HypothesisTable(np.zeros((2, 2)), np.zeros((2, 2)), np.full((2, 2), 0.5),
-                               np.full((2, 2), 0.5))
-        with pytest.raises(ValueError, match="empty"):
-            mg.HypothesisTable([], [], [], [])
+        with pytest.raises(ValueError, match="share the table length, got 2 and 3"):
+            mg.HypothesisTable(np.full(2, 0.5), np.full(3, 0.5))
+        with pytest.raises(ValueError, match=r"^p1 must be a 1-d array, got shape \(2, 2\)$"):
+            mg.HypothesisTable(np.full((2, 2), 0.5), np.full(4, 0.5))
+        with pytest.raises(ValueError, match=r"^p2 must be a 1-d array, got shape \(\)$"):
+            mg.HypothesisTable(np.full(1, 0.5), 0.5)
+        with pytest.raises(ValueError, match="^p1 must not be empty$"):
+            mg.HypothesisTable([], [])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", ["p1", "p2"])
@@ -241,11 +242,11 @@ class TestBuildTable:
         cols = {"p1": np.array([0.2, 0.5, 0.8]), "p2": np.array([0.1, 0.4, 0.9])}
         cols[column][1] = bad
         with pytest.raises(ValueError, match=column):
-            mg.HypothesisTable(np.zeros(3), np.zeros(3), cols["p1"], cols["p2"])
+            mg.HypothesisTable(cols["p1"], cols["p2"])
         cols = {"p1": np.full(8000, 0.5), "p2": np.full(8000, 0.5)}
         cols[column][4000] = bad
         with pytest.raises(ValueError, match=column):
-            mg.HypothesisTable(np.zeros(8000), np.zeros(8000), cols["p1"], cols["p2"])
+            mg.HypothesisTable(cols["p1"], cols["p2"])
 
     def test_nan_beta_hat_rejected(self):
         with pytest.raises(ValueError, match="beta_hats"):

@@ -17,15 +17,9 @@ INDEP = cp.CopulaModel("independence")
 CLAYTON2 = cp.CopulaModel("clayton", 2.0)
 
 
-def make_table(p1, p2):
-    p1 = np.asarray(p1, float)
-    p2 = np.asarray(p2, float)
-    return HypothesisTable(np.zeros(p1.size), np.zeros(p1.size), p1, p2)
-
-
 def table_from_copula(model, n, seed):
     obs = cp.sample(model, n, seed)
-    return make_table(obs.u, obs.v)
+    return HypothesisTable(obs.u, obs.v)
 
 
 def ks_uniform(values):
@@ -58,30 +52,30 @@ class TestAggregatedPValues:
 
 class TestAggregateHard:
     def test_independence_product(self):
-        t = make_table([0.4], [0.1])
+        t = HypothesisTable([0.4], [0.1])
         agg = proc.aggregate_hard(t, INDEP, 0.9)
         assert agg.values[0] == pytest.approx(0.09, abs=1e-12)
 
     def test_screen_failure_keeps_p1(self):
-        t = make_table([0.95], [0.001])
+        t = HypothesisTable([0.95], [0.001])
         agg = proc.aggregate_hard(t, INDEP, 0.9)
         assert agg.values[0] == pytest.approx(0.95, abs=0.0)
 
     def test_clayton_joint_value(self):
-        t = make_table([0.5], [0.5])
+        t = HypothesisTable([0.5], [0.5])
         agg = proc.aggregate_hard(t, CLAYTON2, 0.5)
         assert agg.values[0] == pytest.approx(7.0 ** -0.5, abs=1e-10)
 
     def test_branch_structure(self):
         rng = np.random.default_rng(8)
-        t = make_table(rng.uniform(0.01, 0.99, 500), rng.uniform(0.01, 0.99, 500))
+        t = HypothesisTable(rng.uniform(0.01, 0.99, 500), rng.uniform(0.01, 0.99, 500))
         for g1 in (0.3, 0.7, 0.9):
             agg = proc.aggregate_hard(t, CLAYTON2, g1)
             above = agg.values > g1
             np.testing.assert_array_equal(above, t.p1 > g1)
 
     def test_gamma1_domain(self):
-        t = make_table([0.5], [0.5])
+        t = HypothesisTable([0.5], [0.5])
         with pytest.raises(ValueError):
             proc.aggregate_hard(t, INDEP, 0.0)
         with pytest.raises(ValueError):
@@ -119,7 +113,7 @@ class TestAggregateHardPaths:
         rows = np.argsort(p1, kind="stable")
         if order == "reverse":
             rows = rows[::-1]
-        return make_table(p1[rows], p2[rows])
+        return HypothesisTable(p1[rows], p2[rows])
 
     def model_cdf_args(self, table, model, monkeypatch):
         """Run every level with the model; the p2 arrays its CDF saw."""
@@ -149,7 +143,7 @@ class TestAggregateHardPaths:
     def test_screened_in_rows_first_but_unsorted(self, monkeypatch):
         # the prepared CDF takes the levels whose screened-in rows come
         # first (none, the first three, all) and raises at the others
-        table = make_table([0.2, 0.1, 0.25, 0.9, 0.5], [0.3, 0.4, 0.5, 0.6, 0.7])
+        table = HypothesisTable([0.2, 0.1, 0.25, 0.9, 0.5], [0.3, 0.4, 0.5, 0.6, 0.7])
         prepared = cp.cdf_of(CLAYTON2, table.p2)
         for g1 in self.LEVELS:
             if g1 in (0.5, 0.75):
@@ -240,7 +234,7 @@ def test_prepared_path_equals_the_model_path_at_every_grid_level(data):
     n = data.draw(st.integers(1, 40), label="n")
     p1 = np.sort(data.draw(st.lists(seam_p1, min_size=n, max_size=n), label="p1"))
     p2 = np.array(data.draw(st.lists(seam_p2, min_size=n, max_size=n), label="p2"))
-    table = make_table(p1, p2)
+    table = HypothesisTable(p1, p2)
     for model in TestPreparedCdf.MODELS:
         prepared = cp.cdf_of(model, table.p2)
         for g1 in GRID:
@@ -251,17 +245,17 @@ def test_prepared_path_equals_the_model_path_at_every_grid_level(data):
 
 class TestAggregateSoft:
     def test_independence_is_p2(self):
-        t = make_table([0.8], [0.1])
+        t = HypothesisTable([0.8], [0.1])
         agg = proc.aggregate_soft(t, INDEP)
         assert agg.values[0] == pytest.approx(0.1, abs=0.0)
 
     def test_clayton_conditional(self):
-        t = make_table([0.5], [0.5])
+        t = HypothesisTable([0.5], [0.5])
         agg = proc.aggregate_soft(t, CLAYTON2)
         assert agg.values[0] == pytest.approx(8.0 * 7.0 ** -1.5, rel=1e-10)
 
     def test_p2_one_maps_to_one(self):
-        t = make_table([0.2, 0.8], [1.0, 1.0])
+        t = HypothesisTable([0.2, 0.8], [1.0, 1.0])
         agg = proc.aggregate_soft(t, CLAYTON2)
         np.testing.assert_allclose(agg.values, 1.0)
 
@@ -376,7 +370,7 @@ class TestTwoStageHard:
         m = 300
         p1 = rng.uniform(0.001, 0.999, m)
         p2 = np.where(rng.random(m) < 0.1, rng.uniform(0, 0.01, m), rng.uniform(size=m))
-        t = make_table(p1, p2)
+        t = HypothesisTable(p1, p2)
         grid = np.array([0.2, 0.5, 0.8, 0.95])
         outcome = proc.run_two_stage_hard(t, INDEP, 0.1, 0.5, gamma1_grid=grid)
         expected = brute_force_hard_counts(t, INDEP, grid, 0.1, 0.5)
@@ -401,7 +395,7 @@ class TestTwoStageHard:
         assert fdr_at_hat <= 0.05 + 1e-12
 
     def test_grid_validation(self):
-        t = make_table([0.5], [0.5])
+        t = HypothesisTable([0.5], [0.5])
         with pytest.raises(ValueError):
             proc.run_two_stage_hard(t, INDEP, 0.05, 0.5, gamma1_grid=[])
         with pytest.raises(ValueError):
@@ -520,7 +514,7 @@ class TestHardMatchesSeedScan:
         p2[80:100] = 1.0
         p2[100:140] = 1e-10  # the boundary clamp
         p2[140:170] = rng.uniform(0, 1e-4, 30)
-        table = make_table(p1, p2)
+        table = HypothesisTable(p1, p2)
         # 0.005 screens in no row, 0.995 screens in every row
         grid = [0.005, 0.25, 0.5, 0.75, 0.995]
         for alpha in (0.05, 0.10):
@@ -636,8 +630,8 @@ def test_row_permutation_permutes_the_rejected_mask_only(data, alpha):
     p1 = np.array(data.draw(st.lists(p1_values, min_size=n, max_size=n), label="p1"))
     p2 = np.array(data.draw(st.lists(p2_values, min_size=n, max_size=n), label="p2"))
     perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
-    base = run_every_procedure(make_table(p1, p2), alpha)
-    moved = run_every_procedure(make_table(p1[perm], p2[perm]), alpha)
+    base = run_every_procedure(HypothesisTable(p1, p2), alpha)
+    moved = run_every_procedure(HypothesisTable(p1[perm], p2[perm]), alpha)
     for name, outcome in base.items():
         other = moved[name]
         np.testing.assert_array_equal(other.rejected, outcome.rejected[perm], err_msg=name)
@@ -652,14 +646,14 @@ class TestTwoStageSoft:
         rng = np.random.default_rng(17)
         m = 2000
         p2 = np.where(rng.random(m) < 0.05, rng.uniform(0, 0.001, m), rng.uniform(size=m))
-        t = make_table(rng.uniform(0.001, 0.999, m), p2)
+        t = HypothesisTable(rng.uniform(0.001, 0.999, m), p2)
         soft = proc.run_two_stage_soft(t, INDEP, 0.1)
         storey = proc.run_one_stage_storey(t, 0.1)
         np.testing.assert_array_equal(soft.rejected, storey.rejected)
         assert soft.gamma_hat == pytest.approx(storey.gamma_hat)
 
     def test_all_p2_one(self):
-        t = make_table([0.2, 0.5, 0.8], [1.0, 1.0, 1.0])
+        t = HypothesisTable([0.2, 0.5, 0.8], [1.0, 1.0, 1.0])
         outcome = proc.run_two_stage_soft(t, CLAYTON2, 0.1)
         assert outcome.n_rejected == 0
 
@@ -667,10 +661,10 @@ class TestTwoStageSoft:
 class TestStorey:
     def test_empty_table_rejected_upstream(self):
         with pytest.raises(ValueError):
-            make_table([], [])
+            HypothesisTable([], [])
 
     def test_alpha_zero(self):
-        t = make_table([0.5, 0.6], [0.2, 0.9])
+        t = HypothesisTable([0.5, 0.6], [0.2, 0.9])
         outcome = proc.run_one_stage_storey(t, 0.0)
         assert outcome.n_rejected == 0
 
@@ -715,7 +709,7 @@ def test_joint_probability_identity():
 
 class TestSerialization:
     def test_outcome_json(self):
-        t = make_table([0.5, 0.6], [0.001, 0.9])
+        t = HypothesisTable([0.5, 0.6], [0.001, 0.9])
         outcome = proc.run_one_stage_storey(t, 0.1)
         payload = json.loads(proc.outcome_to_json(outcome, ["b", "a"], seed=42))
         assert payload["method"] == "storey"
@@ -725,14 +719,14 @@ class TestSerialization:
             proc.outcome_to_json(outcome, ["a"])
 
     def test_outcome_json_sorts_rejected_ids(self):
-        t = make_table([0.5, 0.6, 0.7, 0.8], [0.001, 0.9, 0.0005, 0.95])
+        t = HypothesisTable([0.5, 0.6, 0.7, 0.8], [0.001, 0.9, 0.0005, 0.95])
         outcome = proc.run_one_stage_storey(t, 0.1)
         np.testing.assert_array_equal(outcome.rejected, [True, False, True, False])
         payload = json.loads(proc.outcome_to_json(outcome, ["z", "y", "x", "w"]))
         assert payload["rejected"] == ["x", "z"]
 
     def test_decision_tsv(self, tmp_path):
-        t = make_table([0.5, 0.6, 0.7], [0.001, 0.9, 0.5])
+        t = HypothesisTable([0.5, 0.6, 0.7], [0.001, 0.9, 0.5])
         outcome = proc.run_one_stage_storey(t, 0.1)
         path = tmp_path / "decisions.tsv"
         proc.write_decisions_tsv(["a", "b", "c"], t, outcome, path, seed=1)

@@ -13,6 +13,7 @@ from scipy.stats import gamma as scipy_gamma
 
 from twostage_fdr import copula as cp
 from twostage_fdr import fit as ft
+from twostage_fdr import marginal as mg
 from twostage_fdr import procedure as proc
 from twostage_fdr import simulate as sim
 
@@ -21,6 +22,24 @@ def small_cfg(**kw):
     base = dict(m=2000, mu=3.0, tau=-0.4, p0=0.95, k_reps=3, seed=777)
     base.update(kw)
     return sim.SimulationConfig(**base)
+
+
+def generate_recorded(cfg, replicate):
+    """generate_dataset(cfg, replicate) as (table, is_alt, beta, aux), with
+    the primary and auxiliary statistics it passed to build_table, which the
+    table does not keep; checks that p2 is the null p-value of beta bit for bit."""
+    build_table, passed = mg.build_table, []
+
+    def recording(beta_hats, ys, *args):
+        passed.append((beta_hats, ys))
+        return build_table(beta_hats, ys, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mg, "build_table", recording)
+        table, is_alt = sim.generate_dataset(cfg, replicate)
+    [(beta, aux)] = passed
+    assert table.p2.tobytes() == mg.p_value(mg.STANDARD_NORMAL, beta).tobytes()
+    return table, is_alt, beta, aux
 
 
 class TestConfig:
@@ -80,17 +99,16 @@ class TestGenerateDataset:
     def test_p1_is_that_of_the_scipy_stats_gamma_quantile(self, family):
         # the auxiliary column is the clipped u; p1 sees its ranks only, so it
         # equals p1 of the Gamma(3, scale 0.25) quantile of u bit for bit
-        from twostage_fdr import marginal as mg
         for seed in range(50):
             cfg = small_cfg(m=8000, dep_family=family, seed=9000 + seed)
-            table, _ = sim.generate_dataset(cfg, seed % 3)
+            table, _, beta, aux = generate_recorded(cfg, seed % 3)
             # u is the first draw of the replicate's generator
             u = np.clip(np.random.default_rng([cfg.seed, seed % 3]).random(cfg.m),
                         cp.EPS, 1.0 - cp.EPS)
-            assert table.y.tobytes() == u.tobytes()
-            ref = mg.build_table(table.beta_hat, scipy_gamma.ppf(u, a=3.0, scale=0.25),
-                                 mg.STANDARD_NORMAL)
-            assert table.p1.tobytes() == ref.p1.tobytes(), seed
+            assert aux.tobytes() == u.tobytes()
+            for y in (u, scipy_gamma.ppf(u, a=3.0, scale=0.25)):
+                ref = mg.build_table(beta, y, mg.STANDARD_NORMAL)
+                assert table.p1.tobytes() == ref.p1.tobytes(), seed
 
     def test_null_p2_is_uniform_pure_null(self):
         cfg = small_cfg(m=100_000, p0=1.0)
@@ -109,9 +127,9 @@ class TestGenerateDataset:
         # trip is off by up to 1.75e-14 relative near v = 1e-12 (on 200k levels)
         levels = np.geomspace(1e-12, 0.5, 20_000)
         monkeypatch.setattr(cp, "hfunc_inverse", lambda model, x, u: levels)
-        table, is_alt = sim.generate_dataset(small_cfg(m=levels.size, p0=1.0), 0)
+        _, is_alt, beta, _ = generate_recorded(small_cfg(m=levels.size, p0=1.0), 0)
         assert not is_alt.any()
-        p = 2.0 * ndtr(-np.abs(table.beta_hat))
+        p = 2.0 * ndtr(-np.abs(beta))
         assert np.all(np.abs(p - levels) <= 3e-14 * levels)
 
     def test_independence_when_tau_zero(self):
@@ -131,17 +149,15 @@ class TestGenerateDataset:
 
     def test_alternative_marginal_is_two_point_mixture(self):
         # empirical CDF of alternative betas vs the mixture CDF
-        from twostage_fdr import marginal as mg
         cfg = small_cfg(m=50_000, p0=0.0)
-        table, is_alt = sim.generate_dataset(cfg, 2)
+        table, is_alt, beta, _ = generate_recorded(cfg, 2)
         assert is_alt.all()
         mix = mg.GaussianMixture((0.5, 0.5), (-3.0, 3.0), (1.0, 1.0))
         grid = np.linspace(-6.0, 6.0, 25)
-        emp = np.searchsorted(np.sort(table.beta_hat), grid, side="right") / table.m
+        emp = np.searchsorted(np.sort(beta), grid, side="right") / table.m
         np.testing.assert_allclose(emp, mg.mixture_cdf(mix, grid), atol=0.01)
 
     def test_alternative_magnitude_matches_seed_loop(self):
-        from twostage_fdr import marginal as mg
         q = np.random.default_rng(4).random(5000)
         for mu in (2.0, 2.5, 3.0, 3.5, 4.0):  # criterion 4
             mix = mg.GaussianMixture((0.5, 0.5), (-mu, mu), (1.0, 1.0))
@@ -162,26 +178,27 @@ class TestGenerateDataset:
         # |beta| of each alternative is the helper's value at its copula level
         # v, also where chndtrix would return NaN (large mu)
         cfg = small_cfg(m=2000, mu=mu, p0=0.0)
-        table, is_alt = sim.generate_dataset(cfg, 0)
+        _, is_alt, beta, _ = generate_recorded(cfg, 0)
         assert is_alt.all()
-        assert np.all(np.isfinite(table.beta_hat))
+        assert np.all(np.isfinite(beta))
         # u and w are the first two draws of the replicate's generator
         rng = np.random.default_rng([cfg.seed, 0])
         u = np.clip(rng.random(cfg.m), cp.EPS, 1.0 - cp.EPS)
         w = rng.random(cfg.m)
         v = np.clip(cp.hfunc_inverse(sim.analysis_model(cfg.dep_family, cfg.tau), w, u),
                     1e-12, 1.0 - 1e-12)
-        assert np.abs(table.beta_hat).tobytes() == sim._alternative_magnitude(mu, v).tobytes()
+        assert np.abs(beta).tobytes() == sim._alternative_magnitude(mu, v).tobytes()
 
     def test_determinism(self):
         cfg = small_cfg()
         t1, a1 = sim.generate_dataset(cfg, 5)
         t2, a2 = sim.generate_dataset(cfg, 5)
-        np.testing.assert_array_equal(t1.beta_hat, t2.beta_hat)
-        np.testing.assert_array_equal(t1.y, t2.y)
+        np.testing.assert_array_equal(t1.p1, t2.p1)
+        np.testing.assert_array_equal(t1.p2, t2.p2)
         np.testing.assert_array_equal(a1, a2)
         t3, _ = sim.generate_dataset(cfg, 6)
-        assert not np.array_equal(t1.beta_hat, t3.beta_hat)
+        assert not np.array_equal(t1.p1, t3.p1)
+        assert not np.array_equal(t1.p2, t3.p2)
 
 
 class TestRunCell:
@@ -546,6 +563,27 @@ class TestSelectionStudy:
             assert all(math.isnan(x) for x in study.stats["joe"][criterion])
             assert study.counts["joe"][criterion] == 0
             assert math.isfinite(study.stats["clayton"][criterion][0])
+
+    @pytest.mark.parametrize("family, tau", [("clayton", 0.0), ("independence", -0.4),
+                                             ("clayton", -5e-7)])
+    def test_config_samples_the_analysis_model(self, tmp_path, monkeypatch, family, tau):
+        # a selection config takes its copula by the rule cell and
+        # misspecification data follow: independence for the independence
+        # family or |tau| < 1e-6, where tau_to_theta would raise or give a
+        # Clayton with theta about 1e-6
+        config = {"mode": "selection", "n": 300, "reps": 2, "seed": 3}
+        reference = sim.run_config({**config, "true_family": "independence", "tau": 0.0},
+                                   tmp_path / "reference")
+        sample, sampled = cp.sample, []
+
+        def recording(model, *args):
+            sampled.append(model)
+            return sample(model, *args)
+
+        monkeypatch.setattr(cp, "sample", recording)
+        got = sim.run_config({**config, "true_family": family, "tau": tau}, tmp_path / "got")
+        assert sampled == [cp.CopulaModel("independence")] * 2
+        assert got.read_bytes() == reference.read_bytes()
 
     def test_true_family_dominates_smoke(self):
         true_model = cp.tau_to_theta("clayton", -0.4)
