@@ -58,7 +58,7 @@ def cmd_bootstrap(args) -> int:
 
 def cmd_fit(args) -> int:
     _, table = _read_table(args.input, args.null_mixture, args.tail)
-    report = ft.select_copula(cp.PseudoObservations.clamped(table.p1, table.p2))
+    report = ft.select_copula(cp.PseudoObservations(table.p1, table.p2))
     print(ft.format_report(report))
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     out = Path(args.out_dir) / "selection.json"
@@ -84,7 +84,7 @@ def cmd_test(args) -> int:
     ids, table = _read_table(args.input, args.null_mixture, args.tail)
 
     if method in ("hard", "soft") and model is None:
-        report = ft.select_copula(cp.PseudoObservations.clamped(table.p1, table.p2))
+        report = ft.select_copula(cp.PseudoObservations(table.p1, table.p2))
         model = report.winner("bic").model
         print(f"auto-selected copula: {model.describe()}")
 

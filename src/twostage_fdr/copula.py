@@ -8,12 +8,14 @@ positive dependence only; negative dependence is represented by the 90
 or 270 degree rotation.
 
 All evaluators accept scalars or numpy arrays and are pure functions of
-an immutable :class:`CopulaModel`, so concurrent use is safe.
+an immutable :class:`CopulaModel`, so concurrent use is safe.  Every
+coordinate takes the closed [0, 1], and only this module clips it into [EPS, 1 - EPS].
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -58,8 +60,9 @@ EPS = 1e-10  # boundary clamp for interior-only evaluations
 def _check_family(family: str, rotation) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown copula family {family!r}")
-    if rotation not in ROTATIONS:
-        raise ValueError(f"rotation must be one of {ROTATIONS}, got {rotation}")
+    if (isinstance(rotation, bool) or not isinstance(rotation, numbers.Integral)
+            or rotation not in ROTATIONS):
+        raise ValueError(f"rotation must be one of {ROTATIONS}, got {rotation!r}")
     if family not in ROTATABLE and rotation != 0:
         raise ValueError(f"{family} copula does not take a rotation")
 
@@ -69,8 +72,8 @@ def _check_theta(family: str, theta) -> None:
         if theta is not None:
             raise ValueError("independence copula has no parameter")
         return
-    if theta is None or not math.isfinite(theta):
-        raise ValueError(f"{family} copula requires a finite parameter, got {theta}")
+    if theta is None or isinstance(theta, (bool, np.bool_)) or not math.isfinite(theta):
+        raise ValueError(f"{family} copula requires a finite parameter, got {theta!r}")
     if family == "gaussian" and not -1.0 < theta < 1.0:
         raise ValueError(f"gaussian correlation must be in (-1, 1), got {theta}")
     if family == "frank" and theta == 0.0:
@@ -92,6 +95,10 @@ class CopulaModel:
     def __post_init__(self):
         _check_family(self.family, self.rotation)
         _check_theta(self.family, self.theta)
+        # stored as an int and a Python float, whichever numpy types they came as
+        object.__setattr__(self, "rotation", int(self.rotation))
+        if self.theta is not None:
+            object.__setattr__(self, "theta", float(self.theta))
 
     def describe(self) -> str:
         if self.family == "independence":
@@ -102,7 +109,7 @@ class CopulaModel:
 
 @dataclass(frozen=True)
 class PseudoObservations:
-    """Paired observations on (0,1)^2, e.g. coupled marginal p-values."""
+    """Paired observations on [0, 1]^2, e.g. p-values, stored clipped into [EPS, 1 - EPS]."""
 
     u: np.ndarray
     v: np.ndarray
@@ -114,19 +121,12 @@ class PseudoObservations:
             raise ValueError("u and v must be 1-d arrays of equal length")
         if u.size < 2:
             raise ValueError("need at least 2 observation pairs")
-        if not (np.all(u > 0.0) and np.all(u < 1.0) and np.all(v > 0.0) and np.all(v < 1.0)):
-            raise ValueError("pseudo-observations must lie strictly inside (0, 1)")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", _as_unit("u", u)[1])
+        object.__setattr__(self, "v", _as_unit("v", v)[1])
 
     @property
     def n(self) -> int:
         return self.u.size
-
-    @classmethod
-    def clamped(cls, u, v) -> "PseudoObservations":
-        """Pairs clipped into [EPS, 1 - EPS], e.g. p-values that reach 0 or 1."""
-        return cls(np.clip(u, EPS, 1.0 - EPS), np.clip(v, EPS, 1.0 - EPS))
 
 
 def _logaddexp(x, y):
@@ -563,20 +563,20 @@ def _maybe_scalar(out, *arrays):
     return out
 
 
-def _as_unit(name, value, open_=False):
+def _as_unit(name, value):
     """(checked, interior, past): value as a float array checked by its min
-    and max against the closed [0, 1], or the open (0, 1) when open_ (NaN
-    fails either way); that array clipped into the clamp interior [EPS,
-    1 - EPS], all that family formulas and rotation reflections receive; and
-    whether an entry lies past the interior, the only case where the clip
-    (run only then) or a boundary case at 0 or 1 changes a value."""
+    and max against the closed [0, 1] (NaN fails); that array clipped into
+    the clamp interior [EPS, 1 - EPS], all that family formulas and rotation
+    reflections receive; and whether an entry lies past the interior, the
+    only case where the clip (run only then) or a boundary case at 0 or 1
+    changes a value."""
     arr = np.asarray(value, dtype=float)
     if arr.size == 0:
         return arr, arr, False
     lo = arr.min()
     hi = arr.max()
-    if not ((0.0 < lo and hi < 1.0) if open_ else (0.0 <= lo and hi <= 1.0)):
-        raise ValueError(f"{name} must lie in {'(0, 1)' if open_ else '[0, 1]'}")
+    if not (0.0 <= lo and hi <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1]")
     past = bool(lo < EPS or hi > 1.0 - EPS)
     return arr, (np.clip(arr, EPS, 1.0 - EPS) if past else arr), past
 
@@ -660,15 +660,15 @@ def _rotated_args(rotation: int, u, v):
 
 def log_density_of(family: str, rotation: int, u, v):
     """The log density of the family and rotation at (u, v), as a function
-    of theta; u and v must lie strictly inside (0, 1).
+    of theta; u and v may lie in the closed [0, 1].
 
     The checks of u and v, their clip into the clamp interior, the rotation
     and the family's theta-free transforms of the pairs run once, here, so a
     likelihood search over theta runs only the theta-dependent part per step.
     """
     _check_family(family, rotation)
-    _, ui, _ = _as_unit("u", u, open_=True)
-    _, vi, _ = _as_unit("v", v, open_=True)
+    _, ui, _ = _as_unit("u", u)
+    _, vi, _ = _as_unit("v", v)
     fam = _BASE[family]
     prepared = fam.prepare(*_rotated_args(rotation, ui, vi))
 
@@ -680,7 +680,7 @@ def log_density_of(family: str, rotation: int, u, v):
 
 
 def log_density(model: CopulaModel, u, v):
-    """Log copula density; u and v must lie strictly inside (0, 1), and are
+    """Log copula density; u and v may lie in the closed [0, 1], and are
     clipped into the clamp interior [1e-10, 1 - 1e-10] before any reflection."""
     return log_density_of(model.family, model.rotation, u, v)(model.theta)
 
@@ -689,13 +689,13 @@ def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u)
     """Apply a base-family h or h-inverse under the model's rotation.
 
     value (v for h, x for its inverse) may lie in the closed [0, 1], with
-    0 and 1 mapped to themselves; given_u must lie strictly inside (0, 1).
+    0 and 1 mapped to themselves; given_u may too, and evaluates at the clamp.
     As in cdf, the inputs are not expanded to a common shape, are clipped
     into the clamp interior before any reflection, and take the boundary
     cases only for a value past the interior.
     """
     aa, ai, a_past = _as_unit(name, value)
-    uu, ui, _ = _as_unit("given_u", given_u, open_=True)
+    uu, ui, _ = _as_unit("given_u", given_u)
     ru, ra = _rotated_args(model.rotation, ui, ai)
     out = base_fn(model.theta, ra, ru)
     if _REFLECTS[model.rotation][1]:
@@ -752,9 +752,11 @@ def orientation(family: str, tau: float) -> tuple[int, tuple[float, float] | Non
     a Kendall tau of tau's sign.  A negative tau rotates Clayton, Gumbel
     and Joe by 90 degrees and mirrors Frank's bracket to (-hi, -lo);
     Gaussian and independence (whose bracket is None) keep rotation 0 and
-    their bracket.  A tau of 0 or -0.0 counts as positive.
+    their bracket.  A tau of 0 or -0.0 counts as positive; a NaN tau raises.
     """
     bracket = _row(family).bracket
+    if math.isnan(tau):
+        raise ValueError("kendall tau must not be NaN")
     if not tau < 0.0:
         return 0, bracket
     if family == "frank":
@@ -801,7 +803,4 @@ def sample(model: CopulaModel, n: int, seed) -> PseudoObservations:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     w = rng.random(n)
-    u = np.clip(u, EPS, 1.0 - EPS)
-    v = hfunc_inverse(model, w, u)
-    v = np.clip(v, EPS, 1.0 - EPS)
-    return PseudoObservations(u, v)
+    return PseudoObservations(u, hfunc_inverse(model, w, u))

@@ -127,9 +127,9 @@ class HypothesisTable:
 def build_table(beta_hats, ys, null: GaussianMixture,
                 tail: str = "two_sided") -> HypothesisTable:
     """Assemble a HypothesisTable: p1 is the right-continuous empirical CDF
-    #{y_i <= y} / n of the ys, capped at n/(n+1) for use as a
-    pseudo-observation, so it lies in [1/n, n/(n+1)]; p2 is the mixture-null
-    p-value of the primary statistic."""
+    #{y_i <= y} / n of the ys, capped at n/(n+1), so in [1/n, n/(n+1)]: the
+    copula takes a p1 of 1, but the cap keeps the data, and so every fit,
+    unchanged; p2 is the mixture-null p-value of the primary statistic."""
     beta = np.asarray(beta_hats, dtype=float)
     y = np.asarray(ys, dtype=float)
     if beta.size != y.size:

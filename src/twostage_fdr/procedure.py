@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import EPS, CopulaModel, cdf as copula_cdf, cdf_of, hfunc
+from .copula import CopulaModel, cdf as copula_cdf, cdf_of, hfunc
 from .ingest import write_tsv
 from .marginal import HypothesisTable, as_pvalues
 
@@ -122,10 +122,9 @@ def aggregate_hard(table: HypothesisTable, model, gamma1: float) -> AggregatedPV
 def aggregate_soft(table: HypothesisTable, model: CopulaModel) -> AggregatedPValues:
     """p_i = C(p2_i | p1_i), the conditional CDF under the fitted copula.
 
-    p1 is clipped into the copula's [1e-10, 1 - 1e-10] interior, as
-    ``PseudoObservations.clamped`` does, so a p1 of 0 or 1 is accepted.
+    p1 and p2 go to hfunc as they are: the copula clips a p1 of 0 or 1.
     """
-    return AggregatedPValues("soft", hfunc(model, table.p2, np.clip(table.p1, EPS, 1.0 - EPS)))
+    return AggregatedPValues("soft", hfunc(model, table.p2, table.p1))
 
 
 def estimate_pi0(pvalues: AggregatedPValues, lambda_: float) -> float:

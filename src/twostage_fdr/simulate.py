@@ -209,9 +209,9 @@ def generate_dataset(cfg: SimulationConfig, replicate: int):
     """
     dep = analysis_model(cfg.dep_family, cfg.tau)
     rng = np.random.default_rng([cfg.seed, replicate])
-    u = np.clip(rng.random(cfg.m), cp.EPS, 1.0 - cp.EPS)
+    u = rng.random(cfg.m)
     w = rng.random(cfg.m)
-    # 1e-12, not EPS: v sets p2 through ndtri below, and a wider clamp would change the data
+    # v sets p2 through ndtri below: 1e-12, not the copula's 1e-10 clamp, is part of the data
     v = np.clip(cp.hfunc_inverse(dep, w, u), 1e-12, 1.0 - 1e-12)
     is_alt = rng.random(cfg.m) < (1.0 - cfg.p0)
     sign = np.where(rng.random(cfg.m) < 0.5, -1.0, 1.0)
@@ -255,7 +255,7 @@ def _replicate(args) -> dict:
     cfg, k, families, mode = args
     table, is_alt = generate_dataset(cfg, k)
     if mode == "refit":
-        obs = cp.PseudoObservations.clamped(table.p1, table.p2)
+        obs = cp.PseudoObservations(table.p1, table.p2)
         tau_hat = ft.empirical_kendall_tau(obs)
         true_model = analysis_model(cfg.dep_family, tau_hat)
         true_loglik = None  # the null pairs are gathered and scored when the first foil needs them

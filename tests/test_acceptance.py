@@ -239,7 +239,7 @@ def test_criterion_8_real_data_reproduction():
     data = ig.read_counts(path)
     summary = ig.summarize(data)
     table = mg.build_table(summary.beta_hat, summary.sd_boot, mg.REAL_DATA_NULL)
-    obs = cp.PseudoObservations.clamped(table.p1, table.p2)
+    obs = cp.PseudoObservations(table.p1, table.p2)
     model = ft.select_copula(obs).winner("bic").model
     hard = proc.run_two_stage_hard(table, model, 0.10)
     soft = proc.run_two_stage_soft(table, model, 0.10)

@@ -402,6 +402,26 @@ def test_golden_bootstrap_output(tmp_path, variant):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BOOTSTRAP_GOLDEN_SHA256
 
 
+def test_the_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    example = example.split("```", 1)[0]
+    (tmp_path / "counts.tsv").write_text(seeded_counts_text(genes=200))
+    monkeypatch.chdir(tmp_path)
+    assert main(["bootstrap", "counts.tsv", "summary.tsv"]) == 0
+    capsys.readouterr()
+    scope = {}
+    exec(compile(example, "README.md", "exec"), scope)
+    outcome, ids = scope["outcome"], scope["ids"]
+    assert len(ids) == outcome.aggregated.m == 200
+    assert capsys.readouterr().out == f"{outcome.n_rejected} {sorted(scope['rejected_ids'])[:5]}\n"
+    # the same decisions as the command line's soft test with the BIC winner
+    assert main(["test", "summary.tsv", "--method", "S", "--alpha", "0.10",
+                 "--out-dir", "cli"]) == 0
+    cli = json.loads((tmp_path / "cli" / "outcome.json").read_text())
+    assert (cli["n_rejected"], cli["gamma_hat"]) == (outcome.n_rejected, outcome.gamma_hat)
+
+
 REJECTED_CONFIGS = [
     {"mode": "cell", "bogus": 1},
     {"mode": "cell", "m": 100, "tau": 0.5},

@@ -99,6 +99,10 @@ class TestDomainErrors:
             cp.CopulaModel("frank", 0.0)
         with pytest.raises(ValueError):
             cp.CopulaModel("independence", 2.0)
+        for theta in (True, False, np.True_):  # a bool is not a parameter
+            for family in ("clayton", "frank", "gaussian"):
+                with pytest.raises(ValueError, match="requires a finite parameter"):
+                    cp.CopulaModel(family, theta)
 
     def test_rotation_restrictions(self):
         with pytest.raises(ValueError):
@@ -107,20 +111,37 @@ class TestDomainErrors:
             cp.CopulaModel("frank", 2.0, 180)
         with pytest.raises(ValueError):
             cp.CopulaModel("clayton", 1.0, 45)
+        # a float or a bool may equal a rotation, but is not one
+        for family, rotation in (("clayton", 90.0), ("clayton", np.float64(90.0)),
+                                 ("clayton", True), ("frank", False), ("frank", np.False_)):
+            with pytest.raises(ValueError, match="^rotation must be one of"):
+                cp.CopulaModel(family, 2.0, rotation)
 
-    def test_density_boundary_rejected(self):
-        m = cp.CopulaModel("clayton", 2.0)
-        with pytest.raises(ValueError):
-            cp.log_density(m, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            cp.log_density(m, 0.5, 1.0)
+    def test_model_stores_an_int_rotation_and_a_float_theta(self):
+        m = cp.CopulaModel("clayton", np.float64(2.0), np.int64(90))
+        assert (type(m.theta), type(m.rotation)) == (float, int)
+        assert m.describe() == "clayton(theta=2) rot90"
+        assert type(cp.CopulaModel("frank", 3).theta) is float
+        assert m == cp.CopulaModel("clayton", 2.0, 90)
 
-    def test_hfunc_conditioner_must_be_interior(self):
+    def test_density_boundary_evaluates_at_the_clamp(self):
         m = cp.CopulaModel("clayton", 2.0)
-        with pytest.raises(ValueError):
-            cp.hfunc(m, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            cp.hfunc_inverse(m, 0.5, 1.0)
+        assert cp.log_density(m, 0.0, 0.5) == cp.log_density(m, 1e-10, 0.5)
+        assert cp.log_density(m, 0.5, 1.0) == cp.log_density(m, 0.5, 1.0 - 1e-10)
+        for bad in (np.nan, -0.1, 1.5):
+            with pytest.raises(ValueError, match=r"^u must lie in \[0, 1\]$"):
+                cp.log_density(m, bad, 0.5)
+            with pytest.raises(ValueError, match=r"^v must lie in \[0, 1\]$"):
+                cp.log_density(m, 0.5, bad)
+
+    def test_hfunc_conditioner_at_the_boundary_evaluates_at_the_clamp(self):
+        m = cp.CopulaModel("clayton", 2.0)
+        assert cp.hfunc(m, 0.5, 0.0) == cp.hfunc(m, 0.5, 1e-10)
+        assert cp.hfunc_inverse(m, 0.5, 1.0) == cp.hfunc_inverse(m, 0.5, 1.0 - 1e-10)
+        for bad in (np.nan, -0.1, 1.5):
+            for fn in (cp.hfunc, cp.hfunc_inverse):
+                with pytest.raises(ValueError, match=r"^given_u must lie in \[0, 1\]$"):
+                    fn(m, 0.5, bad)
 
     def test_cdf_rejects_outside_unit_square(self):
         m = cp.CopulaModel("clayton", 2.0)
@@ -325,17 +346,22 @@ class TestSampling:
         assert abs(tau - 0.6) < 0.02
 
     def test_pseudo_observations_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2"):
             cp.PseudoObservations(np.array([0.2]), np.array([0.3]))
-        with pytest.raises(ValueError):
-            cp.PseudoObservations(np.array([0.0, 0.5]), np.array([0.3, 0.4]))
-        obs = cp.PseudoObservations(np.array([0.2, 0.5]), np.array([0.3, 0.4]))
+        with pytest.raises(ValueError, match="equal length"):
+            cp.PseudoObservations(np.array([0.2, 0.5]), np.array([0.3, 0.4, 0.5]))
+        for bad in (np.nan, -0.1, 1.5):
+            with pytest.raises(ValueError, match=r"^u must lie in \[0, 1\]$"):
+                cp.PseudoObservations(np.array([bad, 0.5]), np.array([0.3, 0.4]))
+            with pytest.raises(ValueError, match=r"^v must lie in \[0, 1\]$"):
+                cp.PseudoObservations(np.array([0.2, 0.5]), np.array([0.3, bad]))
+        obs = cp.PseudoObservations(np.array([0.0, 0.5]), np.array([0.3, 1.0]))
         assert obs.n == 2
 
-    def test_clamped_pseudo_observations(self):
-        u = np.array([0.0, 1e-12, 1e-10, 0.3, 1.0 - 1e-10, 1.0])
+    def test_pseudo_observations_store_the_clamped_pairs(self):
+        u = np.array([0.0, 5e-324, 1e-12, 1e-10, 0.3, 1.0 - 1e-10, 1.0 - 2.0 ** -53, 1.0])
         v = u[::-1].copy()
-        obs = cp.PseudoObservations.clamped(u, v)
+        obs = cp.PseudoObservations(u, v)
         # bit-identical to an explicit clip into [1e-10, 1 - 1e-10]
         np.testing.assert_array_equal(obs.u, np.clip(u, 1e-10, 1 - 1e-10))
         np.testing.assert_array_equal(obs.v, np.clip(v, 1e-10, 1 - 1e-10))
@@ -999,15 +1025,24 @@ def test_bad_inputs_raise_the_seed_messages(bad):
             fn(model, *args)
 
 
-@pytest.mark.parametrize("given_u", [0.0, 1.0, np.nan, [0.5, 1.0], [1e-10, 0.0]], ids=repr)
-def test_conditioner_outside_open_interval_raises_the_seed_message(given_u):
+@pytest.mark.parametrize("given_u", [0.0, 1.0, [0.5, 1.0], [1e-10, 0.0]], ids=repr)
+def test_conditioner_on_the_closed_interval_matches_the_seed_at_the_clamp(given_u):
+    # seed_conditional takes given_u on the open (0, 1) only, so it gets the clamp edge
     model = cp.CopulaModel("gumbel", 2.0, 270)
+    clamped = np.clip(given_u, 1e-10, 1.0 - 1e-10)
+    clamped = clamped if np.ndim(given_u) else float(clamped)
     for fn, kind in ((cp.hfunc, "h"), (cp.hfunc_inverse, "hinv")):
-        with pytest.raises(ValueError, match=r"^given_u must lie in \(0, 1\)$"):
-            seed_conditional(model, kind, 0.5, given_u)
-        with pytest.raises(ValueError, match=r"^given_u must lie in \(0, 1\)$"):
+        assert_same(fn(model, 0.5, given_u), seed_conditional(model, kind, 0.5, clamped))
+    assert_same(cp.log_density(model, given_u, 0.5), cp.log_density(model, clamped, 0.5))
+
+
+@pytest.mark.parametrize("given_u", [np.nan, -0.1, 1.5, [0.5, np.nan], [1e-10, 1.5]], ids=repr)
+def test_conditioner_outside_the_closed_interval_raises(given_u):
+    model = cp.CopulaModel("gumbel", 2.0, 270)
+    for fn in (cp.hfunc, cp.hfunc_inverse):
+        with pytest.raises(ValueError, match=r"^given_u must lie in \[0, 1\]$"):
             fn(model, 0.5, given_u)
-    with pytest.raises(ValueError, match=r"^u must lie in \(0, 1\)$"):
+    with pytest.raises(ValueError, match=r"^u must lie in \[0, 1\]$"):
         cp.log_density(model, given_u, 0.5)
 
 
@@ -1157,6 +1192,14 @@ def test_kendall_tau_at_bracket_ends_matches_seed(family):
 def test_independence_kendall_tau_matches_seed():
     model = cp.CopulaModel("independence")
     assert cp.kendall_tau(model) == seed_kendall_tau(model) == 0.0
+
+
+@pytest.mark.parametrize("family", cp.FAMILIES)
+def test_orientation_of_a_nan_tau_raises(family):
+    # a NaN compares False with 0, so unchecked it would count as a positive tau
+    for tau in (math.nan, np.float64("nan")):
+        with pytest.raises(ValueError, match="^kendall tau must not be NaN$"):
+            cp.orientation(family, tau)
 
 
 def test_orientation_of_unknown_family_raises_value_error():
@@ -1356,12 +1399,15 @@ def test_joe_log_density_is_finite_in_the_upper_corner():
 
 @pytest.mark.parametrize("model", BRACKET_MODELS, ids=BRACKET_IDS)
 def test_a_coordinate_past_the_interior_evaluates_at_the_clamp(model):
-    past = np.array(PAST_INTERIOR)
-    clamped = np.clip(past, CLAMP, 1.0 - CLAMP)
+    # the closed interval's ends 0 and 1 too, bit for bit, except as h's v and its
+    # inverse's x, which keep them as the margins h(0 | u) = 0 and h(1 | u) = 1
+    with_ends = (0.0, *PAST_INTERIOR, 1.0)
     other = np.array([CLAMP, 0.3, 0.7, 1.0 - CLAMP])[:, None]
     for fn in (cp.hfunc, cp.hfunc_inverse, cp.log_density):
-        assert_same(fn(model, past, other), fn(model, clamped, other))
-        assert_same(fn(model, other, past), fn(model, other, clamped))
-        for p, c in zip(past, clamped):
-            assert_same(fn(model, float(p), 0.3), fn(model, float(c), 0.3))
-            assert_same(fn(model, 0.3, float(p)), fn(model, 0.3, float(c)))
+        first = with_ends if fn is cp.log_density else PAST_INTERIOR
+        for points, put in ((first, lambda x, y: (x, y)), (with_ends, lambda x, y: (y, x))):
+            past = np.array(points)
+            clamped = np.clip(past, CLAMP, 1.0 - CLAMP)
+            assert_same(fn(model, *put(past, other)), fn(model, *put(clamped, other)))
+            for p, c in zip(past, clamped):
+                assert_same(fn(model, *put(float(p), 0.3)), fn(model, *put(float(c), 0.3)))

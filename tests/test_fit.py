@@ -221,6 +221,12 @@ class TestFitMle:
         assert res.model.theta == pytest.approx(true.theta, rel=0.10)
         assert res.model.theta < 0
 
+    def test_nan_tau_hint_raises(self):
+        obs = cp.sample(cp.tau_to_theta("frank", -0.4), 200, 11)
+        for family in ("frank", "clayton"):
+            with pytest.raises(ValueError, match="^kendall tau must not be NaN$"):
+                ft.fit_mle(family, 0, obs, tau_hint=math.nan)
+
 
 class TestSelectCopula:
     def test_true_family_wins_large_sample(self):
@@ -373,13 +379,15 @@ def test_fit_mle_matches_seed_fit_every_rotation(family, rotation):
       for family, theta in (("clayton", 1.5), ("gumbel", 1.6), ("joe", 1.8))
       for rotation in cp.ROTATIONS)], ids=lambda m: m.describe())
 def test_fit_mle_past_the_clamp_matches_the_clamped_pairs(model):
-    # log_density clips pairs past [1e-10, 1 - 1e-10] as PseudoObservations.clamped does
+    # raw pairs on the closed [0, 1], past [1e-10, 1 - 1e-10], fit as the pairs
+    # clipped into it by hand
     obs = cp.sample(model, 400, 37)
     u, v = obs.u.copy(), obs.v.copy()
-    u[:4] = [5e-324, 2.0 ** -60, 2.0 ** -54, 1e-12]
-    v[4:8] = [1e-12, 5e-324, 1.0 - 1e-12, 1.0 - 2.0 ** -53]
+    u[:5] = [0.0, 5e-324, 2.0 ** -60, 2.0 ** -54, 1e-12]
+    v[5:10] = [1e-12, 5e-324, 1.0 - 1e-12, 1.0 - 2.0 ** -53, 1.0]
     tau = cp.kendall_tau(model)
     got = ft.fit_mle(model.family, model.rotation, _obs(u, v), tau_hint=tau)
-    want = ft.fit_mle(model.family, model.rotation, cp.PseudoObservations.clamped(u, v),
+    want = ft.fit_mle(model.family, model.rotation,
+                      _obs(np.clip(u, 1e-10, 1.0 - 1e-10), np.clip(v, 1e-10, 1.0 - 1e-10)),
                       tau_hint=tau)
     assert (got.model.theta, got.loglik) == (want.model.theta, want.loglik)

@@ -414,7 +414,7 @@ class TestTwoStageHard:
         # in an increasing grid the first maximum is the smallest level
         cfg = sim.SimulationConfig(m=2000, seed=1)
         table, _ = sim.generate_dataset(cfg, 0)
-        obs = cp.PseudoObservations.clamped(table.p1, table.p2)
+        obs = cp.PseudoObservations(table.p1, table.p2)
         model = sim.analysis_model(cfg.dep_family, ft.empirical_kendall_tau(obs))
         outcome = proc.run_two_stage_hard(table, model, cfg.alpha, cfg.lambda_,
                                           gamma1_grid=[0.95, 0.97])
@@ -429,7 +429,7 @@ class TestTwoStageHard:
         cfg = sim.SimulationConfig(m=4000, mu=3.0, tau=-0.4, p0=0.95,
                                    k_reps=1, seed=424)
         table, _ = sim.generate_dataset(cfg, 0)
-        obs = cp.PseudoObservations.clamped(table.p1, table.p2)
+        obs = cp.PseudoObservations(table.p1, table.p2)
         model = sim.analysis_model(cfg.dep_family, ft.empirical_kendall_tau(obs))
         outcome = proc.run_two_stage_hard(table, model, 0.05)
         counts = np.array([c for _, c in outcome.rejections_by_gamma1])

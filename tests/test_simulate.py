@@ -387,7 +387,7 @@ def oracle_tau_model(family, tau_hat):
 
 
 def oracle_analysis_model(cfg, table):
-    obs = cp.PseudoObservations.clamped(table.p1, table.p2)
+    obs = cp.PseudoObservations(table.p1, table.p2)
     return oracle_tau_model(cfg.dep_family, ft.empirical_kendall_tau(obs))
 
 
@@ -411,7 +411,7 @@ def oracle_cell_replicate(cfg, k):
 
 def oracle_misspec_replicate(cfg, k, families, mode):
     table, is_alt = sim.generate_dataset(cfg, k)
-    obs = cp.PseudoObservations.clamped(table.p1, table.p2)
+    obs = cp.PseudoObservations(table.p1, table.p2)
     tau_hat = ft.empirical_kendall_tau(obs)
     null_u = obs.u[~is_alt]
     null_v = obs.v[~is_alt]
