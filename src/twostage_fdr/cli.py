@@ -28,15 +28,9 @@ def parse_copula_spec(spec: str) -> cp.CopulaModel:
     parts = spec.lower().split(":")
     if len(parts) > 3:
         raise ValueError(f"copula spec {spec!r} has more than three ':'-separated parts")
-    family = parts[0]
-    if family == "independence":
-        if len(parts) > 1:
-            raise ValueError("independence takes no parameter")
-        return cp.CopulaModel("independence")
-    if len(parts) < 2:
-        raise ValueError(f"copula spec {spec!r} needs a parameter, e.g. 'clayton:2.0'")
     try:
-        return cp.CopulaModel(family, float(parts[1]), int(parts[2]) if len(parts) > 2 else 0)
+        theta = float(parts[1]) if len(parts) > 1 else None
+        return cp.CopulaModel(parts[0], theta, int(parts[2]) if len(parts) > 2 else 0)
     except ValueError as exc:
         raise ValueError(f"--copula {spec!r}: {exc}") from None
 
@@ -68,7 +62,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test(args) -> int:
-    method = _METHOD_ALIASES[args.method.lower()]
+    method = _METHOD_ALIASES[args.method]
     if method == "storey" and args.copula != "auto":
         raise ValueError("--copula applies only to the hard and soft methods, not storey")
     if method != "hard" and args.gamma1_grid is not None:
@@ -132,16 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("output", help="summary TSV: gene_id, beta_hat, sd_boot")
     p_boot.set_defaults(func=cmd_bootstrap)
 
-    p_fit = sub.add_parser("fit", help="fit candidate copulas and report criteria")
-    p_fit.add_argument("input", help="TSV with id, beta_hat and y/sd_boot columns")
-    p_fit.add_argument("--null-mixture", default=None,
-                       help="JSON file with the null mixture (weights/means/sds)")
-    p_fit.add_argument("--tail", default="two_sided", choices=mg.TAILS)
-    p_fit.add_argument("--out-dir", default=".")
+    table_args = argparse.ArgumentParser(add_help=False)  # what fit and test both read
+    table_args.add_argument("input", help="TSV with id, beta_hat and y/sd_boot columns")
+    table_args.add_argument("--null-mixture", default=None,
+                            help="JSON file with the null mixture (weights/means/sds)")
+    table_args.add_argument("--tail", default="two_sided", choices=mg.TAILS)
+    table_args.add_argument("--out-dir", default=".")
+
+    p_fit = sub.add_parser("fit", parents=[table_args],
+                           help="fit candidate copulas and report criteria")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_test = sub.add_parser("test", help="run an FDR-controlling procedure")
-    p_test.add_argument("input", help="TSV with id, beta_hat and y/sd_boot columns")
+    p_test = sub.add_parser("test", parents=[table_args],
+                            help="run an FDR-controlling procedure")
     p_test.add_argument("--method", required=True, type=str.lower,
                         choices=sorted(_METHOD_ALIASES),
                         help="H (hard), S (soft) or storey")
@@ -152,9 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--gamma1-grid", default=None,
                         help="comma-separated, strictly increasing screen levels in (0, 1) "
                              "for the hard method")
-    p_test.add_argument("--null-mixture", default=None)
-    p_test.add_argument("--tail", default="two_sided", choices=mg.TAILS)
-    p_test.add_argument("--out-dir", default=".")
     p_test.add_argument("--seed", type=int, default=sim.DEFAULT_SEED)
     p_test.set_defaults(func=cmd_test)
 

@@ -57,7 +57,8 @@ ROTATABLE = ("clayton", "gumbel", "joe")
 EPS = 1e-10  # boundary clamp for interior-only evaluations
 
 
-def _check_family(family: str, rotation) -> None:
+def _check_family(family: str, rotation=0) -> _Family:
+    """The family's _BASE row, once the family is known and takes the rotation."""
     if family not in FAMILIES:
         raise ValueError(f"unknown copula family {family!r}")
     if (isinstance(rotation, bool) or not isinstance(rotation, numbers.Integral)
@@ -65,6 +66,7 @@ def _check_family(family: str, rotation) -> None:
         raise ValueError(f"rotation must be one of {ROTATIONS}, got {rotation!r}")
     if family not in ROTATABLE and rotation != 0:
         raise ValueError(f"{family} copula does not take a rotation")
+    return _BASE[family]
 
 
 def _check_theta(family: str, theta) -> None:
@@ -666,10 +668,9 @@ def log_density_of(family: str, rotation: int, u, v):
     and the family's theta-free transforms of the pairs run once, here, so a
     likelihood search over theta runs only the theta-dependent part per step.
     """
-    _check_family(family, rotation)
+    fam = _check_family(family, rotation)
     _, ui, _ = _as_unit("u", u)
     _, vi, _ = _as_unit("v", v)
-    fam = _BASE[family]
     prepared = fam.prepare(*_rotated_args(rotation, ui, vi))
 
     def at(theta):
@@ -723,12 +724,6 @@ def hfunc_inverse(model: CopulaModel, x, given_u):
 # ---------------------------------------------------------------------------
 
 
-def _row(family: str) -> _Family:
-    if family not in _BASE:
-        raise ValueError(f"unknown copula family {family!r}")
-    return _BASE[family]
-
-
 def kendall_tau(model: CopulaModel) -> float:
     """Population Kendall tau of the model, rotation sign included."""
     tau = _BASE[model.family].tau(model.theta)
@@ -754,7 +749,7 @@ def orientation(family: str, tau: float) -> tuple[int, tuple[float, float] | Non
     Gaussian and independence (whose bracket is None) keep rotation 0 and
     their bracket.  A tau of 0 or -0.0 counts as positive; a NaN tau raises.
     """
-    bracket = _row(family).bracket
+    bracket = _check_family(family).bracket
     if math.isnan(tau):
         raise ValueError("kendall tau must not be NaN")
     if not tau < 0.0:
@@ -772,7 +767,7 @@ def tau_to_theta(family: str, tau: float) -> CopulaModel:
     Frank and Joe invert their tau map by 60 fixed halvings of the
     family's theta bracket.
     """
-    row = _row(family)
+    row = _check_family(family)
     if not -1.0 < tau < 1.0:
         raise ValueError(f"kendall tau must be in (-1, 1), got {tau}")
 

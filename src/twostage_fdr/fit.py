@@ -65,13 +65,15 @@ class SelectionReport:
 
 
 def check_families(families, key: str) -> tuple:
-    """The family names as a tuple.  A str, a non-iterable, a non-str item or
-    a repeated name raises ValueError naming `key`; an unknown name raises
-    one naming it."""
+    """The family names as a tuple.  A str, a non-iterable, a non-str item,
+    no names or a repeated name raises ValueError naming `key`; an unknown
+    name raises one naming it."""
     listed = isinstance(families, Iterable) and not isinstance(families, str)
     names = tuple(families) if listed else ()
     if not listed or not all(isinstance(f, str) for f in names):
         raise ValueError(f"{key} must be a list of family names, got {families!r}")
+    if not names:
+        raise ValueError(f"{key} must name at least one family")
     for i, family in enumerate(names):
         if family not in FAMILIES:
             raise ValueError(f"unknown copula family {family!r}")
@@ -146,8 +148,6 @@ def empirical_kendall_tau(obs: PseudoObservations) -> float:
     constant column has C = D = 0 and gives 0.
     """
     n = obs.n
-    if n < 2:
-        raise ValueError("kendall tau needs at least 2 pairs")
     n0 = n * (n - 1) // 2
     bits = (n - 1).bit_length()
     # every packed sort key is below 2**(2 * bits)
@@ -214,8 +214,6 @@ def select_copula(obs: PseudoObservations,
     raises ValueError before any family is fitted.
     """
     families = check_families(families, "families")
-    if len(families) < 1:
-        raise ValueError("need at least one candidate family")
     tau = empirical_kendall_tau(obs)
     results = []
     for family in families:

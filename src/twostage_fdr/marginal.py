@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +151,8 @@ _MIXTURE_KEYS = ("weights", "means", "sds")
 
 def mixture_from_json(source) -> GaussianMixture:
     """Load a mixture from a JSON object, or from the file a str, bytes or
-    path-like source names, with weights/means/sds keys."""
+    path-like source names, with weights/means/sds keys, each a list of JSON
+    numbers within the double range."""
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             try:
@@ -169,11 +171,9 @@ def mixture_from_json(source) -> GaussianMixture:
         raise ValueError(f"mixture JSON is missing keys: {missing}")
     for key in _MIXTURE_KEYS:  # numpy would read true as 1.0 and "1.5" as 1.5
         items = payload[key]
-        if isinstance(items, list) and not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+        # an exact comparison: a float() of a huge int overflows
+        if not isinstance(items, list) or not all(
+                isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)
+                                         and abs(x) <= sys.float_info.max) for x in items):
             raise ValueError(f"mixture {key} must be a list of JSON numbers, got {items!r}")
-    try:
-        return GaussianMixture(*(payload[k] for k in _MIXTURE_KEYS))
-    except TypeError as exc:  # e.g. an object where a list of numbers belongs
-        raise ValueError("mixture weights, means and sds must be lists of numbers: "
-                         f"{exc}") from None
+    return GaussianMixture(*(payload[k] for k in _MIXTURE_KEYS))

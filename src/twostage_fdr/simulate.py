@@ -114,14 +114,17 @@ _SCHEMAS = {
 
 def _check_value(key: str, value, default) -> None:
     """Raise ValueError naming config key `key` unless `value` has the type
-    `default` sets (an int, a finite int or float, a family name or a list of
-    them; never a bool), or, for a mode key, is one of the mode's values."""
+    `default` sets (an int, non-negative for the seed, a finite int or float,
+    a family name or a list of them; never a bool), or, for a mode key, is
+    one of the mode's values."""
     if key == "analysis_mode" and value != "tau":
         raise ValueError(f"analysis_mode must be 'tau', got {value!r}")
     if key == "fit_mode":
         ok, kind = value in _FIT_MODES, " or ".join(map(repr, _FIT_MODES))
     elif isinstance(default, int):
         ok, kind = isinstance(value, int), "an integer"
+        if ok and key == "seed" and value < 0:  # numpy takes no negative seed
+            ok, kind = False, "a non-negative integer"
     elif isinstance(default, float):
         # an exact comparison: math.isfinite overflows on a huge int
         ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
@@ -137,26 +140,13 @@ def _check_value(key: str, value, default) -> None:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Per-replicate rejection counts and the aggregated FDR/TPR."""
+    """Per-replicate rejection counts and the aggregated FDR/TPR.  _mc_result
+    builds it from _counts, whose R is V + S of two disjoint masks."""
 
     v: np.ndarray   # false rejections
     r: np.ndarray   # rejections
     s: np.ndarray   # true rejections
     m1: np.ndarray  # true alternatives
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=int)
-        r = np.asarray(self.r, dtype=int)
-        s = np.asarray(self.s, dtype=int)
-        m1 = np.asarray(self.m1, dtype=int)
-        if not (v.shape == r.shape == s.shape == m1.shape):
-            raise ValueError("count arrays must share one shape")
-        if np.any(v < 0) or np.any(v > r) or np.any(s < 0) or np.any(s > m1):
-            raise ValueError("need 0 <= V <= R and 0 <= S <= M1")
-        if np.any(v + s != r):
-            raise ValueError("rejections must split into false and true: R = V + S")
-        for name, arr in (("v", v), ("r", r), ("s", s), ("m1", m1)):
-            object.__setattr__(self, name, arr)
 
     @property
     def fdr_ratios(self) -> np.ndarray:
@@ -304,8 +294,6 @@ def run_misspecification(cfg: SimulationConfig, analysis_families=ft.DEFAULT_CAN
     if mode not in _FIT_MODES:
         raise ValueError(f"mode must be {' or '.join(map(repr, _FIT_MODES))}, got {mode!r}")
     families = ft.check_families(analysis_families, "analysis_families")
-    if not families:
-        raise ValueError("need at least one analysis family")
     per_rep = _map_replicates(_replicate, [(cfg, k, families, mode) for k in range(cfg.k_reps)],
                               threads)
     out = {"storey": _mc_result([rep["storey"] for rep in per_rep])}
@@ -426,7 +414,9 @@ def run_config(payload: dict, out_dir, seed=None, threads: int = 1) -> Path:
     conf = {**_SCHEMAS[mode], **payload}
     for key, default in _SCHEMAS[mode].items():
         _check_value(key, conf[key], default)
-    conf["seed"] = conf["seed"] if seed is None else seed
+    if seed is not None:
+        _check_value("seed", seed, DEFAULT_SEED)
+        conf["seed"] = seed
     out_dir = Path(out_dir)
     table_path = out_dir / "simtable.tsv"
     if mode == "selection":

@@ -61,6 +61,20 @@ class TestParseCopulaSpec:
         with pytest.raises(ValueError):
             parse_copula_spec("independence:2.0")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("clayton", "clayton copula requires a finite parameter, got None"),
+        ("independence:2.0", "independence copula has no parameter"),
+        ("clayton:nan", "clayton copula requires a finite parameter, got nan"),
+        ("frank:2:90", "frank copula does not take a rotation"),
+        ("clayton:2:45", "rotation must be one of (0, 90, 180, 270), got 45"),
+        ("foo:1", "unknown copula family 'foo'"),
+    ])
+    def test_model_rule_is_the_copula_models(self, spec, message):
+        # the spec is split and its numbers parsed; CopulaModel says what is wrong
+        with pytest.raises(ValueError) as exc:
+            parse_copula_spec(spec)
+        assert str(exc.value) == f"--copula {spec!r}: {message}"
+
     def test_extra_parts_rejected(self):
         with pytest.raises(ValueError, match="^copula spec 'clayton:1.2:90:junk' has more "
                                              "than three ':'-separated parts$"):
@@ -210,6 +224,22 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+
+    @pytest.mark.parametrize("key, value", [("weights", '"abc"'),
+                                            ("means", "[1" + "0" * 400 + "]")],
+                             ids=["string", "int-past-double"])
+    def test_null_mixture_value_names_its_key(self, tmp_path, capsys, key, value):
+        table = tmp_path / "table.tsv"
+        write_test_table(table, m=50, seed=7)
+        fields = {"weights": "[1.0]", "means": "[0.0]", "sds": "[1.0]", key: value}
+        null = tmp_path / "null.json"
+        null.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        out = tmp_path / "out"
+        assert main(["test", str(table), "--method", "storey", "--null-mixture", str(null),
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: mixture {key} must be a list of JSON numbers, got {json.loads(value)!r}\n")
+        assert not out.exists()
 
     def test_truncated_null_mixture_names_its_file(self, tmp_path, capsys):
         table = tmp_path / "table.tsv"
@@ -439,6 +469,7 @@ MISTYPED_VALUES = [
     ({"mode": "misspecification", "lambda": None}, "'lambda'"),
     ({"mode": "selection", "reps": "2"}, "'reps'"),
     ({"mode": "cell", "seed": True}, "'seed'"),
+    ({"mode": "cell", "seed": -1}, "'seed'"),
     ({"mode": "misspecification", "analysis_families": 5}, "'analysis_families'"),
     ({"mode": "misspecification", "analysis_families": "gumbel"}, "'analysis_families'"),
     ({"mode": "selection", "candidates": 3}, "'candidates'"),
@@ -459,6 +490,10 @@ BAD_SELECTION_STUDIES = [
     ({"mode": "selection", "n": 300, "reps": -2}, "error: reps must be positive, got -2"),
     ({"mode": "selection", "n": 5, "reps": 1}, "error: n must be at least 10, got 5"),
     ({"mode": "selection", "n": 1, "reps": 1}, "error: n must be at least 10, got 1"),
+    ({"mode": "selection", "n": 300, "reps": 1, "candidates": []},
+     "error: candidates must name at least one family"),
+    ({"mode": "selection", "n": 300, "reps": 1, "seed": -1},
+     "error: config key 'seed' must be a non-negative integer, got -1"),
 ]
 
 BAD_FIT_MODES = [5, "sometimes", None, "Fixed"]
@@ -469,6 +504,11 @@ REPEATED_FAMILIES = [
     ({"mode": "misspecification", "m": 300, "k_reps": 1,
       "analysis_families": ["frank", "frank"]},
      "error: analysis_families lists family 'frank' twice"),
+]
+
+EMPTY_FAMILY_LISTS = [
+    ({"mode": "misspecification", "m": 300, "k_reps": 1, "analysis_families": []},
+     "error: analysis_families must name at least one family"),
 ]
 
 
@@ -584,6 +624,25 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.strip() == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload, message", EMPTY_FAMILY_LISTS)
+    def test_empty_family_list_rejected(self, tmp_path, capsys, payload, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["cell", "misspecification", "selection"])
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, mode):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"mode": mode}))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--seed", "-1", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'seed' must be a non-negative integer, got -1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["cell", "misspecification"])
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_threads_must_be_positive(self, tmp_path, capsys, mode, threads):
@@ -643,7 +702,8 @@ class TestSimulateCommand:
 REJECTED_RUNS = (
     [(payload, 1) for payload in REJECTED_CONFIGS]
     + [(payload, 1) for payload, *_ in MISTYPED_VALUES + NON_STRING_FAMILIES]
-    + [(payload, 1) for payload, _ in BAD_SELECTION_STUDIES + REPEATED_FAMILIES]
+    + [(payload, 1) for payload, _ in
+       BAD_SELECTION_STUDIES + REPEATED_FAMILIES + EMPTY_FAMILY_LISTS]
     + [({"mode": "cell", "m": 100, "bogus": 1}, 1),
        ({"mode": "cell", "m": 100, "k_reps": 1, "analysis_family": "frank"}, 1)]
     + [({"mode": "cell", "m": 100, "k_reps": 1, "analysis_mode": mode}, 1)
@@ -716,6 +776,15 @@ class TestParserBasics:
                 main([cmd, "--help"])
             assert exc.value.code == 0
             assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd", ["fit", "test"])
+    def test_fit_and_test_describe_their_shared_arguments_alike(self, capsys, cmd):
+        with pytest.raises(SystemExit):
+            main([cmd, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("--null-mixture NULL_MIXTURE JSON file with the null mixture "
+                "(weights/means/sds)") in text
+        assert "input TSV with id, beta_hat and y/sd_boot columns" in text
 
     def test_invalid_flag_exits_nonzero(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -279,6 +279,13 @@ class TestSelectCopula:
             ft.select_copula(obs, families=("clayton", "clayton", "frank"))
         assert fitted == []
 
+    @pytest.mark.parametrize("families", [[], ()], ids=repr)
+    def test_empty_family_list_rejected_before_any_fit(self, monkeypatch, families):
+        obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 200, 5)
+        monkeypatch.setattr(ft, "empirical_kendall_tau", lambda o: pytest.fail("tau computed"))
+        with pytest.raises(ValueError, match="^families must name at least one family$"):
+            ft.select_copula(obs, families=families)
+
     @pytest.mark.parametrize("families", [5, None, 3.5], ids=repr)
     def test_family_list_that_is_not_a_list_rejected(self, families):
         obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 200, 5)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,12 +282,31 @@ class TestMixtureJson:
             mg.mixture_from_json(str(path))
 
     def test_scalar_values_rejected(self):
-        with pytest.raises(ValueError, match="1-d"):
+        with pytest.raises(ValueError, match=r"^mixture weights must be a list of JSON numbers, "
+                                             r"got 1\.0$"):
             mg.mixture_from_json({"weights": 1.0, "means": 0.0, "sds": 1.0})
 
     def test_object_values_rejected(self):
-        with pytest.raises(ValueError, match="lists of numbers"):
+        with pytest.raises(ValueError, match="^mixture weights must be a list of JSON numbers, "
+                                             "got {}$"):
             mg.mixture_from_json({"weights": {}, "means": [0.0], "sds": [1.0]})
+
+    @pytest.mark.parametrize("key", ["weights", "means", "sds"])
+    @pytest.mark.parametrize("value", ['"abc"', "{}", "2.0", "[1" + "0" * 400 + "]"],
+                             ids=["string", "object", "scalar", "int-past-double"])
+    def test_value_that_is_not_a_list_of_doubles_names_its_key(self, tmp_path, key, value):
+        fields = {"weights": "[1.0]", "means": "[0.0]", "sds": "[1.0]"}
+        fields[key] = value
+        path = tmp_path / "null.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        message = f"mixture {key} must be a list of JSON numbers, got {json.loads(value)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mg.mixture_from_json(str(path))
+
+    def test_largest_double_as_an_int_is_taken(self):
+        biggest = int(sys.float_info.max)
+        m = mg.mixture_from_json({"weights": [1], "means": [biggest], "sds": [1]})
+        assert m.means == (sys.float_info.max,)
 
     @pytest.mark.parametrize("key, items", [("weights", "[true]"), ("means", "[false]"),
                                             ("sds", '["1.5"]'), ("sds", "[null]"),

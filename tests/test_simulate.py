@@ -78,6 +78,25 @@ class TestConfig:
             sim.SimulationConfig(**{field: value})
         assert str(exc.value) == f"config key {message}"
 
+    @pytest.mark.parametrize("seed", [-1, -3])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError) as exc:
+            sim.SimulationConfig(seed=seed)
+        assert str(exc.value) == f"config key 'seed' must be a non-negative integer, got {seed}"
+
+    @pytest.mark.parametrize("mode", ["cell", "misspecification", "selection"])
+    @pytest.mark.parametrize("seed, kind", [(-1, "a non-negative integer"),
+                                            (2.5, "an integer"), (True, "an integer")])
+    def test_seed_override_checked_by_the_config_rule(self, tmp_path, mode, seed, kind):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError) as exc:
+            sim.run_config({"mode": mode}, out, seed=seed)
+        assert str(exc.value) == f"config key 'seed' must be {kind}, got {seed!r}"
+        assert not out.exists()
+
+    def test_seed_zero_taken(self):
+        assert sim.SimulationConfig(seed=0).seed == 0
+
     def test_tau_zero_gives_independence(self):
         cfg = small_cfg(tau=0.0)
         assert sim.analysis_model(cfg.dep_family, cfg.tau).family == "independence"
@@ -351,11 +370,28 @@ class TestMisspecification:
         (["frank", 1], r"^analysis_families must be a list of family names, got \['frank', 1\]$"),
         # nor is a value that is not iterable
         (5, "^analysis_families must be a list of family names, got 5$"),
+        ([], "^analysis_families must name at least one family$"),
+        ((), "^analysis_families must name at least one family$"),
     ])
     def test_bad_family_list_rejected(self, families, message):
         with pytest.raises(ValueError, match=message):
             sim.run_misspecification(small_cfg(k_reps=1, tau=0.0), analysis_families=families,
                                      mode="fixed")
+
+    @pytest.mark.parametrize("mode", ["fixed", "refit"])
+    def test_counts_split_rejections_into_false_and_true(self, mode):
+        # R = V + S, 0 <= V <= R and 0 <= S <= M1 for every method and family
+        cfg = small_cfg(m=1000, k_reps=2)
+        res = sim.run_misspecification(cfg, mode=mode)
+        results = [res["storey"]] + [res[f][m] for f in ft.DEFAULT_CANDIDATES
+                                     for m in ("hard", "soft")]
+        for r in results:
+            for count in (r.v, r.r, r.s, r.m1):
+                assert count.dtype.kind == "i" and count.shape == (cfg.k_reps,)
+            assert np.all(r.v + r.s == r.r)
+            assert np.all((0 <= r.v) & (r.v <= r.r))
+            assert np.all((0 <= r.s) & (r.s <= r.m1))
+        assert any(np.any(r.r > 0) for r in results)  # not vacuous
 
     def test_refit_builds_the_generating_model_and_its_null_loglik_once(self, monkeypatch):
         calls = {"tau_to_theta": 0, "log_density": 0}
@@ -496,6 +532,7 @@ class TestSelectionStudy:
         ({"n": True}, "'n' must be an integer, got True"),
         ({"reps": 2.0}, "'reps' must be an integer, got 2.0"),
         ({"seed": "5"}, "'seed' must be an integer, got '5'"),
+        ({"seed": -1}, "'seed' must be a non-negative integer, got -1"),
     ])
     def test_wrong_type_rejected_before_sampling(self, monkeypatch, kwargs, message):
         def no_sampling(*args, **kw):
@@ -514,6 +551,16 @@ class TestSelectionStudy:
             ft.fit_mle("clayton", 90, obs)
         study = sim.run_copula_selection_study(true_model, n=ft.MIN_FIT_PAIRS, reps=1, seed=5)
         assert sum(study.counts[f]["bic"] for f in study.families) == 1
+
+    @pytest.mark.parametrize("candidates", [[], ()], ids=repr)
+    def test_empty_candidates_rejected_before_sampling(self, monkeypatch, candidates):
+        def no_sampling(*args, **kw):
+            raise AssertionError("sampled before checking the candidates")
+
+        monkeypatch.setattr(cp, "sample", no_sampling)
+        true_model = cp.tau_to_theta("clayton", -0.4)
+        with pytest.raises(ValueError, match="^candidates must name at least one family$"):
+            sim.run_copula_selection_study(true_model, n=300, reps=1, candidates=candidates)
 
     def test_repeated_candidate_rejected(self):
         true_model = cp.tau_to_theta("clayton", -0.4)
