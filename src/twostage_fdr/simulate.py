@@ -15,10 +15,11 @@ down to v = 1e-12; the table's p2 forms a positive beta's tail as
 follows the dependence copula under the null, and alternatives keep the
 two-point mixture marginal and the orientation of the dependence.
 
-Each analysis family's copula is re-estimated per replicate by Kendall-tau
-inversion on the p-value pairs (``run_misspecification`` mode "refit") or
-taken at the true tau with nothing fitted (mode "fixed").  A cell
-(``run_cell``) is the refit analysis with the generating family alone.
+Each listed analysis family is taken at one Kendall tau per replicate: the
+tau of the replicate's p-value pairs (``run_misspecification`` mode
+"refit") or the true tau with nothing fitted (mode "fixed").  Either way
+the truth labels are read only to count rejections.  A cell (``run_cell``)
+is the refit analysis with the generating family alone.
 """
 
 from __future__ import annotations
@@ -241,41 +242,24 @@ def _mc_result(rows: list) -> MonteCarloResult:
 
 def _replicate(args) -> dict:
     """Storey's (V, R, S, M1), and the hard and soft ones under each
-    analysis family, for one replicate."""
+    analysis family at one tau: the true tau (mode "fixed") or the
+    replicate's Kendall tau of (p1, p2) (mode "refit")."""
     cfg, k, families, mode = args
     table, is_alt = generate_dataset(cfg, k)
-    if mode == "refit":
-        obs = cp.PseudoObservations(table.p1, table.p2)
-        tau_hat = ft.empirical_kendall_tau(obs)
-        true_model = analysis_model(cfg.dep_family, tau_hat)
-        true_loglik = None  # the null pairs are gathered and scored when the first foil needs them
-
+    if mode == "fixed":
+        tau = cfg.tau
+    else:
+        tau = ft.empirical_kendall_tau(cp.PseudoObservations(table.p1, table.p2))
     out = {"storey": _counts(proc.run_one_stage_storey(table, cfg.alpha, cfg.lambda_),
                              is_alt)}
-    cache = {}
     for family in families:
-        if mode == "fixed":
-            model = analysis_model(family, cfg.tau)
-        elif family == cfg.dep_family:
-            model = true_model
-        else:
-            # A foil competes with the generating family by null-pair
-            # log-likelihood at tau-matched parameters and keeps a tie,
-            # so a misspecified foil falls back to the generating family.
-            model = analysis_model(family, tau_hat)
-            if true_loglik is None:
-                null_u, null_v = obs.u[~is_alt], obs.v[~is_alt]
-                true_loglik = np.sum(cp.log_density(true_model, null_u, null_v))
-            if np.sum(cp.log_density(model, null_u, null_v)) < true_loglik:
-                model = true_model
-        if model not in cache:
-            cache[model] = {
-                "hard": _counts(proc.run_two_stage_hard(table, model, cfg.alpha,
-                                                        cfg.lambda_), is_alt),
-                "soft": _counts(proc.run_two_stage_soft(table, model, cfg.alpha,
-                                                        cfg.lambda_), is_alt),
-            }
-        out[family] = cache[model]
+        model = analysis_model(family, tau)
+        out[family] = {
+            "hard": _counts(proc.run_two_stage_hard(table, model, cfg.alpha, cfg.lambda_),
+                            is_alt),
+            "soft": _counts(proc.run_two_stage_soft(table, model, cfg.alpha, cfg.lambda_),
+                            is_alt),
+        }
     return out
 
 
@@ -283,11 +267,10 @@ def run_misspecification(cfg: SimulationConfig, analysis_families=ft.DEFAULT_CAN
                          mode: str = "refit", threads: int = 1) -> dict:
     """FDR/TPR when the analysis copula family is misspecified.
 
-    mode="fixed": each listed family is used as-is with its parameter
-    matched to the true tau, and nothing is fitted.  mode="refit": per
-    replicate the copula is re-estimated and the listed family competes
-    against the generating family on the null pairs, mirroring
-    data-driven copula selection.
+    Each listed family is analysed with its parameter matched to one tau:
+    the true tau (mode="fixed", nothing fitted) or, per replicate, the
+    empirical Kendall tau of the (p1, p2) pairs (mode="refit"), so a
+    wrong family is analysed as a wrong family.
 
     Returns {"storey": MonteCarloResult, family: {"hard"/"soft": ...}}.
     """
@@ -319,10 +302,10 @@ class SelectionStudyResult:
     stats: dict      # family -> {criterion: (mean, sd)} over its converged fits
 
 
-def run_copula_selection_study(true_model: cp.CopulaModel, n: int, reps: int,
+def run_copula_selection_study(model: cp.CopulaModel, n: int, reps: int,
                                seed: int = DEFAULT_SEED,
                                candidates=ft.DEFAULT_CANDIDATES) -> SelectionStudyResult:
-    """Sample n pairs from the true copula `reps` times and tally which
+    """Sample n pairs from the true copula `model` `reps` times and tally which
     family each criterion selects."""
     for key, value in (("n", n), ("reps", reps), ("seed", seed)):
         _check_value(key, value, _SCHEMAS["selection"][key])
@@ -334,7 +317,7 @@ def run_copula_selection_study(true_model: cp.CopulaModel, n: int, reps: int,
     counts = {f: {c: 0 for c in ft.CRITERIA} for f in candidates}
     values = {f: {c: [] for c in ft.CRITERIA} for f in candidates}
     for rep in range(reps):
-        obs = cp.sample(true_model, n, [seed, rep])
+        obs = cp.sample(model, n, [seed, rep])
         report = ft.select_copula(obs, families=candidates)
         for criterion in ft.CRITERIA:
             counts[report.winner(criterion).model.family][criterion] += 1

@@ -281,6 +281,8 @@ class TestTestCommand:
          "--gamma1-grid applies only to the hard method, not storey"),
         (["--method", "storey", "--copula", "nonsense:abc"],
          "--copula applies only to the hard and soft methods, not storey"),
+        # simulate's seed rule: the header never records a seed numpy would refuse
+        (["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     ])
     def test_bad_flag_is_named_and_leaves_no_out_dir(self, tmp_path, capsys, null_json,
                                                       flags, message):

@@ -393,7 +393,7 @@ class TestMisspecification:
             assert np.all((0 <= r.s) & (r.s <= r.m1))
         assert any(np.any(r.r > 0) for r in results)  # not vacuous
 
-    def test_refit_builds_the_generating_model_and_its_null_loglik_once(self, monkeypatch):
+    def test_each_mode_builds_one_model_per_family_and_scores_no_density(self, monkeypatch):
         calls = {"tau_to_theta": 0, "log_density": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(cp, name), **kwargs):
@@ -401,10 +401,13 @@ class TestMisspecification:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(cp, name, counted)
         cfg = small_cfg(m=400, k_reps=1, dep_family="frank")
-        # data and generating model, the four foils, and one null
-        # log-likelihood for the generating family and each foil
-        sim.run_misspecification(cfg, mode="refit")
-        assert calls == {"tau_to_theta": 6, "log_density": 5}
+        # the data's model, then one model per listed family at the one tau of
+        # the mode; no family is scored against the truth
+        for mode in ("fixed", "refit"):
+            calls.update(tau_to_theta=0, log_density=0)
+            sim.run_misspecification(cfg, mode=mode)
+            assert calls == {"tau_to_theta": 1 + len(ft.DEFAULT_CANDIDATES),
+                             "log_density": 0}, mode
         calls.update(tau_to_theta=0, log_density=0)
         sim.run_cell(cfg)
         assert calls == {"tau_to_theta": 2, "log_density": 0}
@@ -412,9 +415,9 @@ class TestMisspecification:
 
 # Reference replicates, written out without the shared replicate path: a
 # cell analysed with the generating family at the replicate's Kendall tau,
-# and a misspecification replicate that computes tau and null pairs in both
-# modes and scores every refit candidate.  run_cell and run_misspecification
-# must match them count for count.
+# and a misspecification replicate that computes tau in both modes and
+# analyses every family at the true tau (fixed) or at that tau (refit).
+# run_cell and run_misspecification must match them count for count.
 
 def oracle_tau_model(family, tau_hat):
     if abs(tau_hat) < 1e-6 or family == "independence":
@@ -449,21 +452,11 @@ def oracle_misspec_replicate(cfg, k, families, mode):
     table, is_alt = sim.generate_dataset(cfg, k)
     obs = cp.PseudoObservations(table.p1, table.p2)
     tau_hat = ft.empirical_kendall_tau(obs)
-    null_u = obs.u[~is_alt]
-    null_v = obs.v[~is_alt]
 
     out = {"storey": oracle_counts(proc.run_one_stage_storey(table, cfg.alpha, cfg.lambda_),
                                    is_alt)}
     for family in families:
-        if mode == "fixed":
-            model = oracle_tau_model(family, cfg.tau)
-        else:
-            scored = []
-            for cand in dict.fromkeys((family, cfg.dep_family)):
-                mdl = oracle_tau_model(cand, tau_hat)
-                ll = float(np.sum(cp.log_density(mdl, null_u, null_v)))
-                scored.append((ll, cand, mdl))
-            model = max(scored, key=lambda t: t[0])[2]
+        model = oracle_tau_model(family, cfg.tau if mode == "fixed" else tau_hat)
         out[family] = {
             "hard": oracle_counts(proc.run_two_stage_hard(table, model, cfg.alpha,
                                                           cfg.lambda_), is_alt),
