@@ -745,8 +745,8 @@ SIMULATE_CASES = {
                       "5408cb6f981b440292857461fa331f457201a699d198bc106dadf53e4dca82e8"),
     "misspec_refit": ({"mode": "misspecification", "m": 400, "k_reps": 2, "seed": 4,
                        "analysis_families": ["frank", "joe"], "fit_mode": "refit"},
-                      "7b5a3823e4d7e15825f88f7cf426d161439cc76e1fe9950578a14bc5bd8b9601",
-                      "787355fdd0fcadbd888de5636a877b0f800b9cde20c4803d3eab093fdb9256c7"),
+                      "1097514361db4b75535f941e1900900a717d596792523a723371e27552bed11a",
+                      "5408cb6f981b440292857461fa331f457201a699d198bc106dadf53e4dca82e8"),
     "selection": ({"mode": "selection", "n": 300, "true_family": "clayton", "tau": -0.4,
                    "reps": 2, "seed": 3},
                   "4e790bb8810742e5f22b7f628c82102ea446294a7370da3e1cb261d368e2e172", None),
