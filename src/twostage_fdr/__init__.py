@@ -34,7 +34,6 @@ from .procedure import (
     ProcedureOutcome,
     aggregate_hard,
     aggregate_soft,
-    estimate_fdr,
     estimate_pi0,
     run_one_stage_storey,
     run_two_stage_hard,

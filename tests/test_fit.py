@@ -17,6 +17,11 @@ def _obs(u, v):
     return cp.PseudoObservations(np.asarray(u, float), np.asarray(v, float))
 
 
+def fit_at_sample_tau(family, obs):
+    """fit_mle at the pairs' own Kendall tau, as select_copula fits."""
+    return ft.fit_mle(family, obs, ft.empirical_kendall_tau(obs))
+
+
 def _merge_count(values: np.ndarray) -> int:
     """Number of inversions (pairs i < j with values[i] > values[j])."""
     n = values.size
@@ -176,26 +181,27 @@ class TestKendallTau:
 class TestFitMle:
     def test_independence_data_gaussian_fit(self):
         obs = cp.sample(cp.CopulaModel("independence"), 10_000, 21)
-        res = ft.fit_mle("gaussian", 0, obs)
+        res = fit_at_sample_tau("gaussian", obs)
         assert abs(res.model.theta) < 0.02
         assert res.converged
 
     def test_clayton_rotated_consistency(self):
         true = cp.tau_to_theta("clayton", -0.4)  # theta = 4/3, rotation 90
         obs = cp.sample(true, 8000, 6)
-        res = ft.fit_mle("clayton", 90, obs)
+        res = fit_at_sample_tau("clayton", obs)
+        assert res.model.rotation == 90
         assert res.model.theta == pytest.approx(true.theta, rel=0.10)
 
     def test_information_criteria_identities(self):
         obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 8000, 6)
-        res = ft.fit_mle("clayton", 90, obs)
+        res = fit_at_sample_tau("clayton", obs)
         assert res.aic == -2.0 * res.loglik + 2.0
         assert res.bic == -2.0 * res.loglik + math.log(8000)
         assert res.bic - res.aic == pytest.approx(6.987, abs=5e-4)
 
     def test_local_maximum(self):
         obs = cp.sample(cp.tau_to_theta("gumbel", -0.4), 4000, 3)
-        res = ft.fit_mle("gumbel", 90, obs)
+        res = fit_at_sample_tau("gumbel", obs)
         u = np.clip(obs.u, 1e-10, 1 - 1e-10)
         v = np.clip(obs.v, 1e-10, 1 - 1e-10)
 
@@ -207,25 +213,25 @@ class TestFitMle:
 
     def test_too_few_points(self):
         with pytest.raises(ft.FitError):
-            ft.fit_mle("clayton", 0, _obs([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]))
+            ft.fit_mle("clayton", _obs([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]), 1.0)
 
     def test_unknown_family_raises_value_error(self):
         obs = cp.sample(cp.tau_to_theta("clayton", 0.4), 50, 3)
         with pytest.raises(ValueError, match="^unknown copula family 'foo'$"):
-            ft.fit_mle("foo", 0, obs)
+            ft.fit_mle("foo", obs, 0.4)
 
     def test_frank_negative_branch(self):
         true = cp.tau_to_theta("frank", -0.4)
         obs = cp.sample(true, 8000, 11)
-        res = ft.fit_mle("frank", 0, obs)
+        res = fit_at_sample_tau("frank", obs)
         assert res.model.theta == pytest.approx(true.theta, rel=0.10)
         assert res.model.theta < 0
 
-    def test_nan_tau_hint_raises(self):
+    def test_nan_tau_raises(self):
         obs = cp.sample(cp.tau_to_theta("frank", -0.4), 200, 11)
-        for family in ("frank", "clayton"):
+        for family in cp.FAMILIES:
             with pytest.raises(ValueError, match="^kendall tau must not be NaN$"):
-                ft.fit_mle(family, 0, obs, tau_hint=math.nan)
+                ft.fit_mle(family, obs, math.nan)
 
 
 class TestSelectCopula:
@@ -297,15 +303,18 @@ class TestSelectCopula:
         obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 1000, 5)
         real_fit = ft.fit_mle
 
-        def flaky_fit(family, rotation, o, tau_hint=None):
+        def flaky_fit(family, o, tau):
             if family == "gumbel":
                 raise ft.FitError("forced failure")
-            return real_fit(family, rotation, o, tau_hint=tau_hint)
+            return real_fit(family, o, tau)
 
         monkeypatch.setattr(ft, "fit_mle", flaky_fit)
         report = ft.select_copula(obs)
         by_family = {r.model.family: r for r in report.candidates}
         assert not by_family["gumbel"].converged
+        # the placeholder sits at orientation's rotation and the low end of its bracket
+        rotation, bracket = cp.orientation("gumbel", ft.empirical_kendall_tau(obs))
+        assert by_family["gumbel"].model == cp.CopulaModel("gumbel", bracket[0], rotation)
         assert by_family["clayton"].converged
         for criterion in ft.CRITERIA:
             assert report.winner(criterion).model.family != "gumbel"
@@ -319,8 +328,9 @@ class TestSelectCopula:
         for family in ft.DEFAULT_CANDIDATES:
             true = cp.tau_to_theta(family, -0.4)
             obs = cp.sample(true, 2000, 17)
-            res = ft.fit_mle(family, true.rotation, obs)
+            res = fit_at_sample_tau(family, obs)
             assert res.converged
+            assert res.model.rotation == true.rotation
             u = np.clip(obs.u, 1e-10, 1 - 1e-10)
             v = np.clip(obs.v, 1e-10, 1 - 1e-10)
             for delta in (-0.01, 0.01):
@@ -366,17 +376,29 @@ def test_select_copula_matches_seed_fit(true_family, tau):
         assert res.bic == -2.0 * loglik + math.log(obs.n)
 
 
-@pytest.mark.parametrize("family", ["clayton", "gumbel", "joe"])
-@pytest.mark.parametrize("rotation", cp.ROTATIONS)
-def test_fit_mle_matches_seed_fit_every_rotation(family, rotation):
+@pytest.mark.parametrize("true_family", ft.DEFAULT_CANDIDATES)
+@pytest.mark.parametrize("tau", [-0.4, 0.3])
+def test_each_candidate_is_fit_mle_at_the_sample_tau(true_family, tau):
+    obs = cp.sample(cp.tau_to_theta(true_family, tau), 1200, 41)
+    sample_tau = ft.empirical_kendall_tau(obs)
+    report = ft.select_copula(obs, families=cp.FAMILIES)
+    for family, res in zip(cp.FAMILIES, report.candidates):
+        assert res == ft.fit_mle(family, obs, sample_tau), family
+        assert res.model.rotation == cp.orientation(family, sample_tau)[0], family
+
+
+@pytest.mark.parametrize("family", ft.DEFAULT_CANDIDATES)
+@pytest.mark.parametrize("tau", [-0.35, 0.35])
+def test_fit_mle_matches_seed_fit_both_orientations(family, tau):
     # pairs at the clamp too: some p-values reach 0 or 1 in real tables
-    theta = cp.tau_to_theta(family, 0.35).theta
-    obs = cp.sample(cp.CopulaModel(family, theta, rotation), 800, 31)
+    obs = cp.sample(cp.tau_to_theta(family, tau), 800, 31)
     u, v = obs.u.copy(), obs.v.copy()
     u[:3], v[3:6] = 1e-10, 1.0 - 1e-10
     obs = cp.PseudoObservations(u, v)
-    res = ft.fit_mle(family, rotation, obs, tau_hint=0.35)
-    assert (res.model.theta, res.loglik) == seed_fit_mle(family, rotation, obs, 0.35)
+    res = ft.fit_mle(family, obs, tau)
+    rotation = cp.orientation(family, tau)[0]
+    assert res.model.rotation == rotation
+    assert (res.model.theta, res.loglik) == seed_fit_mle(family, rotation, obs, tau)
 
 
 @pytest.mark.parametrize("model", [
@@ -384,7 +406,7 @@ def test_fit_mle_matches_seed_fit_every_rotation(family, rotation):
     cp.CopulaModel("frank", -4.0), cp.CopulaModel("frank", 4.0),
     *(cp.CopulaModel(family, theta, rotation)
       for family, theta in (("clayton", 1.5), ("gumbel", 1.6), ("joe", 1.8))
-      for rotation in cp.ROTATIONS)], ids=lambda m: m.describe())
+      for rotation in (0, 90))], ids=lambda m: m.describe())
 def test_fit_mle_past_the_clamp_matches_the_clamped_pairs(model):
     # raw pairs on the closed [0, 1], past [1e-10, 1 - 1e-10], fit as the pairs
     # clipped into it by hand
@@ -393,8 +415,8 @@ def test_fit_mle_past_the_clamp_matches_the_clamped_pairs(model):
     u[:5] = [0.0, 5e-324, 2.0 ** -60, 2.0 ** -54, 1e-12]
     v[5:10] = [1e-12, 5e-324, 1.0 - 1e-12, 1.0 - 2.0 ** -53, 1.0]
     tau = cp.kendall_tau(model)
-    got = ft.fit_mle(model.family, model.rotation, _obs(u, v), tau_hint=tau)
-    want = ft.fit_mle(model.family, model.rotation,
-                      _obs(np.clip(u, 1e-10, 1.0 - 1e-10), np.clip(v, 1e-10, 1.0 - 1e-10)),
-                      tau_hint=tau)
+    got = ft.fit_mle(model.family, _obs(u, v), tau)
+    want = ft.fit_mle(model.family,
+                      _obs(np.clip(u, 1e-10, 1.0 - 1e-10), np.clip(v, 1e-10, 1.0 - 1e-10)), tau)
+    assert got.model.rotation == model.rotation
     assert (got.model.theta, got.loglik) == (want.model.theta, want.loglik)

@@ -14,16 +14,13 @@ from hypothesis import strategies as st
 from twostage_fdr import ingest as ig
 
 
-def oracle_bootstrap_folds(ko, wt):
-    """Independent enumeration: plain double loop, stdlib arithmetic."""
-    r = len(ko)
-    folds = []
-    for ko_pick in itertools.product(range(r), repeat=r):
-        ko_mean = statistics.mean(ko[i] for i in ko_pick)
-        for wt_pick in itertools.product(range(r), repeat=r):
-            wt_mean = statistics.mean(wt[i] for i in wt_pick)
-            folds.append(math.log2(ko_mean / wt_mean))
-    return folds
+def enumerated_logfolds(ko, wt):
+    """All r^r x r^r bootstrap log-fold changes of one gene (KO resamples
+    outer), one with-replacement resample at a time: the reference that
+    summarize's closed-form SD is tested against."""
+    ko_means = [statistics.fmean(pick) for pick in itertools.product(ko, repeat=len(ko))]
+    wt_means = [statistics.fmean(pick) for pick in itertools.product(wt, repeat=len(wt))]
+    return [math.log2(a / b) for a in ko_means for b in wt_means]
 
 
 def oracle_logfold(ko, wt):
@@ -60,35 +57,16 @@ class TestLogfold:
 
 
 class TestBootstrap:
-    """summarize's SD and the bootstrap_logfolds enumeration, one gene at a time."""
+    """summarize's SD, one gene at a time."""
 
     def test_constant_replicates(self):
         assert summarize_one([5.0, 5.0, 5.0], [2.0, 2.0, 2.0])[1] == 0.0
-        assert ig.bootstrap_logfolds([5.0, 5.0, 5.0], [2.0, 2.0, 2.0]).size == 729
 
-    def test_count_is_729_for_triplicates(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            ko = rng.uniform(1.0, 10.0, 3)
-            wt = rng.uniform(1.0, 10.0, 3)
-            assert ig.bootstrap_logfolds(ko, wt).size == 729
-
-    def test_multiset_matches_oracle_simple(self):
-        got = ig.bootstrap_logfolds([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-        expected = oracle_bootstrap_folds([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-        np.testing.assert_allclose(np.sort(got), np.sort(expected), atol=1e-12)
+    def test_sd_matches_the_enumeration_simple(self):
+        folds = enumerated_logfolds([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        assert len(folds) == 729
         sd = summarize_one([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])[1]
-        assert sd == pytest.approx(statistics.stdev(expected), abs=1e-12)
-        assert got.size == 729
-
-    def test_multiset_matches_oracle_random_genes(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(10):
-            ko = rng.uniform(0.5, 50.0, 3).tolist()
-            wt = rng.uniform(0.5, 50.0, 3).tolist()
-            got = np.sort(ig.bootstrap_logfolds(ko, wt))
-            expected = np.sort(oracle_bootstrap_folds(ko, wt))
-            np.testing.assert_allclose(got, expected, atol=1e-12)
+        assert sd == pytest.approx(statistics.stdev(folds), abs=1e-12)
 
     def test_permutation_invariance(self):
         ko, wt = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
@@ -99,36 +77,29 @@ class TestBootstrap:
 
     def test_scaling_invariance(self):
         ko, wt = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
-        base = np.sort(ig.bootstrap_logfolds(ko, wt))
-        scaled = np.sort(ig.bootstrap_logfolds([7.0 * k for k in ko],
-                                               [7.0 * w for w in wt]))
-        np.testing.assert_allclose(base, scaled, atol=1e-12)
-
-    def test_combination_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            ig.bootstrap_logfolds(np.ones(5), np.ones(5))
+        base = summarize_one(ko, wt)
+        scaled = summarize_one([7.0 * k for k in ko], [7.0 * w for w in wt])
+        assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_four_replicates_supported(self):
-        ko, wt = [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 2.0, 2.0]
-        assert ig.bootstrap_logfolds(ko, wt).size == 4 ** 4 * 4 ** 4
-        assert summarize_one(ko, wt)[1] > 0.0
+        assert summarize_one([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 2.0, 2.0])[1] > 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_counts_rejected(self, bad):
         with pytest.raises(ValueError, match="^counts must be finite$"):
-            ig.bootstrap_logfolds([bad, 1.0, 1.0], [1.0, 1.0, 1.0])
+            summarize_one([bad, 1.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="^counts must be finite$"):
-            ig.bootstrap_logfolds([1.0, 1.0, 1.0], [1.0, bad, 1.0])
+            summarize_one([1.0, 1.0, 1.0], [1.0, bad, 1.0])
 
     def test_mismatched_replicate_counts_rejected(self):
         with pytest.raises(ValueError, match=re.escape(
                 "ko and wt must be (n_genes, r) arrays matching ids")):
-            ig.bootstrap_logfolds([1.0, 2.0], [1.0, 2.0, 3.0])
+            summarize_one([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def oracle_summary_sd(ko, wt):
     """Per-gene SD straight from the enumerated bootstrap log-folds."""
-    return float(np.std(ig.bootstrap_logfolds(ko, wt), ddof=1))
+    return float(np.std(enumerated_logfolds(ko, wt), ddof=1))
 
 
 def random_genes(rng, n_genes, r):
@@ -172,8 +143,6 @@ class TestClosedFormSummary:
         data = ig.ReplicateData(["g1"], np.ones((1, 5)), np.ones((1, 5)))
         with pytest.raises(ValueError, match="cap"):
             ig.summarize(data)
-        with pytest.raises(ValueError, match="cap"):
-            ig.bootstrap_logfolds(np.ones(5), np.ones(5))
 
 
 class TestReplicateDataChecks:
@@ -420,11 +389,13 @@ def number_text(lo=None):
 
 
 # float() accepts some of these and np.loadtxt fewer: underscores, non-ASCII
-# digits, the unit separator float() rejects and loadtxt strips
+# digits, the separators \x1c-\x1f that float() rejects and loadtxt strips;
+# and characters str.splitlines() would end a line at, which both strip
 ODD_TEXT = st.sampled_from([
     "1_0", "2_500.5", "\u0661\u0662", "\u0663.\u0665", ".5", "5.", "+7", "-0", "1e5", "1E-5",
     "inf", "-Infinity", "nan", "NaN", "", " ", "abc", "0x10", "1 5", "1e", "--1",
-    "1.5\x1f", "\x1f2", "0", "-3.5",
+    "1.5\x1f", "\x1f2", "0", "-3.5", "1.5\x1e", "\x1c2", "3\x1d",
+    "4\x85", "\u20285", "6\u2029", "\f7", "8\v",
 ])
 PAD = st.sampled_from(["", "", " ", "  ", "\u2003", "\xa0"])
 
@@ -501,10 +472,11 @@ def test_bulk_parse_takes_well_formed_files_and_leaves_odd_cells_to_float(tmp_pa
         odd.write_text(f"gene_id\tbeta_hat\ty\ng1\t{cell}\t0.5\n")
         assert not bulk_taken(ig.read_hypotheses, odd)
         assert ig.read_hypotheses(odd)[1].tolist() == [value]
-    odd.write_text("gene_id\tbeta_hat\ty\ng1\t1.5\x1f\t0.5\n")
-    assert not bulk_taken(ig.read_hypotheses, odd)
-    with pytest.raises(ValueError, match="line 2: non-numeric beta_hat: could not convert"):
-        ig.read_hypotheses(odd)
+    for sep in "\x1c\x1d\x1e\x1f":  # loadtxt strips these, float() rejects them
+        odd.write_text(f"gene_id\tbeta_hat\ty\ng1\t1.5{sep}\t0.5\n")
+        assert not bulk_taken(ig.read_hypotheses, odd)
+        with pytest.raises(ValueError, match="line 2: non-numeric beta_hat: could not convert"):
+            ig.read_hypotheses(odd)
 
 
 COUNTS_HEADER = "gene_id\tko_1\tko_2\tko_3\twt_1\twt_2\twt_3\n"
@@ -552,6 +524,41 @@ def test_malformed_input_keeps_its_message(tmp_path, reader, text, message):
     expected = ("error", f"{path}: {message}")
     assert read_outcome(reader, path) == expected
     assert per_line_outcome(reader, path) == expected
+
+
+# Characters str.splitlines() ends a line at besides LF and CR.  A line ends
+# at LF alone, so none of them splits a row or shifts a line number.
+LINE_BREAKS_BUT_LF = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+ROWS = {ig.read_hypotheses: ("gene_id\tbeta_hat\tsd_boot\n", "{}\t0.1\t0.2", "beta_hat"),
+        ig.read_counts: (COUNTS_HEADER, "{}\t1\t2\t3\t4\t5\t6", "ko_1")}
+
+
+@pytest.mark.parametrize("reader", list(ROWS), ids=lambda r: r.__name__)
+@pytest.mark.parametrize("sep", LINE_BREAKS_BUT_LF, ids=repr)
+def test_only_lf_ends_a_line(tmp_path, reader, sep):
+    header, row, first_value = ROWS[reader]
+    path = tmp_path / "table.tsv"
+    n_columns = header.count("\t") + 1
+    cases = [
+        # two rows' text on one physical line: one row with too many cells
+        (row.format("g1") + sep + row.format("g2") + "\n",
+         f"line 2: expected {n_columns} columns, got {2 * n_columns - 1}"),
+        # a bad cell after a row holding the character is named on its own line
+        (row.format("g1" + sep) + "\n" + row.format("g2") + "\n"
+         + row.format("g3").replace("\t1", "\tx", 1).replace("\t0.1", "\tx") + "\n",
+         f"line 4: non-numeric {first_value}: could not convert string to float: 'x'"),
+    ]
+    for text, message in cases:
+        path.write_text(header + text, encoding="utf-8")
+        expected = ("error", f"{path}: {message}")
+        assert read_outcome(reader, path) == expected
+        assert per_line_outcome(reader, path) == expected
+    # the character is part of the cell it is in: one row, one id
+    path.write_text(header + row.format("g1" + sep) + "\n" + row.format("g2") + "\n",
+                    encoding="utf-8")
+    outcome = read_outcome(reader, path)
+    assert outcome[:2] == ("ok", ("g1" + sep, "g2"))
+    assert per_line_outcome(reader, path) == outcome
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +625,7 @@ def oracle_outcome(reader, path):
     """read_outcome of the reader with its old per-line loop, an error
     reduced to the line it names (None for a file-level error)."""
     with ig.open_text(path) as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")
     header = lines[0].split("\t")
     try:
         if reader is ig.read_counts:

@@ -275,19 +275,6 @@ class TestPi0AndFdr:
         agg = proc.AggregatedPValues("raw", np.full(10, 0.2))
         assert proc.estimate_pi0(agg, 0.5) == 0.0
 
-    def test_fdr_arithmetic(self):
-        vals = np.concatenate([np.full(10, 0.04), np.full(90, 0.9)])
-        agg = proc.AggregatedPValues("raw", vals)
-        assert proc.estimate_fdr(agg, 0.05, 1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_fdr_zero_rejections(self):
-        agg = proc.AggregatedPValues("raw", np.full(100, 0.9))
-        assert proc.estimate_fdr(agg, 0.001, 1.0) == pytest.approx(0.1, abs=1e-15)
-
-    def test_fdr_at_zero(self):
-        agg = proc.AggregatedPValues("raw", np.full(100, 0.9))
-        assert proc.estimate_fdr(agg, 0.0, 1.0) == 0.0
-
 
 class TestSelectGamma:
     def test_constructed_example(self):
@@ -390,8 +377,8 @@ class TestTwoStageHard:
         t = table_from_copula(cp.tau_to_theta("clayton", -0.4), 2000, 5)
         outcome = proc.run_two_stage_hard(t, cp.tau_to_theta("clayton", -0.4), 0.05)
         assert outcome.n_rejected == np.sum(outcome.aggregated.values <= outcome.gamma_hat)
-        fdr_at_hat = proc.estimate_fdr(outcome.aggregated, outcome.gamma_hat,
-                                       outcome.pi0_hat)
+        fdr_at_hat = (outcome.pi0_hat * outcome.gamma_hat * outcome.aggregated.m
+                      / max(outcome.n_rejected, 1))
         assert fdr_at_hat <= 0.05 + 1e-12
 
     def test_grid_validation(self):

@@ -541,7 +541,7 @@ class TestSelectionStudy:
         true_model = cp.tau_to_theta("clayton", -0.4)
         obs = cp.sample(true_model, ft.MIN_FIT_PAIRS - 1, 5)
         with pytest.raises(ft.FitError, match=f"need at least {ft.MIN_FIT_PAIRS} "):
-            ft.fit_mle("clayton", 90, obs)
+            ft.fit_mle("clayton", obs, -0.4)
         study = sim.run_copula_selection_study(true_model, n=ft.MIN_FIT_PAIRS, reps=1, seed=5)
         assert sum(study.counts[f]["bic"] for f in study.families) == 1
 
