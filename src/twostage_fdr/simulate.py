@@ -348,8 +348,10 @@ def _cell_to_tsv(results: dict, path, seed=None) -> None:
               (f"{name}\t{_rate_cells(results[name])}" for name in METHODS), seed)
 
 
-def _cell_to_json(results: dict, cfg: SimulationConfig) -> str:
-    payload = {"config": {key: getattr(cfg, name) for key, name in _CONFIG_KEYS.items()}}
+def _cell_to_json(results: dict, cfg: SimulationConfig, **config) -> str:
+    """results.json: the config (cfg's keys, then those given) and the counts."""
+    payload = {"config": {**{key: getattr(cfg, name) for key, name in _CONFIG_KEYS.items()},
+                          **config}}
     for name, r in results.items():
         if isinstance(r, dict):
             payload[name] = {sub: _mc_payload(rr) for sub, rr in r.items()}
@@ -411,12 +413,15 @@ def run_config(payload: dict, out_dir, seed=None, threads: int = 1) -> Path:
         return table_path
     cfg = SimulationConfig(**{name: conf[key] for key, name in _CONFIG_KEYS.items()})
     if mode == "cell":
-        results, write = run_cell(cfg, threads), _cell_to_tsv
+        results, write, config = run_cell(cfg, threads), _cell_to_tsv, {}
     else:
         results = run_misspecification(cfg, conf["analysis_families"], conf["fit_mode"],
                                        threads)
         write = _misspecification_to_tsv
+        config = {"analysis_families": list(conf["analysis_families"]),
+                  "fit_mode": conf["fit_mode"]}
     out_dir.mkdir(parents=True, exist_ok=True)
     write(results, table_path, seed=cfg.seed)
-    (out_dir / "results.json").write_text(_cell_to_json(results, cfg) + "\n", encoding="utf-8")
+    (out_dir / "results.json").write_text(_cell_to_json(results, cfg, **config) + "\n",
+                                          encoding="utf-8")
     return table_path

@@ -17,6 +17,7 @@ import pytest
 
 import twostage_fdr
 from twostage_fdr import copula as cp
+from twostage_fdr import fit as ft
 from twostage_fdr import ingest as ig
 from twostage_fdr import simulate as sim
 from twostage_fdr.cli import main, parse_copula_spec
@@ -530,6 +531,8 @@ class TestSimulateCommand:
         assert len(lines) == 5
         payload = json.loads((tmp_path / "results.json").read_text())
         assert payload["config"]["k_reps"] == 2
+        assert "fit_mode" not in payload["config"]
+        assert "analysis_families" not in payload["config"]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -681,6 +684,16 @@ class TestSimulateCommand:
         lines = (tmp_path / "simtable.tsv").read_text().splitlines()
         assert lines[1] == "family\tmethod\tfdr\tfdr_sd\ttpr\ttpr_sd"
         assert any(line.startswith("joe\thard") for line in lines)
+        config = json.loads((tmp_path / "results.json").read_text())["config"]
+        assert (config["analysis_families"], config["fit_mode"]) == (["joe"], "refit")
+
+    def test_misspecification_results_record_the_defaults(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"mode": "misspecification", "m": 200, "k_reps": 1}))
+        assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "results.json").read_text())["config"]
+        assert config["analysis_families"] == list(ft.DEFAULT_CANDIDATES)
+        assert config["fit_mode"] == "refit"
 
     def test_selection_mode(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -745,11 +758,11 @@ SIMULATE_CASES = {
     "misspec_fixed": ({"mode": "misspecification", "m": 400, "k_reps": 2, "seed": 4,
                        "analysis_families": ["frank", "joe"], "fit_mode": "fixed"},
                       "1097514361db4b75535f941e1900900a717d596792523a723371e27552bed11a",
-                      "5408cb6f981b440292857461fa331f457201a699d198bc106dadf53e4dca82e8"),
+                      "6f5c44913da4605f90ebcd40b53cebb65ca3c5935eee69a6d2048e126a29dd7d"),
     "misspec_refit": ({"mode": "misspecification", "m": 400, "k_reps": 2, "seed": 4,
                        "analysis_families": ["frank", "joe"], "fit_mode": "refit"},
                       "1097514361db4b75535f941e1900900a717d596792523a723371e27552bed11a",
-                      "5408cb6f981b440292857461fa331f457201a699d198bc106dadf53e4dca82e8"),
+                      "326078fdb16b397caf772d915608831efba32fd2399b43da076ab95ef4067b92"),
     "selection": ({"mode": "selection", "n": 300, "true_family": "clayton", "tau": -0.4,
                    "reps": 2, "seed": 3},
                   "4e790bb8810742e5f22b7f628c82102ea446294a7370da3e1cb261d368e2e172", None),
