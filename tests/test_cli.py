@@ -750,19 +750,21 @@ def test_simulate_error_is_the_library_error(tmp_path, capsys, payload, threads)
 # sha256 of what `simulate` writes for small runs of each mode.  A
 # results.json digest is taken after dropping the always-null
 # config.analysis_family key of earlier versions, so it pins the key order
-# and every other byte.
+# and every other byte.  The two misspecification cases differ only in
+# fit_mode: at seed 0 tau-hat moves Frank's and Joe's rejected sets, so the
+# refit golden pins what refitting changes.
+MISSPEC_CONFIG = {"mode": "misspecification", "m": 400, "k_reps": 2, "seed": 0,
+                  "analysis_families": ["frank", "joe"]}
 SIMULATE_CASES = {
     "cell": ({"mode": "cell", "m": 400, "mu": 3.0, "tau": -0.4, "k_reps": 2, "seed": 5},
              "69cfffdde7e5aad5af11b2a69bb12177e48b2e095e8b2c8d61cf4d7c439af695",
              "9b88af0fe23bf1e43c32b9d90044948727430fb4f11a12d574ab80b1a5f71b84"),
-    "misspec_fixed": ({"mode": "misspecification", "m": 400, "k_reps": 2, "seed": 4,
-                       "analysis_families": ["frank", "joe"], "fit_mode": "fixed"},
-                      "1097514361db4b75535f941e1900900a717d596792523a723371e27552bed11a",
-                      "6f5c44913da4605f90ebcd40b53cebb65ca3c5935eee69a6d2048e126a29dd7d"),
-    "misspec_refit": ({"mode": "misspecification", "m": 400, "k_reps": 2, "seed": 4,
-                       "analysis_families": ["frank", "joe"], "fit_mode": "refit"},
-                      "1097514361db4b75535f941e1900900a717d596792523a723371e27552bed11a",
-                      "326078fdb16b397caf772d915608831efba32fd2399b43da076ab95ef4067b92"),
+    "misspec_fixed": ({**MISSPEC_CONFIG, "fit_mode": "fixed"},
+                      "bd5116e9122fbda4b9eb51d9aaf07dc44cf9ccbe3586021e121ae14e61fa06c5",
+                      "3572fa9fb0858245562d835b65b6359d2a902b258109882edaf83ced9c089889"),
+    "misspec_refit": ({**MISSPEC_CONFIG, "fit_mode": "refit"},
+                      "c3ac17daeac42e6d238e8c2c5c70ce560951b80831e1edd07ce87637eca71cda",
+                      "992cad506d0747a865a48874d9c9247319a50725df5a006688b872482125cf04"),
     "selection": ({"mode": "selection", "n": 300, "true_family": "clayton", "tau": -0.4,
                    "reps": 2, "seed": 3},
                   "4e790bb8810742e5f22b7f628c82102ea446294a7370da3e1cb261d368e2e172", None),
@@ -785,6 +787,12 @@ def test_golden_simulate_outputs(tmp_path, case):
     payload["config"].pop("analysis_family", None)
     normalized = json.dumps(payload, indent=2) + "\n"
     assert hashlib.sha256(normalized.encode()).hexdigest() == results_sha
+
+
+def test_refit_golden_differs_from_fixed():
+    fixed, refit = SIMULATE_CASES["misspec_fixed"], SIMULATE_CASES["misspec_refit"]
+    assert {**fixed[0], "fit_mode": "refit"} == refit[0]
+    assert fixed[1] != refit[1]
 
 
 class TestParserBasics:
