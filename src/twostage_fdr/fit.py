@@ -169,11 +169,9 @@ def empirical_kendall_tau(obs: PseudoObservations) -> float:
 def fit_mle(family: str, obs: PseudoObservations, tau: float) -> FitResult:
     """Fit the family's parameter by maximizing the copula log-likelihood.
 
-    ``copula.orientation(family, tau)`` gives the rotation and the theta
-    bracket, so tau (the sample Kendall tau) decides the rotation of
-    Clayton, Gumbel and Joe and the sign of Frank's branch.  The parameter
-    is located by bounded Brent search on that bracket; the optimum is
-    resolved to ~1e-7.
+    The rotation and theta bracket are copula.orientation(family, tau) for
+    the sample Kendall tau; bounded Brent search on the bracket resolves the
+    optimum to ~1e-7.
     """
     n = obs.n
     if n < MIN_FIT_PAIRS:
@@ -203,13 +201,11 @@ def fit_mle(family: str, obs: PseudoObservations, tau: float) -> FitResult:
 
 def select_copula(obs: PseudoObservations,
                   families=DEFAULT_CANDIDATES) -> SelectionReport:
-    """Fit each candidate family at the sample Kendall tau and report the
-    winner per criterion.
+    """Fit each candidate family at the sample Kendall tau (``fit_mle``)
+    and report the winner per criterion.
 
-    Each fit is ``fit_mle(family, obs, tau)``, in the rotation that
-    copula.orientation gives for that tau.  A family whose fit fails is
-    recorded (converged=False, at the same rotation and the low end of the
-    same bracket) without aborting; an unknown or repeated family name
+    A failed fit is recorded (converged=False, at orientation's rotation and
+    bracket floor) without aborting; an unknown or repeated family name
     raises ValueError before any family is fitted.
     """
     families = check_families(families, "families")

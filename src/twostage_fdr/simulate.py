@@ -418,8 +418,7 @@ def run_config(payload: dict, out_dir, seed=None, threads: int = 1) -> Path:
         results = run_misspecification(cfg, conf["analysis_families"], conf["fit_mode"],
                                        threads)
         write = _misspecification_to_tsv
-        config = {"analysis_families": list(conf["analysis_families"]),
-                  "fit_mode": conf["fit_mode"]}
+        config = {key: conf[key] for key in ("analysis_families", "fit_mode")}
     out_dir.mkdir(parents=True, exist_ok=True)
     write(results, table_path, seed=cfg.seed)
     (out_dir / "results.json").write_text(_cell_to_json(results, cfg, **config) + "\n",
