@@ -413,14 +413,14 @@ def run_config(payload: dict, out_dir, seed=None, threads: int = 1) -> Path:
         return table_path
     cfg = SimulationConfig(**{name: conf[key] for key, name in _CONFIG_KEYS.items()})
     if mode == "cell":
-        results, write, config = run_cell(cfg, threads), _cell_to_tsv, {}
+        results, write = run_cell(cfg, threads), _cell_to_tsv
     else:
         results = run_misspecification(cfg, conf["analysis_families"], conf["fit_mode"],
                                        threads)
         write = _misspecification_to_tsv
-        config = {key: conf[key] for key in ("analysis_families", "fit_mode")}
     out_dir.mkdir(parents=True, exist_ok=True)
     write(results, table_path, seed=cfg.seed)
+    config = {key: conf[key] for key in _SCHEMAS[mode] if key not in _CONFIG_KEYS}
     (out_dir / "results.json").write_text(_cell_to_json(results, cfg, **config) + "\n",
                                           encoding="utf-8")
     return table_path
