@@ -55,6 +55,8 @@ ROTATIONS = tuple(_REFLECTS)
 ROTATABLE = ("clayton", "gumbel", "joe")
 
 EPS = 1e-10  # boundary clamp for interior-only evaluations
+_TINY = np.finfo(float).tiny  # the smallest normal double
+_EXPM1_MAX = math.log(np.finfo(float).max)  # expm1 is finite up to here
 
 
 def _check_family(family: str, rotation=0) -> _Family:
@@ -293,6 +295,29 @@ def _clayton_h(t, v, u):
     return np.exp(-(t + 1.0) * lu - (1.0 + 1.0 / t) * ln_a)
 
 
+def _clayton_cdf90_v(t, v):
+    # v^t, -v, and where v^t is not a normal double, as a mask when any is
+    # (checked once per v, so that a scan's levels need not)
+    vt = np.power(v, t)
+    low = vt < _TINY
+    return vt, -v, (low if low.any() else None)
+
+
+def _clayton_cdf90_at(t, u, vt, neg_v, low):
+    # C90(u, v) = v - C(1 - u, v) = -v expm1(-log1p(z) / t) with z = s v^t and
+    # s = (1 - u)^-t - 1 = expm1(L), L = -t log1p(-u): no term cancels.  Where
+    # s overflows or v^t is not a normal double, z is taken in log space.
+    lu = -t * np.log1p(-u)
+    big = lu > _EXPM1_MAX
+    s = np.expm1(np.fmin(lu, _EXPM1_MAX))
+    out = neg_v * np.expm1(np.log1p(s * vt) * (-1.0 / t))
+    if low is None and not big.any():
+        return out
+    ln_z = lu + np.log(-np.expm1(-lu)) + t * np.log(-neg_v)
+    slow = neg_v * np.expm1(_logaddexp(ln_z, 0.0) * (-1.0 / t))
+    return np.where(big if low is None else big | low, slow, out)
+
+
 def _clayton_hinv(t, x, u):
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
@@ -393,10 +418,36 @@ def _joe_logpdf(t, l1u, l1v):
             + np.log(t - 1.0 + big_t))
 
 
+def _joe_h_at(t, v, a, ex, px):
+    # h(v | u) from the conditioner's a = (1 - 1/t) lx, ex and px
+    _, ey, py = _joe_side(t, np.log1p(-v))
+    return np.exp(a + np.log(ey) + (1.0 / t - 1.0) * _joe_ln_t(ex, ey, px, py))
+
+
 def _joe_h(t, v, u):
     lx, ex, px = _joe_side(t, np.log1p(-u))
-    _, ey, py = _joe_side(t, np.log1p(-v))
-    return np.exp((1.0 - 1.0 / t) * lx + np.log(ey) + (1.0 / t - 1.0) * _joe_ln_t(ex, ey, px, py))
+    return _joe_h_at(t, v, (1.0 - 1.0 / t) * lx, ex, px)
+
+
+def _joe_hinv(t, x, u):
+    # h is a CDF in v for fixed u: monotone, h(0)=0, h(1)=1.  80 halvings
+    # narrow the v-bracket to 2^-80, below the spacing of doubles near 1,
+    # where a residual h(v) - x measures how steep h is, not convergence.
+    # The conditioner's transform is taken once, not at every halving.  Only
+    # a NaN h raises: it compares False and would pass silently.
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    shape = np.broadcast_shapes(x.shape, u.shape)
+    lx, ex, px = _joe_side(t, np.log1p(-u))
+    a = (1.0 - 1.0 / t) * lx
+
+    def h(v):
+        return _joe_h_at(t, np.clip(v, EPS, 1.0 - EPS), a, ex, px)
+
+    v = bisect_increasing(h, np.broadcast_to(x, shape), np.zeros(shape), np.ones(shape), 80)
+    if np.any(np.isnan(h(v))):
+        raise RuntimeError("conditional quantile undefined: h(v | u) is NaN")
+    return v
 
 
 def _pick_float(take_hi, a, b):
@@ -492,45 +543,33 @@ class _Family:
     The CDF at (u, v) is cdf_at(theta, u, *cdf_v(theta, v)): cdf_v computes
     what depends on v and theta alone (by default v itself), as the hard
     scan's p2 and theta are fixed across its screen levels; the split keeps
-    the formula's operations in their order, so it changes no bit.  h is the
-    h-function h(theta, v, u), and hinv its inverse in v, by bisection when
-    not given.  The log-density at (u, v) is logpdf(theta, *prepare(u, v)):
-    prepare computes the theta-free transforms of the pairs, which a fit
-    needs only once (by default the pairs themselves).  tau maps theta to
-    the population Kendall tau, and theta_of is its closed-form inverse, or
-    None to bisect tau on bracket.  bracket is the admissible theta interval
-    of inversion and fitting (Frank's positive branch, mirrored for negative
-    tau), or None for independence, which has no parameter.
+    the formula's operations in their order, so it changes no bit.
+    cdf90_at(theta, u, *cdf90_v(theta, v)), when given, is the survival
+    form v - C(1 - u, v) of the 90-degree rotation, split the same way, which
+    the rotations take in place of the reflection and its difference.  h is
+    the h-function h(theta, v, u), and hinv its inverse in v.  The
+    log-density at (u, v) is logpdf(theta, *prepare(u, v)): prepare computes
+    the theta-free transforms of the pairs, which a fit needs only once (by
+    default the pairs themselves).  tau maps theta to the population Kendall
+    tau, and theta_of is its closed-form inverse, or None to bisect tau on
+    bracket.  bracket is the admissible theta interval of inversion and
+    fitting (Frank's positive branch, mirrored for negative tau), or None for
+    independence, which has no parameter.
     """
 
-    def __init__(self, cdf_at, logpdf, h, hinv=None, *, cdf_v=lambda t, v: (v,),
-                 prepare=lambda u, v: (u, v), tau, theta_of=None, bracket=None):
+    def __init__(self, cdf_at, logpdf, h, hinv, *, cdf_v=lambda t, v: (v,), cdf90_v=None,
+                 cdf90_at=None, prepare=lambda u, v: (u, v), tau, theta_of=None, bracket=None):
         self.cdf_v = cdf_v
         self.cdf_at = cdf_at
+        self.cdf90_v = cdf90_v
+        self.cdf90_at = cdf90_at
         self.logpdf = logpdf
         self.prepare = prepare
         self.h = h
-        self.hinv = hinv if hinv is not None else self._hinv_bisect
+        self.hinv = hinv
         self.tau = tau
         self.theta_of = theta_of
         self.bracket = bracket
-
-    def _hinv_bisect(self, t, x, u):
-        # h is a CDF in v for fixed u: monotone, h(0)=0, h(1)=1.  80 halvings
-        # narrow the v-bracket to 2^-80, below the spacing of doubles near 1,
-        # where a residual h(v) - x measures how steep h is, not convergence.
-        # Only a NaN h raises: it compares False and would pass silently.
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        shape = np.broadcast_shapes(x.shape, u.shape)
-
-        def h(v):
-            return self.h(t, np.clip(v, EPS, 1.0 - EPS), u)
-
-        v = bisect_increasing(h, np.broadcast_to(x, shape), np.zeros(shape), np.ones(shape), 80)
-        if np.any(np.isnan(h(v))):
-            raise RuntimeError("conditional quantile undefined: h(v | u) is NaN")
-        return v
 
 
 _BASE = {
@@ -545,7 +584,8 @@ _BASE = {
                      tau=lambda t: math.copysign(_frank_tau_positive(abs(t)), t),
                      bracket=(1e-6, 50.0)),
     "clayton": _Family(_clayton_cdf_at, _clayton_logpdf, _clayton_h, _clayton_hinv,
-                       cdf_v=_clayton_cdf_v, prepare=_clayton_prepare,
+                       cdf_v=_clayton_cdf_v, cdf90_v=_clayton_cdf90_v,
+                       cdf90_at=_clayton_cdf90_at, prepare=_clayton_prepare,
                        tau=lambda t: t / (t + 2.0),
                        theta_of=lambda tau: 2.0 * tau / (1.0 - tau),
                        bracket=(1e-4, 50.0)),
@@ -554,8 +594,8 @@ _BASE = {
                       tau=lambda t: 1.0 - 1.0 / t,
                       theta_of=lambda tau: 1.0 / (1.0 - tau),
                       bracket=(1.0 + 1e-6, 50.0)),
-    "joe": _Family(_joe_cdf_at, _joe_logpdf, _joe_h, cdf_v=_joe_cdf_v, prepare=_joe_prepare,
-                   tau=_joe_tau, bracket=(1.0 + 1e-6, 50.0)),
+    "joe": _Family(_joe_cdf_at, _joe_logpdf, _joe_h, _joe_hinv, cdf_v=_joe_cdf_v,
+                   prepare=_joe_prepare, tau=_joe_tau, bracket=(1.0 + 1e-6, 50.0)),
 }
 
 
@@ -585,25 +625,45 @@ def _as_unit(name, value):
 
 def _rotated_cdf_v(model: CopulaModel, vi):
     """The family's transforms of interior v, reflected by the rotations
-    that reflect v."""
-    if _REFLECTS[model.rotation][1]:
-        vi = 1.0 - vi
-    return _BASE[model.family].cdf_v(model.theta, vi)
-
-
-def _rotated_cdf_at(model: CopulaModel, u_unit, vv, v_past, prepared):
-    """C(u, v) from _as_unit's u, checked v, whether v lies past the clamp
-    interior and _rotated_cdf_v's transforms of v."""
-    uu, ui, u_past = u_unit
+    that reflect v; where the family has a survival form, its transforms
+    of v under rotation 90, and none under 270, where v takes u's place."""
+    fam = _BASE[model.family]
     ref_u, ref_v = _REFLECTS[model.rotation]
-    # C90 = v - C(1-u, v), C180 = u + v - 1 + C(1-u, 1-v), C270 = u - C(u, 1-v)
-    out = _BASE[model.family].cdf_at(model.theta, 1.0 - ui if ref_u else ui, *prepared)
-    if ref_u and ref_v:
-        out = uu + vv - 1.0 + out
-    elif ref_u:
-        out = vv - out
-    elif ref_v:
-        out = uu - out
+    if fam.cdf90_at is not None and ref_u != ref_v:
+        return fam.cdf90_v(model.theta, vi) if ref_u else ()
+    return fam.cdf_v(model.theta, 1.0 - vi if ref_v else vi)
+
+
+def _rotated_cdf_at(model: CopulaModel, u_unit, v_unit, prepared):
+    """C(u, v) from _as_unit's u and v and _rotated_cdf_v's transforms of v.
+
+    A family with a survival form takes C90(u, v) = v - C(1 - u, v) from it,
+    and C270(u, v) = u - C(u, 1 - v) as C90(v, u), the same by the base
+    family's exchangeability; the other rotations reflect and add.  As in
+    the reflections, the coordinate outside C is the one given, not its clip."""
+    uu, ui, u_past = u_unit
+    vv, vi, v_past = v_unit
+    fam = _BASE[model.family]
+    t = model.theta
+    ref_u, ref_v = _REFLECTS[model.rotation]
+    if fam.cdf90_at is not None and ref_u != ref_v:
+        if ref_u:
+            out = fam.cdf90_at(t, ui, *prepared)
+            if v_past:
+                out = out + (vv - vi)
+        else:
+            out = fam.cdf90_at(t, vi, *fam.cdf90_v(t, ui))
+            if u_past:
+                out = out + (uu - ui)
+    else:
+        # C90 = v - C(1-u, v), C180 = u + v - 1 + C(1-u, 1-v), C270 = u - C(u, 1-v)
+        out = fam.cdf_at(t, 1.0 - ui if ref_u else ui, *prepared)
+        if ref_u and ref_v:
+            out = uu + vv - 1.0 + out
+        elif ref_u:
+            out = vv - out
+        elif ref_v:
+            out = uu - out
     if u_past or v_past:
         out = np.where(uu <= 0.0, 0.0, np.where(vv <= 0.0, 0.0,
                        np.where(uu >= 1.0, vv, np.where(vv >= 1.0, uu, out))))
@@ -622,8 +682,8 @@ def cdf(model: CopulaModel, u, v):
     C(0, v) = C(u, 0) = 0, C(1, v) = v and C(u, 1) = u are imposed.
     """
     u_unit = _as_unit("u", u)
-    vv, vi, v_past = _as_unit("v", v)
-    return _rotated_cdf_at(model, u_unit, vv, v_past, _rotated_cdf_v(model, vi))
+    v_unit = _as_unit("v", v)
+    return _rotated_cdf_at(model, u_unit, v_unit, _rotated_cdf_v(model, v_unit[1]))
 
 
 def cdf_of(model: CopulaModel, v):
@@ -632,9 +692,11 @@ def cdf_of(model: CopulaModel, v):
     v must be a 1-d array in [0, 1].  Its check, clip, rotation and the
     family's transform of v run once, here, so a scan over u (the hard
     scan's screen levels on p2 in p1 order) runs only the u-dependent part
-    of the formula per step.  Each value equals cdf(model, u, v[:n]) bit
-    for bit.  at.v is the array prepared on, for a caller to check that
-    it is theirs.
+    of the formula per step.  For Clayton under rotation 90 that transform
+    is the survival form's v^theta and -v, and the one check of whether any
+    v^theta lies below the normal doubles; a step then costs a log1p and an
+    expm1 per point.  Each value equals cdf(model, u, v[:n]) bit for bit.
+    at.v is the array prepared on, for a caller to check that it is theirs.
     """
     vv, vi, v_past = _as_unit("v", v)
     if vv.ndim != 1:
@@ -648,8 +710,8 @@ def cdf_of(model: CopulaModel, v):
             raise ValueError("u must be a scalar")
         if not 0 <= n <= vv.size:
             raise ValueError(f"prefix length must lie in [0, {vv.size}], got {n}")
-        return _rotated_cdf_at(model, _as_unit("u", u), vv[:n], v_past,
-                               [p[:n] for p in prepared])
+        return _rotated_cdf_at(model, _as_unit("u", u), (vv[:n], vi[:n], v_past),
+                               [p if p is None else p[:n] for p in prepared])
 
     at.v = vv
     return at

@@ -747,12 +747,10 @@ def test_simulate_error_is_the_library_error(tmp_path, capsys, payload, threads)
     assert not (tmp_path / "cli").exists()
 
 
-# sha256 of what `simulate` writes for small runs of each mode.  A
-# results.json digest is taken after dropping the always-null
-# config.analysis_family key of earlier versions, so it pins the key order
-# and every other byte.  The two misspecification cases differ only in
-# fit_mode: at seed 0 tau-hat moves Frank's and Joe's rejected sets, so the
-# refit golden pins what refitting changes.
+# sha256 of what `simulate` writes for small runs of each mode.  The two
+# misspecification cases differ only in fit_mode: at seed 0 tau-hat moves
+# Frank's and Joe's rejected sets, so the refit golden pins what refitting
+# changes.
 MISSPEC_CONFIG = {"mode": "misspecification", "m": 400, "k_reps": 2, "seed": 0,
                   "analysis_families": ["frank", "joe"]}
 SIMULATE_CASES = {
@@ -783,10 +781,7 @@ def test_golden_simulate_outputs(tmp_path, case):
     if results_sha is None:
         assert not results.exists()
         return
-    payload = json.loads(results.read_text())
-    payload["config"].pop("analysis_family", None)
-    normalized = json.dumps(payload, indent=2) + "\n"
-    assert hashlib.sha256(normalized.encode()).hexdigest() == results_sha
+    assert hashlib.sha256(results.read_bytes()).hexdigest() == results_sha
 
 
 def test_refit_golden_differs_from_fixed():

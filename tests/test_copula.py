@@ -1,5 +1,6 @@
 """Copula family tests: closed forms, invariants, rotations, sampling."""
 
+import functools
 import math
 import re
 from decimal import Decimal, localcontext
@@ -507,9 +508,10 @@ def test_steep_conditional_inverts():
 
 
 def test_nan_conditional_raises(monkeypatch):
-    # Joe is the family whose h-inverse bisects its h
-    monkeypatch.setattr(cp._BASE["joe"], "h",
-                        lambda t, v, u: np.full(np.broadcast_shapes(v.shape, u.shape), np.nan))
+    # Joe is the family whose h-inverse bisects its h, through _joe_h_at
+    monkeypatch.setattr(cp, "_joe_h_at",
+                        lambda t, v, a, ex, px: np.full(np.broadcast_shapes(v.shape, a.shape),
+                                                        np.nan))
     with pytest.raises(RuntimeError, match="NaN"):
         cp.hfunc_inverse(cp.CopulaModel("joe", 2.0), np.array([0.3, 0.7]), 0.5)
 
@@ -655,6 +657,29 @@ def test_frank_cdf_monotone_near_independence(theta):
                                  1e-10 + np.arange(2000) * np.spacing(1e-10)]))
     for gamma1 in (0.05, 0.5, 0.95):
         assert np.all(np.diff(cp.cdf(cp.CopulaModel("frank", theta), gamma1, p2)) >= 0.0)
+
+
+# the default screen grid's ends and the clamp's
+SCAN_ENDS = (CLAMP, 0.005, 0.9995, 1.0 - CLAMP)
+clamp_interior = st.floats(CLAMP, 1.0 - CLAMP)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(1e-4, 50.0), u=st.one_of(st.sampled_from(SCAN_ENDS), clamp_interior),
+       v=st.lists(st.one_of(log_unit, clamp_interior, st.sampled_from([0.0, 1.0])),
+                  min_size=1, max_size=60))
+@example(theta=8.0, u=0.88, v=[1e-10, 1e-9])
+def test_rotated_clayton_cdf_is_monotone_within_the_frechet_bounds(theta, u, v):
+    """C90(u, .) over sorted v, through the hard scan's prepared path, never
+    falls and stays within max(0, u + v - 1) <= C <= min(u, v), the lower
+    bound to within the 2^-52 to which u + v rounds: a bisection over p2
+    relies on both.  (Past the clamp interior, where C is evaluated at the
+    clamp, both can miss by up to 1e-10.)"""
+    v = np.sort(v)
+    c = cp.cdf_of(cp.CopulaModel("clayton", theta, 90), v)(u, v.size)
+    assert np.all(np.diff(c) >= 0.0)
+    assert np.all(c <= np.minimum(u, v))
+    assert np.all(c >= np.maximum(0.0, u + v - 1.0) - 2.0 ** -52)
 
 
 def seed_clayton_ln_a(p, q):
@@ -859,16 +884,16 @@ def assert_same(got, ref):
 LOGADDEXP_TOL = 1e-13
 
 
-def assert_near(got, ref):
+def assert_near(got, ref, tol=LOGADDEXP_TOL):
     """Same type, shape, NaNs and infinities, and finite values within
-    LOGADDEXP_TOL * max(1, |ref|)."""
+    tol * max(1, |ref|)."""
     assert type(got) is type(ref)
     g, r = np.asarray(got), np.asarray(ref)
     assert g.shape == r.shape
     finite = np.isfinite(r)
     assert np.array_equal(g[~finite], r[~finite], equal_nan=True)
     err = np.abs(g[finite] - r[finite])
-    assert np.all(err <= LOGADDEXP_TOL * np.maximum(1.0, np.abs(r[finite]))), float(np.max(err))
+    assert np.all(err <= tol * np.maximum(1.0, np.abs(r[finite]))), float(np.max(err))
 
 
 def assert_seed(model):
@@ -876,6 +901,21 @@ def assert_seed(model):
     LOGADDEXP_TOL for Gumbel, whose seed formulas call np.logaddexp, bit for
     bit for every other family."""
     return assert_near if model.family == "gumbel" else assert_same
+
+
+def assert_seed_cdf(model):
+    """The check of a model's CDF against seed_cdf: assert_seed's, except
+    for Clayton under rotations 90 and 270, whose survival form is checked
+    with assert_near: there the seed's difference v - C(1 - u, v) is the
+    inaccurate side (test_rotated_clayton_cdf_matches_mpmath bounds the
+    survival form).  The seed's C(1 - u, v) divides a log-sum of absolute
+    error about 2^-52 by theta, so near independence the tolerance is that
+    error, 8 * 2^-52 / theta (1.8e-11 at theta = 1e-4; the largest
+    difference seen there was 2.3e-12), where it exceeds LOGADDEXP_TOL."""
+    if model.family == "clayton" and model.rotation in (90, 270):
+        return functools.partial(assert_near,
+                                 tol=max(LOGADDEXP_TOL, 8.0 * 2.0 ** -52 / model.theta))
+    return assert_seed(model)
 
 
 # both ends of the unit interval, the clamp and points between it and the ends
@@ -906,7 +946,7 @@ def interior(x):
 
 @pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=BRACKET_END_IDS)
 def test_cdf_matches_seed_cdf(model):
-    check = assert_seed(model)
+    check = assert_seed_cdf(model)
     with np.errstate(all="ignore"):
         for u, v in oracle_inputs():
             check(cp.cdf(model, u, v), seed_cdf(model, u, v))
@@ -959,15 +999,15 @@ def test_prepared_cdf_matches_the_unsplit_formula(model):
     v = split_v()
     # v's values past the clamp interior at its start, from index 30 on, and nowhere
     interior_v = np.clip(v, 1e-6, 1.0 - 1e-6)
-    check = assert_seed(model)
+    check = assert_seed_cdf(model)
     with np.errstate(all="ignore"):
         for vs in (v, np.roll(v, 30), interior_v):
             at = cp.cdf_of(model, vs)
             for u in (0.0, 1e-12, cp.EPS, 0.005, 0.3, 0.995, 1.0 - cp.EPS, 1.0):
                 for n in (0, 1, 7, 31, vs.size):
-                    ref = seed_cdf(model, u, vs[:n])
-                    check(at(u, n), ref)
-                    check(cp.cdf(model, u, vs[:n]), ref)
+                    got = at(u, n)
+                    assert_same(got, cp.cdf(model, u, vs[:n]))
+                    check(got, seed_cdf(model, u, vs[:n]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -980,7 +1020,9 @@ def test_prepared_cdf_matches_the_unsplit_formula_anywhere(model, v, u, data):
     v = np.array(v)
     n = data.draw(st.integers(0, v.size))
     with np.errstate(all="ignore"):
-        assert_seed(model)(cp.cdf_of(model, v)(u, n), seed_cdf(model, u, v[:n]))
+        got = cp.cdf_of(model, v)(u, n)
+        assert_same(got, cp.cdf(model, u, v[:n]))
+        assert_seed_cdf(model)(got, seed_cdf(model, u, v[:n]))
 
 
 @pytest.mark.parametrize("bad_v, message", [

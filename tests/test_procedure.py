@@ -516,16 +516,8 @@ def widest_inversion(values):
     return int(gaps.max(initial=0))
 
 
-SCAN_MONOTONE_CASES = [
-    pytest.param(family, tau, marks=pytest.mark.xfail(
-        strict=True, reason="rotation-90 Clayton at theta 8: v - C(1 - g1, v) cancels to "
-        "noise below 1e-17 at small p2; widest inversion 141 rows (g1 = 0.88), at 198 of "
-        "206 levels")) if (family, tau) == ("clayton", -0.8) else (family, tau)
-    for family in ft.DEFAULT_CANDIDATES for tau in (-0.4, -0.8)
-]
-
-
-@pytest.mark.parametrize("family,tau", SCAN_MONOTONE_CASES)
+@pytest.mark.parametrize("tau", [-0.4, -0.8])
+@pytest.mark.parametrize("family", ft.DEFAULT_CANDIDATES)
 def test_scan_cdf_is_nondecreasing_in_p2_over_the_screened_in_rows(family, tau):
     """At every default grid level the hard scan's C(g1, p2) over the rows
     with p1 <= g1, in p2 order, never falls: a candidate-only scan relies

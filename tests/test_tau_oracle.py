@@ -1,15 +1,18 @@
 """Kendall tau maps, Gumbel's h-inverse and the simulated alternatives'
-|beta| against a 50-digit mpmath oracle, and the copula kernels' log-sum
-against a 40-digit one.
+|beta| against a 50-digit mpmath oracle, the copula kernels' log-sum
+against a 40-digit one, and the rotated Clayton CDF against one whose
+difference keeps 100 digits.
 
 mpmath is imported at module level on purpose: without it these tests
 fail instead of being skipped.
 """
 
 import itertools
+import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +128,44 @@ def test_gumbel_hinv_matches_mpmath():
         got = cp.hfunc_inverse(cp.CopulaModel("gumbel", theta), x, u)
         want = gumbel_hinv_oracle(theta, x, u)
         assert abs(got - want) <= 1e-13 * want, (theta, u, x)
+
+
+def rotated_clayton_oracle(theta: float, u: float, v: float) -> float:
+    """C90(u, v) = v - C(1 - u, v) of Clayton, at 450 digits: the
+    difference cancels down to values near 1e-320, and still keeps 100."""
+    with mpmath.workdps(450):
+        t, u, v = mpmath.mpf(theta), mpmath.mpf(u), mpmath.mpf(v)
+        return v - ((1 - u) ** -t + v ** -t - 1) ** (-1 / t)
+
+
+# the clamp edges, both tails and the middle; for theta = 50, v^theta
+# underflows from v = 7e-7 down, and expm1(-theta log1p(-u)) overflows from
+# u = 1 - 6.8e-7 up, where the survival form takes log space
+CLAYTON_GRID = np.array([1e-10, 1e-9, 1e-7, 1e-6, 1e-4, 0.005, 0.3, 0.5, 0.7, 0.9995,
+                         1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-10])
+
+
+@pytest.mark.parametrize("rotation", [90, 270])
+@pytest.mark.parametrize("theta", [1e-4, 4.0 / 3.0, 8.0, 50.0])
+def test_rotated_clayton_cdf_matches_mpmath(theta, rotation):
+    # C270(u, v) = C90(v, u).  The survival form -v expm1(-log1p(z) / theta),
+    # z = v^theta expm1(L) and L = -theta log1p(-u), carries L's rounding
+    # times L through expm1, and in log space the rounding of theta log v, so
+    # its bound is relative, 4 eps (1 + L + theta |log v|).  The largest seen
+    # was 2.2 eps (1 + L + theta |log v|).  Below 1e-300 the value is within
+    # 1e-300.
+    u, v = (a.ravel() for a in np.meshgrid(CLAYTON_GRID, CLAYTON_GRID))
+    got = cp.cdf(cp.CopulaModel("clayton", theta, rotation), u, v)
+    if rotation == 270:
+        u, v = v, u
+    for a, b, g in zip(u.tolist(), v.tolist(), got.tolist()):
+        want = rotated_clayton_oracle(theta, a, b)
+        err = float(abs(mpmath.mpf(g) - want))
+        if want < 1e-300:
+            assert err <= 1e-300, (a, b, g)
+            continue
+        size = 1.0 - theta * math.log1p(-a) + theta * abs(math.log(b))
+        assert err <= 4.0 * np.finfo(float).eps * size * float(want), (a, b, g, float(want))
 
 
 def alternative_magnitude_oracle(mu: float, v: float, start: float) -> float:
