@@ -610,7 +610,7 @@ def _as_unit(name, value):
     and max against the closed [0, 1] (NaN fails); that array clipped into
     the clamp interior [EPS, 1 - EPS], all that family formulas and rotation
     reflections receive; and whether an entry lies past the interior, the
-    only case where the clip (run only then) or a boundary case at 0 or 1
+    only case where the clip (run only then) or an evaluator's edge rule
     changes a value."""
     arr = np.asarray(value, dtype=float)
     if arr.size == 0:
@@ -639,34 +639,34 @@ def _rotated_cdf_at(model: CopulaModel, u_unit, v_unit, prepared):
 
     A family with a survival form takes C90(u, v) = v - C(1 - u, v) from it,
     and C270(u, v) = u - C(u, 1 - v) as C90(v, u), the same by the base
-    family's exchangeability; the other rotations reflect and add.  As in
-    the reflections, the coordinate outside C is the one given, not its clip."""
+    family's exchangeability; the other rotations reflect and add.  Every
+    rotation is evaluated on the clipped u and v.  An entry past the clamp
+    interior is then held to the Frechet bounds of the given (u, v),
+    max(0, u + v - 1) <= C <= min(u, v), which hold the margins: the lower
+    bound is max(v - (1 - u), u - (1 - v), 0), each term exact at its own
+    end, so C(1, v) = v and C(u, 1) = u bit for bit."""
     uu, ui, u_past = u_unit
     vv, vi, v_past = v_unit
     fam = _BASE[model.family]
     t = model.theta
     ref_u, ref_v = _REFLECTS[model.rotation]
     if fam.cdf90_at is not None and ref_u != ref_v:
-        if ref_u:
-            out = fam.cdf90_at(t, ui, *prepared)
-            if v_past:
-                out = out + (vv - vi)
-        else:
-            out = fam.cdf90_at(t, vi, *fam.cdf90_v(t, ui))
-            if u_past:
-                out = out + (uu - ui)
+        out = (fam.cdf90_at(t, ui, *prepared) if ref_u
+               else fam.cdf90_at(t, vi, *fam.cdf90_v(t, ui)))
     else:
         # C90 = v - C(1-u, v), C180 = u + v - 1 + C(1-u, 1-v), C270 = u - C(u, 1-v)
         out = fam.cdf_at(t, 1.0 - ui if ref_u else ui, *prepared)
         if ref_u and ref_v:
-            out = uu + vv - 1.0 + out
+            out = ui + vi - 1.0 + out
         elif ref_u:
-            out = vv - out
+            out = vi - out
         elif ref_v:
-            out = uu - out
+            out = ui - out
     if u_past or v_past:
-        out = np.where(uu <= 0.0, 0.0, np.where(vv <= 0.0, 0.0,
-                       np.where(uu >= 1.0, vv, np.where(vv >= 1.0, uu, out))))
+        # + 0.0 turns a -0.0 on a bound of 0 into the margin's +0.0
+        lower = np.maximum(np.maximum(vv - (1.0 - uu), uu - (1.0 - vv)), 0.0)
+        held = np.clip(out, lower, np.minimum(uu, vv)) + 0.0
+        out = np.where((uu != ui) | (vv != vi), held, out)
     out = np.clip(out, 0.0, 1.0)
     return _maybe_scalar(out, uu, vv)
 
@@ -677,9 +677,11 @@ def cdf(model: CopulaModel, u, v):
     u and v broadcast inside the family formula without being expanded, so
     a scalar u is rotated and transformed once per call.  Inside the clamp
     interior [1e-10, 1 - 1e-10] the result is the formula's value clipped
-    to [0, 1].  Only an input past the interior takes the boundary path:
-    the inputs are clipped into it before any reflection, and the margins
-    C(0, v) = C(u, 0) = 0, C(1, v) = v and C(u, 1) = u are imposed.
+    to [0, 1].  Only an input past the interior takes the one edge rule:
+    it is clipped into the interior, evaluated there, and the value is held
+    to the Frechet bounds max(0, u + v - 1) <= C <= min(u, v) of the given
+    (u, v), which every copula obeys and which give the margins
+    C(0, v) = C(u, 0) = 0, C(1, v) = v and C(u, 1) = u exactly.
     """
     u_unit = _as_unit("u", u)
     v_unit = _as_unit("v", v)
@@ -701,8 +703,8 @@ def cdf_of(model: CopulaModel, v):
     vv, vi, v_past = _as_unit("v", v)
     if vv.ndim != 1:
         raise ValueError(f"v must be a 1-d array, got shape {vv.shape}")
-    # every prefix takes the boundary path when any v lies past the clamp
-    # interior: the clip and the margins leave interior entries as they are
+    # every prefix takes the edge rule when any v lies past the clamp
+    # interior: the clip and the bounds leave interior entries as they are
     prepared = _rotated_cdf_v(model, vi)
 
     def at(u, n: int):
@@ -763,8 +765,8 @@ def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u)
     out = base_fn(model.theta, ra, ru)
     if _REFLECTS[model.rotation][1]:
         out = 1.0 - out
-    if a_past:
-        out = np.where(aa <= 0.0, 0.0, np.where(aa >= 1.0, 1.0, out))
+    if a_past:  # 0 and 1 are their own bounds, as in cdf
+        out = np.clip(out, aa >= 1.0, aa > 0.0)
     out = np.clip(out, 0.0, 1.0)
     return _maybe_scalar(out, aa, uu)
 
