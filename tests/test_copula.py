@@ -819,7 +819,10 @@ SEED_H = {"gumbel": seed_gumbel_h, "joe": seed_joe_h}
 
 
 def seed_cdf(model, u, v):
-    """C(u, v) as the seed code computed it."""
+    """C(u, v) as the seed code computed it, with the edge rule of the
+    Frechet bounds: an entry past the clamp interior is evaluated on the
+    clipped u and v, held to max(v - (1 - u), u - (1 - v), 0) <= C <= min(u, v)
+    of the given ones, and takes the margins at 0 and 1."""
     uu = seed_as_unit("u", u)
     vv = seed_as_unit("v", v)
     uu, vv = np.broadcast_arrays(uu, vv)
@@ -831,11 +834,13 @@ def seed_cdf(model, u, v):
     if r == 0:
         inner = base_cdf(t, ui, vi)
     elif r == 90:
-        inner = vv - base_cdf(t, 1.0 - ui, vi)
+        inner = vi - base_cdf(t, 1.0 - ui, vi)
     elif r == 180:
-        inner = uu + vv - 1.0 + base_cdf(t, 1.0 - ui, 1.0 - vi)
+        inner = ui + vi - 1.0 + base_cdf(t, 1.0 - ui, 1.0 - vi)
     else:
-        inner = uu - base_cdf(t, ui, 1.0 - vi)
+        inner = ui - base_cdf(t, ui, 1.0 - vi)
+    lower = np.maximum(np.maximum(vv - (1.0 - uu), uu - (1.0 - vv)), 0.0)
+    inner = np.where((uu != ui) | (vv != vi), np.clip(inner, lower, np.minimum(uu, vv)), inner)
     out = np.where(uu <= 0.0, 0.0, np.where(vv <= 0.0, 0.0,
                    np.where(uu >= 1.0, vv, np.where(vv >= 1.0, uu, inner))))
     out = np.clip(out, 0.0, 1.0)
