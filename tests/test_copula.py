@@ -664,22 +664,59 @@ SCAN_ENDS = (CLAMP, 0.005, 0.9995, 1.0 - CLAMP)
 clamp_interior = st.floats(CLAMP, 1.0 - CLAMP)
 
 
+# the closed unit interval: log-spread from both ends down to 1e-12, past the
+# clamp, uniform inside and past it, and both ends and their neighbours
+closed_unit = st.one_of(
+    st.floats(-12.0, 0.0).flatmap(lambda e: st.sampled_from([10.0 ** e, 1.0 - 10.0 ** e])),
+    st.floats(0.0, 1.0), st.floats(0.0, CLAMP), st.floats(1.0 - CLAMP, 1.0),
+    st.sampled_from([0.0, 1.0, 2.0 ** -1074, 1.0 - 2.0 ** -53]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(theta=st.floats(1e-4, 50.0), u=st.one_of(st.sampled_from(SCAN_ENDS), clamp_interior),
-       v=st.lists(st.one_of(log_unit, clamp_interior, st.sampled_from([0.0, 1.0])),
-                  min_size=1, max_size=60))
+       v=st.lists(st.one_of(closed_unit, clamp_interior), min_size=1, max_size=60))
 @example(theta=8.0, u=0.88, v=[1e-10, 1e-9])
+@example(theta=8.0, u=0.005, v=[1.0 - 5e-11, 1.0])
 def test_rotated_clayton_cdf_is_monotone_within_the_frechet_bounds(theta, u, v):
     """C90(u, .) over sorted v, through the hard scan's prepared path, never
     falls and stays within max(0, u + v - 1) <= C <= min(u, v), the lower
     bound to within the 2^-52 to which u + v rounds: a bisection over p2
-    relies on both.  (Past the clamp interior, where C is evaluated at the
-    clamp, both can miss by up to 1e-10.)"""
+    relies on both."""
     v = np.sort(v)
     c = cp.cdf_of(cp.CopulaModel("clayton", theta, 90), v)(u, v.size)
     assert np.all(np.diff(c) >= 0.0)
     assert np.all(c <= np.minimum(u, v))
     assert np.all(c >= np.maximum(0.0, u + v - 1.0) - 2.0 ** -52)
+
+
+@pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=BRACKET_END_IDS)
+@settings(max_examples=40, deadline=None)
+@given(u=closed_unit, v=st.lists(closed_unit, min_size=1, max_size=30))
+@example(u=1e-12, v=[1.0 - 2.0 ** -53])
+@example(u=0.005, v=[1.0 - 5e-11])
+def test_cdf_past_the_clamp_interior_keeps_the_frechet_bounds(model, u, v):
+    """C(u, .) and C(., u) over sorted v with 0, the clamp and 1 added: a
+    value past the clamp interior lies within the Frechet bounds
+    max(0, u + v - 1) <= C <= min(u, v) (the lower to within the 2^-52 to
+    which u + v rounds), C never falls from 0 to the first interior v or
+    from the last interior v to 1, and the margins are exact.  An interior
+    value is the formula's, which may pass its own bounds by rounding (or,
+    for Joe at theta = 50, by the upper corner's log(0)); the values past
+    it are held to the bounds, so it is checked held to its upper bound."""
+    v = np.sort(np.concatenate([v, [0.0, CLAMP, 1.0 - CLAMP, 1.0]]))
+    upper = np.minimum(u, v)
+    lower = np.maximum(0.0, u + v - 1.0) - 2.0 ** -52
+    past = (v < CLAMP) | (v > 1.0 - CLAMP) | (not CLAMP <= u <= 1.0 - CLAMP)
+    for c in (cp.cdf(model, u, v), cp.cdf(model, v, u)):
+        assert np.all((c[past] >= lower[past]) & (c[past] <= upper[past]))
+        held = np.minimum(c, upper)
+        for edge in (v <= CLAMP, v >= 1.0 - CLAMP):
+            assert np.all(np.diff(held[edge]) >= 0.0)
+    for c, margin in ((cp.cdf(model, 0.0, v), 0.0 * v), (cp.cdf(model, v, 0.0), 0.0 * v),
+                      (cp.cdf(model, 1.0, v), v), (cp.cdf(model, v, 1.0), v),
+                      (cp.cdf(model, u, 0.0), 0.0), (cp.cdf(model, 0.0, u), 0.0),
+                      (cp.cdf(model, u, 1.0), u), (cp.cdf(model, 1.0, u), u)):
+        assert_same(c, margin)
 
 
 def seed_clayton_ln_a(p, q):
