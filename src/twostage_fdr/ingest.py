@@ -47,6 +47,19 @@ MAX_BOOTSTRAP_COMBINATIONS = 1_000_000
 BOOTSTRAP_BLOCK_GENES = 2048
 
 
+def _gene_ids(ids) -> tuple:
+    """ids as a tuple of unique strings, none holding the tab, LF or CR that
+    would split its line of a TSV, so that write_summary's file reads back."""
+    ids = tuple(str(i) for i in ids)
+    joined = "".join(ids)
+    if "\t" in joined or "\n" in joined or "\r" in joined:
+        bad = next(i for i in ids if "\t" in i or "\n" in i or "\r" in i)
+        raise ValueError(f"gene id {bad!r} holds a tab or a line break")
+    if len(set(ids)) != len(ids):
+        raise ValueError("gene ids must be unique")
+    return ids
+
+
 @dataclass(frozen=True)
 class ReplicateData:
     """Per-gene weighted counts under knockout and wildtype conditions."""
@@ -58,11 +71,9 @@ class ReplicateData:
     def __post_init__(self):
         ko = np.asarray(self.ko, dtype=float)
         wt = np.asarray(self.wt, dtype=float)
-        ids = tuple(str(i) for i in self.ids)
+        ids = _gene_ids(self.ids)
         if ko.ndim != 2 or wt.shape != ko.shape or ko.shape[0] != len(ids):
             raise ValueError("ko and wt must be (n_genes, r) arrays matching ids")
-        if len(set(ids)) != len(ids):
-            raise ValueError("gene ids must be unique")
         if not (np.all(np.isfinite(ko)) and np.all(np.isfinite(wt))):
             raise ValueError("counts must be finite")
         if np.any(ko <= 0.0) or np.any(wt <= 0.0):
@@ -89,7 +100,7 @@ class FoldChangeSummary:
     sd_boot: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(str(i) for i in self.ids)
+        ids = _gene_ids(self.ids)
         beta = np.asarray(self.beta_hat, dtype=float)
         sd = np.asarray(self.sd_boot, dtype=float)
         if beta.shape != (len(ids),) or sd.shape != (len(ids),):

@@ -174,6 +174,42 @@ class TestReplicateDataChecks:
             ig.ReplicateData(("g1", "g2", "g1"), np.ones((3, 3)), np.ones((3, 3)))
 
 
+# ids that would split their line of a TSV: a tab, LF, CR or CRLF anywhere
+SPLITTING_IDS = ["g\t1", "g\n1", "g\r1", "g\r\n1", "\t", "g1\n"]
+
+
+@pytest.mark.parametrize("bad", SPLITTING_IDS, ids=repr)
+def test_an_id_that_would_split_its_line_is_rejected(bad):
+    message = f"^gene id {re.escape(repr(bad))} holds a tab or a line break$"
+    with pytest.raises(ValueError, match=message):
+        ig.ReplicateData(("g0", bad), np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match=message):
+        ig.FoldChangeSummary(("g0", bad), [0.1, 0.2], [0.3, 0.4])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(st.one_of(st.text(max_size=6), st.sampled_from(SPLITTING_IDS)),
+                    min_size=1, max_size=6))
+def test_summary_ids_read_back_or_are_rejected(ids, tmp_path_factory):
+    """A FoldChangeSummary that constructs writes a file that read_hypotheses
+    reads back to the same ids and values; one whose ids would not is
+    rejected at construction."""
+    beta = np.linspace(-1.0, 1.0, len(ids))
+    sd = np.linspace(0.1, 0.5, len(ids))
+    try:
+        summary = ig.FoldChangeSummary(ids, beta, sd)
+    except ValueError as exc:
+        assert (len(set(ids)) < len(ids)
+                or any(sep in i for i in ids for sep in "\t\n\r")), str(exc)
+        return
+    path = tmp_path_factory.mktemp("summary") / "summary.tsv"
+    ig.write_summary(summary, path)
+    got_ids, got_beta, got_sd = ig.read_hypotheses(path)
+    assert tuple(got_ids) == summary.ids
+    np.testing.assert_array_equal(got_beta, beta)
+    np.testing.assert_array_equal(got_sd, sd)
+
+
 class TestFoldChangeSummaryChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_beta_rejected(self, bad):
