@@ -639,12 +639,9 @@ def _rotated_cdf_at(model: CopulaModel, u_unit, v_unit, prepared):
 
     A family with a survival form takes C90(u, v) = v - C(1 - u, v) from it,
     and C270(u, v) = u - C(u, 1 - v) as C90(v, u), the same by the base
-    family's exchangeability; the other rotations reflect and add.  Every
-    rotation is evaluated on the clipped u and v.  An entry past the clamp
-    interior is then held to the Frechet bounds of the given (u, v),
-    max(0, u + v - 1) <= C <= min(u, v), which hold the margins: the lower
-    bound is max(v - (1 - u), u - (1 - v), 0), each term exact at its own
-    end, so C(1, v) = v and C(u, 1) = u bit for bit."""
+    family's exchangeability; the other rotations reflect and add, all on the
+    clipped u and v.  cdf's edge rule takes the lower Frechet bound as
+    max(v - (1 - u), u - (1 - v), 0), each term exact at its own end."""
     uu, ui, u_past = u_unit
     vv, vi, v_past = v_unit
     fam = _BASE[model.family]
@@ -662,11 +659,9 @@ def _rotated_cdf_at(model: CopulaModel, u_unit, v_unit, prepared):
             out = vi - out
         elif ref_v:
             out = ui - out
-    if u_past or v_past:
-        # + 0.0 turns a -0.0 on a bound of 0 into the margin's +0.0
+    if u_past or v_past:  # + 0.0: a margin of 0 is +0.0 where the formula gave -0.0
         lower = np.maximum(np.maximum(vv - (1.0 - uu), uu - (1.0 - vv)), 0.0)
-        held = np.clip(out, lower, np.minimum(uu, vv)) + 0.0
-        out = np.where((uu != ui) | (vv != vi), held, out)
+        out = np.where((uu != ui) | (vv != vi), np.clip(out, lower, np.minimum(uu, vv)) + 0.0, out)
     out = np.clip(out, 0.0, 1.0)
     return _maybe_scalar(out, uu, vv)
 
@@ -677,11 +672,9 @@ def cdf(model: CopulaModel, u, v):
     u and v broadcast inside the family formula without being expanded, so
     a scalar u is rotated and transformed once per call.  Inside the clamp
     interior [1e-10, 1 - 1e-10] the result is the formula's value clipped
-    to [0, 1].  Only an input past the interior takes the one edge rule:
-    it is clipped into the interior, evaluated there, and the value is held
-    to the Frechet bounds max(0, u + v - 1) <= C <= min(u, v) of the given
-    (u, v), which every copula obeys and which give the margins
-    C(0, v) = C(u, 0) = 0, C(1, v) = v and C(u, 1) = u exactly.
+    to [0, 1].  An entry past it is evaluated on the clipped u and v, then
+    held to the Frechet bounds max(0, u + v - 1) <= C <= min(u, v) of the
+    given ones, so that C(0, v) = C(u, 0) = 0, C(1, v) = v and C(u, 1) = u.
     """
     u_unit = _as_unit("u", u)
     v_unit = _as_unit("v", v)

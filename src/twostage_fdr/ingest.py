@@ -48,8 +48,7 @@ BOOTSTRAP_BLOCK_GENES = 2048
 
 
 def _gene_ids(ids) -> tuple:
-    """ids as a tuple of unique strings, none holding the tab, LF or CR that
-    would split its line of a TSV, so that write_summary's file reads back."""
+    """ids as unique strings, free of the tab, LF and CR that would split a TSV line."""
     ids = tuple(str(i) for i in ids)
     joined = "".join(ids)
     if "\t" in joined or "\n" in joined or "\r" in joined:
