@@ -659,10 +659,14 @@ def _rotated_cdf_at(model: CopulaModel, u_unit, v_unit, prepared):
             out = vi - out
         elif ref_v:
             out = ui - out
-    if u_past or v_past:  # + 0.0: a margin of 0 is +0.0 where the formula gave -0.0
-        lower = np.maximum(np.maximum(vv - (1.0 - uu), uu - (1.0 - vv)), 0.0)
-        out = np.where((uu != ui) | (vv != vi), np.clip(out, lower, np.minimum(uu, vv)) + 0.0, out)
     out = np.clip(out, 0.0, 1.0)
+    if u_past or v_past:  # the bounds of the entries past the interior alone
+        past = (uu != ui) | (vv != vi)
+        pu, pv = (np.broadcast_to(x, past.shape)[past] for x in (uu, vv))
+        lower = np.maximum(np.maximum(pv - (1.0 - pu), pu - (1.0 - pv)), 0.0)
+        out = np.asarray(out)  # np.clip's own array, or a 0-d one made here
+        # + 0.0 makes a margin of 0 +0.0 where the formula gave -0.0
+        out[past] = np.clip(out[past], lower, np.minimum(pu, pv)) + 0.0
     return _maybe_scalar(out, uu, vv)
 
 
@@ -697,7 +701,7 @@ def cdf_of(model: CopulaModel, v):
     if vv.ndim != 1:
         raise ValueError(f"v must be a 1-d array, got shape {vv.shape}")
     # every prefix takes the edge rule when any v lies past the clamp
-    # interior: the clip and the bounds leave interior entries as they are
+    # interior: the bounds hold only the entries past it
     prepared = _rotated_cdf_v(model, vi)
 
     def at(u, n: int):
