@@ -516,11 +516,11 @@ def widest_inversion(values):
     return int(gaps.max(initial=0))
 
 
-def scan_levels_that_fall(family, tau, edge_p2=()):
-    """{g1: widest inversion} over the default grid levels at which the hard
-    scan's C(g1, p2), over the rows with p1 <= g1 in p2 order, falls.  The
-    rows of smallest p1, screened in at every level, and as many from the
-    middle of the p1 order take edge_p2 as their p2."""
+def assert_scan_never_falls(family, tau, edge_p2=()):
+    """At every default grid level the hard scan's C(g1, p2) over the rows
+    with p1 <= g1, in p2 order, never falls.  The rows of smallest p1,
+    screened in at every level, and as many from the middle of the p1 order
+    take edge_p2 as their p2."""
     cfg = sim.SimulationConfig(m=8000, tau=tau, dep_family=family, seed=0)
     table, _ = sim.generate_dataset(cfg, 0)
     model = sim.analysis_model(family, tau)
@@ -536,10 +536,6 @@ def scan_levels_that_fall(family, tau, edge_p2=()):
         width = widest_inversion(cdf_on_p2(g1, k)[np.argsort(p2[:k])])
         if width:
             widths[float(g1)] = width
-    return widths
-
-
-def assert_no_level_falls(widths):
     assert not widths, (f"{len(widths)} levels fall, widest inversion "
                         f"{max(widths.values())} rows at g1 = {max(widths, key=widths.get)}")
 
@@ -550,7 +546,7 @@ def test_scan_cdf_is_nondecreasing_in_p2_over_the_screened_in_rows(family, tau):
     """At every default grid level the hard scan's C(g1, p2) over the rows
     with p1 <= g1, in p2 order, never falls: a candidate-only scan relies
     on it."""
-    assert_no_level_falls(scan_levels_that_fall(family, tau))
+    assert_scan_never_falls(family, tau)
 
 
 # p2 past the clamp interior on both sides, both ends among them
@@ -564,7 +560,7 @@ def test_scan_cdf_is_nondecreasing_in_p2_past_the_clamp_interior(family, tau):
     """As above, with screened-in rows whose p2 lies in [0, 1e-10) and in
     (1 - 1e-10, 1] at every level: the edge rule holds those values to the
     Frechet bounds, so that no p2 past the interior needs a block of its own."""
-    assert_no_level_falls(scan_levels_that_fall(family, tau, EDGE_P2))
+    assert_scan_never_falls(family, tau, EDGE_P2)
 
 
 tie_values = st.lists(
