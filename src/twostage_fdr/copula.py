@@ -609,18 +609,20 @@ def _as_unit(name, value):
     """(checked, interior, past): value as a float array checked by its min
     and max against the closed [0, 1] (NaN fails); that array clipped into
     the clamp interior [EPS, 1 - EPS], all that family formulas and rotation
-    reflections receive; and whether an entry lies past the interior, the
-    only case where the clip (run only then) or an evaluator's edge rule
-    changes a value."""
+    reflections receive; and None when no entry lies past the interior, else
+    the mask of those that do, the only entries where the clip (run only
+    then) or an evaluator's edge rule changes a value."""
     arr = np.asarray(value, dtype=float)
     if arr.size == 0:
-        return arr, arr, False
+        return arr, arr, None
     lo = arr.min()
     hi = arr.max()
     if not (0.0 <= lo and hi <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1]")
-    past = bool(lo < EPS or hi > 1.0 - EPS)
-    return arr, (np.clip(arr, EPS, 1.0 - EPS) if past else arr), past
+    if EPS <= lo and hi <= 1.0 - EPS:
+        return arr, arr, None
+    interior = np.clip(arr, EPS, 1.0 - EPS)
+    return arr, interior, arr != interior
 
 
 def _rotated_cdf_v(model: CopulaModel, vi):
@@ -660,8 +662,9 @@ def _rotated_cdf_at(model: CopulaModel, u_unit, v_unit, prepared):
         elif ref_v:
             out = ui - out
     out = np.clip(out, 0.0, 1.0)
-    if u_past or v_past:  # the bounds of the entries past the interior alone
-        past = (uu != ui) | (vv != vi)
+    if u_past is not None or v_past is not None:  # the entries past the interior alone
+        past = u_past if v_past is None else v_past if u_past is None else u_past | v_past
+        past = np.broadcast_to(past, np.shape(out))
         pu, pv = (np.broadcast_to(x, past.shape)[past] for x in (uu, vv))
         lower = np.maximum(np.maximum(pv - (1.0 - pu), pu - (1.0 - pv)), 0.0)
         out = np.asarray(out)  # np.clip's own array, or a 0-d one made here
@@ -700,8 +703,6 @@ def cdf_of(model: CopulaModel, v):
     vv, vi, v_past = _as_unit("v", v)
     if vv.ndim != 1:
         raise ValueError(f"v must be a 1-d array, got shape {vv.shape}")
-    # every prefix takes the edge rule when any v lies past the clamp
-    # interior: the bounds hold only the entries past it
     prepared = _rotated_cdf_v(model, vi)
 
     def at(u, n: int):
@@ -709,7 +710,8 @@ def cdf_of(model: CopulaModel, v):
             raise ValueError("u must be a scalar")
         if not 0 <= n <= vv.size:
             raise ValueError(f"prefix length must lie in [0, {vv.size}], got {n}")
-        return _rotated_cdf_at(model, _as_unit("u", u), (vv[:n], vi[:n], v_past),
+        return _rotated_cdf_at(model, _as_unit("u", u),
+                               (vv[:n], vi[:n], None if v_past is None else v_past[:n]),
                                [p if p is None else p[:n] for p in prepared])
 
     at.v = vv
@@ -762,7 +764,7 @@ def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u)
     out = base_fn(model.theta, ra, ru)
     if _REFLECTS[model.rotation][1]:
         out = 1.0 - out
-    if a_past:  # 0 and 1 are their own bounds, as in cdf
+    if a_past is not None:  # 0 and 1 are their own bounds, as in cdf
         out = np.clip(out, aa >= 1.0, aa > 0.0)
     out = np.clip(out, 0.0, 1.0)
     return _maybe_scalar(out, aa, uu)

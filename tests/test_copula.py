@@ -974,6 +974,7 @@ def oracle_inputs():
     pairs += [(inner, s) for s in (0.25, 1e-10, 1.0)]
     pairs.append((rng.permutation(inner), inner))
     pairs.append((inner[:3].reshape(3, 1), inner[3:7]))
+    pairs.append((inner[:3].reshape(3, 1), EDGE_POINTS))  # past the clamp in v alone
     pairs.append((np.array([[0.0], [0.4], [1.0]]), EDGE_POINTS[:4]))
     pairs += [(0.3, np.empty(0)), (np.empty(0), np.empty(0))]
     pairs += [(a, b) for a in (0.2, 1e-10, 1.0) for b in (0.0, 0.6, 1.0 - 1e-12)]
