@@ -55,6 +55,7 @@ ROTATIONS = tuple(_REFLECTS)
 ROTATABLE = ("clayton", "gumbel", "joe")
 
 EPS = 1e-10  # boundary clamp for interior-only evaluations
+_TAU_INDEPENDENT = 1e-6  # tau_to_theta takes |tau| below this as independence
 _TINY = np.finfo(float).tiny  # the smallest normal double
 _EXPM1_MAX = math.log(np.finfo(float).max)  # expm1 is finite up to here
 
@@ -825,29 +826,26 @@ def orientation(family: str, tau: float) -> tuple[int, tuple[float, float] | Non
 def tau_to_theta(family: str, tau: float) -> CopulaModel:
     """Build the model of a family whose population Kendall tau equals tau.
 
-    The rotation is orientation's: 90 degrees for Clayton/Gumbel/Joe at a
-    negative tau.  Gaussian, Clayton and Gumbel invert in closed form;
-    Frank and Joe invert their tau map by 60 fixed halvings of the
-    family's theta bracket.
+    Every family takes |tau| < 1e-6 as the independence copula, the one
+    rule of which tau is independence: both bisected brackets invert there
+    (Frank's theta = 1e-6 has tau 1.1e-7, Joe's 1 + 1e-6 has 5.8e-7).  The
+    independence family raises at any other tau.  The rotation is
+    orientation's: 90 degrees for Clayton/Gumbel/Joe at a negative tau.
+    Gaussian, Clayton and Gumbel invert in closed form; Frank and Joe
+    invert their tau map by 60 fixed halvings of the family's theta bracket.
     """
     row = _check_family(family)
     if not -1.0 < tau < 1.0:
         raise ValueError(f"kendall tau must be in (-1, 1), got {tau}")
-
-    if family == "independence":
-        if tau != 0.0:
-            raise ValueError("independence copula requires tau = 0")
+    if abs(tau) < _TAU_INDEPENDENT:
         return CopulaModel("independence")
+    if family == "independence":
+        raise ValueError(f"independence copula requires |tau| < {_TAU_INDEPENDENT}, got {tau}")
 
     rotation, _ = orientation(family, tau)
     if rotation:
         tau = abs(tau)  # the rotation carries the sign
-
-    if tau == 0.0 and family in ("frank", "clayton"):
-        raise ValueError(f"{family} copula is undefined at tau = 0; use independence")
-    if tau == 0.0 and family == "joe":
-        theta = 1.0
-    elif row.theta_of is not None:
+    if row.theta_of is not None:
         theta = row.theta_of(tau)
     else:
         theta = math.copysign(_invert_tau(row.tau, abs(tau), *row.bracket), tau)

@@ -54,8 +54,6 @@ __all__ = [
 
 METHODS = ("storey", "hard", "soft")
 
-_TAU_INDEPENDENT = 1e-6  # |tau| below this collapses to independence
-
 DEFAULT_SEED = 20240001
 
 _FIT_MODES = ("fixed", "refit")  # the modes of run_misspecification
@@ -175,9 +173,9 @@ class MonteCarloResult:
 
 
 def analysis_model(family: str, tau: float) -> cp.CopulaModel:
-    """The copula of `family` at Kendall tau `tau`; independence for the
-    independence family or |tau| < 1e-6."""
-    if abs(tau) < _TAU_INDEPENDENT or family == "independence":
+    """The copula of `family` at Kendall tau `tau` (``copula.tau_to_theta``,
+    independence at |tau| < 1e-6); the independence family at any tau."""
+    if family == "independence":
         return cp.CopulaModel("independence")
     return cp.tau_to_theta(family, tau)
 

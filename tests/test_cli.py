@@ -492,6 +492,9 @@ NON_STRING_FAMILIES = [
 BAD_SELECTION_STUDIES = [
     ({"mode": "selection", "n": 300, "reps": 1, "candidates": ["clayton", "foo"]},
      "error: unknown copula family 'foo'"),
+    # the family is checked at every tau, independence's range included
+    ({"mode": "selection", "n": 300, "reps": 1, "true_family": "foo", "tau": 0.0},
+     "error: unknown copula family 'foo'"),
     ({"mode": "selection", "n": 300, "reps": 0}, "error: reps must be positive, got 0"),
     ({"mode": "selection", "n": 300, "reps": -2}, "error: reps must be positive, got -2"),
     ({"mode": "selection", "n": 5, "reps": 1}, "error: n must be at least 10, got 5"),

@@ -609,8 +609,7 @@ class TestSelectionStudy:
     def test_config_samples_the_analysis_model(self, tmp_path, monkeypatch, family, tau):
         # a selection config takes its copula by the rule cell and
         # misspecification data follow: independence for the independence
-        # family or |tau| < 1e-6, where tau_to_theta would raise or give a
-        # Clayton with theta about 1e-6
+        # family at any tau, and for every family at |tau| < 1e-6
         config = {"mode": "selection", "n": 300, "reps": 2, "seed": 3}
         reference = sim.run_config({**config, "true_family": "independence", "tau": 0.0},
                                    tmp_path / "reference")
