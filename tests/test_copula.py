@@ -257,6 +257,18 @@ class TestTauMaps:
             m = cp.tau_to_theta(family, 1e-4)
             np.testing.assert_allclose(cp.cdf(m, u, v), u * v, atol=1e-3)
 
+    @pytest.mark.parametrize("family", cp.FAMILIES)
+    def test_tau_below_1e_6_is_independence_for_every_family(self, family):
+        for tau in (0.0, -0.0, 1e-300, -1e-300, 1e-9, -1e-9, 9.99e-7, -9.99e-7):
+            assert cp.tau_to_theta(family, tau) == cp.CopulaModel("independence"), tau
+        for tau in (1e-6, -1e-6):
+            if family == "independence":
+                with pytest.raises(ValueError, match=r"^independence copula requires "
+                                                     r"\|tau\| < 1e-06, got -?1e-06$"):
+                    cp.tau_to_theta(family, tau)
+            else:
+                assert cp.tau_to_theta(family, tau).family == family, tau
+
     def test_tau_bounds_rejected(self):
         with pytest.raises(ValueError):
             cp.tau_to_theta("clayton", 1.0)
@@ -1171,19 +1183,17 @@ def seed_tau_to_theta(family, tau, rotation=None):
         raise ValueError(f"unknown copula family {family!r}")
     if not -1.0 < tau < 1.0:
         raise ValueError(f"kendall tau must be in (-1, 1), got {tau}")
-    if family == "independence":
-        if tau != 0.0:
-            raise ValueError("independence copula requires tau = 0")
-        if rotation not in (None, 0):
-            raise ValueError("independence copula does not take a rotation")
+    # the rule below |tau| = 1e-6 that replaced the seed's tau = 0 cases:
+    # the seed raised for Frank and Clayton at 0 and took Joe's theta = 1
+    if abs(tau) < 1e-6:
         return cp.CopulaModel("independence")
+    if family == "independence":
+        raise ValueError(f"independence copula requires |tau| < 1e-06, got {tau}")
     if family in ("gaussian", "frank"):
         if rotation not in (None, 0):
             raise ValueError(f"{family} copula does not take a rotation")
         if family == "gaussian":
             return cp.CopulaModel("gaussian", math.sin(math.pi * tau / 2.0))
-        if tau == 0.0:
-            raise ValueError("frank copula is undefined at tau = 0; use independence")
         lo, hi = seed_theta_bracket("frank")
         theta = cp._invert_tau(cp._frank_tau_positive, abs(tau), lo, hi)
         return cp.CopulaModel("frank", math.copysign(theta, tau))
@@ -1195,13 +1205,9 @@ def seed_tau_to_theta(family, tau, rotation=None):
         raise ValueError(f"negative tau requires rotation 90 or 270, got {rotation}")
     mag = abs(tau)
     if family == "clayton":
-        if mag == 0.0:
-            raise ValueError("clayton copula is undefined at tau = 0; use independence")
         theta = 2.0 * mag / (1.0 - mag)
     elif family == "gumbel":
         theta = 1.0 / (1.0 - mag)
-    elif mag == 0.0:
-        theta = 1.0
     else:
         lo, hi = seed_theta_bracket("joe")
         theta = cp._invert_tau(cp._joe_tau, mag, lo, hi)
