@@ -227,10 +227,10 @@ def _frank_d(t, u, v, ev):
 
 
 def _frank_cdf_at(t, u, v, ev):
-    if abs(t) < _FRANK_SMALL:
-        return -np.log1p(_frank_x(t, u, ev)) / t
+    if abs(t) < _FRANK_SMALL:  # 0.0 - x, not -x: a C that rounds to 0 is +0.0
+        return 0.0 - np.log1p(_frank_x(t, u, ev)) / t
     g1 = math.expm1(-t)
-    return -np.log(_frank_d(t, u, v, ev) / g1) / t
+    return 0.0 - np.log(_frank_d(t, u, v, ev) / g1) / t
 
 
 def _frank_logpdf(t, u, v):
@@ -826,13 +826,12 @@ def orientation(family: str, tau: float) -> tuple[int, tuple[float, float] | Non
 def tau_to_theta(family: str, tau: float) -> CopulaModel:
     """Build the model of a family whose population Kendall tau equals tau.
 
-    Every family takes |tau| < 1e-6 as the independence copula, the one
-    rule of which tau is independence: both bisected brackets invert there
-    (Frank's theta = 1e-6 has tau 1.1e-7, Joe's 1 + 1e-6 has 5.8e-7).  The
-    independence family raises at any other tau.  The rotation is
-    orientation's: 90 degrees for Clayton/Gumbel/Joe at a negative tau.
-    Gaussian, Clayton and Gumbel invert in closed form; Frank and Joe
-    invert their tau map by 60 fixed halvings of the family's theta bracket.
+    Every family is the independence copula at |tau| < 1e-6, above the tau
+    of Frank's and Joe's bracket ends (1.1e-7 and 5.8e-7); the independence
+    family raises at any other tau.  The rotation is orientation's: 90
+    degrees for Clayton/Gumbel/Joe at a negative tau.  Gaussian, Clayton and
+    Gumbel invert in closed form; Frank and Joe invert their tau map by 60
+    fixed halvings of the family's theta bracket.
     """
     row = _check_family(family)
     if not -1.0 < tau < 1.0:

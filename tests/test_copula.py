@@ -811,10 +811,11 @@ def seed_maybe_scalar(out, *inputs):
 
 
 def seed_frank_cdf(t, u, v):
+    # 0.0 - x where the seed had -x: the same value, but a C that rounds to 0 is +0.0
     if abs(t) < 1.0:
-        return -np.log1p(np.expm1(-t * u) * np.expm1(-t * v) / math.expm1(-t)) / t
+        return 0.0 - np.log1p(np.expm1(-t * u) * np.expm1(-t * v) / math.expm1(-t)) / t
     d = np.exp(-t * (u + v)) + math.exp(-t) - np.exp(-t * u) - np.exp(-t * v)
-    return -np.log(d / math.expm1(-t)) / t
+    return 0.0 - np.log(d / math.expm1(-t)) / t
 
 
 def seed_clayton_cdf(t, u, v):
@@ -1478,6 +1479,16 @@ def test_every_evaluator_is_finite_past_the_clamp_interior(model, pairs):
             assert np.all((out >= 0.0) & (out <= 1.0)), fn.__name__
         ll = cp.log_density(model, *args)
         assert np.all(np.isfinite(ll) | joe_upper_corner(model, *args))
+
+
+@pytest.mark.parametrize("model", BRACKET_MODELS, ids=BRACKET_IDS)
+def test_no_value_at_the_clamp_corners_is_negative_zero(model):
+    # a -0.0 would print as -0.0 in decisions.tsv
+    corners = (0.0, CLAMP, 1.0 - CLAMP, 1.0)
+    u, v = np.array([(a, b) for a in corners for b in corners]).T
+    for fn in (cp.cdf, cp.hfunc, cp.hfunc_inverse):
+        for out in (fn(model, u, v), *(fn(model, a, b) for a, b in zip(u, v))):
+            assert not np.any((out == 0.0) & np.signbit(out)), fn.__name__
 
 
 @pytest.mark.xfail(strict=True, reason="Joe's log T takes log(0) when (1 - u)^theta and "
