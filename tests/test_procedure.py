@@ -563,6 +563,70 @@ def test_scan_cdf_is_nondecreasing_in_p2_past_the_clamp_interior(family, tau):
     assert_scan_never_falls(family, tau, EDGE_P2)
 
 
+def scan_grid_models():
+    """Every family and rotation at both ends of its theta bracket and at
+    theta = 8 (Gaussian at rho = 0.6 instead), Frank at either sign."""
+    models = [INDEP]
+    for family in ("gaussian", "frank", "clayton", "gumbel", "joe"):
+        lo, hi = cp.orientation(family, 1.0)[1]
+        thetas = (lo, 0.6 if family == "gaussian" else 8.0, hi)
+        if family == "frank":
+            thetas += tuple(-t for t in thetas)
+        rotations = cp.ROTATIONS if family in cp.ROTATABLE else (0,)
+        models += [cp.CopulaModel(family, t, r) for t in thetas for r in rotations]
+    return models
+
+
+# p2 over the closed unit interval: uniform, log-spread down to 1e-12 and up to
+# within 1e-12 of 1, the clamp's ends and both ends of the interval
+SCAN_P2 = np.unique(np.concatenate([np.linspace(0.0, 1.0, 300), np.logspace(-12.0, 0.0, 300),
+                                    1.0 - np.logspace(-12.0, -1.0, 300),
+                                    [cp.EPS, 1.0 - cp.EPS]]))
+# The models whose C(g1, .) falls on SCAN_P2 at some default level, by cause
+# (CHANGES.md, FOUND: the scan CDF falls on a fixed p2 grid)
+CLAMP_EDGE = ("the interior C(g1, 1 - 1e-10) rounds past g1, and the p2 past the clamp "
+              "are held to g1: C falls by up to 1.1e-16")
+ROT180 = ("rotation 180's reflection g1 + p2 - 1 + C(1 - g1, 1 - p2) rounds: C falls by "
+          "up to 3.3e-16, at p2 from 0.04 up")
+ROT90 = ("rotation 90's reflection p2 - C(1 - g1, p2) cancels: C falls by up to 1.1e-16, "
+         "at p2 from 1e-10 to 0.9")
+FRANK_SUM = "Frank's sum of exponentials rounds at |theta| = 50: C falls by up to 6.9e-18"
+NEAR_INDEPENDENCE = ("Clayton's log-sum loses about eps/theta near independence, and "
+                     "rotation 180 keeps it: C falls by up to 3.3e-12 at p2 below 3.1e-9")
+SCAN_GRID_FALLS = {
+    **{f"{f}(theta={t})": CLAMP_EDGE for f in cp.ROTATABLE for t in (8, 50)},
+    "gaussian(theta=0.6)": CLAMP_EDGE,
+    "gaussian(theta=0.9999)": CLAMP_EDGE,
+    **{f"{f}(theta={t}) rot180": ROT180 for f in cp.ROTATABLE for t in (8, 50)},
+    **{f"{f}(theta={t}) rot90": ROT90 for f in ("gumbel", "joe") for t in (8, 50)},
+    "frank(theta=50)": FRANK_SUM,
+    "frank(theta=-50)": FRANK_SUM,
+    "clayton(theta=0.0001) rot180": NEAR_INDEPENDENCE,
+}
+
+
+def scan_grid_params():
+    for model in scan_grid_models():
+        reason = SCAN_GRID_FALLS.get(model.describe())
+        marks = () if reason is None else pytest.mark.xfail(strict=True, reason=reason)
+        yield pytest.param(model, marks=marks, id=model.describe())
+
+
+@pytest.mark.parametrize("model", scan_grid_params())
+def test_scan_cdf_is_nondecreasing_on_a_p2_grid(model):
+    """At every default grid level C(g1, p2) over SCAN_P2, in order, never
+    falls: what a bisection over p2 alone would need, for every model the
+    scan can be given, not only those the simulated tables reach."""
+    cdf_on_p2 = cp.cdf_of(model, SCAN_P2)
+    falls = {}
+    for g1 in proc.default_gamma1_grid():
+        step = np.diff(cdf_on_p2(g1, SCAN_P2.size))
+        if np.any(step < 0.0):
+            falls[float(g1)] = -float(step.min())
+    assert not falls, (f"{len(falls)} levels fall, by up to {max(falls.values()):.2g} "
+                       f"at g1 = {max(falls, key=falls.get)}")
+
+
 tie_values = st.lists(
     st.one_of(st.just(0.0), st.just(1.0),
               st.floats(0.0, 1.0).map(lambda x: round(x, 2))),
