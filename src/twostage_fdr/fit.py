@@ -205,16 +205,18 @@ def select_copula(obs: PseudoObservations,
     and report the winner per criterion.
 
     A failed fit is recorded (converged=False, at orientation's rotation and
-    bracket floor) without aborting; an unknown or repeated family name
-    raises ValueError before any family is fitted.
+    bracket floor) without aborting; when every family fails, the FitError
+    names each family's reason.  An unknown or repeated family name raises
+    ValueError before any family is fitted.
     """
     families = check_families(families, "families")
     tau = empirical_kendall_tau(obs)
-    results = []
+    results, failed = [], {}  # failed: reason -> the families that gave it
     for family in families:
         try:
             results.append(fit_mle(family, obs, tau))
-        except FitError:
+        except FitError as exc:
+            failed.setdefault(str(exc), []).append(family)
             rotation, bracket = orientation(family, tau)
             placeholder = CopulaModel(family, None if bracket is None else bracket[0],
                                       rotation)
@@ -223,7 +225,8 @@ def select_copula(obs: PseudoObservations,
     winner_index = {}
     ok = [i for i, r in enumerate(results) if r.converged]
     if not ok:
-        raise FitError("every candidate family failed to fit")
+        raise FitError("every candidate family failed to fit: " + "; ".join(
+            f"{', '.join(names)}: {reason}" for reason, names in failed.items()))
     winner_index["loglik"] = max(ok, key=lambda i: results[i].loglik)
     winner_index["aic"] = min(ok, key=lambda i: results[i].aic)
     winner_index["bic"] = min(ok, key=lambda i: results[i].bic)

@@ -120,6 +120,15 @@ class TestBootstrapCommand:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unequal_replicate_header_fails(self, tmp_path, capsys):
+        src = tmp_path / "counts.tsv"
+        src.write_text("gene_id\tko_1\tko_2\twt_1\ng1\t1\t2\t3\n")
+        out = tmp_path / "summary.tsv"
+        assert main(["bootstrap", str(src), str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {src}: header must be gene_id, ko_1..ko_r, wt_1..wt_r\n")
+        assert not out.exists()
+
     def test_bad_row_fails(self, tmp_path, capsys):
         src = tmp_path / "counts.tsv"
         src.write_text(COUNTS + "g3\t0\t1\t1\t1\t1\t1\n")
@@ -144,6 +153,16 @@ class TestFitCommand:
         table.write_text("gene_id\tbeta_hat\ty\ng1\t0.5\t0.2\n")
         assert main(["fit", str(table), "--null-mixture", null_json,
                      "--out-dir", str(tmp_path)]) == 1
+
+    def test_every_family_failing_names_the_reason(self, tmp_path, capsys, null_json):
+        table = tmp_path / "table.tsv"
+        write_test_table(table, m=5)
+        out = tmp_path / "out"
+        assert main(["fit", str(table), "--null-mixture", null_json, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: every candidate family failed to fit: gaussian, frank, clayton, gumbel, "
+            "joe: need at least 10 observation pairs to fit, got 5\n")
+        assert not out.exists()
 
 
 class TestTestCommand:
@@ -213,10 +232,13 @@ class TestTestCommand:
         assert capsys.readouterr().err == f"error: {table}: line 3: non-finite beta_hat\n"
 
     @pytest.mark.parametrize("payload, message", [
-        ('{"weights": [1.0], "means": [0.0]}', "missing keys: ['sds']"),
-        ('[1.0, 0.0, 1.0]', "must be an object"),
+        ('{"weights": [1.0], "means": [0.0]}', "mixture JSON is missing keys: ['sds']"),
+        ('[1.0, 0.0, 1.0]',
+         "mixture JSON must be an object with keys ['weights', 'means', 'sds']"),
         ('{"weights": [true], "means": [0.0], "sds": [1.0]}',
          "mixture weights must be a list of JSON numbers, got [True]"),
+        ('{"weights": [0.0, 1.0], "means": [0.0, 1.0], "sds": [1.0, 1.0]}',
+         "mixture weights must be positive"),
     ])
     def test_malformed_null_mixture_fails(self, tmp_path, capsys, payload, message):
         table = tmp_path / "table.tsv"
@@ -225,9 +247,7 @@ class TestTestCommand:
         null.write_text(payload)
         assert main(["test", str(table), "--method", "storey", "--null-mixture", str(null),
                      "--out-dir", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert message in err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("key, value", [("weights", '"abc"'),
                                             ("means", "[1" + "0" * 400 + "]")],
@@ -287,6 +307,8 @@ class TestTestCommand:
          "--copula applies only to the hard and soft methods, not storey"),
         # simulate's seed rule: the header never records a seed numpy would refuse
         (["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["--alpha", "1.0"], "alpha must lie in [0, 1), got 1.0"),
+        (["--lambda", "1.0"], "lambda must lie strictly inside (0, 1), got 1.0"),
     ])
     def test_bad_flag_is_named_and_leaves_no_out_dir(self, tmp_path, capsys, null_json,
                                                       flags, message):
@@ -505,6 +527,17 @@ BAD_SELECTION_STUDIES = [
      "error: config key 'seed' must be a non-negative integer, got -1"),
 ]
 
+# a value of the right type out of SimulationConfig's range, in both modes that take it
+BAD_CELL_VALUES = [
+    ({"mode": mode, "k_reps": 1, **value}, f"error: {message}")
+    for value, message in [({"m": 0}, "m must be positive"),
+                           ({"m": 100, "k_reps": 0}, "k_reps must be positive"),
+                           ({"m": 100, "alpha": 1}, "alpha must lie strictly inside (0, 1)"),
+                           ({"m": 100, "lambda": 0}, "lambda must lie strictly inside (0, 1)"),
+                           ({"m": 100, "dep_family": "foo"}, "unknown dependence family 'foo'")]
+    for mode in ("cell", "misspecification")
+]
+
 BAD_FIT_MODES = [5, "sometimes", None, "Fixed"]
 
 REPEATED_FAMILIES = [
@@ -613,6 +646,15 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("payload, message", BAD_CELL_VALUES, ids=repr)
+    def test_out_of_range_cell_value_is_named(self, tmp_path, capsys, payload, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"{message}\n"
+        assert not out.exists()
         assert not out.exists()
 
     @pytest.mark.parametrize("fit_mode", BAD_FIT_MODES, ids=repr)
