@@ -646,6 +646,7 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload, message", BAD_CELL_VALUES, ids=repr)
     def test_out_of_range_cell_value_is_named(self, tmp_path, capsys, payload, message):
@@ -654,7 +655,6 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"{message}\n"
-        assert not out.exists()
         assert not out.exists()
 
     @pytest.mark.parametrize("fit_mode", BAD_FIT_MODES, ids=repr)
