@@ -2,10 +2,10 @@
 
 Implements the Independence, Gaussian, Frank, Clayton, Gumbel and Joe
 families with CDF, log-density, conditional CDF (h-function), inverse
-h-function, Kendall-tau parameter maps, 90/180/270-degree rotations and
+h-function, Kendall-tau parameter maps, the 90-degree rotation and
 conditional-inversion sampling.  Clayton, Gumbel and Joe natively model
 positive dependence only; negative dependence is represented by the 90
-or 270 degree rotation.
+degree rotation, which reflects u.
 
 All evaluators accept scalars or numpy arrays and are pure functions of
 an immutable :class:`CopulaModel`, so concurrent use is safe.  Every
@@ -45,10 +45,7 @@ __all__ = [
 
 FAMILIES = ("independence", "gaussian", "frank", "clayton", "gumbel", "joe")
 
-# rotation -> (whether it reflects u, whether it reflects v): the one place
-# that says what a rotation does
-_REFLECTS = {0: (False, False), 90: (True, False), 180: (True, True), 270: (False, True)}
-ROTATIONS = tuple(_REFLECTS)
+ROTATIONS = (0, 90)  # 90 degrees reflects u: C90(u, v) = v - C(1 - u, v)
 
 # Families that only model positive dependence and therefore need a
 # rotation to represent negative Kendall tau.
@@ -340,6 +337,18 @@ def _gumbel_cdf_at(t, u, t_lb):
     return np.exp(-np.exp(ln_s / t))
 
 
+def _gumbel_cdf90_v(t, v):
+    s = -np.log(v)
+    return -v, s, np.log(s)
+
+
+def _gumbel_cdf90_at(t, u, neg_v, s, ls):
+    # C90(u, v) = v - C(1 - u, v) = -v expm1(-s expm1(log1p(r) / t)) with
+    # s = -log v, r = (a / s)^t and a = -log1p(-u): no term cancels
+    ln1p_r = _logaddexp(t * (np.log(-np.log1p(-u)) - ls), 0.0)
+    return neg_v * np.expm1(-s * np.expm1(ln1p_r / t))
+
+
 def _gumbel_hinv(t, x, u):
     # h(v | u) = x is w + a log w = B in w = ((-log u)^t + (-log v)^t)^(1/t),
     # with a = t - 1, s = -log u and B = -log x + s + a log s, so w is
@@ -408,6 +417,18 @@ def _joe_cdf_v(t, v):
 def _joe_cdf_at(t, u, ey, py):
     _, ex, px = _joe_side(t, np.log1p(-u))
     return -np.expm1(_joe_ln_t(ex, ey, px, py) / t)
+
+
+def _joe_cdf90_v(t, v):
+    # 1 - v and log expm1(L), L = -t log1p(-v)
+    big_l = -t * np.log1p(-v)
+    return 1.0 - v, big_l + np.log(-np.expm1(-big_l))
+
+
+def _joe_cdf90_at(t, u, one_minus_v, ln_expm1_l):
+    # C90(u, v) = v - C(1 - u, v) = (1 - v) expm1(log1p(z) / t) with
+    # z = u^t expm1(L), taken in log space: no term cancels
+    return one_minus_v * np.expm1(_logaddexp(t * np.log(u) + ln_expm1_l, 0.0) / t)
 
 
 def _joe_logpdf(t, l1u, l1v):
@@ -545,10 +566,11 @@ class _Family:
     what depends on v and theta alone (by default v itself), as the hard
     scan's p2 and theta are fixed across its screen levels; the split keeps
     the formula's operations in their order, so it changes no bit.
-    cdf90_at(theta, u, *cdf90_v(theta, v)), when given, is the survival
-    form v - C(1 - u, v) of the 90-degree rotation, split the same way, which
-    the rotations take in place of the reflection and its difference.  h is
-    the h-function h(theta, v, u), and hinv its inverse in v.  The
+    cdf90_at(theta, u, *cdf90_v(theta, v)), given for the rotatable
+    families, is the survival form of the 90-degree rotation's
+    C90(u, v) = v - C(1 - u, v), split the same way, in which no term
+    cancels.  h is the h-function h(theta, v, u), and hinv its inverse in v;
+    the rotation reflects their u, as it does the log-density's.  The
     log-density at (u, v) is logpdf(theta, *prepare(u, v)): prepare computes
     the theta-free transforms of the pairs, which a fit needs only once (by
     default the pairs themselves).  tau maps theta to the population Kendall
@@ -591,12 +613,14 @@ _BASE = {
                        theta_of=lambda tau: 2.0 * tau / (1.0 - tau),
                        bracket=(1e-4, 50.0)),
     "gumbel": _Family(_gumbel_cdf_at, _gumbel_logpdf, _gumbel_h, _gumbel_hinv,
-                      cdf_v=_gumbel_cdf_v, prepare=_gumbel_prepare,
+                      cdf_v=_gumbel_cdf_v, cdf90_v=_gumbel_cdf90_v,
+                      cdf90_at=_gumbel_cdf90_at, prepare=_gumbel_prepare,
                       tau=lambda t: 1.0 - 1.0 / t,
                       theta_of=lambda tau: 1.0 / (1.0 - tau),
                       bracket=(1.0 + 1e-6, 50.0)),
     "joe": _Family(_joe_cdf_at, _joe_logpdf, _joe_h, _joe_hinv, cdf_v=_joe_cdf_v,
-                   prepare=_joe_prepare, tau=_joe_tau, bracket=(1.0 + 1e-6, 50.0)),
+                   cdf90_v=_joe_cdf90_v, cdf90_at=_joe_cdf90_at, prepare=_joe_prepare,
+                   tau=_joe_tau, bracket=(1.0 + 1e-6, 50.0)),
 }
 
 
@@ -627,42 +651,22 @@ def _as_unit(name, value):
 
 
 def _rotated_cdf_v(model: CopulaModel, vi):
-    """The family's transforms of interior v, reflected by the rotations
-    that reflect v; where the family has a survival form, its transforms
-    of v under rotation 90, and none under 270, where v takes u's place."""
+    """The family's transforms of interior v: its survival form's under
+    rotation 90."""
     fam = _BASE[model.family]
-    ref_u, ref_v = _REFLECTS[model.rotation]
-    if fam.cdf90_at is not None and ref_u != ref_v:
-        return fam.cdf90_v(model.theta, vi) if ref_u else ()
-    return fam.cdf_v(model.theta, 1.0 - vi if ref_v else vi)
+    return (fam.cdf90_v if model.rotation else fam.cdf_v)(model.theta, vi)
 
 
 def _rotated_cdf_at(model: CopulaModel, u_unit, v_unit, prepared):
-    """C(u, v) from _as_unit's u and v and _rotated_cdf_v's transforms of v.
-
-    A family with a survival form takes C90(u, v) = v - C(1 - u, v) from it,
-    and C270(u, v) = u - C(u, 1 - v) as C90(v, u), the same by the base
-    family's exchangeability; the other rotations reflect and add, all on the
-    clipped u and v.  cdf's edge rule takes the lower Frechet bound as
+    """C(u, v) from _as_unit's u and v and _rotated_cdf_v's transforms of v:
+    the base formula, or under rotation 90 its survival form, on the clipped
+    u.  cdf's edge rule takes the lower Frechet bound as
     max(v - (1 - u), u - (1 - v), 0), each term exact at its own end."""
     uu, ui, u_past = u_unit
-    vv, vi, v_past = v_unit
+    vv, _, v_past = v_unit
     fam = _BASE[model.family]
-    t = model.theta
-    ref_u, ref_v = _REFLECTS[model.rotation]
-    if fam.cdf90_at is not None and ref_u != ref_v:
-        out = (fam.cdf90_at(t, ui, *prepared) if ref_u
-               else fam.cdf90_at(t, vi, *fam.cdf90_v(t, ui)))
-    else:
-        # C90 = v - C(1-u, v), C180 = u + v - 1 + C(1-u, 1-v), C270 = u - C(u, 1-v)
-        out = fam.cdf_at(t, 1.0 - ui if ref_u else ui, *prepared)
-        if ref_u and ref_v:
-            out = ui + vi - 1.0 + out
-        elif ref_u:
-            out = vi - out
-        elif ref_v:
-            out = ui - out
-    out = np.clip(out, 0.0, 1.0)
+    at = fam.cdf90_at if model.rotation else fam.cdf_at
+    out = np.clip(at(model.theta, ui, *prepared), 0.0, 1.0)
     if u_past is not None or v_past is not None:  # the entries past the interior alone
         past = u_past if v_past is None else v_past if u_past is None else u_past | v_past
         past = np.broadcast_to(past, np.shape(out))
@@ -678,7 +682,7 @@ def cdf(model: CopulaModel, u, v):
     """Copula CDF C(u, v); accepts the closed unit square.
 
     u and v broadcast inside the family formula without being expanded, so
-    a scalar u is rotated and transformed once per call.  Inside the clamp
+    a scalar u is transformed once per call.  Inside the clamp
     interior [1e-10, 1 - 1e-10] the result is the formula's value clipped
     to [0, 1].  An entry past it is evaluated on the clipped u and v, then
     held to the Frechet bounds max(0, u + v - 1) <= C <= min(u, v) of the
@@ -695,10 +699,8 @@ def cdf_of(model: CopulaModel, v):
     v must be a 1-d array in [0, 1].  Its check, clip, rotation and the
     family's transform of v run once, here, so a scan over u (the hard
     scan's screen levels on p2 in p1 order) runs only the u-dependent part
-    of the formula per step.  For Clayton under rotation 90 that transform
-    is the survival form's v^theta and -v, and the one check of whether any
-    v^theta lies below the normal doubles; a step then costs a log1p and an
-    expm1 per point.  Each value equals cdf(model, u, v[:n]) bit for bit.
+    of the formula per step; under rotation 90 that transform is the
+    survival form's.  Each value equals cdf(model, u, v[:n]) bit for bit.
     at.v is the array prepared on, for a caller to check that it is theirs.
     """
     vv, vi, v_past = _as_unit("v", v)
@@ -719,11 +721,6 @@ def cdf_of(model: CopulaModel, v):
     return at
 
 
-def _rotated_args(rotation: int, u, v):
-    ref_u, ref_v = _REFLECTS[rotation]
-    return (1.0 - u if ref_u else u), (1.0 - v if ref_v else v)
-
-
 def log_density_of(family: str, rotation: int, u, v):
     """The log density of the family and rotation at (u, v), as a function
     of theta; u and v may lie in the closed [0, 1].
@@ -735,7 +732,7 @@ def log_density_of(family: str, rotation: int, u, v):
     fam = _check_family(family, rotation)
     _, ui, _ = _as_unit("u", u)
     _, vi, _ = _as_unit("v", v)
-    prepared = fam.prepare(*_rotated_args(rotation, ui, vi))
+    prepared = fam.prepare(1.0 - ui if rotation else ui, vi)
 
     def at(theta):
         _check_theta(family, theta)
@@ -746,7 +743,8 @@ def log_density_of(family: str, rotation: int, u, v):
 
 def log_density(model: CopulaModel, u, v):
     """Log copula density; u and v may lie in the closed [0, 1], and are
-    clipped into the clamp interior [1e-10, 1 - 1e-10] before any reflection."""
+    clipped into the clamp interior [1e-10, 1 - 1e-10] before the rotation
+    reflects u."""
     return log_density_of(model.family, model.rotation, u, v)(model.theta)
 
 
@@ -756,15 +754,12 @@ def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u)
     value (v for h, x for its inverse) may lie in the closed [0, 1], with
     0 and 1 mapped to themselves; given_u may too, and evaluates at the clamp.
     As in cdf, the inputs are not expanded to a common shape, are clipped
-    into the clamp interior before any reflection, and take the boundary
-    cases only for a value past the interior.
+    into the clamp interior before rotation 90 reflects given_u, and take
+    the boundary cases only for a value past the interior.
     """
     aa, ai, a_past = _as_unit(name, value)
     uu, ui, _ = _as_unit("given_u", given_u)
-    ru, ra = _rotated_args(model.rotation, ui, ai)
-    out = base_fn(model.theta, ra, ru)
-    if _REFLECTS[model.rotation][1]:
-        out = 1.0 - out
+    out = base_fn(model.theta, ai, 1.0 - ui if model.rotation else ui)
     if a_past is not None:  # 0 and 1 are their own bounds, as in cdf
         out = np.clip(out, aa >= 1.0, aa > 0.0)
     out = np.clip(out, 0.0, 1.0)
@@ -773,8 +768,8 @@ def _rotated_conditional(model: CopulaModel, base_fn, name: str, value, given_u)
 
 def hfunc(model: CopulaModel, v, given_u):
     """Conditional CDF C(v | u) = dC(u, v)/du of the second coordinate; v and
-    given_u are clipped into the clamp interior [1e-10, 1 - 1e-10] before any
-    reflection."""
+    given_u are clipped into the clamp interior [1e-10, 1 - 1e-10] before the
+    rotation reflects given_u."""
     return _rotated_conditional(model, _BASE[model.family].h, "v", v, given_u)
 
 
@@ -791,8 +786,7 @@ def hfunc_inverse(model: CopulaModel, x, given_u):
 def kendall_tau(model: CopulaModel) -> float:
     """Population Kendall tau of the model, rotation sign included."""
     tau = _BASE[model.family].tau(model.theta)
-    ref_u, ref_v = _REFLECTS[model.rotation]
-    return -tau if ref_u != ref_v else tau
+    return -tau if model.rotation else tau
 
 
 def _invert_tau(tau_fn, target: float, lo: float, hi: float) -> float:

@@ -70,7 +70,8 @@ class TestParseCopulaSpec:
         ("independence:2.0", "independence copula has no parameter"),
         ("clayton:nan", "clayton copula requires a finite parameter, got nan"),
         ("frank:2:90", "frank copula does not take a rotation"),
-        ("clayton:2:45", "rotation must be one of (0, 90, 180, 270), got 45"),
+        ("clayton:2:45", "rotation must be one of (0, 90), got 45"),
+        ("clayton:2:270", "rotation must be one of (0, 90), got 270"),
         ("foo:1", "unknown copula family 'foo'"),
     ])
     def test_model_rule_is_the_copula_models(self, spec, message):

@@ -25,12 +25,9 @@ REPRESENTATIVE = [
     cp.CopulaModel("frank", 5.736),
     cp.CopulaModel("clayton", 2.0),
     cp.CopulaModel("clayton", 4.0 / 3.0, 90),
-    cp.CopulaModel("clayton", 1.5, 180),
-    cp.CopulaModel("clayton", 1.5, 270),
     cp.CopulaModel("gumbel", 5.0 / 3.0, 90),
     cp.CopulaModel("gumbel", 2.5),
     cp.CopulaModel("joe", 2.2, 90),
-    cp.CopulaModel("joe", 3.0, 270),
 ]
 
 IDS = [m.describe() for m in REPRESENTATIVE]
@@ -109,9 +106,12 @@ class TestDomainErrors:
         with pytest.raises(ValueError):
             cp.CopulaModel("gaussian", 0.5, 90)
         with pytest.raises(ValueError):
-            cp.CopulaModel("frank", 2.0, 180)
-        with pytest.raises(ValueError):
-            cp.CopulaModel("clayton", 1.0, 45)
+            cp.CopulaModel("frank", 2.0, 90)
+        # 90 degrees is the one rotation: 180 and 270 are not rotations either
+        for rotation in (45, 180, 270):
+            with pytest.raises(ValueError, match=rf"^rotation must be one of \(0, 90\), "
+                                                 rf"got {rotation}$"):
+                cp.CopulaModel("clayton", 1.0, rotation)
         # a float or a bool may equal a rotation, but is not one
         for family, rotation in (("clayton", 90.0), ("clayton", np.float64(90.0)),
                                  ("clayton", True), ("frank", False), ("frank", np.False_)):
@@ -220,7 +220,7 @@ QUADRATURE_MODELS = [
     cp.CopulaModel("clayton", 4.0 / 3.0),
     cp.CopulaModel("clayton", 4.0 / 3.0, 90),
     cp.CopulaModel("gumbel", 5.0 / 3.0),
-    cp.CopulaModel("joe", 1.8, 270),
+    cp.CopulaModel("joe", 1.8, 90),
 ]
 
 
@@ -285,7 +285,6 @@ class TestTauMaps:
         base = cp.CopulaModel("clayton", 2.0)
         assert cp.kendall_tau(base) == pytest.approx(0.5)
         assert cp.kendall_tau(cp.CopulaModel("clayton", 2.0, 90)) == pytest.approx(-0.5)
-        assert cp.kendall_tau(cp.CopulaModel("clayton", 2.0, 180)) == pytest.approx(0.5)
 
 
 class TestRotationIdentities:
@@ -295,12 +294,7 @@ class TestRotationIdentities:
         v = rng.uniform(0.01, 0.99, 200)
         base = cp.CopulaModel("gumbel", 2.0)
         r90 = cp.CopulaModel("gumbel", 2.0, 90)
-        r180 = cp.CopulaModel("gumbel", 2.0, 180)
-        r270 = cp.CopulaModel("gumbel", 2.0, 270)
         np.testing.assert_allclose(cp.cdf(r90, u, v), v - cp.cdf(base, 1 - u, v), atol=1e-12)
-        np.testing.assert_allclose(
-            cp.cdf(r180, u, v), u + v - 1 + cp.cdf(base, 1 - u, 1 - v), atol=1e-12)
-        np.testing.assert_allclose(cp.cdf(r270, u, v), u - cp.cdf(base, u, 1 - v), atol=1e-12)
 
 
 # parameter extremes the fitting brackets can probe
@@ -308,7 +302,7 @@ EXTREME_MODELS = [
     cp.CopulaModel("clayton", 50.0),
     cp.CopulaModel("clayton", 50.0, 90),
     cp.CopulaModel("clayton", 1e-4),
-    cp.CopulaModel("gumbel", 50.0, 270),
+    cp.CopulaModel("gumbel", 50.0, 90),
     cp.CopulaModel("joe", 50.0, 90),
     cp.CopulaModel("frank", 50.0),
     cp.CopulaModel("frank", -50.0),
@@ -557,15 +551,13 @@ def test_gumbel_inverse_matches_the_bisection_oracle(theta, rotation, monkeypatc
 
 @pytest.mark.parametrize("rotation", cp.ROTATIONS)
 def test_gumbel_inverse_at_theta_one_is_the_identity(rotation):
-    # theta = 1 is the independence copula: v = x to within 1 ulp, where a
-    # rotation that reflects v gives 1 - (1 - x)
+    # theta = 1 is the independence copula: v = x to within 1 ulp
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.random(500), 10.0 ** -rng.uniform(0, 10, 500),
                         1.0 - 10.0 ** -rng.uniform(0, 10, 500)])
     u = rng.uniform(1e-10, 1.0 - 1e-10, x.size)
-    want = 1.0 - (1.0 - x) if cp._REFLECTS[rotation][1] else x
     v = cp.hfunc_inverse(cp.CopulaModel("gumbel", 1.0, rotation), x, u)
-    assert np.all(np.abs(v - want) <= np.spacing(want))
+    assert np.all(np.abs(v - x) <= np.spacing(x))
 
 
 conditioner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -684,21 +676,34 @@ closed_unit = st.one_of(
     st.sampled_from([0.0, 1.0, 2.0 ** -1074, 1.0 - 2.0 ** -53]))
 
 
+# The relative slack of the lower Frechet bound under each family's survival
+# form.  Where C90 meets u + v - 1, Gumbel's and Joe's log-space terms carry
+# the rounding of |log(1 - v)| <= 23 (Gumbel's of |log(-log v)|): the largest
+# excess seen in 9000 random draws was 16 eps (Gumbel) and 31 eps (Joe).
+LOWER_BOUND_SLACK = {"clayton": 0.0, "gumbel": 64.0 * 2.0 ** -52, "joe": 64.0 * 2.0 ** -52}
+
+
+@pytest.mark.parametrize("family", cp.ROTATABLE)
 @settings(max_examples=300, deadline=None)
 @given(theta=st.floats(1e-4, 50.0), u=st.one_of(st.sampled_from(SCAN_ENDS), clamp_interior),
        v=st.lists(st.one_of(closed_unit, clamp_interior), min_size=1, max_size=60))
 @example(theta=8.0, u=0.88, v=[1e-10, 1e-9])
 @example(theta=8.0, u=0.005, v=[1.0 - 5e-11, 1.0])
-def test_rotated_clayton_cdf_is_monotone_within_the_frechet_bounds(theta, u, v):
+@example(theta=50.0, u=3.16e-7, v=[0.5, 1.0 - 1e-10, 1.0])
+def test_rotated_cdf_is_monotone_within_the_frechet_bounds(family, theta, u, v):
     """C90(u, .) over sorted v, through the hard scan's prepared path, never
     falls and stays within max(0, u + v - 1) <= C <= min(u, v), the lower
-    bound to within the 2^-52 to which u + v rounds: a bisection over p2
-    relies on both."""
+    bound to within the 2^-52 to which u + v rounds and the family's
+    relative LOWER_BOUND_SLACK: a bisection over p2 relies on both.  Gumbel
+    and Joe take a theta below 1 as 1, the independence copula."""
+    if family != "clayton":
+        theta = max(theta, 1.0)
     v = np.sort(v)
-    c = cp.cdf_of(cp.CopulaModel("clayton", theta, 90), v)(u, v.size)
+    c = cp.cdf_of(cp.CopulaModel(family, theta, 90), v)(u, v.size)
     assert np.all(np.diff(c) >= 0.0)
     assert np.all(c <= np.minimum(u, v))
-    assert np.all(c >= np.maximum(0.0, u + v - 1.0) - 2.0 ** -52)
+    lower = np.maximum(0.0, u + v - 1.0)
+    assert np.all(c >= lower * (1.0 - LOWER_BOUND_SLACK[family]) - 2.0 ** -52)
 
 
 @pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=BRACKET_END_IDS)
@@ -880,15 +885,10 @@ def seed_cdf(model, u, v):
     t = model.theta
     ui = np.clip(uu, 1e-10, 1.0 - 1e-10)
     vi = np.clip(vv, 1e-10, 1.0 - 1e-10)
-    r = model.rotation
-    if r == 0:
-        inner = base_cdf(t, ui, vi)
-    elif r == 90:
+    if model.rotation:
         inner = vi - base_cdf(t, 1.0 - ui, vi)
-    elif r == 180:
-        inner = ui + vi - 1.0 + base_cdf(t, 1.0 - ui, 1.0 - vi)
     else:
-        inner = ui - base_cdf(t, ui, 1.0 - vi)
+        inner = base_cdf(t, ui, vi)
     lower = np.maximum(np.maximum(vv - (1.0 - uu), uu - (1.0 - vv)), 0.0)
     inner = np.where((uu != ui) | (vv != vi), np.clip(inner, lower, np.minimum(uu, vv)), inner)
     out = np.where(uu <= 0.0, 0.0, np.where(vv <= 0.0, 0.0,
@@ -908,15 +908,7 @@ def seed_conditional(model, kind, value, given_u):
     aa, uu = np.broadcast_arrays(aa, uu)
     t = model.theta
     ai = np.clip(aa, 1e-10, 1.0 - 1e-10)
-    r = model.rotation
-    if r == 0:
-        inner = base_fn(t, ai, uu)
-    elif r == 90:
-        inner = base_fn(t, ai, 1.0 - uu)
-    elif r == 180:
-        inner = 1.0 - base_fn(t, 1.0 - ai, 1.0 - uu)
-    else:
-        inner = 1.0 - base_fn(t, 1.0 - ai, uu)
+    inner = base_fn(t, ai, 1.0 - uu if model.rotation else uu)
     out = np.where(aa <= 0.0, 0.0, np.where(aa >= 1.0, 1.0, inner))
     out = np.clip(out, 0.0, 1.0)
     return seed_maybe_scalar(out, value, given_u)
@@ -1126,7 +1118,7 @@ def test_bad_inputs_raise_the_seed_messages(bad):
 @pytest.mark.parametrize("given_u", [0.0, 1.0, [0.5, 1.0], [1e-10, 0.0]], ids=repr)
 def test_conditioner_on_the_closed_interval_matches_the_seed_at_the_clamp(given_u):
     # seed_conditional takes given_u on the open (0, 1) only, so it gets the clamp edge
-    model = cp.CopulaModel("gumbel", 2.0, 270)
+    model = cp.CopulaModel("gumbel", 2.0, 90)
     clamped = np.clip(given_u, 1e-10, 1.0 - 1e-10)
     clamped = clamped if np.ndim(given_u) else float(clamped)
     for fn, kind in ((cp.hfunc, "h"), (cp.hfunc_inverse, "hinv")):
@@ -1136,7 +1128,7 @@ def test_conditioner_on_the_closed_interval_matches_the_seed_at_the_clamp(given_
 
 @pytest.mark.parametrize("given_u", [np.nan, -0.1, 1.5, [0.5, np.nan], [1e-10, 1.5]], ids=repr)
 def test_conditioner_outside_the_closed_interval_raises(given_u):
-    model = cp.CopulaModel("gumbel", 2.0, 270)
+    model = cp.CopulaModel("gumbel", 2.0, 90)
     for fn in (cp.hfunc, cp.hfunc_inverse):
         with pytest.raises(ValueError, match=r"^given_u must lie in \[0, 1\]$"):
             fn(model, 0.5, given_u)
@@ -1166,7 +1158,7 @@ def seed_base_tau(family, theta):
 
 def seed_kendall_tau(model):
     tau = seed_base_tau(model.family, model.theta)
-    return -tau if model.rotation in (90, 270) else tau
+    return -tau if model.rotation == 90 else tau
 
 
 def seed_theta_bracket(family):
@@ -1179,7 +1171,7 @@ def seed_theta_bracket(family):
     }[family]
 
 
-def seed_tau_to_theta(family, tau, rotation=None):
+def seed_tau_to_theta(family, tau):
     if family not in cp.FAMILIES:
         raise ValueError(f"unknown copula family {family!r}")
     if not -1.0 < tau < 1.0:
@@ -1191,19 +1183,12 @@ def seed_tau_to_theta(family, tau, rotation=None):
     if family == "independence":
         raise ValueError(f"independence copula requires |tau| < 1e-06, got {tau}")
     if family in ("gaussian", "frank"):
-        if rotation not in (None, 0):
-            raise ValueError(f"{family} copula does not take a rotation")
         if family == "gaussian":
             return cp.CopulaModel("gaussian", math.sin(math.pi * tau / 2.0))
         lo, hi = seed_theta_bracket("frank")
         theta = cp._invert_tau(cp._frank_tau_positive, abs(tau), lo, hi)
         return cp.CopulaModel("frank", math.copysign(theta, tau))
-    if rotation is None:
-        rotation = 0 if tau >= 0.0 else 90
-    if tau > 0.0 and rotation not in (0, 180):
-        raise ValueError(f"positive tau requires rotation 0 or 180, got {rotation}")
-    if tau < 0.0 and rotation not in (90, 270):
-        raise ValueError(f"negative tau requires rotation 90 or 270, got {rotation}")
+    rotation = 0 if tau >= 0.0 else 90
     mag = abs(tau)
     if family == "clayton":
         theta = 2.0 * mag / (1.0 - mag)
@@ -1239,7 +1224,7 @@ ORACLE_TAUS = [s * t for t in (0.9, 0.7, 0.4, 0.1, 1e-4, 1e-9, 0.0) for s in (1.
 def test_tau_to_theta_matches_seed(family):
     for tau in ORACLE_TAUS:
         got = outcome(cp.tau_to_theta, family, tau)
-        ref = outcome(seed_tau_to_theta, family, tau, None)
+        ref = outcome(seed_tau_to_theta, family, tau)
         assert same_model(got, ref), (family, tau, got, ref)
 
 
@@ -1344,10 +1329,8 @@ def seed_logpdf(family, t, u, v):
 def seed_log_density(model, u, v):
     uu = seed_as_unit("u", u, lo_open=True, hi_open=True)
     vv = seed_as_unit("v", v, lo_open=True, hi_open=True)
-    r = model.rotation
-    ru = 1.0 - uu if r in (90, 180) else uu
-    rv = 1.0 - vv if r in (180, 270) else vv
-    return seed_maybe_scalar(seed_logpdf(model.family, model.theta, ru, rv), u, v)
+    ru = 1.0 - uu if model.rotation == 90 else uu
+    return seed_maybe_scalar(seed_logpdf(model.family, model.theta, ru, vv), u, v)
 
 
 # theta across each bracket; Frank on both sides of |theta| = 1, where its
@@ -1461,9 +1444,9 @@ def joe_upper_corner(model, u, v):
     u, v = np.broadcast_arrays(*(np.clip(x, CLAMP, 1.0 - CLAMP) for x in (u, v)))
     if model.family != "joe":
         return np.zeros(u.shape, dtype=bool)
-    ru, rv = cp._rotated_args(model.rotation, u, v)
+    ru = 1.0 - u if model.rotation else u
     return ((np.exp(model.theta * np.log1p(-ru)) == 0.0)
-            & (np.exp(model.theta * np.log1p(-rv)) == 0.0))
+            & (np.exp(model.theta * np.log1p(-v)) == 0.0))
 
 
 @pytest.mark.parametrize("model", BRACKET_MODELS, ids=BRACKET_IDS)

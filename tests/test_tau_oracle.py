@@ -1,7 +1,7 @@
 """Kendall tau maps, Gumbel's h-inverse and the simulated alternatives'
 |beta| against a 50-digit mpmath oracle, the copula kernels' log-sum
-against a 40-digit one, and the rotated Clayton CDF against one whose
-difference keeps 100 digits.
+against a 40-digit one, and the rotated Clayton, Gumbel and Joe CDFs
+against ones of 400 digits or more.
 
 mpmath is imported at module level on purpose: without it these tests
 fail instead of being skipped.
@@ -138,34 +138,72 @@ def rotated_clayton_oracle(theta: float, u: float, v: float) -> float:
         return v - ((1 - u) ** -t + v ** -t - 1) ** (-1 / t)
 
 
-# the clamp edges, both tails and the middle; for theta = 50, v^theta
-# underflows from v = 7e-7 down, and expm1(-theta log1p(-u)) overflows from
-# u = 1 - 6.8e-7 up, where the survival form takes log space
-CLAYTON_GRID = np.array([1e-10, 1e-9, 1e-7, 1e-6, 1e-4, 0.005, 0.3, 0.5, 0.7, 0.9995,
+def rotated_gumbel_oracle(theta: float, u: float, v: float) -> float:
+    """C90(u, v) = v - C(1 - u, v) of Gumbel, at 400 digits."""
+    with mpmath.workdps(400):
+        t, u, v = mpmath.mpf(theta), mpmath.mpf(u), mpmath.mpf(v)
+        return v - mpmath.exp(-((-mpmath.log(1 - u)) ** t + (-mpmath.log(v)) ** t) ** (1 / t))
+
+
+def rotated_joe_oracle(theta: float, u: float, v: float) -> float:
+    """C90(u, v) = v - C(1 - u, v) of Joe, at 400 digits."""
+    with mpmath.workdps(400):
+        t, u, v = mpmath.mpf(theta), mpmath.mpf(u), mpmath.mpf(v)
+        return v - 1 + (u ** t + (1 - v) ** t - u ** t * (1 - v) ** t) ** (1 / t)
+
+
+def clayton_size(theta, u, v):
+    # the survival form -v expm1(-log1p(z) / theta), z = v^theta expm1(L) and
+    # L = -theta log1p(-u), carries L's rounding times L through expm1, and
+    # in log space the rounding of theta log v
+    return 1.0 - theta * math.log1p(-u) + theta * abs(math.log(v))
+
+
+def gumbel_size(theta, u, v):
+    # -v expm1(-s expm1(log1p(r) / theta)), s = -log v and r = (a / s)^theta
+    # with a = -log1p(-u), carries the rounding of log a and log s times theta
+    a, s = -math.log1p(-u), -math.log(v)
+    return 1.0 + theta * (abs(math.log(a)) + abs(math.log(s)))
+
+
+def joe_size(theta, u, v):
+    # (1 - v) expm1(log1p(z) / theta), log z = theta log u + L +
+    # log(-expm1(-L)) with L = -theta log1p(-v), carries the rounding of its terms
+    big_l = -theta * math.log1p(-v)
+    return 1.0 + theta * abs(math.log(u)) + big_l + abs(math.log(-math.expm1(-big_l)))
+
+
+ROTATED_ORACLES = {"clayton": (rotated_clayton_oracle, clayton_size),
+                   "gumbel": (rotated_gumbel_oracle, gumbel_size),
+                   "joe": (rotated_joe_oracle, joe_size)}
+
+# the clamp edges, both tails and the middle; for Clayton at theta = 50,
+# v^theta underflows from v = 7e-7 down, and expm1(-theta log1p(-u))
+# overflows from u = 1 - 6.8e-7 up, where the survival form takes log space;
+# Joe's seed reflection returned 0 at theta = 50, u = 3.16e-7, v = 1 - 1e-10
+ROTATED_GRID = np.array([1e-10, 1e-9, 1e-7, 3.16e-7, 1e-6, 1e-4, 0.005, 0.3, 0.5, 0.7, 0.9995,
                          1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-10])
 
 
-@pytest.mark.parametrize("rotation", [90, 270])
-@pytest.mark.parametrize("theta", [1e-4, 4.0 / 3.0, 8.0, 50.0])
-def test_rotated_clayton_cdf_matches_mpmath(theta, rotation):
-    # C270(u, v) = C90(v, u).  The survival form -v expm1(-log1p(z) / theta),
-    # z = v^theta expm1(L) and L = -theta log1p(-u), carries L's rounding
-    # times L through expm1, and in log space the rounding of theta log v, so
-    # its bound is relative, 4 eps (1 + L + theta |log v|).  The largest seen
-    # was 2.2 eps (1 + L + theta |log v|).  Below 1e-300 the value is within
-    # 1e-300.
-    u, v = (a.ravel() for a in np.meshgrid(CLAYTON_GRID, CLAYTON_GRID))
-    got = cp.cdf(cp.CopulaModel("clayton", theta, rotation), u, v)
-    if rotation == 270:
-        u, v = v, u
+@pytest.mark.parametrize("family, theta", [
+    *(("clayton", t) for t in (1e-4, 4.0 / 3.0, 8.0, 50.0)),
+    *((f, t) for f in ("gumbel", "joe") for t in (1.0 + 1e-6, 8.0, 25.5, 50.0)),
+])
+def test_rotated_cdf_matches_mpmath(family, theta):
+    # Each survival form's bound is relative, 4 eps times the family's size.
+    # The largest seen was 2.2 eps size for Clayton, and 1.1 (Gumbel) and
+    # 1.8 (Joe) on a wider grid.  Below 1e-300 the value is within 1e-300.
+    oracle, size = ROTATED_ORACLES[family]
+    u, v = (a.ravel() for a in np.meshgrid(ROTATED_GRID, ROTATED_GRID))
+    got = cp.cdf(cp.CopulaModel(family, theta, 90), u, v)
     for a, b, g in zip(u.tolist(), v.tolist(), got.tolist()):
-        want = rotated_clayton_oracle(theta, a, b)
+        want = oracle(theta, a, b)
         err = float(abs(mpmath.mpf(g) - want))
         if want < 1e-300:
             assert err <= 1e-300, (a, b, g)
             continue
-        size = 1.0 - theta * math.log1p(-a) + theta * abs(math.log(b))
-        assert err <= 4.0 * np.finfo(float).eps * size * float(want), (a, b, g, float(want))
+        assert err <= 4.0 * np.finfo(float).eps * size(theta, a, b) * float(want), (
+            a, b, g, float(want))
 
 
 def alternative_magnitude_oracle(mu: float, v: float, start: float) -> float:
