@@ -65,6 +65,7 @@ def cmd_test(args) -> int:
     method = _METHOD_ALIASES[args.method]
     if args.seed < 0:  # the rule simulate applies to its seed
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    proc.check_levels(args.alpha, args.lambda_)  # before the table is read or a copula fit
     if method == "storey" and args.copula != "auto":
         raise ValueError("--copula applies only to the hard and soft methods, not storey")
     if method != "hard" and args.gamma1_grid is not None:

@@ -30,6 +30,7 @@ __all__ = [
     "default_gamma1_grid",
     "aggregate_hard",
     "aggregate_soft",
+    "check_levels",
     "estimate_pi0",
     "select_gamma",
     "run_two_stage_hard",
@@ -126,10 +127,22 @@ def aggregate_soft(table: HypothesisTable, model: CopulaModel) -> AggregatedPVal
     return AggregatedPValues("soft", hfunc(model, table.p2, table.p1))
 
 
-def estimate_pi0(pvalues: AggregatedPValues, lambda_: float) -> float:
-    """Tail estimate of the true-null proportion, capped at 1."""
+def _check_lambda(lambda_: float) -> None:
     if not 0.0 < lambda_ < 1.0:
         raise ValueError(f"lambda must lie strictly inside (0, 1), got {lambda_}")
+
+
+def check_levels(alpha: float, lambda_: float) -> None:
+    """The procedures' rule for their levels, which select_gamma applies:
+    alpha in [0, 1) and lambda strictly inside (0, 1)."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    _check_lambda(lambda_)
+
+
+def estimate_pi0(pvalues: AggregatedPValues, lambda_: float) -> float:
+    """Tail estimate of the true-null proportion, capped at 1."""
+    _check_lambda(lambda_)
     m = pvalues.m
     pi0 = np.count_nonzero(pvalues.values > lambda_) / ((1.0 - lambda_) * m)
     return min(pi0, 1.0)
@@ -162,8 +175,7 @@ def select_gamma(pvalues: AggregatedPValues, alpha: float,
     0 / 0).  The kept values are the smallest, so in sorted order they form
     a prefix of the sorted full set and each keeps its rank.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    check_levels(alpha, lambda_)
     pi0 = estimate_pi0(pvalues, lambda_)
     m = pvalues.m
     cut = alpha / pi0 * _CUT_SLACK if pi0 > 0.0 else np.inf

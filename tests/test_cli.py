@@ -321,6 +321,26 @@ class TestTestCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["H", "S", "storey"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "1.0"], "alpha must lie in [0, 1), got 1.0"),
+        (["--alpha", "-0.1"], "alpha must lie in [0, 1), got -0.1"),
+        (["--lambda", "0"], "lambda must lie strictly inside (0, 1), got 0.0"),
+        (["--lambda", "1.0"], "lambda must lie strictly inside (0, 1), got 1.0"),
+    ])
+    def test_bad_level_is_rejected_before_the_table_is_read(self, tmp_path, capsys, null_json,
+                                                            method, flags, message):
+        # no copula is fit (for H and S, --copula auto) and no table is read:
+        # a missing table gives the same message
+        table = tmp_path / "table.tsv"
+        write_test_table(table, m=200)
+        out = tmp_path / "out"
+        for path in (table, tmp_path / "missing.tsv"):
+            assert main(["test", str(path), "--method", method, "--null-mixture", null_json,
+                         "--out-dir", str(out), *flags]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert not out.exists()
+
     def test_duplicate_id_names_line(self, tmp_path, capsys, null_json):
         table = tmp_path / "table.tsv"
         table.write_text("gene_id\tbeta_hat\ty\ng1\t0.5\t0.2\ng2\t0.1\t0.3\ng1\t0.2\t0.4\n")
