@@ -5,6 +5,7 @@ import math
 import re
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -873,11 +874,30 @@ def seed_joe_h(t, v, u):
 SEED_H = {"gumbel": seed_gumbel_h, "joe": seed_joe_h}
 
 
+def joe_cdf90_mpmath(t, u, v):
+    """Joe's C90(u, v) = v - 1 + (u^t + (1 - v)^t - u^t (1 - v)^t)^(1/t), at
+    400 digits, rounded to a double."""
+    with mpmath.workdps(400):
+        t, u, v = mpmath.mpf(t), mpmath.mpf(u), mpmath.mpf(v)
+        return float(v - 1 + (u ** t + (1 - v) ** t - u ** t * (1 - v) ** t) ** (1 / t))
+
+
+def joe_seed_underflows(t, u, v):
+    """Where the seed's Joe C(u, v) takes log T as log((1 - u)^t + (1 - v)^t
+    (1 - (1 - u)^t)) of a sum below the normal doubles: log(0) in the upper
+    corner, and the log of a subnormal, with few bits, beside it."""
+    pu, pv = np.exp(t * np.log1p(-u)), np.exp(t * np.log1p(-v))
+    return pu + pv * (1.0 - pu) < np.finfo(float).tiny
+
+
 def seed_cdf(model, u, v):
     """C(u, v) as the seed code computed it, with the edge rule of the
     Frechet bounds: an entry past the clamp interior is evaluated on the
     clipped u and v, held to max(v - (1 - u), u - (1 - v), 0) <= C <= min(u, v)
-    of the given ones, and takes the margins at 0 and 1."""
+    of the given ones, and takes the margins at 0 and 1.  Where Joe's
+    rotation 90 reflects into joe_seed_underflows (theta = 50, u below about
+    5e-7 and v within about 5e-7 of 1), the seed's value is wrong by up to
+    its whole size, so mpmath gives the interior value there."""
     uu = seed_as_unit("u", u)
     vv = seed_as_unit("v", v)
     uu, vv = np.broadcast_arrays(uu, vv)
@@ -886,7 +906,10 @@ def seed_cdf(model, u, v):
     ui = np.clip(uu, 1e-10, 1.0 - 1e-10)
     vi = np.clip(vv, 1e-10, 1.0 - 1e-10)
     if model.rotation:
-        inner = vi - base_cdf(t, 1.0 - ui, vi)
+        inner = np.array(vi - base_cdf(t, 1.0 - ui, vi))
+        if model.family == "joe":
+            carved = joe_seed_underflows(t, 1.0 - ui, vi)
+            inner[carved] = [joe_cdf90_mpmath(t, a, b) for a, b in zip(ui[carved], vi[carved])]
     else:
         inner = base_cdf(t, ui, vi)
     lower = np.maximum(np.maximum(vv - (1.0 - uu), uu - (1.0 - vv)), 0.0)
@@ -950,18 +973,29 @@ def assert_seed(model):
     return assert_near if model.family == "gumbel" else assert_same
 
 
+# The tolerance of Gumbel's and Joe's rotation-90 survival forms against the
+# seed's difference v - C(1 - u, v), absolute since the values lie in [0, 1]:
+# the difference cancels to about an ulp of 1, and where v nears 1 the
+# survival form's log-space terms round by up to about 23 eps of the value
+# (test_rotated_cdf_matches_mpmath bounds them).  The largest difference seen
+# over a million random pairs was 14 ulps of 1 (Gumbel) and 46 (Joe).
+SEED_REFLECTION_TOL = 64.0 * 2.0 ** -52
+
+
 def assert_seed_cdf(model):
     """The check of a model's CDF against seed_cdf: assert_seed's, except
-    for Clayton under rotations 90 and 270, whose survival form is checked
-    with assert_near: there the seed's difference v - C(1 - u, v) is the
-    inaccurate side (test_rotated_clayton_cdf_matches_mpmath bounds the
-    survival form).  The seed's C(1 - u, v) divides a log-sum of absolute
+    under rotation 90, whose survival forms are checked with assert_near:
+    there the seed's difference v - C(1 - u, v) is the inaccurate side.
+    For Clayton the seed's C(1 - u, v) divides a log-sum of absolute
     error about 2^-52 by theta, so near independence the tolerance is that
     error, 8 * 2^-52 / theta (1.8e-11 at theta = 1e-4; the largest
-    difference seen there was 2.3e-12), where it exceeds LOGADDEXP_TOL."""
-    if model.family == "clayton" and model.rotation in (90, 270):
+    difference seen there was 2.3e-12), where it exceeds LOGADDEXP_TOL; for
+    Gumbel and Joe it is SEED_REFLECTION_TOL."""
+    if model.family == "clayton" and model.rotation == 90:
         return functools.partial(assert_near,
                                  tol=max(LOGADDEXP_TOL, 8.0 * 2.0 ** -52 / model.theta))
+    if model.rotation == 90:
+        return functools.partial(assert_near, tol=SEED_REFLECTION_TOL)
     return assert_seed(model)
 
 
