@@ -47,8 +47,7 @@ FAMILIES = ("independence", "gaussian", "frank", "clayton", "gumbel", "joe")
 
 ROTATIONS = (0, 90)  # 90 degrees reflects u: C90(u, v) = v - C(1 - u, v)
 
-# Families that only model positive dependence and therefore need a
-# rotation to represent negative Kendall tau.
+# the families that model positive dependence only, and take rotation 90 for a negative tau
 ROTATABLE = ("clayton", "gumbel", "joe")
 
 EPS = 1e-10  # boundary clamp for interior-only evaluations
@@ -339,14 +338,14 @@ def _gumbel_cdf_at(t, u, t_lb):
 
 def _gumbel_cdf90_v(t, v):
     s = -np.log(v)
-    return -v, s, np.log(s)
+    return -v, -s, np.log(s)
 
 
-def _gumbel_cdf90_at(t, u, neg_v, s, ls):
+def _gumbel_cdf90_at(t, u, neg_v, neg_s, ls):
     # C90(u, v) = v - C(1 - u, v) = -v expm1(-s expm1(log1p(r) / t)) with
     # s = -log v, r = (a / s)^t and a = -log1p(-u): no term cancels
     ln1p_r = _logaddexp(t * (np.log(-np.log1p(-u)) - ls), 0.0)
-    return neg_v * np.expm1(-s * np.expm1(ln1p_r / t))
+    return neg_v * np.expm1(neg_s * np.expm1(ln1p_r / t))
 
 
 def _gumbel_hinv(t, x, u):
@@ -566,11 +565,10 @@ class _Family:
     what depends on v and theta alone (by default v itself), as the hard
     scan's p2 and theta are fixed across its screen levels; the split keeps
     the formula's operations in their order, so it changes no bit.
-    cdf90_at(theta, u, *cdf90_v(theta, v)), given for the rotatable
-    families, is the survival form of the 90-degree rotation's
-    C90(u, v) = v - C(1 - u, v), split the same way, in which no term
-    cancels.  h is the h-function h(theta, v, u), and hinv its inverse in v;
-    the rotation reflects their u, as it does the log-density's.  The
+    cdf90_at(theta, u, *cdf90_v(theta, v)), given for the rotatable families,
+    is the 90-degree rotation's C90(u, v) = v - C(1 - u, v) in a survival
+    form, in which no term cancels, split the same way.  h is the h-function
+    h(theta, v, u), and hinv its inverse in v.  The
     log-density at (u, v) is logpdf(theta, *prepare(u, v)): prepare computes
     the theta-free transforms of the pairs, which a fit needs only once (by
     default the pairs themselves).  tau maps theta to the population Kendall
@@ -651,8 +649,7 @@ def _as_unit(name, value):
 
 
 def _rotated_cdf_v(model: CopulaModel, vi):
-    """The family's transforms of interior v: its survival form's under
-    rotation 90."""
+    """The family's transforms of interior v, its survival form's under rotation 90."""
     fam = _BASE[model.family]
     return (fam.cdf90_v if model.rotation else fam.cdf_v)(model.theta, vi)
 

@@ -127,22 +127,17 @@ def aggregate_soft(table: HypothesisTable, model: CopulaModel) -> AggregatedPVal
     return AggregatedPValues("soft", hfunc(model, table.p2, table.p1))
 
 
-def _check_lambda(lambda_: float) -> None:
+def check_levels(alpha: float, lambda_: float) -> None:
+    """The procedures' one rule for their levels: alpha in [0, 1), lambda in (0, 1)."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if not 0.0 < lambda_ < 1.0:
         raise ValueError(f"lambda must lie strictly inside (0, 1), got {lambda_}")
 
 
-def check_levels(alpha: float, lambda_: float) -> None:
-    """The procedures' rule for their levels, which select_gamma applies:
-    alpha in [0, 1) and lambda strictly inside (0, 1)."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    _check_lambda(lambda_)
-
-
 def estimate_pi0(pvalues: AggregatedPValues, lambda_: float) -> float:
     """Tail estimate of the true-null proportion, capped at 1."""
-    _check_lambda(lambda_)
+    check_levels(0.0, lambda_)  # lambda's rule alone: an alpha of 0 passes
     m = pvalues.m
     pi0 = np.count_nonzero(pvalues.values > lambda_) / ((1.0 - lambda_) * m)
     return min(pi0, 1.0)
