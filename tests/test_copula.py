@@ -29,6 +29,9 @@ REPRESENTATIVE = [
     cp.CopulaModel("gumbel", 5.0 / 3.0, 90),
     cp.CopulaModel("gumbel", 2.5),
     cp.CopulaModel("joe", 2.2, 90),
+    cp.CopulaModel("joe", 3.0),
+    cp.CopulaModel("gumbel", 8.0, 90),
+    cp.CopulaModel("joe", 8.0, 90),
 ]
 
 IDS = [m.describe() for m in REPRESENTATIVE]
@@ -491,7 +494,7 @@ def seed_hinv_bisect(h, t, x, u):
 
 
 @pytest.mark.parametrize("rotation", cp.ROTATIONS)
-@pytest.mark.parametrize("theta", [1.0 + 1e-6, 2.5, 50.0])
+@pytest.mark.parametrize("theta", [1.0 + 1e-6, 2.5, 8.0, 50.0])
 @pytest.mark.parametrize("family", ["joe"])
 def test_bisected_inverse_matches_seed_loop(family, theta, rotation, monkeypatch):
     rng = np.random.default_rng(7)
@@ -524,7 +527,7 @@ def test_nan_conditional_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("rotation", cp.ROTATIONS)
-@pytest.mark.parametrize("theta", [1.0, 1.0 + 1e-6, 2.5, 50.0])
+@pytest.mark.parametrize("theta", [1.0, 1.0 + 1e-6, 2.5, 8.0, 50.0])
 def test_gumbel_inverse_matches_the_bisection_oracle(theta, rotation, monkeypatch):
     # The closed form and the bisection round differently, so each v is
     # within 1e-11 of the oracle's or leaves a residual |h(v) - x| no larger
@@ -576,19 +579,27 @@ def test_gumbel_inverse_is_finite_in_the_unit_interval(rotation, theta, u, x):
     assert 0.0 <= v <= 1.0
 
 
-def bracket_end_models():
-    """Every family and rotation at both ends of its theta bracket."""
+# The theta of Kendall tau 0.1, 0.4 and 0.8 for each rotatable family: weak,
+# the simulations' default and strong dependence, inside the bracket, where
+# the rotation-90 survival forms do their work.
+TAU_THETAS = {f: tuple(cp.tau_to_theta(f, tau).theta for tau in (0.1, 0.4, 0.8))
+              for f in cp.ROTATABLE}
+
+
+def end_and_tau_models():
+    """Every family and rotation at both ends of its theta bracket, and the
+    rotatable families also at TAU_THETAS."""
     models = [cp.CopulaModel("independence")]
     for family in ("gaussian", "frank", "clayton", "gumbel", "joe"):
         lo, hi = cp.orientation(family, 1.0)[1]
-        thetas = (lo, hi, -lo, -hi) if family == "frank" else (lo, hi)
+        thetas = (lo, hi, -lo, -hi) if family == "frank" else (lo, hi, *TAU_THETAS.get(family, ()))
         rotations = cp.ROTATIONS if family in cp.ROTATABLE else (0,)
         models += [cp.CopulaModel(family, t, r) for t in thetas for r in rotations]
     return models
 
 
-BRACKET_END_MODELS = bracket_end_models()
-BRACKET_END_IDS = [m.describe() for m in BRACKET_END_MODELS]
+END_AND_TAU_MODELS = end_and_tau_models()
+END_AND_TAU_IDS = [m.describe() for m in END_AND_TAU_MODELS]
 CLAMP = 1e-10
 # log-spread over (0, 1): down to the clamp at both ends
 log_unit = st.floats(-10.0, 0.0).flatmap(
@@ -596,7 +607,7 @@ log_unit = st.floats(-10.0, 0.0).flatmap(
     lambda p: min(max(p, CLAMP), 1.0 - CLAMP))
 
 
-@pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=BRACKET_END_IDS)
+@pytest.mark.parametrize("model", END_AND_TAU_MODELS, ids=END_AND_TAU_IDS)
 @settings(max_examples=40, deadline=None)
 @given(pairs=st.lists(st.tuples(log_unit, log_unit), min_size=1, max_size=16))
 def test_hfunc_inverse_brackets_x(model, pairs):
@@ -707,7 +718,7 @@ def test_rotated_cdf_is_monotone_within_the_frechet_bounds(family, theta, u, v):
     assert np.all(c >= lower * (1.0 - LOWER_BOUND_SLACK[family]) - 2.0 ** -52)
 
 
-@pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=BRACKET_END_IDS)
+@pytest.mark.parametrize("model", END_AND_TAU_MODELS, ids=END_AND_TAU_IDS)
 @settings(max_examples=40, deadline=None)
 @given(u=closed_unit, v=st.lists(closed_unit, min_size=1, max_size=30))
 @example(u=1e-12, v=[1.0 - 2.0 ** -53])
@@ -1026,7 +1037,7 @@ def interior(x):
     return np.clip(x, 1e-10, 1.0 - 1e-10) if np.ndim(x) else min(max(x, 1e-10), 1.0 - 1e-10)
 
 
-@pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=BRACKET_END_IDS)
+@pytest.mark.parametrize("model", END_AND_TAU_MODELS, ids=END_AND_TAU_IDS)
 def test_cdf_matches_seed_cdf(model):
     check = assert_seed_cdf(model)
     with np.errstate(all="ignore"):
@@ -1035,7 +1046,7 @@ def test_cdf_matches_seed_cdf(model):
             check(cp.cdf(model, v, u), seed_cdf(model, v, u))
 
 
-@pytest.mark.parametrize("model", BRACKET_END_MODELS, ids=BRACKET_END_IDS)
+@pytest.mark.parametrize("model", END_AND_TAU_MODELS, ids=END_AND_TAU_IDS)
 def test_conditionals_match_seed(model):
     # the seed h-inverses are the module's own, so they match bit for bit
     check = assert_seed(model)
@@ -1049,15 +1060,16 @@ def test_conditionals_match_seed(model):
 
 def split_models():
     """Every family and rotation with theta at both ends and the middle of
-    its bracket, Frank on both sides of |theta| = 1, and Gaussian at +-0.9999
+    its bracket, the rotatable families also at TAU_THETAS, Frank on both
+    sides of |theta| = 1, and Gaussian at +-0.9999
     and in each bvn_cdf branch: 6, 12 and 20 nodes and the tail expansion
     from its edge at |rho| = 0.925."""
     models = [cp.CopulaModel("independence")]
     thetas = {"gaussian": (-0.9999, -0.3, 0.5, 0.9999, 0.1, 0.8, -0.8, 0.93, -0.93),
               "frank": (1e-6, -1e-6, 0.9, -0.9, 1.0, -1.0, 5.0, -5.0, 50.0, -50.0),
-              "clayton": (1e-4, 1.5, 50.0),
-              "gumbel": (1.0 + 1e-6, 2.5, 50.0),
-              "joe": (1.0 + 1e-6, 2.5, 50.0)}
+              "clayton": (1e-4, 1.5, 50.0, *TAU_THETAS["clayton"]),
+              "gumbel": (1.0 + 1e-6, 2.5, 50.0, *TAU_THETAS["gumbel"]),
+              "joe": (1.0 + 1e-6, 2.5, 50.0, *TAU_THETAS["joe"])}
     for family, ts in thetas.items():
         rotations = cp.ROTATIONS if family in cp.ROTATABLE else (0,)
         models += [cp.CopulaModel(family, t, r) for t in ts for r in rotations]
@@ -1367,16 +1379,16 @@ def seed_log_density(model, u, v):
     return seed_maybe_scalar(seed_logpdf(model.family, model.theta, ru, vv), u, v)
 
 
-# theta across each bracket; Frank on both sides of |theta| = 1, where its
-# formula switches form
+# theta across each bracket, the rotatable families' TAU_THETAS among them;
+# Frank on both sides of |theta| = 1, where its formula switches form
 LOG_DENSITY_THETAS = {
     "independence": [None],
     "gaussian": [-0.9999, -0.6, -1e-3, 1e-3, 0.3, 0.9999],
     "frank": [s * t for t in (1e-6, 0.01, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 3.0, 50.0)
               for s in (1.0, -1.0)],
-    "clayton": [1e-4, 0.05, 1.0, 7.5, 50.0],
-    "gumbel": [1.0 + 1e-6, 1.3, 2.0, 12.0, 50.0],
-    "joe": [1.0 + 1e-6, 1.5, 2.0, 9.0, 50.0],
+    "clayton": [1e-4, 0.05, 1.0, 7.5, 50.0, *TAU_THETAS["clayton"]],
+    "gumbel": [1.0 + 1e-6, 1.3, 2.0, 12.0, 50.0, *TAU_THETAS["gumbel"]],
+    "joe": [1.0 + 1e-6, 1.5, 2.0, 9.0, 50.0, *TAU_THETAS["joe"]],
 }
 LOG_DENSITY_MODELS = [cp.CopulaModel(f, t, r) for f, thetas in LOG_DENSITY_THETAS.items()
                       for t in thetas
@@ -1447,11 +1459,11 @@ def test_log_density_of_rejects_what_copula_model_rejects(family, rotation, thet
 
 def bracket_models():
     """Every family and rotation at both ends and the middle of its bracket,
-    Frank on both sides of 0."""
+    the rotatable families also at TAU_THETAS, Frank on both sides of 0."""
     models = [cp.CopulaModel("independence")]
     for family in ("gaussian", "frank", "clayton", "gumbel", "joe"):
         lo, hi = cp.orientation(family, 1.0)[1]
-        thetas = (lo, 0.5 * (lo + hi), hi)
+        thetas = (lo, 0.5 * (lo + hi), hi, *TAU_THETAS.get(family, ()))
         if family == "frank":
             thetas += tuple(-t for t in thetas)
         rotations = cp.ROTATIONS if family in cp.ROTATABLE else (0,)

@@ -471,8 +471,8 @@ def assert_matches_seed_scan(table, model, alpha, grid=None):
 ORACLE_MODELS = (
     [cp.CopulaModel("independence"), cp.tau_to_theta("gaussian", -0.4),
      cp.tau_to_theta("frank", -0.4)]
-    + [cp.CopulaModel(fam, cp.tau_to_theta(fam, 0.4).theta, rot)
-       for fam in cp.ROTATABLE for rot in cp.ROTATIONS]
+    + [cp.CopulaModel(fam, cp.tau_to_theta(fam, tau).theta, rot)
+       for fam in cp.ROTATABLE for tau in (0.4, 0.8) for rot in cp.ROTATIONS]
 )
 
 
