@@ -555,7 +555,13 @@ BAD_CELL_VALUES = [
                            ({"m": 100, "k_reps": 0}, "k_reps must be positive"),
                            ({"m": 100, "alpha": 1}, "alpha must lie strictly inside (0, 1)"),
                            ({"m": 100, "lambda": 0}, "lambda must lie strictly inside (0, 1)"),
-                           ({"m": 100, "dep_family": "foo"}, "unknown dependence family 'foo'")]
+                           ({"m": 100, "dep_family": "foo"}, "unknown dependence family 'foo'"),
+                           ({"m": 100, "mu": 0}, "mu must be positive"),
+                           ({"m": 100, "mu": -1.5}, "mu must be positive"),
+                           ({"m": 100, "p0": 1.5}, "p0 must lie in [0, 1]"),
+                           ({"m": 100, "p0": -0.1}, "p0 must lie in [0, 1]"),
+                           ({"m": 100, "tau": 0.4}, "tau must lie in (-1, 0], got 0.4"),
+                           ({"m": 100, "tau": -1}, "tau must lie in (-1, 0], got -1")]
     for mode in ("cell", "misspecification")
 ]
 

@@ -44,12 +44,12 @@ def generate_recorded(cfg, replicate):
 
 class TestConfig:
     def test_domains(self):
-        with pytest.raises(ValueError):
-            sim.SimulationConfig(tau=0.4)
-        with pytest.raises(ValueError):
-            sim.SimulationConfig(mu=0.0)
-        with pytest.raises(ValueError):
-            sim.SimulationConfig(p0=1.5)
+        for field, value, message in [("tau", 0.4, "tau must lie in (-1, 0], got 0.4"),
+                                      ("mu", 0.0, "mu must be positive"),
+                                      ("p0", 1.5, "p0 must lie in [0, 1]")]:
+            with pytest.raises(ValueError) as exc:
+                sim.SimulationConfig(**{field: value})
+            assert str(exc.value) == message
         for mode in ("magic", "mle", "true"):
             with pytest.raises(ValueError, match="analysis_mode must be 'tau'"):
                 sim.SimulationConfig(analysis_mode=mode)
