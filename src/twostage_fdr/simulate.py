@@ -56,13 +56,9 @@ METHODS = ("storey", "hard", "soft")
 
 DEFAULT_SEED = 20240001
 
-_FIT_MODES = ("fixed", "refit")  # the modes of run_misspecification
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Knobs of one simulation cell.  Each field's default sets the type it
-    takes (see ``_check_value``), checked before any range."""
+    """Knobs of one simulation cell, checked by the cell schema (_SCHEMAS)."""
 
     m: int = 8000              # hypotheses per replicate
     mu: float = 3.0            # alternative location
@@ -78,63 +74,68 @@ class SimulationConfig:
     def __post_init__(self):
         for key, name in _CONFIG_KEYS.items():
             _check_value(key, getattr(self, name), _CELL[key])
-        if self.m < 1:
-            raise ValueError("m must be positive")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
-        if not -1.0 < self.tau <= 0.0:
-            raise ValueError(f"tau must lie in (-1, 0], got {self.tau}")
-        if not 0.0 <= self.p0 <= 1.0:
-            raise ValueError("p0 must lie in [0, 1]")
-        if self.dep_family not in cp.FAMILIES:
-            raise ValueError(f"unknown dependence family {self.dep_family!r}")
-        if self.k_reps < 1:
-            raise ValueError("k_reps must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly inside (0, 1)")
-        if not 0.0 < self.lambda_ < 1.0:
-            raise ValueError("lambda must lie strictly inside (0, 1)")
+        proc.check_levels(self.alpha, self.lambda_)
+        _check_model("dep_family", self.dep_family, self.tau)
 
 
 # JSON key -> SimulationConfig field, in field (and results.json) order; "lambda" is a keyword
 _CONFIG_KEYS = {"lambda" if f.name == "lambda_" else f.name: f.name
                 for f in fields(SimulationConfig)}
 
-# Each simulate mode's keys besides "mode", with defaults that also set their types
-_CELL = {key: f.default for key, f in zip(_CONFIG_KEYS, fields(SimulationConfig))}
+# Each simulate mode's keys besides "mode", as (default, range).  The default
+# sets the type (see _check_value).  The range is the values of a mode key, the
+# least value of an integer, or a number's range in words and as a test; None
+# leaves it to the module that owns the rule: procedure.check_levels for alpha
+# and lambda, analysis_model for a family with tau, fit.check_families for a
+# family list.  Only tau's sign, (-1, 0] in the cell modes, is simulate's own.
+_RANGES = {"m": 1, "mu": ("a positive number", lambda mu: mu > 0.0),
+           "tau": ("a number in (-1, 0]", lambda tau: -1.0 < tau <= 0.0),
+           "p0": ("a number in [0, 1]", lambda p0: 0.0 <= p0 <= 1.0),
+           "dep_family": None, "analysis_mode": ("tau",), "k_reps": 1,
+           "alpha": None, "lambda": None, "seed": 0}
+_CELL = {key: (f.default, _RANGES[key]) for key, f in zip(_CONFIG_KEYS, fields(SimulationConfig))}
 _SCHEMAS = {
     "cell": _CELL,
-    "misspecification": {**_CELL, "analysis_families": ft.DEFAULT_CANDIDATES,
-                         "fit_mode": "refit"},
-    "selection": {"n": 8000, "true_family": "clayton", "tau": -0.4, "reps": 100,
-                  "seed": DEFAULT_SEED, "candidates": ft.DEFAULT_CANDIDATES},
+    "misspecification": {**_CELL, "analysis_families": (ft.DEFAULT_CANDIDATES, None),
+                         "fit_mode": ("refit", ("fixed", "refit"))},
+    "selection": {"n": (8000, ft.MIN_FIT_PAIRS), "true_family": ("clayton", None),
+                  "tau": (-0.4, None), "reps": (100, 1), "seed": (DEFAULT_SEED, 0),
+                  "candidates": (ft.DEFAULT_CANDIDATES, None)},
 }
 
 
-def _check_value(key: str, value, default) -> None:
+def _check_value(key: str, value, entry) -> None:
     """Raise ValueError naming config key `key` unless `value` has the type
-    `default` sets (an int, non-negative for the seed, a finite int or float,
-    a family name or a list of them; never a bool), or, for a mode key, is
-    one of the mode's values."""
-    if key == "analysis_mode" and value != "tau":
-        raise ValueError(f"analysis_mode must be 'tau', got {value!r}")
-    if key == "fit_mode":
-        ok, kind = value in _FIT_MODES, " or ".join(map(repr, _FIT_MODES))
+    and range of its scalar schema entry: an int, a finite int or float or a
+    str (never a bool), or one of a mode key's values."""
+    default, allowed = entry
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, str):
+        ok = isinstance(value, str) if allowed is None else value in allowed
+        kind = "a family name" if allowed is None else " or ".join(map(repr, allowed))
     elif isinstance(default, int):
-        ok, kind = isinstance(value, int), "an integer"
-        if ok and key == "seed" and value < 0:  # numpy takes no negative seed
-            ok, kind = False, "a non-negative integer"
-    elif isinstance(default, float):
-        # an exact comparison: math.isfinite overflows on a huge int
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-        kind = "a finite number"
-    elif isinstance(default, str):
-        ok, kind = isinstance(value, str), "a family name"
+        ok, kind = number and isinstance(value, int), "an integer"
+        if ok and value < allowed:
+            ok, kind = False, f"an integer >= {allowed}"
     else:
-        ok = isinstance(value, (list, tuple)) and all(isinstance(f, str) for f in value)
-        kind = "a list of family names"
-    if not ok or isinstance(value, bool):
+        # an exact comparison: math.isfinite overflows on a huge int
+        ok, kind = number and abs(value) <= sys.float_info.max, "a finite number"
+        if ok and allowed is not None and not allowed[1](value):
+            ok, kind = False, allowed[0]
+    if not ok:
         raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+
+
+def _check_model(family_key: str, family: str, tau: float) -> cp.CopulaModel:
+    """analysis_model(family, tau), whose error names the config key at fault:
+    `family_key` when the family fails at tau 0, which every family takes,
+    else tau."""
+    for key, at in ((family_key, 0.0), ("tau", tau)):
+        try:
+            model = analysis_model(family, at)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    return model
 
 
 @dataclass(frozen=True)
@@ -272,8 +273,7 @@ def run_misspecification(cfg: SimulationConfig, analysis_families=ft.DEFAULT_CAN
 
     Returns {"storey": MonteCarloResult, family: {"hard"/"soft": ...}}.
     """
-    if mode not in _FIT_MODES:
-        raise ValueError(f"mode must be {' or '.join(map(repr, _FIT_MODES))}, got {mode!r}")
+    _check_value("fit_mode", mode, _SCHEMAS["misspecification"]["fit_mode"])
     families = ft.check_families(analysis_families, "analysis_families")
     per_rep = _map_replicates(_replicate, [(cfg, k, families, mode) for k in range(cfg.k_reps)],
                               threads)
@@ -307,10 +307,6 @@ def run_copula_selection_study(model: cp.CopulaModel, n: int, reps: int,
     family each criterion selects."""
     for key, value in (("n", n), ("reps", reps), ("seed", seed)):
         _check_value(key, value, _SCHEMAS["selection"][key])
-    if n < ft.MIN_FIT_PAIRS:
-        raise ValueError(f"n must be at least {ft.MIN_FIT_PAIRS}, got {n}")
-    if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
     candidates = ft.check_families(candidates, "candidates")
     counts = {f: {c: 0 for c in ft.CRITERIA} for f in candidates}
     values = {f: {c: [] for c in ft.CRITERIA} for f in candidates}
@@ -394,18 +390,17 @@ def run_config(payload: dict, out_dir, seed=None, threads: int = 1) -> Path:
     unknown = set(payload) - {"mode", *_SCHEMAS[mode]}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    conf = {**_SCHEMAS[mode], **payload}
-    for key, default in _SCHEMAS[mode].items():
-        _check_value(key, conf[key], default)
+    conf = {**{key: default for key, (default, _) in _SCHEMAS[mode].items()}, **payload}
     if seed is not None:
-        _check_value("seed", seed, DEFAULT_SEED)
         conf["seed"] = seed
     out_dir = Path(out_dir)
     table_path = out_dir / "simtable.tsv"
     if mode == "selection":
+        for key in ("true_family", "tau"):  # the keys no library call checks
+            _check_value(key, conf[key], _SCHEMAS[mode][key])
         study = run_copula_selection_study(
-            analysis_model(conf["true_family"], conf["tau"]), conf["n"], conf["reps"],
-            conf["seed"], conf["candidates"])
+            _check_model("true_family", conf["true_family"], conf["tau"]), conf["n"],
+            conf["reps"], conf["seed"], conf["candidates"])
         out_dir.mkdir(parents=True, exist_ok=True)
         _study_to_tsv(study, table_path, seed=conf["seed"])
         return table_path

@@ -519,10 +519,18 @@ MISTYPED_VALUES = [
     ({"mode": "selection", "reps": "2"}, "'reps'"),
     ({"mode": "cell", "seed": True}, "'seed'"),
     ({"mode": "cell", "seed": -1}, "'seed'"),
-    ({"mode": "misspecification", "analysis_families": 5}, "'analysis_families'"),
-    ({"mode": "misspecification", "analysis_families": "gumbel"}, "'analysis_families'"),
-    ({"mode": "selection", "candidates": 3}, "'candidates'"),
-    ({"mode": "selection", "candidates": ["clayton", 1]}, "'candidates'"),
+]
+
+# a family list is checked by fit.check_families, whose messages name the key
+MISTYPED_FAMILY_LISTS = [
+    ({"mode": "misspecification", "analysis_families": 5},
+     "error: analysis_families must be a list of family names, got 5"),
+    ({"mode": "misspecification", "analysis_families": "gumbel"},
+     "error: analysis_families must be a list of family names, got 'gumbel'"),
+    ({"mode": "selection", "candidates": 3},
+     "error: candidates must be a list of family names, got 3"),
+    ({"mode": "selection", "candidates": ["clayton", 1]},
+     "error: candidates must be a list of family names, got ['clayton', 1]"),
 ]
 
 NON_STRING_FAMILIES = [
@@ -537,31 +545,36 @@ BAD_SELECTION_STUDIES = [
      "error: unknown copula family 'foo'"),
     # the family is checked at every tau, independence's range included
     ({"mode": "selection", "n": 300, "reps": 1, "true_family": "foo", "tau": 0.0},
-     "error: unknown copula family 'foo'"),
-    ({"mode": "selection", "n": 300, "reps": 0}, "error: reps must be positive, got 0"),
-    ({"mode": "selection", "n": 300, "reps": -2}, "error: reps must be positive, got -2"),
-    ({"mode": "selection", "n": 5, "reps": 1}, "error: n must be at least 10, got 5"),
-    ({"mode": "selection", "n": 1, "reps": 1}, "error: n must be at least 10, got 1"),
+     "error: config key 'true_family': unknown copula family 'foo'"),
+    ({"mode": "selection", "n": 300, "reps": 0},
+     "error: config key 'reps' must be an integer >= 1, got 0"),
+    ({"mode": "selection", "n": 300, "reps": -2},
+     "error: config key 'reps' must be an integer >= 1, got -2"),
+    ({"mode": "selection", "n": 5, "reps": 1},
+     "error: config key 'n' must be an integer >= 10, got 5"),
+    ({"mode": "selection", "n": 1, "reps": 1},
+     "error: config key 'n' must be an integer >= 10, got 1"),
     ({"mode": "selection", "n": 300, "reps": 1, "candidates": []},
      "error: candidates must name at least one family"),
     ({"mode": "selection", "n": 300, "reps": 1, "seed": -1},
-     "error: config key 'seed' must be a non-negative integer, got -1"),
+     "error: config key 'seed' must be an integer >= 0, got -1"),
 ]
 
 # a value of the right type out of SimulationConfig's range, in both modes that take it
 BAD_CELL_VALUES = [
     ({"mode": mode, "k_reps": 1, **value}, f"error: {message}")
-    for value, message in [({"m": 0}, "m must be positive"),
-                           ({"m": 100, "k_reps": 0}, "k_reps must be positive"),
-                           ({"m": 100, "alpha": 1}, "alpha must lie strictly inside (0, 1)"),
-                           ({"m": 100, "lambda": 0}, "lambda must lie strictly inside (0, 1)"),
-                           ({"m": 100, "dep_family": "foo"}, "unknown dependence family 'foo'"),
-                           ({"m": 100, "mu": 0}, "mu must be positive"),
-                           ({"m": 100, "mu": -1.5}, "mu must be positive"),
-                           ({"m": 100, "p0": 1.5}, "p0 must lie in [0, 1]"),
-                           ({"m": 100, "p0": -0.1}, "p0 must lie in [0, 1]"),
-                           ({"m": 100, "tau": 0.4}, "tau must lie in (-1, 0], got 0.4"),
-                           ({"m": 100, "tau": -1}, "tau must lie in (-1, 0], got -1")]
+    for value, message in [
+        ({"m": 0}, "config key 'm' must be an integer >= 1, got 0"),
+        ({"m": 100, "k_reps": 0}, "config key 'k_reps' must be an integer >= 1, got 0"),
+        ({"m": 100, "alpha": 1}, "alpha must lie in [0, 1), got 1"),
+        ({"m": 100, "lambda": 0}, "lambda must lie strictly inside (0, 1), got 0"),
+        ({"m": 100, "dep_family": "foo"}, "config key 'dep_family': unknown copula family 'foo'"),
+        ({"m": 100, "mu": 0}, "config key 'mu' must be a positive number, got 0"),
+        ({"m": 100, "mu": -1.5}, "config key 'mu' must be a positive number, got -1.5"),
+        ({"m": 100, "p0": 1.5}, "config key 'p0' must be a number in [0, 1], got 1.5"),
+        ({"m": 100, "p0": -0.1}, "config key 'p0' must be a number in [0, 1], got -0.1"),
+        ({"m": 100, "tau": 0.4}, "config key 'tau' must be a number in (-1, 0], got 0.4"),
+        ({"m": 100, "tau": -1}, "config key 'tau' must be a number in (-1, 0], got -1")]
     for mode in ("cell", "misspecification")
 ]
 
@@ -621,6 +634,15 @@ class TestSimulateCommand:
         assert err.startswith("error: config key ")
         assert key in err
 
+    @pytest.mark.parametrize("payload, message", MISTYPED_FAMILY_LISTS)
+    def test_mistyped_family_list_rejected(self, tmp_path, capsys, payload, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"{message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("payload, key, value", NON_STRING_FAMILIES)
     def test_non_string_family_rejected(self, tmp_path, capsys, payload, key, value):
         cfgfile = tmp_path / "cfg.json"
@@ -647,7 +669,7 @@ class TestSimulateCommand:
         assert main(["simulate", str(cfgfile), "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "analysis_mode must be 'tau'" in err
+        assert err == f"error: config key 'analysis_mode' must be 'tau', got {mode!r}\n"
         assert not (tmp_path / "simtable.tsv").exists()
 
     def test_malformed_json_names_its_file(self, tmp_path, capsys):
@@ -683,6 +705,16 @@ class TestSimulateCommand:
         assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"{message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["cell", "misspecification"])
+    def test_alpha_zero_runs_as_in_test(self, tmp_path, mode):
+        # alpha takes procedure.check_levels' rule, [0, 1), as test --alpha does
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"mode": mode, "m": 300, "k_reps": 1, "alpha": 0.0}))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 0
+        assert (out / "simtable.tsv").exists()
+        assert json.loads((out / "results.json").read_text())["config"]["alpha"] == 0.0
 
     @pytest.mark.parametrize("fit_mode", BAD_FIT_MODES, ids=repr)
     def test_bad_fit_mode_names_its_key(self, tmp_path, capsys, fit_mode):
@@ -720,7 +752,7 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", str(cfgfile), "--seed", "-1", "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: config key 'seed' must be a non-negative integer, got -1\n")
+            "error: config key 'seed' must be an integer >= 0, got -1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["cell", "misspecification"])
@@ -793,7 +825,7 @@ REJECTED_RUNS = (
     [(payload, 1) for payload in REJECTED_CONFIGS]
     + [(payload, 1) for payload, *_ in MISTYPED_VALUES + NON_STRING_FAMILIES]
     + [(payload, 1) for payload, _ in
-       BAD_SELECTION_STUDIES + REPEATED_FAMILIES + EMPTY_FAMILY_LISTS]
+       BAD_SELECTION_STUDIES + REPEATED_FAMILIES + EMPTY_FAMILY_LISTS + MISTYPED_FAMILY_LISTS]
     + [({"mode": "cell", "m": 100, "bogus": 1}, 1),
        ({"mode": "cell", "m": 100, "k_reps": 1, "analysis_family": "frank"}, 1)]
     + [({"mode": "cell", "m": 100, "k_reps": 1, "analysis_mode": mode}, 1)

@@ -44,14 +44,15 @@ def generate_recorded(cfg, replicate):
 
 class TestConfig:
     def test_domains(self):
-        for field, value, message in [("tau", 0.4, "tau must lie in (-1, 0], got 0.4"),
-                                      ("mu", 0.0, "mu must be positive"),
-                                      ("p0", 1.5, "p0 must lie in [0, 1]")]:
+        for field, value, message in [
+                ("tau", 0.4, "config key 'tau' must be a number in (-1, 0], got 0.4"),
+                ("mu", 0.0, "config key 'mu' must be a positive number, got 0.0"),
+                ("p0", 1.5, "config key 'p0' must be a number in [0, 1], got 1.5")]:
             with pytest.raises(ValueError) as exc:
                 sim.SimulationConfig(**{field: value})
             assert str(exc.value) == message
         for mode in ("magic", "mle", "true"):
-            with pytest.raises(ValueError, match="analysis_mode must be 'tau'"):
+            with pytest.raises(ValueError, match="^config key 'analysis_mode' must be 'tau', "):
                 sim.SimulationConfig(analysis_mode=mode)
 
     def test_config_keys_follow_the_fields(self):
@@ -82,10 +83,10 @@ class TestConfig:
     def test_negative_seed_rejected(self, seed):
         with pytest.raises(ValueError) as exc:
             sim.SimulationConfig(seed=seed)
-        assert str(exc.value) == f"config key 'seed' must be a non-negative integer, got {seed}"
+        assert str(exc.value) == f"config key 'seed' must be an integer >= 0, got {seed}"
 
     @pytest.mark.parametrize("mode", ["cell", "misspecification", "selection"])
-    @pytest.mark.parametrize("seed, kind", [(-1, "a non-negative integer"),
+    @pytest.mark.parametrize("seed, kind", [(-1, "an integer >= 0"),
                                             (2.5, "an integer"), (True, "an integer")])
     def test_seed_override_checked_by_the_config_rule(self, tmp_path, mode, seed, kind):
         out = tmp_path / "out"
@@ -357,7 +358,8 @@ class TestMisspecification:
         assert r.fdr_hat <= cfg.alpha + 3.0 * max(r.fdr_sd, 1e-12)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError, match="^mode must be 'fixed' or 'refit', got 'other'$"):
+        with pytest.raises(ValueError, match="^config key 'fit_mode' must be 'fixed' or "
+                                             "'refit', got 'other'$"):
             sim.run_misspecification(small_cfg(), mode="other")
 
     @pytest.mark.parametrize("families, message", [
@@ -508,7 +510,8 @@ class TestSelectionStudy:
     @pytest.mark.parametrize("reps", [0, -1])
     def test_reps_must_be_positive(self, reps):
         true_model = cp.tau_to_theta("clayton", -0.4)
-        with pytest.raises(ValueError, match=f"^reps must be positive, got {reps}$"):
+        with pytest.raises(ValueError,
+                           match=f"^config key 'reps' must be an integer >= 1, got {reps}$"):
             sim.run_copula_selection_study(true_model, n=300, reps=reps)
 
     @pytest.mark.parametrize("n", [-1, 0, 1, 5, 9])
@@ -518,14 +521,14 @@ class TestSelectionStudy:
 
         monkeypatch.setattr(cp, "sample", no_sampling)
         true_model = cp.tau_to_theta("clayton", -0.4)
-        with pytest.raises(ValueError, match=f"^n must be at least 10, got {n}$"):
+        with pytest.raises(ValueError, match=f"^config key 'n' must be an integer >= 10, got {n}$"):
             sim.run_copula_selection_study(true_model, n=n, reps=1)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"n": True}, "'n' must be an integer, got True"),
         ({"reps": 2.0}, "'reps' must be an integer, got 2.0"),
         ({"seed": "5"}, "'seed' must be an integer, got '5'"),
-        ({"seed": -1}, "'seed' must be a non-negative integer, got -1"),
+        ({"seed": -1}, "'seed' must be an integer >= 0, got -1"),
     ])
     def test_wrong_type_rejected_before_sampling(self, monkeypatch, kwargs, message):
         def no_sampling(*args, **kw):
