@@ -787,13 +787,12 @@ def kendall_tau(model: CopulaModel) -> float:
 
 
 def _invert_tau(tau_fn, target: float, lo: float, hi: float) -> float:
-    """theta in [lo, hi] with tau_fn(theta) = target, tau_fn increasing.
+    """theta in [lo, hi] with tau_fn(theta) = target, tau_fn increasing and
+    target in [tau_fn(lo), tau_fn(hi)].
 
     60 fixed halvings narrow the theta-bracket (width at most 50) to about
     4e-17, below the spacing of doubles at theta >= 1.
     """
-    if tau_fn(lo) > target or tau_fn(hi) < target:
-        raise ValueError(f"kendall tau {target} outside invertible range")
     return float(bisect_increasing(tau_fn, target, lo, hi, 60))
 
 
@@ -822,7 +821,8 @@ def tau_to_theta(family: str, tau: float) -> CopulaModel:
     family raises at any other tau.  The rotation is orientation's: 90
     degrees for Clayton/Gumbel/Joe at a negative tau.  Gaussian, Clayton and
     Gumbel invert in closed form; Frank and Joe invert their tau map by 60
-    fixed halvings of the family's theta bracket.
+    fixed halvings of the family's theta bracket, and raise past the |tau|
+    of its upper end (Frank 0.9226, Joe 0.9610).
     """
     row = _check_family(family)
     if not -1.0 < tau < 1.0:
@@ -831,6 +831,9 @@ def tau_to_theta(family: str, tau: float) -> CopulaModel:
         return CopulaModel("independence")
     if family == "independence":
         raise ValueError(f"independence copula requires |tau| < {_TAU_INDEPENDENT}, got {tau}")
+    if row.theta_of is None and abs(tau) > (reach := row.tau(row.bracket[1])):
+        raise ValueError(f"{family} copula takes kendall tau in [-{reach:.4f}, {reach:.4f}], "
+                         f"got {tau}")
 
     rotation, _ = orientation(family, tau)
     if rotation:

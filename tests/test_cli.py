@@ -574,7 +574,12 @@ BAD_CELL_VALUES = [
         ({"m": 100, "p0": 1.5}, "config key 'p0' must be a number in [0, 1], got 1.5"),
         ({"m": 100, "p0": -0.1}, "config key 'p0' must be a number in [0, 1], got -0.1"),
         ({"m": 100, "tau": 0.4}, "config key 'tau' must be a number in (-1, 0], got 0.4"),
-        ({"m": 100, "tau": -1}, "config key 'tau' must be a number in (-1, 0], got -1")]
+        ({"m": 100, "tau": -1}, "config key 'tau' must be a number in (-1, 0], got -1"),
+        # a tau past the family's theta bracket fails before any replicate
+        ({"m": 100, "dep_family": "frank", "tau": -0.95},
+         "config key 'tau': frank copula takes kendall tau in [-0.9226, 0.9226], got -0.95"),
+        ({"m": 100, "dep_family": "joe", "tau": -0.97},
+         "config key 'tau': joe copula takes kendall tau in [-0.9610, 0.9610], got -0.97")]
     for mode in ("cell", "misspecification")
 ]
 

@@ -279,6 +279,19 @@ class TestTauMaps:
         with pytest.raises(ValueError):
             cp.tau_to_theta("gaussian", -1.0)
 
+    @pytest.mark.parametrize("family, tau, reach", [
+        ("frank", 0.95, "0.9226"), ("frank", -0.95, "0.9226"),
+        ("joe", 0.97, "0.9610"), ("joe", -0.97, "0.9610"),
+    ])
+    def test_tau_past_the_bracket_names_the_family_and_its_reach(self, family, tau, reach):
+        # the reach is the |tau| of the bracket's upper end, theta = 50
+        with pytest.raises(ValueError) as exc:
+            cp.tau_to_theta(family, tau)
+        assert str(exc.value) == (f"{family} copula takes kendall tau in "
+                                  f"[-{reach}, {reach}], got {tau}")
+        hi = cp.orientation(family, 1.0)[1][1]
+        assert f"{cp.kendall_tau(cp.CopulaModel(family, hi)):.4f}" == reach
+
     def test_frank_joe_inverse_to_1e11(self):
         for family in ("frank", "joe"):
             for tau in (-0.9, -0.4, -0.05, 1e-4, 0.05, 0.4, 0.9):

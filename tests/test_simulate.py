@@ -55,6 +55,19 @@ class TestConfig:
             with pytest.raises(ValueError, match="^config key 'analysis_mode' must be 'tau', "):
                 sim.SimulationConfig(analysis_mode=mode)
 
+    @pytest.mark.parametrize("family, tau, reach", [("frank", -0.95, "0.9226"),
+                                                    ("joe", -0.97, "0.9610")])
+    def test_tau_the_family_cannot_take_is_named_before_any_replicate(self, monkeypatch,
+                                                                       family, tau, reach):
+        def no_replicate(*args):
+            raise AssertionError("generated a replicate before checking tau")
+
+        monkeypatch.setattr(sim, "generate_dataset", no_replicate)
+        with pytest.raises(ValueError) as exc:
+            sim.run_cell(sim.SimulationConfig(m=100, k_reps=1, dep_family=family, tau=tau))
+        assert str(exc.value) == (f"config key 'tau': {family} copula takes kendall tau in "
+                                  f"[-{reach}, {reach}], got {tau}")
+
     def test_config_keys_follow_the_fields(self):
         assert list(sim._CONFIG_KEYS) == ["m", "mu", "tau", "p0", "dep_family",
                                           "analysis_mode", "k_reps", "alpha", "lambda", "seed"]
