@@ -252,7 +252,10 @@ def _replicate(args) -> dict:
     out = {"storey": _counts(proc.run_one_stage_storey(table, cfg.alpha, cfg.lambda_),
                              is_alt)}
     for family in families:
-        model = analysis_model(family, tau)
+        try:
+            model = analysis_model(family, tau)
+        except ValueError as exc:
+            raise ValueError(f"replicate {k}: {family} at kendall tau {tau}: {exc}") from None
         out[family] = {
             "hard": _counts(proc.run_two_stage_hard(table, model, cfg.alpha, cfg.lambda_),
                             is_alt),
@@ -274,6 +277,8 @@ def run_misspecification(cfg: SimulationConfig, analysis_families=ft.DEFAULT_CAN
     Returns {"storey": MonteCarloResult, family: {"hard"/"soft": ...}}.
     """
     _check_value("fit_mode", mode, _SCHEMAS["misspecification"]["fit_mode"])
+    if mode == "refit":  # a replicate's Kendall tau takes two pairs at least
+        _check_value("m", cfg.m, (_CELL["m"][0], 2))
     families = ft.check_families(analysis_families, "analysis_families")
     per_rep = _map_replicates(_replicate, [(cfg, k, families, mode) for k in range(cfg.k_reps)],
                               threads)

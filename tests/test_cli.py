@@ -585,6 +585,20 @@ BAD_CELL_VALUES = [
 
 BAD_FIT_MODES = [5, "sometimes", None, "Fixed"]
 
+# a refit takes the Kendall tau of each replicate's pairs: m = 1 has no pair, and
+# few pairs can all agree, giving a tau-hat of +-1 that no copula family takes
+BAD_REFITS = [
+    ({"mode": "cell", "m": 1, "k_reps": 1}, "error: config key 'm' must be an integer >= 2, got 1"),
+    ({"mode": "misspecification", "m": 1, "k_reps": 1},
+     "error: config key 'm' must be an integer >= 2, got 1"),
+    ({"mode": "cell", "m": 2, "k_reps": 1},
+     "error: replicate 0: clayton at kendall tau 1.0: kendall tau must be in (-1, 1), got 1.0"),
+    ({"mode": "cell", "m": 4, "k_reps": 5, "dep_family": "frank", "seed": 0},
+     "error: replicate 3: frank at kendall tau -1.0: kendall tau must be in (-1, 1), got -1.0"),
+    ({"mode": "misspecification", "m": 2, "k_reps": 1, "analysis_families": ["gaussian"]},
+     "error: replicate 0: gaussian at kendall tau 1.0: kendall tau must be in (-1, 1), got 1.0"),
+]
+
 REPEATED_FAMILIES = [
     ({"mode": "selection", "n": 300, "reps": 2, "candidates": ["clayton", "clayton", "frank"]},
      "error: candidates lists family 'clayton' twice"),
@@ -721,6 +735,24 @@ class TestSimulateCommand:
         assert (out / "simtable.tsv").exists()
         assert json.loads((out / "results.json").read_text())["config"]["alpha"] == 0.0
 
+    @pytest.mark.parametrize("payload, message", BAD_REFITS, ids=repr)
+    def test_refit_without_a_kendall_tau_is_named(self, tmp_path, capsys, payload, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"{message}\n"
+        assert not out.exists()
+
+    def test_fixed_mode_takes_one_hypothesis(self, tmp_path):
+        # fixed mode estimates no tau, so m = 1 runs
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"mode": "misspecification", "m": 1, "k_reps": 1,
+                                       "fit_mode": "fixed"}))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 0
+        assert (out / "simtable.tsv").exists()
+
     @pytest.mark.parametrize("fit_mode", BAD_FIT_MODES, ids=repr)
     def test_bad_fit_mode_names_its_key(self, tmp_path, capsys, fit_mode):
         cfgfile = tmp_path / "cfg.json"
@@ -830,7 +862,8 @@ REJECTED_RUNS = (
     [(payload, 1) for payload in REJECTED_CONFIGS]
     + [(payload, 1) for payload, *_ in MISTYPED_VALUES + NON_STRING_FAMILIES]
     + [(payload, 1) for payload, _ in
-       BAD_SELECTION_STUDIES + REPEATED_FAMILIES + EMPTY_FAMILY_LISTS + MISTYPED_FAMILY_LISTS]
+       BAD_SELECTION_STUDIES + REPEATED_FAMILIES + EMPTY_FAMILY_LISTS + MISTYPED_FAMILY_LISTS
+       + BAD_REFITS]
     + [({"mode": "cell", "m": 100, "bogus": 1}, 1),
        ({"mode": "cell", "m": 100, "k_reps": 1, "analysis_family": "frank"}, 1)]
     + [({"mode": "cell", "m": 100, "k_reps": 1, "analysis_mode": mode}, 1)
