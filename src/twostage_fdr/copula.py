@@ -398,11 +398,21 @@ def _joe_side(t, l1):
     return lx, -np.expm1(lx), np.exp(lx)
 
 
-def _joe_ln_t(ex, ey, px, py):
-    # log T, in the cancellation-free form per point
+def _joe_ln_t(x_side, y_side):
+    # log T from _joe_side's (lx, ex, px) and (ly, ey, py), in the
+    # cancellation-free form per point.  Where px + py ex is not a normal
+    # double (in the upper corner px and py underflow), log T is taken in log
+    # space, from lx and ly; only there, so that no other value moves.
+    lx, ex, px = x_side
+    ly, ey, py = y_side
     prod = ex * ey
+    rest = px + py * ex
     with np.errstate(divide="ignore"):
-        return np.where(prod < 0.5, np.log1p(-prod), np.log(px + py * ex))
+        ln_t = np.where(prod < 0.5, np.log1p(-prod), np.log(rest))
+    corner = rest < _TINY
+    if corner.any():
+        ln_t = np.where(corner, _logaddexp(lx, ly + np.log(ex)), ln_t)
+    return ln_t
 
 
 def _joe_prepare(u, v):
@@ -410,12 +420,11 @@ def _joe_prepare(u, v):
 
 
 def _joe_cdf_v(t, v):
-    return _joe_side(t, np.log1p(-v))[1:]
+    return _joe_side(t, np.log1p(-v))
 
 
-def _joe_cdf_at(t, u, ey, py):
-    _, ex, px = _joe_side(t, np.log1p(-u))
-    return -np.expm1(_joe_ln_t(ex, ey, px, py) / t)
+def _joe_cdf_at(t, u, *y_side):
+    return -np.expm1(_joe_ln_t(_joe_side(t, np.log1p(-u)), y_side) / t)
 
 
 def _joe_cdf90_v(t, v):
@@ -431,23 +440,23 @@ def _joe_cdf90_at(t, u, one_minus_v, ln_expm1_l):
 
 
 def _joe_logpdf(t, l1u, l1v):
-    lx, ex, px = _joe_side(t, l1u)
-    ly, ey, py = _joe_side(t, l1v)
-    ln_t = _joe_ln_t(ex, ey, px, py)
+    x_side = _joe_side(t, l1u)
+    y_side = _joe_side(t, l1v)
+    ln_t = _joe_ln_t(x_side, y_side)
     big_t = np.exp(ln_t)
-    return ((1.0 / t - 2.0) * ln_t + (1.0 - 1.0 / t) * (lx + ly)
+    return ((1.0 / t - 2.0) * ln_t + (1.0 - 1.0 / t) * (x_side[0] + y_side[0])
             + np.log(t - 1.0 + big_t))
 
 
-def _joe_h_at(t, v, a, ex, px):
-    # h(v | u) from the conditioner's a = (1 - 1/t) lx, ex and px
-    _, ey, py = _joe_side(t, np.log1p(-v))
-    return np.exp(a + np.log(ey) + (1.0 / t - 1.0) * _joe_ln_t(ex, ey, px, py))
+def _joe_h_at(t, v, a, x_side):
+    # h(v | u) from the conditioner's a = (1 - 1/t) lx and _joe_side
+    y_side = _joe_side(t, np.log1p(-v))
+    return np.exp(a + np.log(y_side[1]) + (1.0 / t - 1.0) * _joe_ln_t(x_side, y_side))
 
 
 def _joe_h(t, v, u):
-    lx, ex, px = _joe_side(t, np.log1p(-u))
-    return _joe_h_at(t, v, (1.0 - 1.0 / t) * lx, ex, px)
+    x_side = _joe_side(t, np.log1p(-u))
+    return _joe_h_at(t, v, (1.0 - 1.0 / t) * x_side[0], x_side)
 
 
 def _joe_hinv(t, x, u):
@@ -459,11 +468,11 @@ def _joe_hinv(t, x, u):
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     shape = np.broadcast_shapes(x.shape, u.shape)
-    lx, ex, px = _joe_side(t, np.log1p(-u))
-    a = (1.0 - 1.0 / t) * lx
+    x_side = _joe_side(t, np.log1p(-u))
+    a = (1.0 - 1.0 / t) * x_side[0]
 
     def h(v):
-        return _joe_h_at(t, np.clip(v, EPS, 1.0 - EPS), a, ex, px)
+        return _joe_h_at(t, np.clip(v, EPS, 1.0 - EPS), a, x_side)
 
     v = bisect_increasing(h, np.broadcast_to(x, shape), np.zeros(shape), np.ones(shape), 80)
     if np.any(np.isnan(h(v))):

@@ -533,7 +533,7 @@ def test_steep_conditional_inverts():
 def test_nan_conditional_raises(monkeypatch):
     # Joe is the family whose h-inverse bisects its h, through _joe_h_at
     monkeypatch.setattr(cp, "_joe_h_at",
-                        lambda t, v, a, ex, px: np.full(np.broadcast_shapes(v.shape, a.shape),
+                        lambda t, v, a, x_side: np.full(np.broadcast_shapes(v.shape, a.shape),
                                                         np.nan))
     with pytest.raises(RuntimeError, match="NaN"):
         cp.hfunc_inverse(cp.CopulaModel("joe", 2.0), np.array([0.3, 0.7]), 0.5)
@@ -856,15 +856,39 @@ def seed_clayton_cdf(t, u, v):
     return np.exp(-ln_a / t)
 
 
+def joe_ln_t_mpmath(t, l1u, l1v):
+    """Joe's log T = log(px + py - px py), px = e^(t l1u) and py = e^(t l1v),
+    at 400 digits from the doubles t, l1u and l1v, rounded to a double."""
+    with mpmath.workdps(400):
+        px = mpmath.exp(mpmath.mpf(t) * mpmath.mpf(l1u))
+        py = mpmath.exp(mpmath.mpf(t) * mpmath.mpf(l1v))
+        return float(mpmath.log(px + py - px * py))
+
+
 def seed_joe_parts(t, l1u, l1v):
+    """The seed's Joe terms lx, ly, ex, ey and log T, except where its log T
+    is the log of px + py ex below the normal doubles: log(0) in the upper
+    corner, where (1 - u)^t and (1 - v)^t both underflow (theta above about
+    31 at the clamp), and the log of a subnormal, with few bits, beside it.
+    There mpmath decides: the module's log T is taken where it lies within
+    4 eps (1 + |lx| + |ly|) of joe_ln_t_mpmath (0.5 of that is the most seen
+    at theta 40 and 50), else the 400-digit value, so the values formed from
+    log T match the module's only where its log T is right."""
     lx = t * l1u
     ly = t * l1v
     ex = -np.expm1(lx)
     ey = -np.expm1(ly)
     prod = ex * ey
+    rest = np.exp(lx) + np.exp(ly) * ex
     with np.errstate(divide="ignore"):
-        ln_t = np.where(prod < 0.5, np.log1p(-prod),
-                        np.log(np.exp(lx) + np.exp(ly) * ex))
+        ln_t = np.where(prod < 0.5, np.log1p(-prod), np.log(rest))
+    carved = rest < np.finfo(float).tiny
+    if carved.any():
+        module = cp._joe_ln_t(cp._joe_side(t, l1u), cp._joe_side(t, l1v))[carved]
+        a, b, x, y = (np.broadcast_to(z, ln_t.shape)[carved] for z in (l1u, l1v, lx, ly))
+        exact = np.array([joe_ln_t_mpmath(t, *pair) for pair in zip(a, b)])
+        near = np.abs(module - exact) <= 4.0 * 2.0 ** -52 * (1.0 + np.abs(x) + np.abs(y))
+        ln_t[carved] = np.where(near, module, exact)
     return lx, ly, ex, ey, ln_t
 
 
@@ -1377,10 +1401,7 @@ def seed_logpdf(family, t, u, v):
         w = np.exp(ln_s / t)
         return (-w + (t - 1.0) * (la + lb) + (2.0 / t - 2.0) * ln_s
                 - np.log(u) - np.log(v) + np.log1p((t - 1.0) / w))
-    lx, ly = t * np.log1p(-u), t * np.log1p(-v)
-    ex, ey = -np.expm1(lx), -np.expm1(ly)
-    prod = ex * ey
-    ln_t = np.where(prod < 0.5, np.log1p(-prod), np.log(np.exp(lx) + np.exp(ly) * ex))
+    lx, ly, _, _, ln_t = seed_joe_parts(t, np.log1p(-u), np.log1p(-v))
     return ((1.0 / t - 2.0) * ln_t + (1.0 - 1.0 / t) * (lx + ly)
             + np.log(t - 1.0 + np.exp(ln_t)))
 
@@ -1498,8 +1519,7 @@ open_unit = st.one_of(st.sampled_from(RULE_POINTS),
 
 def joe_upper_corner(model, u, v):
     """Where Joe's (1 - u)^theta and (1 - v)^theta, after the clip and the
-    rotation, both underflow to 0: its log T takes log(0) there, and its
-    log-density is +inf (see test_joe_log_density_is_finite_in_the_upper_corner)."""
+    rotation, both underflow to 0, so that log T is taken in log space."""
     u, v = np.broadcast_arrays(*(np.clip(x, CLAMP, 1.0 - CLAMP) for x in (u, v)))
     if model.family != "joe":
         return np.zeros(u.shape, dtype=bool)
@@ -1519,8 +1539,7 @@ def test_every_evaluator_is_finite_past_the_clamp_interior(model, pairs):
         for fn in (cp.cdf, cp.hfunc, cp.hfunc_inverse):
             out = np.asarray(fn(model, *args))
             assert np.all((out >= 0.0) & (out <= 1.0)), fn.__name__
-        ll = cp.log_density(model, *args)
-        assert np.all(np.isfinite(ll) | joe_upper_corner(model, *args))
+        assert np.all(np.isfinite(cp.log_density(model, *args)))
 
 
 @pytest.mark.parametrize("model", BRACKET_MODELS, ids=BRACKET_IDS)
@@ -1533,12 +1552,45 @@ def test_no_value_at_the_clamp_corners_is_negative_zero(model):
             assert not np.any((out == 0.0) & np.signbit(out)), fn.__name__
 
 
-@pytest.mark.xfail(strict=True, reason="Joe's log T takes log(0) when (1 - u)^theta and "
-                   "(1 - v)^theta both underflow")
 def test_joe_log_density_is_finite_in_the_upper_corner():
     u = 1.0 - CLAMP
     assert joe_upper_corner(cp.CopulaModel("joe", 50.0), u, u)
     assert math.isfinite(cp.log_density(cp.CopulaModel("joe", 50.0), u, u))
+
+
+def joe_mpmath(t, u, v):
+    """Joe's C(u, v), h(v | u) and log-density at 400 digits, rounded to doubles."""
+    with mpmath.workdps(400):
+        t, u, v = mpmath.mpf(t), mpmath.mpf(u), mpmath.mpf(v)
+        a, b = (1 - u) ** t, (1 - v) ** t
+        big_t = a + b - a * b
+        h = (1 - u) ** (t - 1) * (1 - b) * big_t ** (1 / t - 1)
+        density = big_t ** (1 / t - 2) * ((1 - u) * (1 - v)) ** (t - 1) * (t - 1 + big_t)
+        return float(1 - big_t ** (1 / t)), float(h), float(mpmath.log(density))
+
+
+@pytest.mark.parametrize("rotation", cp.ROTATIONS)
+@pytest.mark.parametrize("theta", [40.0, 50.0])
+def test_joe_upper_corner_matches_mpmath(theta, rotation):
+    # where (1 - u)^theta and (1 - v)^theta both underflow (after rotation 90
+    # reflects u), C is within 4 eps absolute, and h and the log-density within
+    # 4 eps (1 + |lx| + |ly|) relative to max(1, |value|), lx = theta log(1 - u):
+    # the rounding of lx and ly passes into log T; the most seen was 0.8 of it
+    model = cp.CopulaModel("joe", theta, rotation)
+    # 1 - u and 1 - v; the last makes (1 - u)^theta a subnormal
+    ends = np.array([1e-10, 3e-10, 1e-9, 10.0 ** (-315.0 / theta)])
+    a, b = (x.ravel() for x in np.meshgrid(ends, ends))
+    u, v = (a if rotation else 1.0 - a), 1.0 - b
+    ru = 1.0 - u if rotation else u  # the base family's u
+    assert np.all(joe_seed_underflows(theta, ru, v))
+    got = (cp.cdf(model, u, v), cp.hfunc(model, v, u), cp.log_density(model, u, v))
+    bound = 4.0 * 2.0 ** -52 * (1.0 + theta * (np.abs(np.log1p(-ru)) + np.abs(np.log1p(-v))))
+    for i in range(u.size):
+        c, h, ld = joe_mpmath(theta, ru[i], v[i])
+        if not rotation:  # rotation 90's survival form is test_rotated_cdf_matches_mpmath's
+            assert abs(got[0][i] - c) <= 4.0 * 2.0 ** -52, (u[i], v[i])
+        assert abs(got[1][i] - h) <= bound[i] * max(1.0, abs(h)), (u[i], v[i])
+        assert abs(got[2][i] - ld) <= bound[i] * max(1.0, abs(ld)), (u[i], v[i])
 
 
 @pytest.mark.parametrize("model", BRACKET_MODELS, ids=BRACKET_IDS)
