@@ -56,6 +56,7 @@ METHODS = ("storey", "hard", "soft")
 
 DEFAULT_SEED = 20240001
 
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Knobs of one simulation cell, checked by the cell schema (_SCHEMAS)."""
@@ -102,6 +103,7 @@ _SCHEMAS = {
                   "tau": (-0.4, None), "reps": (100, 1), "seed": (DEFAULT_SEED, 0),
                   "candidates": (ft.DEFAULT_CANDIDATES, None)},
 }
+_REFIT_M = (SimulationConfig.m, 2)  # m's entry in a refit: a Kendall tau takes two pairs
 
 
 def _check_value(key: str, value, entry) -> None:
@@ -277,8 +279,8 @@ def run_misspecification(cfg: SimulationConfig, analysis_families=ft.DEFAULT_CAN
     Returns {"storey": MonteCarloResult, family: {"hard"/"soft": ...}}.
     """
     _check_value("fit_mode", mode, _SCHEMAS["misspecification"]["fit_mode"])
-    if mode == "refit":  # a replicate's Kendall tau takes two pairs at least
-        _check_value("m", cfg.m, (_CELL["m"][0], 2))
+    if mode == "refit":
+        _check_value("m", cfg.m, _REFIT_M)
     families = ft.check_families(analysis_families, "analysis_families")
     per_rep = _map_replicates(_replicate, [(cfg, k, families, mode) for k in range(cfg.k_reps)],
                               threads)
