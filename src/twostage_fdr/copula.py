@@ -795,16 +795,6 @@ def kendall_tau(model: CopulaModel) -> float:
     return -tau if model.rotation else tau
 
 
-def _invert_tau(tau_fn, target: float, lo: float, hi: float) -> float:
-    """theta in [lo, hi] with tau_fn(theta) = target, tau_fn increasing and
-    target in [tau_fn(lo), tau_fn(hi)].
-
-    60 fixed halvings narrow the theta-bracket (width at most 50) to about
-    4e-17, below the spacing of doubles at theta >= 1.
-    """
-    return float(bisect_increasing(tau_fn, target, lo, hi, 60))
-
-
 def orientation(family: str, tau: float) -> tuple[int, tuple[float, float] | None]:
     """(rotation, theta bracket of inversion and fitting) of the family for
     a Kendall tau of tau's sign.  A negative tau rotates Clayton, Gumbel
@@ -826,21 +816,22 @@ def tau_to_theta(family: str, tau: float) -> CopulaModel:
     """Build the model of a family whose population Kendall tau equals tau.
 
     Every family is the independence copula at |tau| < 1e-6, above the tau
-    of Frank's and Joe's bracket ends (1.1e-7 and 5.8e-7); the independence
-    family raises at any other tau.  The rotation is orientation's: 90
-    degrees for Clayton/Gumbel/Joe at a negative tau.  Gaussian, Clayton and
-    Gumbel invert in closed form; Frank and Joe invert their tau map by 60
-    fixed halvings of the family's theta bracket, and raise past the |tau|
-    of its upper end (Frank 0.9226, Joe 0.9610).
+    of Frank's and Joe's lower bracket ends (1.1e-7 and 5.8e-7) but not of
+    Clayton's (5.0e-5: 1e-6 <= |tau| < 5e-5 builds a Clayton theta from 2.0e-6
+    up to 1e-4, below the bracket its evaluators are checked over); the
+    independence family raises at any other tau.  Each family raises past the
+    |tau| of its bracket's upper end (Gaussian 0.9910, Frank 0.9226, Clayton
+    0.9615, Gumbel 0.9800, Joe 0.9610); a NaN tau raises in orientation.  The
+    rotation is orientation's: 90 degrees for Clayton/Gumbel/Joe at a negative
+    tau.  Gaussian, Clayton and Gumbel invert in closed form; Frank and Joe by
+    60 fixed halvings of the theta bracket (width at most 50) to about 4e-17.
     """
     row = _check_family(family)
-    if not -1.0 < tau < 1.0:
-        raise ValueError(f"kendall tau must be in (-1, 1), got {tau}")
     if abs(tau) < _TAU_INDEPENDENT:
         return CopulaModel("independence")
     if family == "independence":
         raise ValueError(f"independence copula requires |tau| < {_TAU_INDEPENDENT}, got {tau}")
-    if row.theta_of is None and abs(tau) > (reach := row.tau(row.bracket[1])):
+    if abs(tau) > (reach := row.tau(row.bracket[1])):
         raise ValueError(f"{family} copula takes kendall tau in [-{reach:.4f}, {reach:.4f}], "
                          f"got {tau}")
 
@@ -850,7 +841,7 @@ def tau_to_theta(family: str, tau: float) -> CopulaModel:
     if row.theta_of is not None:
         theta = row.theta_of(tau)
     else:
-        theta = math.copysign(_invert_tau(row.tau, abs(tau), *row.bracket), tau)
+        theta = math.copysign(bisect_increasing(row.tau, abs(tau), *row.bracket, 60), tau)
     return CopulaModel(family, theta, rotation)
 
 

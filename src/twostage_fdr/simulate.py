@@ -128,16 +128,20 @@ def _check_value(key: str, value, entry) -> None:
         raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
+def _model_at(where: str, family: str, tau: float) -> cp.CopulaModel:
+    """analysis_model(family, tau), whose error begins with `where`."""
+    try:
+        return analysis_model(family, tau)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _check_model(family_key: str, family: str, tau: float) -> cp.CopulaModel:
     """analysis_model(family, tau), whose error names the config key at fault:
     `family_key` when the family fails at tau 0, which every family takes,
     else tau."""
-    for key, at in ((family_key, 0.0), ("tau", tau)):
-        try:
-            model = analysis_model(family, at)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
-    return model
+    _model_at(f"config key {family_key!r}", family, 0.0)
+    return _model_at("config key 'tau'", family, tau)
 
 
 @dataclass(frozen=True)
@@ -243,21 +247,18 @@ def _mc_result(rows: list) -> MonteCarloResult:
 
 def _replicate(args) -> dict:
     """Storey's (V, R, S, M1), and the hard and soft ones under each
-    analysis family at one tau: the true tau (mode "fixed") or the
-    replicate's Kendall tau of (p1, p2) (mode "refit")."""
-    cfg, k, families, mode = args
+    analysis family's model: `models` maps each family to its model at the
+    true tau (mode "fixed"), or is None to build each at the replicate's
+    Kendall tau of (p1, p2) (mode "refit")."""
+    cfg, k, families, models = args
     table, is_alt = generate_dataset(cfg, k)
-    if mode == "fixed":
-        tau = cfg.tau
-    else:
+    if models is None:
         tau = ft.empirical_kendall_tau(cp.PseudoObservations(table.p1, table.p2))
+        models = {family: _model_at(f"replicate {k}: {family} at kendall tau {tau}", family, tau)
+                  for family in families}
     out = {"storey": _counts(proc.run_one_stage_storey(table, cfg.alpha, cfg.lambda_),
                              is_alt)}
-    for family in families:
-        try:
-            model = analysis_model(family, tau)
-        except ValueError as exc:
-            raise ValueError(f"replicate {k}: {family} at kendall tau {tau}: {exc}") from None
+    for family, model in models.items():
         out[family] = {
             "hard": _counts(proc.run_two_stage_hard(table, model, cfg.alpha, cfg.lambda_),
                             is_alt),
@@ -274,7 +275,9 @@ def run_misspecification(cfg: SimulationConfig, analysis_families=ft.DEFAULT_CAN
     Each listed family is analysed with its parameter matched to one tau:
     the true tau (mode="fixed", nothing fitted) or, per replicate, the
     empirical Kendall tau of the (p1, p2) pairs (mode="refit"), so a
-    wrong family is analysed as a wrong family.
+    wrong family is analysed as a wrong family.  Mode "fixed" builds each
+    model once, so a family that cannot take cfg.tau raises, naming config
+    key 'tau', before any replicate is drawn.
 
     Returns {"storey": MonteCarloResult, family: {"hard"/"soft": ...}}.
     """
@@ -282,7 +285,9 @@ def run_misspecification(cfg: SimulationConfig, analysis_families=ft.DEFAULT_CAN
     if mode == "refit":
         _check_value("m", cfg.m, _REFIT_M)
     families = ft.check_families(analysis_families, "analysis_families")
-    per_rep = _map_replicates(_replicate, [(cfg, k, families, mode) for k in range(cfg.k_reps)],
+    models = None if mode == "refit" else {  # mode "fixed": each model once, at the true tau
+        family: _model_at("config key 'tau'", family, cfg.tau) for family in families}
+    per_rep = _map_replicates(_replicate, [(cfg, k, families, models) for k in range(cfg.k_reps)],
                               threads)
     out = {"storey": _mc_result([rep["storey"] for rep in per_rep])}
     for family in families:

@@ -579,7 +579,15 @@ BAD_CELL_VALUES = [
         ({"m": 100, "dep_family": "frank", "tau": -0.95},
          "config key 'tau': frank copula takes kendall tau in [-0.9226, 0.9226], got -0.95"),
         ({"m": 100, "dep_family": "joe", "tau": -0.97},
-         "config key 'tau': joe copula takes kendall tau in [-0.9610, 0.9610], got -0.97")]
+         "config key 'tau': joe copula takes kendall tau in [-0.9610, 0.9610], got -0.97"),
+        # the closed-form families take tau up to their brackets' reach too
+        ({"m": 100, "tau": -0.99},
+         "config key 'tau': clayton copula takes kendall tau in [-0.9615, 0.9615], got -0.99"),
+        ({"m": 100, "dep_family": "gumbel", "tau": -0.99},
+         "config key 'tau': gumbel copula takes kendall tau in [-0.9800, 0.9800], got -0.99"),
+        ({"m": 100, "dep_family": "gaussian", "tau": -0.999},
+         "config key 'tau': gaussian copula takes kendall tau in [-0.9910, 0.9910], "
+         "got -0.999")]
     for mode in ("cell", "misspecification")
 ]
 
@@ -592,11 +600,22 @@ BAD_REFITS = [
     ({"mode": "misspecification", "m": 1, "k_reps": 1},
      "error: config key 'm' must be an integer >= 2, got 1"),
     ({"mode": "cell", "m": 2, "k_reps": 1},
-     "error: replicate 0: clayton at kendall tau 1.0: kendall tau must be in (-1, 1), got 1.0"),
+     "error: replicate 0: clayton at kendall tau 1.0: clayton copula takes kendall tau in "
+     "[-0.9615, 0.9615], got 1.0"),
     ({"mode": "cell", "m": 4, "k_reps": 5, "dep_family": "frank", "seed": 0},
-     "error: replicate 3: frank at kendall tau -1.0: kendall tau must be in (-1, 1), got -1.0"),
+     "error: replicate 3: frank at kendall tau -1.0: frank copula takes kendall tau in "
+     "[-0.9226, 0.9226], got -1.0"),
     ({"mode": "misspecification", "m": 2, "k_reps": 1, "analysis_families": ["gaussian"]},
-     "error: replicate 0: gaussian at kendall tau 1.0: kendall tau must be in (-1, 1), got 1.0"),
+     "error: replicate 0: gaussian at kendall tau 1.0: gaussian copula takes kendall tau in "
+     "[-0.9910, 0.9910], got 1.0"),
+]
+
+# fixed mode builds each analysis model where the config enters: a family that
+# cannot take tau fails before replicate 0 is drawn
+FIXED_PAST_REACH = [
+    ({"mode": "misspecification", "fit_mode": "fixed", "dep_family": "clayton", "tau": -0.95,
+      "analysis_families": ["frank"]},
+     "error: config key 'tau': frank copula takes kendall tau in [-0.9226, 0.9226], got -0.95"),
 ]
 
 REPEATED_FAMILIES = [
@@ -744,6 +763,19 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"{message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload, message", FIXED_PAST_REACH)
+    def test_fixed_mode_rejects_tau_past_a_family_reach_before_drawing(
+            self, tmp_path, capsys, monkeypatch, payload, message):
+        drawn = []
+        monkeypatch.setattr(sim, "generate_dataset", lambda *args: drawn.append(args))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfgfile), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"{message}\n"
+        assert drawn == []
+        assert not out.exists()
+
     def test_fixed_mode_takes_one_hypothesis(self, tmp_path):
         # fixed mode estimates no tau, so m = 1 runs
         cfgfile = tmp_path / "cfg.json"
@@ -863,7 +895,7 @@ REJECTED_RUNS = (
     + [(payload, 1) for payload, *_ in MISTYPED_VALUES + NON_STRING_FAMILIES]
     + [(payload, 1) for payload, _ in
        BAD_SELECTION_STUDIES + REPEATED_FAMILIES + EMPTY_FAMILY_LISTS + MISTYPED_FAMILY_LISTS
-       + BAD_REFITS]
+       + BAD_REFITS + FIXED_PAST_REACH]
     + [({"mode": "cell", "m": 100, "bogus": 1}, 1),
        ({"mode": "cell", "m": 100, "k_reps": 1, "analysis_family": "frank"}, 1)]
     + [({"mode": "cell", "m": 100, "k_reps": 1, "analysis_mode": mode}, 1)

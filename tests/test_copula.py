@@ -280,17 +280,31 @@ class TestTauMaps:
             cp.tau_to_theta("gaussian", -1.0)
 
     @pytest.mark.parametrize("family, tau, reach", [
+        ("gaussian", 0.995, "0.9910"), ("gaussian", -0.995, "0.9910"),
         ("frank", 0.95, "0.9226"), ("frank", -0.95, "0.9226"),
+        ("clayton", 0.97, "0.9615"), ("clayton", -0.97, "0.9615"),
+        ("gumbel", 0.99, "0.9800"), ("gumbel", -0.99, "0.9800"),
         ("joe", 0.97, "0.9610"), ("joe", -0.97, "0.9610"),
     ])
     def test_tau_past_the_bracket_names_the_family_and_its_reach(self, family, tau, reach):
-        # the reach is the |tau| of the bracket's upper end, theta = 50
+        # the reach is the |tau| of the bracket's upper end, theta = 50 or rho = 0.9999
         with pytest.raises(ValueError) as exc:
             cp.tau_to_theta(family, tau)
         assert str(exc.value) == (f"{family} copula takes kendall tau in "
                                   f"[-{reach}, {reach}], got {tau}")
         hi = cp.orientation(family, 1.0)[1][1]
         assert f"{cp.kendall_tau(cp.CopulaModel(family, hi)):.4f}" == reach
+
+    @pytest.mark.parametrize("family", ["gaussian", "frank", "clayton", "gumbel", "joe"])
+    def test_tau_at_the_reach_builds_the_family_at_the_bracket_end(self, family):
+        # the closed forms may round past the end: Clayton lands at 50.000000000000036
+        hi = cp.orientation(family, 1.0)[1][1]
+        reach = cp.kendall_tau(cp.CopulaModel(family, hi))
+        for tau in (reach, -reach):
+            model = cp.tau_to_theta(family, tau)
+            assert model.family == family, tau
+            assert abs(model.theta) <= hi * (1.0 + 2.0 ** -50), (tau, model)
+            assert math.copysign(1.0, cp.kendall_tau(model)) == math.copysign(1.0, tau)
 
     def test_frank_joe_inverse_to_1e11(self):
         for family in ("frank", "joe"):
@@ -1269,7 +1283,7 @@ def seed_tau_to_theta(family, tau):
         if family == "gaussian":
             return cp.CopulaModel("gaussian", math.sin(math.pi * tau / 2.0))
         lo, hi = seed_theta_bracket("frank")
-        theta = cp._invert_tau(cp._frank_tau_positive, abs(tau), lo, hi)
+        theta = float(cp.bisect_increasing(cp._frank_tau_positive, abs(tau), lo, hi, 60))
         return cp.CopulaModel("frank", math.copysign(theta, tau))
     rotation = 0 if tau >= 0.0 else 90
     mag = abs(tau)
@@ -1279,7 +1293,7 @@ def seed_tau_to_theta(family, tau):
         theta = 1.0 / (1.0 - mag)
     else:
         lo, hi = seed_theta_bracket("joe")
-        theta = cp._invert_tau(cp._joe_tau, mag, lo, hi)
+        theta = float(cp.bisect_increasing(cp._joe_tau, mag, lo, hi, 60))
     return cp.CopulaModel(family, theta, rotation)
 
 

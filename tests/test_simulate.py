@@ -259,6 +259,14 @@ class TestRunCell:
             np.testing.assert_array_equal(a[name].v, b[name].v)
             np.testing.assert_array_equal(a[name].r, b[name].r)
             np.testing.assert_array_equal(a[name].s, b[name].s)
+        # fixed mode sends the models it built once to the workers
+        a, b = (sim.run_misspecification(cfg, mode="fixed", threads=threads)
+                for threads in (1, 2))
+        for r, rr in [(a["storey"], b["storey"])] + [(a[f][m], b[f][m])
+                                                     for f in ft.DEFAULT_CANDIDATES
+                                                     for m in ("hard", "soft")]:
+            for count in ("v", "r", "s", "m1"):
+                np.testing.assert_array_equal(getattr(r, count), getattr(rr, count))
 
     @pytest.mark.parametrize("threads", [0, -5, True, 2.5])
     def test_threads_must_be_positive(self, threads):
@@ -408,24 +416,28 @@ class TestMisspecification:
             assert np.all((0 <= r.s) & (r.s <= r.m1))
         assert any(np.any(r.r > 0) for r in results)  # not vacuous
 
-    def test_each_mode_builds_one_model_per_family_and_scores_no_density(self, monkeypatch):
+    @pytest.mark.parametrize("k_reps", [1, 3])
+    def test_each_mode_builds_one_model_per_family_and_scores_no_density(self, monkeypatch,
+                                                                         k_reps):
         calls = {"tau_to_theta": 0, "log_density": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(cp, name), **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(cp, name, counted)
-        cfg = small_cfg(m=400, k_reps=1, dep_family="frank")
-        # the data's model, then one model per listed family at the one tau of
-        # the mode; no family is scored against the truth
-        for mode in ("fixed", "refit"):
+        cfg = small_cfg(m=400, k_reps=k_reps, dep_family="frank")
+        # the data's model per replicate, and one model per listed family: once
+        # at the true tau (fixed), or per replicate at its tau (refit); no
+        # family is scored against the truth
+        n_families = len(ft.DEFAULT_CANDIDATES)
+        for mode, models in (("fixed", k_reps + n_families),
+                             ("refit", k_reps * (1 + n_families))):
             calls.update(tau_to_theta=0, log_density=0)
             sim.run_misspecification(cfg, mode=mode)
-            assert calls == {"tau_to_theta": 1 + len(ft.DEFAULT_CANDIDATES),
-                             "log_density": 0}, mode
+            assert calls == {"tau_to_theta": models, "log_density": 0}, mode
         calls.update(tau_to_theta=0, log_density=0)
         sim.run_cell(cfg)
-        assert calls == {"tau_to_theta": 2, "log_density": 0}
+        assert calls == {"tau_to_theta": 2 * k_reps, "log_density": 0}
 
 
 # Reference replicates, written out without the shared replicate path: a
