@@ -66,8 +66,8 @@ class SelectionReport:
 
 def check_families(families, key: str) -> tuple:
     """The family names as a tuple.  A str, a non-iterable, a non-str item,
-    no names or a repeated name raises ValueError naming `key`; an unknown
-    name raises one naming it."""
+    no names, an unknown name or a repeated name raises ValueError naming
+    `key`."""
     listed = isinstance(families, Iterable) and not isinstance(families, str)
     names = tuple(families) if listed else ()
     if not listed or not all(isinstance(f, str) for f in names):
@@ -76,7 +76,7 @@ def check_families(families, key: str) -> tuple:
         raise ValueError(f"{key} must name at least one family")
     for i, family in enumerate(names):
         if family not in FAMILIES:
-            raise ValueError(f"unknown copula family {family!r}")
+            raise ValueError(f"{key} names unknown copula family {family!r}")
         if family in names[:i]:
             raise ValueError(f"{key} lists family {family!r} twice")
     return names

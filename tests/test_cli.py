@@ -542,7 +542,7 @@ NON_STRING_FAMILIES = [
 
 BAD_SELECTION_STUDIES = [
     ({"mode": "selection", "n": 300, "reps": 1, "candidates": ["clayton", "foo"]},
-     "error: unknown copula family 'foo'"),
+     "error: candidates names unknown copula family 'foo'"),
     # the family is checked at every tau, independence's range included
     ({"mode": "selection", "n": 300, "reps": 1, "true_family": "foo", "tau": 0.0},
      "error: config key 'true_family': unknown copula family 'foo'"),

@@ -273,7 +273,7 @@ class TestSelectCopula:
         obs = cp.sample(cp.tau_to_theta("clayton", -0.4), 200, 5)
         fitted = []
         monkeypatch.setattr(ft, "fit_mle", lambda family, *a, **k: fitted.append(family))
-        with pytest.raises(ValueError, match="^unknown copula family 'foo'$"):
+        with pytest.raises(ValueError, match="^families names unknown copula family 'foo'$"):
             ft.select_copula(obs, families=("clayton", "foo"))
         assert fitted == []
 

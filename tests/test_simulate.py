@@ -387,7 +387,7 @@ class TestMisspecification:
         (("frank", "frank"), "^analysis_families lists family 'frank' twice$"),
         # at tau = 0 every family collapses to independence, so only the
         # up-front check sees the unknown name
-        (("foo",), "^unknown copula family 'foo'$"),
+        (("foo",), "^analysis_families names unknown copula family 'foo'$"),
         # a bare string is not a list of one family
         ("frank", "^analysis_families must be a list of family names, got 'frank'$"),
         (["frank", 1], r"^analysis_families must be a list of family names, got \['frank', 1\]$"),
