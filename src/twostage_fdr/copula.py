@@ -819,12 +819,13 @@ def tau_to_theta(family: str, tau: float) -> CopulaModel:
     of Frank's and Joe's lower bracket ends (1.1e-7 and 5.8e-7) but not of
     Clayton's (5.0e-5: 1e-6 <= |tau| < 5e-5 builds a Clayton theta from 2.0e-6
     up to 1e-4, below the bracket its evaluators are checked over); the
-    independence family raises at any other tau.  Each family raises past the
-    |tau| of its bracket's upper end (Gaussian 0.9910, Frank 0.9226, Clayton
-    0.9615, Gumbel 0.9800, Joe 0.9610); a NaN tau raises in orientation.  The
-    rotation is orientation's: 90 degrees for Clayton/Gumbel/Joe at a negative
-    tau.  Gaussian, Clayton and Gumbel invert in closed form; Frank and Joe by
-    60 fixed halvings of the theta bracket (width at most 50) to about 4e-17.
+    independence family raises at any other tau, NaN included.  Each other
+    family raises past the |tau| of its bracket's upper end (Gaussian 0.9910,
+    Frank 0.9226, Clayton 0.9615, Gumbel 0.9800, Joe 0.9610), and orientation
+    raises on a NaN.  The rotation is orientation's: 90 degrees for
+    Clayton/Gumbel/Joe at a negative tau.  Gaussian, Clayton and Gumbel invert
+    in closed form; Frank and Joe by 60 fixed halvings of the theta bracket
+    (width at most 50) to about 4e-17.
     """
     row = _check_family(family)
     if abs(tau) < _TAU_INDEPENDENT:
